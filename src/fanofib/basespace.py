@@ -31,11 +31,6 @@ VARIANT_BPRIME = "Bprime"
 # push-forward and the fiber-averaged density
 # ---------------------------------------------------------------------------
 
-def pushforward(ref: ReferenceGeometry, V) -> np.ndarray:
-    """FS-relative density of the push-forward volume form on the base."""
-    return fiber_integral(ref.grid, V) / TWO_PI * 1.0  # keep FS normalization
-
-
 def pushforward_adjoint_defect(ref: ReferenceGeometry, V,
                                powers=(0, 1, 2)) -> float:
     """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V over a
@@ -64,6 +59,7 @@ class GprimeReport:
     lp_norms: dict
     normalization_defect: float
     adjoint_defect: float
+    volume: VolumeDensity    # the total-space volume pushed forward
 
 
 def make_omega_prime(ref: ReferenceGeometry,
@@ -106,7 +102,8 @@ def compute_gprime(ref: ReferenceGeometry, variant: str = SPR,
     return GprimeReport(variant=variant, gprime=gprime,
                         delta_lower=float(gprime.min()), lp_norms=lp,
                         normalization_defect=float(defect),
-                        adjoint_defect=pushforward_adjoint_defect(ref, vol))
+                        adjoint_defect=pushforward_adjoint_defect(ref, vol),
+                        volume=vol)
 
 
 @dataclass(eq=False)
@@ -119,12 +116,12 @@ class GDescendsReport:
 def check_g_descends(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
                      gprime: GprimeReport) -> GDescendsReport:
     """Fiber constancy of G = Omega / (2 omega_family ^ pullback(eta)) and
-    agreement with the pulled-back base profile."""
-    if fiber_sol.kind == SPR:
-        vol = ref.Omega
-    else:
-        vol = make_omega_prime(ref, fiber_sol)
-    G = vol.rho / (2.0 * ref.eta_fs * fiber_sol.vertical_fs)
+    agreement with the pulled-back base profile; Omega is the volume that
+    ``gprime`` pushed forward."""
+    if gprime.variant != fiber_sol.kind:
+        raise ValueError(f"G' of the {gprime.variant} family cannot audit "
+                         f"the {fiber_sol.kind} family")
+    G = gprime.volume.rho / (2.0 * ref.eta_fs * fiber_sol.vertical_fs)
     osc = float((G.max(axis=0) - G.min(axis=0)).max())
     pullback = float(np.abs(G - gprime.gprime[None, :]).max())
     return GDescendsReport(variant=fiber_sol.kind, vertical_oscillation=osc,
@@ -220,6 +217,7 @@ class ResidualReport:
     scale: float
     relative: float
     extra: dict
+    field: np.ndarray | None = None   # the residual on the base grid
 
 
 def twisted_ke_residual(ref: ReferenceGeometry, sol: BaseMetricSolution,
@@ -238,7 +236,7 @@ def twisted_ke_residual(ref: ReferenceGeometry, sol: BaseMetricSolution,
     sup = float(np.abs(res).max())
     return ResidualReport(name=f"twisted_ke[{sol.variant}]", residual_sup=sup,
                           scale=scale, relative=sup / scale,
-                          extra={"wp_route": wp.route})
+                          extra={"wp_route": wp.route}, field=res)
 
 
 def wpl_fs_residual(ref: ReferenceGeometry, wp: WPResult) -> ResidualReport:

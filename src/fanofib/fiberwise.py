@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import TWO_PI, audit_lap, lap_matrix, simpson_columns
+from .calculus import audit_lap, integrate_total, lap_matrix, simpson_columns
 from .errors import PositivityError
 from .grids import FIBER, Grid
 from .model import ReferenceGeometry
@@ -201,7 +201,6 @@ def verify_fiber_family(ref: ReferenceGeometry,
         # curvature must reproduce the fiber metric
         curv = ref.vertical_fs_omega0() + audit_lap(grid, sol.rho, FIBER)
         weight_forward = float(np.abs(curv - u).max())
-        from .calculus import integrate_total
         exp_l2 = float(np.sqrt(integrate_total(
             grid, np.exp(-2.0 * lam * sol.rho) * ref.Omega.rho)))
 
@@ -212,11 +211,6 @@ def verify_fiber_family(ref: ReferenceGeometry,
                              positivity_margin=float(u.min()),
                              weight_forward_sup=weight_forward,
                              exp_l2_diagnostic=exp_l2)
-
-
-def fiber_volume(ref: ReferenceGeometry, sol: FiberFamilySolution) -> np.ndarray:
-    """Per-fiber volume 2*pi*int u dx of the family metric."""
-    return TWO_PI * simpson_columns(ref.grid, sol.vertical_fs)
 
 
 def gauge_shifted(sol: FiberFamilySolution, beta: np.ndarray) -> FiberFamilySolution:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .calculus import TWO_PI, fs_form, integrate_total
+from .calculus import TWO_PI, ddbar_invariant, fs_form, integrate_total
 from .errors import ConfigError, FanofibError, ModelOrientationError, PositivityError
 from .grids import Form11Field, Grid, VolumeDensity
 
@@ -222,10 +222,6 @@ class ReferenceGeometry:
     V: float                 # 2 * fiber volume of omega0
     phi_check_residual: float  # forward ddbar(phi_L) vs omega0, O(h^2)
 
-    @property
-    def psi_w(self) -> np.ndarray:
-        return self.warp.eps * self.warp.P[:, None] * self.warp.Q[None, :]
-
     def vertical_fs_omega0(self) -> np.ndarray:
         """FS-relative density of omega0 restricted to the fibers."""
         w = self.warp
@@ -314,7 +310,6 @@ def build_reference(spec: ModelSpec, consts: DerivedConstants | None = None,
 
     # forward check Ric(h_L) = omega0: analytic pole parts are exact, the
     # smooth part is differentiated by the grid operators (O(h^2))
-    from .calculus import ddbar_invariant  # local import avoids a cycle
     fd = ddbar_invariant(grid, psi_w)
     pole = fs_form(grid, phi_L.pole_fiber, phi_L.pole_base)
     phi_check = (pole + fd - omega0).sup()
@@ -323,8 +318,3 @@ def build_reference(spec: ModelSpec, consts: DerivedConstants | None = None,
     return ReferenceGeometry(spec=spec, consts=consts, grid=grid, warp=w,
                              omega0=omega0, chi=chi, Omega=Omega, phi_L=phi_L,
                              eta_fs=kappa, V=V, phi_check_residual=phi_check)
-
-
-def omega_class(spec: ModelSpec) -> tuple[Fraction, Fraction]:
-    """Reference class in the basis ([FS_base], [FS_fiber])."""
-    return (spec.a, spec.c)

@@ -91,16 +91,29 @@ def _parse_grid(token: str) -> tuple[int, int]:
         raise ConfigError(f"bad grid {token!r}, expected NxM") from exc
 
 
+def _number(key: str, raw, parse, what: str):
+    """``parse(raw)`` if that gives a finite number, else ConfigError."""
+    try:
+        value = parse(raw)
+        finite = math.isfinite(value)
+    except (ArithmeticError, TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{key} = {raw!r} is not {what}")
+    return value
+
+
 def config_from_mapping(mapping: dict) -> PipelineConfig:
     kw = {}
     m = dict(mapping)
     for key in ("a", "c"):
         if key in m:
-            kw[key] = Fraction(str(m.pop(key)))
+            kw[key] = _number(key, m.pop(key), lambda raw: Fraction(str(raw)),
+                              "a finite rational")
     for key in ("warp_amplitude", "newton_tol", "residual_tol",
                 "quadrature_tol", "h2_constant", "eps_lp"):
         if key in m:
-            kw[key] = float(m.pop(key))
+            kw[key] = _number(key, m.pop(key), float, "a finite number")
     if "warp_shape" in m:
         kw["warp_shape"] = str(m.pop("warp_shape"))
     grids = []
@@ -109,8 +122,8 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
         tokens = raw.split(",") if isinstance(raw, str) else raw
         grids = [_parse_grid(t.strip()) for t in tokens if str(t).strip()]
     if "n_fiber" in m or "n_base" in m:
-        nf = int(m.pop("n_fiber", 64))
-        nb = int(m.pop("n_base", 64))
+        nf, nb = (_number(key, m.pop(key, 64), lambda raw: int(str(raw)),
+                          "an integer") for key in ("n_fiber", "n_base"))
         if not grids:
             grids = [(nf, nb)]
     if grids:
@@ -209,7 +222,6 @@ def _run_cell(cfg: PipelineConfig, grid_pair: tuple[int, int], kind: str,
     spec = cfg.model_spec(grid_pair)
     ref = build_reference(spec)
     grid = ref.grid
-    lam = float(ref.consts.lam)
 
     t0 = time.perf_counter()
     fiber = solve_spr(ref) if kind == SPR else solve_ske(ref, tol=cfg.newton_tol)
@@ -271,14 +283,15 @@ def _run_cell(cfg: PipelineConfig, grid_pair: tuple[int, int], kind: str,
                     iterations=sol.iterations,
                     integrated_defect=integrated_ma_defect(ref, gprime, sol))
 
+    t0 = time.perf_counter()
+    tke = {sol.variant: twisted_ke_residual(ref, sol, wp_sections)
+           for sol in (sol_b, sol_bp)}
     if "twisted_ke" in cfg.checks:
-        t0 = time.perf_counter()
         for sol in (sol_b, sol_bp):
-            rep_s = twisted_ke_residual(ref, sol, wp_sections)
             rep_r = twisted_ke_residual(ref, sol, wp_residual)
             _record(report, cfg, grid, kind, f"twisted_ke[{sol.variant}]",
                     rep_r.relative, _TRUNC, t0,
-                    residual_sections=rep_s.residual_sup,
+                    residual_sections=tke[sol.variant].residual_sup,
                     residual_routes=rep_r.residual_sup, scale=rep_r.scale)
 
     if "wpl_fs" in cfg.checks and kind == SPR:
@@ -318,20 +331,9 @@ def _run_cell(cfg: PipelineConfig, grid_pair: tuple[int, int], kind: str,
         "wp_sections_fs": wp_sections.wp_fs,
         "wp_residual_fs": wp_residual.wp_fs,
         "omega_B_fs": sol_b.dens_fs,
-        "tke_B_residual": _tke_field(ref, sol_b, wp_sections, lam),
-        "tke_Bprime_residual": _tke_field(ref, sol_bp, wp_sections, lam),
+        "tke_B_residual": tke[VARIANT_B].field,
+        "tke_Bprime_residual": tke[VARIANT_BPRIME].field,
     }
-
-
-def _tke_field(ref, sol, wp, lam):
-    from .calculus import lap
-    from .grids import BASE
-    grid = ref.grid
-    ric = 2.0 - lap(grid, np.log(sol.dens_fs), BASE)
-    res = ric + sol.dens_fs - wp.wp_fs
-    if sol.variant == VARIANT_B:
-        res = res + lam * float(ref.eta_fs)
-    return grid.g_b * res
 
 
 def _attach_orders(report: Report) -> None:

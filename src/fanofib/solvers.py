@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import TWO_PI, fs_ratio, lap_matrix, simpson
+from .calculus import TWO_PI, fs_ratio, lap_matrix
 from .errors import ContractViolation, NonConvergence, SolvabilityError
-from .grids import Grid, RadialField, values_of
+from .grids import Grid, values_of
 
 
 def poisson_system(grid: Grid, axis_name: str) -> np.ndarray:
@@ -142,12 +142,3 @@ def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
         return NewtonResult(x, trace, max_iter, True)
     raise NonConvergence(f"no convergence in {max_iter} iterations "
                          f"(last residual {norm:.3e})", trace)
-
-
-def mean_zero(grid: Grid, axis_name: str, values: np.ndarray) -> np.ndarray:
-    """Project onto the mean-zero gauge, int . dx = 0, columnwise."""
-    v = values_of(values)
-    if v.ndim == 1:
-        return v - simpson(grid, axis_name, v)
-    w = grid.simpson(axis_name) / (3.0 * grid.n(axis_name))
-    return v - np.einsum("i,ij->j", w, v)[None, :]

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import TWO_PI, lap, simpson_columns
+from .calculus import TWO_PI, ddbar_invariant, dop, lap, simpson_columns
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, FIBER, Grid
@@ -211,13 +211,11 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     else:
         twist_ff_fs = lam * (ref.vertical_fs_omega0() +
                              lap(grid, fiber_sol.rho, FIBER))
-        from .calculus import ddbar_invariant
         twist_fb = lam * (ref.omega0.m_fb +
                           ddbar_invariant(grid, fiber_sol.rho).m_fb)
     r_ff = (twist_ff_fs - (2.0 - lap(grid, log_u, FIBER))) * grid.g_f[:, None]
 
     # mixed channel: the pulled-back pieces have no mixed entry
-    from .calculus import dop
     r_fb = twist_fb + dop(grid, dop(grid, log_u, BASE), FIBER)
 
     # base-base channel, FS-relative; the Ric(theta) and wedge theta terms
@@ -242,11 +240,10 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     log_norm = np.full(grid.n_base + 1, -np.inf)
     smooth_log_norm = np.zeros(grid.n_base + 1)
     if family is not None:
-        fiber_vol = TWO_PI * simpson_columns(grid, u)
-        mu = family.density(grid)
-        mu = TWO_PI * simpson_columns(grid, mu) / fiber_vol
+        integrals = TWO_PI * simpson_columns(grid, family.density(grid))
+        mu = integrals / (TWO_PI * simpson_columns(grid, u))
         with np.errstate(divide="ignore"):
-            log_norm = np.log(TWO_PI * simpson_columns(grid, family.density(grid)))
+            log_norm = np.log(integrals)
         smooth_log_norm = (np.log(TWO_PI *
                                   simpson_columns(grid, np.exp(family.smooth_log))))
 

@@ -97,6 +97,13 @@ def test_g_descends_gauge_shift_invariance(ref_b, spr_b):
     assert r1.pullback_defect == r2.pullback_defect
 
 
+def test_g_descends_rejects_mismatched_family(ref_b, spr_b, ske_b):
+    gp = compute_gprime(ref_b, "ske", ske_b)
+    assert check_g_descends(ref_b, ske_b, gp).vertical_oscillation < 1e-2
+    with pytest.raises(ValueError):
+        check_g_descends(ref_b, spr_b, gp)
+
+
 def test_g_descends_order_cubic_model():
     # pre-asymptotic orders sit near 1.76 at 32->64 and climb toward 2;
     # the acceptance suite measures the strict bar on the finer grid list
@@ -166,6 +173,7 @@ def test_twisted_ke_model_a(ref_a, spr_a):
         sol = solve_base_ma(ref_a, gp, variant)
         rep = twisted_ke_residual(ref_a, sol, wp)
         assert rep.residual_sup < 1e-10
+        assert np.abs(rep.field).max() == rep.residual_sup
 
 
 def test_twisted_ke_model_b_both_routes(ref_b, spr_b):

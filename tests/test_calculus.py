@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant, fiber_integral,
-                              fs_form, integrate_base, integrate_total, lap,
+from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant, fd_weights,
+                              fiber_integral, fs_form, integrate_base, integrate_total, lap,
                               pullback_base_form, ric_volume, simpson,
                               wedge_pair_density, wedge_top)
 from fanofib.grids import BASE, FIBER, Form11Field, Grid, VolumeDensity
@@ -184,6 +184,49 @@ def test_ric_volume_matches_ddbar_oracle():
     # independent high-order check on the fiber channel, O(h^2) agreement
     audit = 2.0 * g.g_f[:, None] - g.g_f[:, None] * audit_lap(g, np.log(rho), FIBER)
     assert np.abs(R.m_ff - audit).max() < 1.0 * (1.0 / 64)**2
+
+
+def dense_audit_matrix(n_nodes, deriv, h):
+    # row i: five-point Fornberg weights on the window nearest node i
+    M = np.zeros((n_nodes, n_nodes))
+    for i in range(n_nodes):
+        j0 = min(max(i - 2, 0), n_nodes - 5)
+        xs = np.arange(j0, j0 + 5, dtype=float)
+        M[i, j0:j0 + 5] = fd_weights(float(i), xs, deriv)[:, deriv]
+    return M / h**deriv
+
+
+def test_audit_lap_matches_dense_fornberg_matrix():
+    g = Grid(64, 32)
+    v = np.exp(np.sin(3.0 * g.nodes_f)[:, None] * np.cos(2.0 * g.nodes_b)[None, :])
+    d1f, d2f = (dense_audit_matrix(65, k, g.h(FIBER)) for k in (1, 2))
+    d1b, d2b = (dense_audit_matrix(33, k, g.h(BASE)) for k in (1, 2))
+    gf, gpf = g.g_f[:, None], g.gp_f[:, None]
+    # fiber axis of a 2-D field, the only use in the pipeline: the sum runs
+    # in stencil order as in the dense contraction, so the bits agree
+    fiber = (gf * np.einsum("ik,kj->ij", d2f, v) +
+             gpf * np.einsum("ik,kj->ij", d1f, v))
+    assert np.array_equal(audit_lap(g, v, FIBER), fiber)
+    # base axis and 1-D fields: the matrix products sum in another order,
+    # so they agree to the roundoff of five-term sums of size |v| / h^2
+    base = g.g_b * (v @ d2b.T) + g.gp_b * (v @ d1b.T)
+    one_d = g.g_f * (d2f @ v[:, 0]) + g.gp_f * (d1f @ v[:, 0])
+    for got, want, h in ((audit_lap(g, v, BASE), base, g.h(BASE)),
+                         (audit_lap(g, v[:, 0], FIBER), one_d, g.h(FIBER))):
+        assert np.abs(got - want).max() < 1e-14 * np.abs(v).max() / h**2
+
+
+def test_audit_lap_fourth_order():
+    errs = []
+    for n in (32, 64, 128):
+        g = Grid(n, n)
+        x = g.nodes_b
+        v = np.exp(np.sin(2.0 * x))
+        dv = 2.0 * np.cos(2.0 * x) * v
+        d2v = (4.0 * np.cos(2.0 * x)**2 - 4.0 * np.sin(2.0 * x)) * v
+        exact = x * (1.0 - x) * d2v + (1.0 - 2.0 * x) * dv
+        errs.append(np.abs(audit_lap(g, v, BASE) - exact).max())
+    assert min(math.log2(a / b) for a, b in zip(errs, errs[1:])) > 3.8
 
 
 def test_ric_volume_rejects_nonpositive():

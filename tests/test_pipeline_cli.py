@@ -213,6 +213,18 @@ def test_cli_bad_model_exit_code(tmp_path, capsys):
     assert "a > c" in err
 
 
+@pytest.mark.parametrize("line", ["a = 1/0", "a = abc", "a = 1e400",
+                                  "n_fiber = 64.5", "warp_amplitude = nan",
+                                  "warp_amplitude = inf", "newton_tol = nan"])
+def test_cli_rejects_malformed_number(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, f"a = 2\nc = 1\n{line}\n")
+    code = main(["run", "--config", cfg, "--grid", "16x16"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert line.split(" = ")[0] in err
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_B)
     for sub in ("r1", "r2"):

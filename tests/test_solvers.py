@@ -6,8 +6,7 @@ import pytest
 from fanofib.calculus import lap_matrix, simpson
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.grids import BASE, FIBER, Grid
-from fanofib.solvers import (mean_zero, newton_semilinear, probe_jacobian,
-                             solve_poisson_1d)
+from fanofib.solvers import newton_semilinear, probe_jacobian, solve_poisson_1d
 
 
 def test_poisson_zero_rhs():
@@ -97,13 +96,6 @@ def test_poisson_stacked_columns_match_single():
     assert np.abs(U[:, 0] - u0).max() < 1e-13
     assert np.abs(U[:, 1] - 2.0 * u0).max() < 1e-12
     assert np.array_equal(U, solve_poisson_1d(g, FIBER, coeff, rhs_fs=fs))
-
-
-def test_mean_zero_projection():
-    g = Grid(32, 32)
-    v = np.exp(g.nodes_f)
-    w = mean_zero(g, FIBER, v)
-    assert abs(simpson(g, FIBER, w)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
