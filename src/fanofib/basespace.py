@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (TWO_PI, ddbar_invariant, fiber_integral, integrate_total,
-                       lap, lap_matrix, pullback_base_form, ric_volume, simpson,
+                       lap, lap_bands, pullback_base_form, ric_volume, simpson,
                        simpson2d)
 from .errors import PositivityError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, Grid, VolumeDensity
 from .model import ReferenceGeometry
-from .solvers import newton_semilinear
+from .solvers import BandedMatrix, newton_semilinear
 from .wpform import WPResult
 
 VARIANT_B = "B"
@@ -153,7 +153,9 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
 
     ``variant`` selects the reference form eta or eta/(1-e^{-T}); the
     linearization L - khat G' e^rho has a strictly negative-definite
-    zeroth-order part, so every step is a regular solve.
+    zeroth-order part, so every step is a regular solve.  The residual
+    applies L by its stencil (``lap``) and the Jacobian is banded, so a
+    step costs O(n) time and memory.
     """
     grid = ref.grid
     kappa = float(ref.eta_fs)
@@ -165,24 +167,26 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    L = lap_matrix(grid, BASE)
+    bands = lap_bands(grid, BASE)
     G = gprime.gprime
     zeroth_min = [np.inf]
 
     def residual(rho):
-        return khat + L @ rho - khat * G * np.exp(rho)
+        return khat + lap(grid, rho, BASE) - khat * G * np.exp(rho)
 
     def jacobian(rho):
         coeff = khat * G * np.exp(rho)
         zeroth_min[0] = min(zeroth_min[0], float(coeff.min()))
-        return L - np.diag(coeff)
+        J = bands.copy()
+        J[2] -= coeff
+        return BandedMatrix(J)
 
     x0 = np.broadcast_to(np.asarray(init, dtype=float),
                          (grid.n_base + 1,)).astype(float)
     result = newton_semilinear(residual, jacobian, x0, tol=tol,
                                max_iter=max_iter)
     rho = result.x
-    dens = khat + L @ rho
+    dens = khat + lap(grid, rho, BASE)
     margin = float(dens.min())
     if margin <= 0.0:
         raise PositivityError(f"base metric lost positivity (margin {margin:.3e})",

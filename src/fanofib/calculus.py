@@ -72,19 +72,48 @@ def dop(grid: Grid, psi, axis_name: str) -> np.ndarray:
     return g * diff1(v, grid.h(axis_name), ax)
 
 
-def lap_matrix(grid: Grid, axis_name: str) -> np.ndarray:
-    """Dense matrix of the divided operator L = g d2 + g' d1 (all rows).
+def lap_bands(grid: Grid, axis_name: str) -> np.ndarray:
+    """The matrix of L = g d2 + g' d1 by its five central diagonals.
 
-    The endpoint rows degenerate to +/- the one-sided first derivative,
-    which is exactly the natural pole-regularity condition.
+    ``bands[2 + k, i]`` is the entry of row i in column i + k; entries
+    that would fall outside the matrix are zero.  Each entry is
+    g * (d2 weight) + g' * (d1 weight) with the weights of ``diff2`` and
+    ``diff1``.  Interior rows are tridiagonal.  The endpoint rows reach
+    two columns inward: g vanishes at both poles, so the fourth weight
+    of the one-sided d2 rows drops out and the rows degenerate to +/- the
+    one-sided first derivative, the natural pole-regularity condition.
     """
     n = grid.n(axis_name)
     h = grid.h(axis_name)
-    eye = np.eye(n + 1)
-    d1 = diff1(eye, h, 0)
-    d2 = diff2(eye, h, 0)
     g, gp = grid.g(axis_name), grid.gp(axis_name)
-    return g[:, None] * d2 + gp[:, None] * d1
+    bands = np.zeros((5, n + 1))
+    inner = slice(1, n)
+    gi, gpi = g[inner], gp[inner]
+    bands[1, inner] = gi * (1.0 / h**2) + gpi * (-1.0 / (2.0 * h))
+    bands[2, inner] = gi * (-2.0 / h**2)
+    bands[3, inner] = gi * (1.0 / h**2) + gpi * (1.0 / (2.0 * h))
+    # one-sided end rows: (d2, d1) weights at the pole node and the next
+    # two inward; the d1 weights change sign at the far end
+    ends = ((2.0, -3.0), (-5.0, 4.0), (4.0, -1.0))
+    for k, (w2, w1) in enumerate(ends):
+        bands[2 + k, 0] = g[0] * (w2 / h**2) + gp[0] * (w1 / (2.0 * h))
+        bands[2 - k, n] = g[n] * (w2 / h**2) + gp[n] * (-w1 / (2.0 * h))
+    return bands
+
+
+def lap_matrix(grid: Grid, axis_name: str) -> np.ndarray:
+    """Dense (n+1)^2 matrix of L, written in place from ``lap_bands``.
+
+    The solvers work on the bands; the dense form serves only the
+    per-fiber Newton of the fiberwise Einstein family and tests.
+    """
+    bands = lap_bands(grid, axis_name)
+    n = grid.n(axis_name)
+    A = np.zeros((n + 1, n + 1))
+    for k in range(-2, 3):
+        i = np.arange(max(0, -k), n + 1 - max(0, k))
+        A[i, i + k] = bands[2 + k, i]
+    return A
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import audit_lap, integrate_total, lap_matrix, simpson_columns
+from .calculus import (audit_lap, integrate_total, lap, lap_matrix,
+                       simpson_columns)
 from .errors import PositivityError
 from .grids import FIBER, Grid
 from .model import ReferenceGeometry
@@ -87,8 +88,7 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
         raise PositivityError("prescribed-Ricci fiber metric lost positivity")
 
     # discrete forward residual of the linear solve
-    L = lap_matrix(grid, FIBER)
-    residual = float(np.abs(L @ v - rhs_fs).max())
+    residual = float(np.abs(lap(grid, v, FIBER) - rhs_fs).max())
 
     rho = _recover_potential(ref, u)
     return FiberFamilySolution(kind=SPR, rho=rho, vertical_fs=u,
@@ -97,11 +97,17 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
 
 
 def _ske_single_fiber(L: np.ndarray, wk: np.ndarray, lam: float,
-                      v0: np.ndarray, tol: float, max_iter: int):
+                      v0: np.ndarray, tol: float, max_iter: int,
+                      work: np.ndarray):
     """Bordered Newton for 2 - L v - lam e^v = 0 with the orbit gauge
-    <wk, v - v0> = 0; the border column spans the Moebius kernel."""
+    <wk, v - v0> = 0; the border column spans the Moebius kernel.
+
+    The Jacobian is written into ``work``, an (n+1)^2 array whose last
+    diagonal entry is zero, and each caller uses it before the next call.
+    """
     n = v0.size
     kvec = 1.0 - 2.0 * np.linspace(0.0, 1.0, n)
+    diag = np.arange(n)
 
     def residual(wv):
         v, mu = wv[:n], wv[n]
@@ -110,12 +116,13 @@ def _ske_single_fiber(L: np.ndarray, wk: np.ndarray, lam: float,
         return np.concatenate([F, [gauge]])
 
     def jacobian(wv):
-        v = wv[:n]
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = -L - lam * np.diag(np.exp(v))
-        J[:n, n] = kvec
-        J[n, :n] = wk
-        return J
+        # the entries of -L - lam diag(e^v), bordered by kvec and wk, with
+        # no (n+1)^2 temporary per call
+        np.negative(L, out=work[:n, :n])
+        work[diag, diag] -= lam * np.exp(wv[:n])
+        work[:n, n] = kvec
+        work[n, :n] = wk
+        return work
 
     result = newton_semilinear(residual, jacobian,
                                np.concatenate([v0, [0.0]]),
@@ -144,9 +151,10 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11, max_iter: int = 40,
     iters = np.zeros(nb, dtype=int)
     residual = 0.0
     prev = None
+    work = np.zeros((grid.n_fiber + 2, grid.n_fiber + 2))
     for j in range(nb):
         v0 = np.log(m0_fs[:, j]) if (prev is None or not warm_start) else prev
-        vj, result = _ske_single_fiber(L, wk, lam, v0, tol, max_iter)
+        vj, result = _ske_single_fiber(L, wk, lam, v0, tol, max_iter, work)
         v[:, j] = vj
         iters[j] = result.iterations
         residual = max(residual, result.trace[-1])

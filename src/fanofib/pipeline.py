@@ -146,9 +146,16 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
     cfg = PipelineConfig(**kw)
     if not cfg.grids:
         raise ConfigError("at least one grid is required")
+    for nf, nb in cfg.grids:
+        try:
+            Grid(nf, nb)
+        except ValueError as exc:
+            raise ConfigError(f"grid {nf}x{nb}: {exc}") from exc
     for tol in (cfg.newton_tol, cfg.residual_tol, cfg.quadrature_tol):
         if tol <= 0:
             raise ConfigError("tolerances must be positive")
+    if cfg.h2_constant <= 0:
+        raise ConfigError(f"h2_constant = {cfg.h2_constant!r} must be positive")
     return cfg
 
 

@@ -225,6 +225,20 @@ def test_cli_rejects_malformed_number(tmp_path, capsys, line):
     assert line.split(" = ")[0] in err
 
 
+@pytest.mark.parametrize("line, key", [
+    ("grids = 48x64", "n_fiber=48"), ("grids = 0x0", "n_fiber=0"),
+    ("grids = 16x16,32x48", "n_base=48"), ("n_fiber = 48", "n_fiber=48"),
+    ("h2_constant = -1", "h2_constant"), ("h2_constant = 0", "h2_constant")])
+def test_cli_rejects_invalid_setting(tmp_path, capsys, line, key):
+    # rejected while the configuration is parsed, before any grid is built
+    cfg = write_cfg(tmp_path, f"a = 2\nc = 1\n{line}\n")
+    code = main(["run", "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_B)
     for sub in ("r1", "r2"):

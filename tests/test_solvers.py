@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fanofib.calculus import lap_matrix, simpson
+from fanofib.basespace import compute_gprime, solve_base_ma
+from fanofib.calculus import diff1, diff2, lap, lap_bands, lap_matrix, simpson
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.grids import BASE, FIBER, Grid
-from fanofib.solvers import newton_semilinear, probe_jacobian, solve_poisson_1d
+from fanofib.model import ModelSpec, build_reference
+from fanofib.solvers import (BandedMatrix, newton_semilinear, probe_jacobian,
+                             solve_poisson_1d)
 
 
 def test_poisson_zero_rhs():
@@ -91,11 +95,139 @@ def test_poisson_stacked_columns_match_single():
     coeff = fs * g.g_f[:, None]
     U = solve_poisson_1d(g, FIBER, coeff, rhs_fs=fs)
     u0 = solve_poisson_1d(g, FIBER, coeff[:, 0], rhs_fs=fs[:, 0])
-    # column-stacked and single solves agree (LAPACK blocking may differ
-    # at the last ulp); repeated identical calls are bit-identical
-    assert np.abs(U[:, 0] - u0).max() < 1e-13
+    # every column runs the same operations in the same order, so a
+    # stacked column equals its single solve exactly
+    assert np.array_equal(U[:, 0], u0)
     assert np.abs(U[:, 1] - 2.0 * u0).max() < 1e-12
     assert np.array_equal(U, solve_poisson_1d(g, FIBER, coeff, rhs_fs=fs))
+
+
+# ---------------------------------------------------------------------------
+# banded solves against dense oracles
+# ---------------------------------------------------------------------------
+
+def _dense_lap_matrix(grid, axis_name):
+    # reference: diff1 and diff2 applied to the identity, row by row
+    n = grid.n(axis_name)
+    h = grid.h(axis_name)
+    eye = np.eye(n + 1)
+    g, gp = grid.g(axis_name), grid.gp(axis_name)
+    return g[:, None] * diff2(eye, h, 0) + gp[:, None] * diff1(eye, h, 0)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (64, 256), (1024, 32)])
+def test_lap_matrix_matches_difference_assembly(shape):
+    g = Grid(*shape)
+    for axis_name in (FIBER, BASE):
+        L = lap_matrix(g, axis_name)
+        # equal entry for entry; only the sign of the zero at (n, n-3),
+        # 0 * weight in the old sum, may differ
+        assert np.array_equal(L, _dense_lap_matrix(g, axis_name))
+        bands = lap_bands(g, axis_name)
+        assert np.count_nonzero(L) == np.count_nonzero(bands)
+        v = np.cos(3.0 * g.nodes(axis_name))
+        assert np.allclose(BandedMatrix(bands) @ v, L @ v, rtol=0.0,
+                           atol=1e-13 * np.abs(L).max())
+
+
+def _bordered_oracle(grid, axis_name, rfs):
+    """[u, mu] of [[L, 1], [w, 0]] [u, mu] = [rfs, 0] by dense LU.
+
+    One step of iterative refinement with a long-double residual removes
+    the LU's own roundoff, about cond * eps (5e-12 relative at n = 1024,
+    twenty times the banded solve's error against a long-double solve),
+    so the comparison measures the banded solve alone.
+    """
+    n = grid.n(axis_name)
+    A = np.zeros((n + 2, n + 2))
+    A[:n + 1, :n + 1] = lap_matrix(grid, axis_name)
+    A[:n + 1, n + 1] = 1.0
+    A[n + 1, :n + 1] = grid.simpson(axis_name) / (3.0 * n)
+    B = np.zeros((n + 2, rfs.shape[1]))
+    B[:n + 1] = rfs
+    x = np.linalg.solve(A, B)
+    ld = np.longdouble
+    resid = B.astype(ld) - A.astype(ld) @ x.astype(ld)
+    x = (x.astype(ld) + np.linalg.solve(A, resid.astype(float))).astype(float)
+    return x[:n + 1], x[n + 1]
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+@pytest.mark.parametrize("axis_name", [FIBER, BASE])
+def test_poisson_matches_dense_bordered_solve(n, axis_name):
+    g = Grid(n, 16) if axis_name == FIBER else Grid(16, n)
+    x, gx, gpx = g.nodes(axis_name), g.g(axis_name), g.gp(axis_name)
+    cols = [0.5 * np.cos(2.0 * np.pi * x), np.exp(np.sin(3.0 * x)),
+            (1.0 - 2.0 * x)**3 + x**2]
+    cols = [c - simpson(g, axis_name, c) for c in cols]
+    # the continuum image of cos(2 pi x): its exact integral vanishes, its
+    # discrete compatibility defect is O(h^2), so the border carries mu != 0
+    w = 2.0 * np.pi
+    cols.append(-gx * w**2 * np.cos(w * x) - gpx * w * np.sin(w * x))
+    rfs = np.column_stack(cols)
+    u = solve_poisson_1d(g, axis_name, rfs * gx[:, None], rhs_fs=rfs,
+                         tol_factor=1e-3)
+    expect, mu = _bordered_oracle(g, axis_name, rfs)
+    assert abs(mu[-1]) > 1.0 / n**2
+    rel = np.abs(u - expect).max(axis=0) / np.abs(expect).max(axis=0)
+    assert rel.max() <= 1e-12
+
+
+def _base_ma_data(n_base):
+    ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", 16, n_base))
+    gp = compute_gprime(ref, "spr")
+    return ref, gp, float(ref.eta_fs)
+
+
+@pytest.mark.parametrize("n_base", [64, 1024])
+def test_base_ma_newton_step_matches_dense(n_base):
+    ref, gp, khat = _base_ma_data(n_base)
+    grid = ref.grid
+    rho = 0.1 * np.sin(np.pi * grid.nodes_b)
+    coeff = khat * gp.gprime * np.exp(rho)
+    res = khat + lap(grid, rho, BASE) - coeff
+    bands = lap_bands(grid, BASE)
+    bands[2] -= coeff
+    step = BandedMatrix(bands).solve(-res)
+    dense = np.linalg.solve(lap_matrix(grid, BASE) - np.diag(coeff), -res)
+    assert np.abs(step - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_solves_on_2048_intervals_build_no_dense_matrix():
+    # one dense 2049^2 float64 array takes 33.6 MB
+    limit = 4 * 2**20
+    g = Grid(2048, 16)
+    fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
+    coeff = fs * g.g_f[:, None]
+    assert _peak_bytes(lambda: solve_poisson_1d(g, FIBER, coeff, rhs_fs=fs)) < limit
+    ref, gp, _ = _base_ma_data(2048)
+    assert _peak_bytes(lambda: solve_base_ma(ref, gp)) < limit
+
+
+def test_banded_matrix_rejects_entries_outside_its_pattern():
+    bands = lap_bands(Grid(16, 16), FIBER)
+    bands[4, 3] = 1.0
+    with pytest.raises(ValueError):
+        BandedMatrix(bands)
+
+
+def test_banded_singular_system_is_nonconvergence():
+    # L itself is singular (L 1 = 0): the sweep meets a zero pivot or a
+    # non-finite one, and Newton reports it like a singular dense Jacobian
+    bands = lap_bands(Grid(16, 16), FIBER)
+    bands[:, :] = 0.0
+    with pytest.raises(NonConvergence):
+        newton_semilinear(lambda v: v + 1.0, lambda v: BandedMatrix(bands),
+                          np.zeros(17), probe=False)
 
 
 # ---------------------------------------------------------------------------
