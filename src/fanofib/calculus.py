@@ -128,9 +128,19 @@ def simpson(grid: Grid, axis_name: str, values) -> float:
 
 
 def simpson2d(grid: Grid, values) -> float:
+    """Tensor Simpson over the unit square, base axis contracted first.
+
+    Each fiber row is reduced against the base weights by ``einsum``
+    (a fixed summation order, no BLAS call, no n^2 temporary); the n_f+1
+    fiber-weighted row sums are then added by compensated summation.
+    ``fiber_integral`` contracts the fiber axis first, and
+    ``basespace.pushforward_adjoint_defect`` compares the two orders, so
+    this one must not be written through ``simpson_columns``: the same
+    order on both sides would make that comparison vacuous.
+    """
     v = values_of(values)
-    w = grid.simpson_f[:, None] * grid.simpson_b[None, :]
-    return math.fsum((w * v).ravel().tolist()) / (9.0 * grid.n_fiber * grid.n_base)
+    rows = np.einsum("ij,j->i", v, grid.simpson_b)
+    return math.fsum((grid.simpson_f * rows).tolist()) / (9.0 * grid.n_fiber * grid.n_base)
 
 
 def simpson_columns(grid: Grid, values2d: np.ndarray) -> np.ndarray:

@@ -138,6 +138,14 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11, max_iter: int = 40,
     fiber is initialized (and its orbit gauge pinned) at the previous
     solution, selecting a smoothly varying family.  The zero-potential
     initialization of every fiber is kept for cross-checks.
+
+    A fiber's system depends on its index only through the start point:
+    L, the gauge weights, lambda, ``tol`` and ``max_iter`` are shared.
+    With ``warm_start``, a fiber that converges in 0 iterations returns
+    its start point unchanged, so the next fiber would be handed the
+    identical system; it reuses that solution (0 iterations, the same
+    residual) instead of re-running the probe and Newton.  A fiber after
+    one that iterated, and every fiber of a cold start, is solved in full.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -150,15 +158,16 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11, max_iter: int = 40,
     v = np.zeros((grid.n_fiber + 1, nb))
     iters = np.zeros(nb, dtype=int)
     residual = 0.0
-    prev = None
+    vj = result = None
     work = np.zeros((grid.n_fiber + 2, grid.n_fiber + 2))
     for j in range(nb):
-        v0 = np.log(m0_fs[:, j]) if (prev is None or not warm_start) else prev
-        vj, result = _ske_single_fiber(L, wk, lam, v0, tol, max_iter, work)
+        # a warm start at a fixed point reproduces it: reuse the solution
+        if not (warm_start and result is not None and result.iterations == 0):
+            v0 = vj if (warm_start and vj is not None) else np.log(m0_fs[:, j])
+            vj, result = _ske_single_fiber(L, wk, lam, v0, tol, max_iter, work)
+            residual = max(residual, result.trace[-1])
         v[:, j] = vj
         iters[j] = result.iterations
-        residual = max(residual, result.trace[-1])
-        prev = vj
 
     u = np.exp(v)
     # the discrete Einstein solve preserves the class volume only to

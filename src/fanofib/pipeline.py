@@ -214,23 +214,40 @@ def run_pipeline(config: PipelineConfig) -> Report:
     return report
 
 
+class _Laps:
+    """Wall time since the previous lap, starting at construction.
+
+    One per cell: each record is charged the time since the record before
+    it (the first one since the cell began), so the records' times
+    partition the cell's run and no stage is counted twice or dropped.
+    """
+
+    def __init__(self):
+        self.last = time.perf_counter()
+
+    def lap(self) -> float:
+        now = time.perf_counter()
+        elapsed, self.last = now - self.last, now
+        return elapsed
+
+
 def _record(report: Report, cfg: PipelineConfig, grid: Grid, kind: str,
-            name: str, residual: float, grade: str, t0: float, **values):
+            name: str, residual: float, grade: str, laps: _Laps, **values):
     tol = _tolerance(cfg, grid, grade)
     report.records.append(CheckRecord(
         name=name, pipeline=kind, grid=(grid.n_fiber, grid.n_base),
         residual=float(residual), tolerance=tol,
         passed=bool(residual <= tol), values=values,
-        wall_time=time.perf_counter() - t0))
+        wall_time=laps.lap()))
 
 
 def _run_cell(cfg: PipelineConfig, grid_pair: tuple[int, int], kind: str,
               report: Report) -> None:
+    laps = _Laps()
     spec = cfg.model_spec(grid_pair)
     ref = build_reference(spec)
     grid = ref.grid
 
-    t0 = time.perf_counter()
     fiber = solve_spr(ref) if kind == SPR else solve_ske(ref, tol=cfg.newton_tol)
 
     if "fiber" in cfg.checks:
@@ -243,12 +260,11 @@ def _run_cell(cfg: PipelineConfig, grid_pair: tuple[int, int], kind: str,
             values["weight_forward"] = audit.weight_forward_sup
             values["exp_l2"] = audit.exp_l2_diagnostic
         _record(report, cfg, grid, kind, "fiber_solver", audit.solver_residual_sup,
-                _EXACT, t0, **{k: v for k, v in values.items()
+                _EXACT, laps, **{k: v for k, v in values.items()
                                if k != "forward_residual"})
         _record(report, cfg, grid, kind, "fiber_forward",
-                audit.forward_residual_sup, _TRUNC, t0)
+                audit.forward_residual_sup, _TRUNC, laps)
 
-    t0 = time.perf_counter()
     weight_kind = "hL" if kind == SPR else "hSKE"
     sfs = SectionFamilySpec.canonical(ref.consts, weight_kind)
     family = volume_family_from_sections(
@@ -259,71 +275,65 @@ def _run_cell(cfg: PipelineConfig, grid_pair: tuple[int, int], kind: str,
     if "wp_routes" in cfg.checks:
         diff = float(np.abs(wp_sections.wp_base -
                             wp_residual.wp_base).max())
-        _record(report, cfg, grid, kind, "wp_routes", diff, _TRUNC, t0,
+        _record(report, cfg, grid, kind, "wp_routes", diff, _TRUNC, laps,
                 verticality_defect=wp_residual.verticality_defect,
                 ric_defect=family.ric_defect,
                 wp_fs_min=float(wp_sections.wp_fs.min()))
 
-    t0 = time.perf_counter()
     gprime = compute_gprime(ref, kind, fiber_sol=fiber, eps_lp=cfg.eps_lp)
     if "gprime" in cfg.checks:
         gp = gprime
         descend = check_g_descends(ref, fiber, gp)
         _record(report, cfg, grid, kind, "gprime", gp.normalization_defect,
-                _EXACT, t0, delta_lower=gp.delta_lower,
+                _EXACT, laps, delta_lower=gp.delta_lower,
                 adjoint_defect=gp.adjoint_defect,
                 **{f"lp_{p:g}": v for p, v in gp.lp_norms.items()})
         _record(report, cfg, grid, kind, "g_descends",
                 max(descend.vertical_oscillation, descend.pullback_defect),
-                _TRUNC, t0, vertical_oscillation=descend.vertical_oscillation,
+                _TRUNC, laps, vertical_oscillation=descend.vertical_oscillation,
                 pullback_defect=descend.pullback_defect)
 
-    t0 = time.perf_counter()
     sol_b = solve_base_ma(ref, gprime, VARIANT_B, tol=cfg.newton_tol)
     sol_bp = solve_base_ma(ref, gprime, VARIANT_BPRIME, tol=cfg.newton_tol)
     if "base_ma" in cfg.checks:
         for sol in (sol_b, sol_bp):
             _record(report, cfg, grid, kind, f"base_ma[{sol.variant}]",
-                    sol.forward_residual, _EXACT, t0,
+                    sol.forward_residual, _EXACT, laps,
                     positivity_margin=sol.positivity_margin,
                     zeroth_order_min=sol.zeroth_order_min,
                     iterations=sol.iterations,
                     integrated_defect=integrated_ma_defect(ref, gprime, sol))
 
-    t0 = time.perf_counter()
     tke = {sol.variant: twisted_ke_residual(ref, sol, wp_sections)
            for sol in (sol_b, sol_bp)}
     if "twisted_ke" in cfg.checks:
         for sol in (sol_b, sol_bp):
             rep_r = twisted_ke_residual(ref, sol, wp_residual)
             _record(report, cfg, grid, kind, f"twisted_ke[{sol.variant}]",
-                    rep_r.relative, _TRUNC, t0,
+                    rep_r.relative, _TRUNC, laps,
                     residual_sections=tke[sol.variant].residual_sup,
                     residual_routes=rep_r.residual_sup, scale=rep_r.scale)
 
     if "wpl_fs" in cfg.checks and kind == SPR:
-        t0 = time.perf_counter()
         rep = wpl_fs_residual(ref, wp_sections)
         rep_r = wpl_fs_residual(ref, wp_residual)
-        _record(report, cfg, grid, kind, "wpl_fs", rep_r.relative, _TRUNC, t0,
+        _record(report, cfg, grid, kind, "wpl_fs", rep_r.relative, _TRUNC, laps,
                 residual_sections=rep.residual_sup,
                 residual_routes=rep_r.residual_sup)
 
     if "volume_identities" in cfg.checks:
-        t0 = time.perf_counter()
         pairs = ((1, sol_b), (2, sol_bp)) if kind == SPR \
             else ((3, sol_b), (4, sol_bp))
         for which, sol in pairs:
             rep = volume_identity_residual(ref, which, fiber, sol)
             _record(report, cfg, grid, kind, f"volume_identity[{which}]",
-                    rep.relative, _TRUNC, t0, **rep.extra)
+                    rep.relative, _TRUNC, laps, **rep.extra)
 
     if "cohomology" in cfg.checks:
-        t0 = time.perf_counter()
         base = cohomology.check_base_identity(ref, wp_sections)
         fiber_rep, total = cohomology.check_total_identity(ref, wp_sections)
         _record(report, cfg, grid, kind, "cohomology",
-                max(base.relative, total.relative), _TRUNC, t0,
+                max(base.relative, total.relative), _TRUNC, laps,
                 base_measured=base.measured, base_expected=base.expected,
                 total_base_defect=total.defect,
                 fiber_defect_exact=float(fiber_rep.exact_defect))

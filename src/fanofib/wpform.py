@@ -57,6 +57,7 @@ class SectionVolumeFamily:
     """
 
     smooth_log: np.ndarray
+    smooth_log_norm: np.ndarray  # log 2*pi int exp(smooth_log) per fiber
     pole_zero: float
     pole_one: float
     ric_defect: float            # forward check of the prescribed fiber Ricci
@@ -129,8 +130,14 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
         target = lam * ske.vertical_fs
     ric_defect = float(np.abs(ric_fs - target).max())
 
-    return SectionVolumeFamily(smooth_log=smooth_log, pole_zero=pole_zero,
-                               pole_one=pole_one, ric_defect=ric_defect)
+    integrals = TWO_PI * simpson_columns(ref.grid, np.exp(smooth_log))
+    if np.any(integrals <= 0.0):
+        raise FanofibError("non-positive fiber integral in the section family")
+
+    return SectionVolumeFamily(smooth_log=smooth_log,
+                               smooth_log_norm=np.log(integrals),
+                               pole_zero=pole_zero, pole_one=pole_one,
+                               ric_defect=ric_defect)
 
 
 def wp_from_sections(ref: ReferenceGeometry,
@@ -142,11 +149,7 @@ def wp_from_sections(ref: ReferenceGeometry,
     differentiated on the grid.
     """
     grid = ref.grid
-    integrals = TWO_PI * simpson_columns(grid, np.exp(family.smooth_log))
-    if np.any(integrals <= 0.0):
-        raise FanofibError("non-positive fiber integral in the section family")
-    smooth_log_norm = np.log(integrals)
-
+    smooth_log_norm = family.smooth_log_norm
     wp_fs = (family.pole_zero + family.pole_one) - lap(grid, smooth_log_norm, BASE)
     wp_base = grid.g_b * wp_fs
 
@@ -244,8 +247,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
         mu = integrals / (TWO_PI * simpson_columns(grid, u))
         with np.errstate(divide="ignore"):
             log_norm = np.log(integrals)
-        smooth_log_norm = (np.log(TWO_PI *
-                                  simpson_columns(grid, np.exp(family.smooth_log))))
+        smooth_log_norm = family.smooth_log_norm
 
     return WPResult(wp_base=wp_base, wp_fs=wp_fs, log_norm=log_norm,
                     smooth_log_norm=smooth_log_norm, route="residual",

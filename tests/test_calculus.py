@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant, fd_weights,
                               fiber_integral, fs_form, integrate_base, integrate_total, lap,
                               pullback_base_form, ric_volume, simpson,
-                              wedge_pair_density, wedge_top)
+                              simpson2d, wedge_pair_density, wedge_top)
+from fanofib import basespace
 from fanofib.grids import BASE, FIBER, Form11Field, Grid, VolumeDensity
 
 
@@ -274,6 +276,60 @@ def test_integrate_total_unit_density():
     g = grid64()
     assert integrate_total(g, np.ones(g.shape)) == pytest.approx(4 * math.pi**2,
                                                                  rel=1e-15)
+
+
+def _simpson2d_full_product(grid, v):
+    """The tensor Simpson rule as one compensated sum over all n^2 terms."""
+    w = grid.simpson_f[:, None] * grid.simpson_b[None, :]
+    return math.fsum((w * v).ravel().tolist()) / (9.0 * grid.n_fiber * grid.n_base)
+
+
+def test_simpson2d_matches_full_product_fsum():
+    # the base-first row sums are plain floating-point sums of n_b+1 terms;
+    # their error is bounded by (n_b+1) eps times the integral of |v|
+    g = Grid(1024, 1024)
+    v = np.random.default_rng(7).standard_normal(g.shape)
+    bound = (g.n_base + 1) * np.finfo(float).eps * simpson2d(g, np.abs(v))
+    assert abs(simpson2d(g, v) - _simpson2d_full_product(g, v)) <= bound
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (64, 32), (256, 1024)])
+def test_simpson2d_exact_on_tensor_cubics(shape):
+    g = Grid(*shape)
+    for p in range(4):
+        for q in range(4):
+            v = g.nodes_f[:, None]**p * g.nodes_b[None, :]**q
+            exact = 1.0 / ((p + 1) * (q + 1))
+            assert simpson2d(g, v) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+def test_simpson2d_builds_no_full_size_temporary():
+    g = Grid(1024, 1024)
+    v = np.random.default_rng(3).standard_normal(g.shape)
+    simpson2d(g, v)  # fill the grid's cached weights outside the trace
+    tracemalloc.start()
+    try:
+        simpson2d(g, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the field itself is 8.4 MB; the row sums and fiber weights are 16 kB
+    assert peak < 1e6
+
+
+def test_pushforward_adjoint_defect_sees_a_perturbed_fiber_integral(ref_c, monkeypatch):
+    # fiber_integral contracts the fiber axis first and simpson2d the base
+    # axis; the adjoint check compares the two and must detect a bad column
+    assert basespace.pushforward_adjoint_defect(ref_c, ref_c.Omega) < 1e-14
+    real = basespace.fiber_integral
+
+    def bumped(grid, V):
+        out = real(grid, V)
+        out[grid.n_base // 2] *= 1.0 + 1e-3
+        return out
+
+    monkeypatch.setattr(basespace, "fiber_integral", bumped)
+    assert basespace.pushforward_adjoint_defect(ref_c, ref_c.Omega) > 1e-7
 
 
 def test_boundary_vanishing_of_smooth_coefficients(ref_b):

@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanofib.calculus import (TWO_PI, lap, pullback_base_form, simpson_columns,
-                              wedge_pair_density)
+from fanofib import fiberwise
+from fanofib.calculus import (TWO_PI, lap, lap_matrix, pullback_base_form,
+                              simpson_columns, wedge_pair_density)
 from fanofib.fiberwise import (gauge_shifted, solve_ske, solve_spr,
                                verify_fiber_family)
 from fanofib.grids import FIBER, Form11Field
@@ -109,6 +111,83 @@ def test_ske_zero_init_variant_converges(ref_b):
     audit = verify_fiber_family(ref_b, sol)
     assert audit.forward_residual_sup < 1e-8
     assert audit.volume_defect < 1e-10
+
+
+def _ske_every_fiber(ref, single, tol=1e-11, max_iter=40):
+    """The warm-started Einstein family with a Newton solve on every fiber."""
+    grid = ref.grid
+    lam = float(ref.consts.lam)
+    L = lap_matrix(grid, FIBER)
+    wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
+    work = np.zeros((grid.n_fiber + 2, grid.n_fiber + 2))
+    v = np.log(ref.vertical_fs_omega0())
+    iters = np.zeros(grid.n_base + 1, dtype=int)
+    residual = 0.0
+    for j in range(grid.n_base + 1):
+        v0 = v[:, j - 1] if j else v[:, 0]
+        v[:, j], result = single(L, wk, lam, v0, tol, max_iter, work)
+        iters[j] = result.iterations
+        residual = max(residual, result.trace[-1])
+    u = np.exp(v)
+    u *= (float(ref.spec.c) / simpson_columns(grid, u))[None, :]
+    return u, fiberwise._recover_potential(ref, u), iters, residual
+
+
+def _assert_same_family(sol, oracle):
+    u, rho, iters, residual = oracle
+    assert np.array_equal(sol.vertical_fs, u)
+    assert np.array_equal(sol.rho, rho)
+    assert np.array_equal(sol.newton_iterations, iters)
+    assert sol.residual_sup == residual
+
+
+def _perturb_first_start(single):
+    """``single`` with the first fiber's start point moved off the solution."""
+    starts = []
+
+    def wrapped(L, wk, lam, v0, *rest):
+        if not starts:
+            v0 = v0 + 1e-3 * np.cos(np.pi * np.linspace(0.0, 1.0, v0.size))
+        starts.append(v0)
+        return single(L, wk, lam, v0, *rest)
+
+    return wrapped, starts
+
+
+@pytest.mark.parametrize("ref_name", ["ref_b", "ref_c"])
+def test_ske_reuse_matches_a_solve_on_every_fiber(ref_name, request):
+    ref = request.getfixturevalue(ref_name)
+    _assert_same_family(solve_ske(ref),
+                        _ske_every_fiber(ref, fiberwise._ske_single_fiber))
+
+
+def test_ske_newton_runs_once_per_fixed_point(ref_c, monkeypatch):
+    calls = []
+    real = fiberwise.newton_semilinear
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fiberwise, "newton_semilinear", counting)
+    solve_ske(ref_c)
+    assert len(calls) == 1
+    calls.clear()
+    solve_ske(ref_c, warm_start=False)
+    assert len(calls) == ref_c.grid.n_base + 1
+
+
+def test_ske_fiber_after_an_iterating_one_is_solved(ref_c, monkeypatch):
+    real = fiberwise._ske_single_fiber
+    wrapped, starts = _perturb_first_start(real)
+    monkeypatch.setattr(fiberwise, "_ske_single_fiber", wrapped)
+    sol = solve_ske(ref_c)
+    # the first fiber iterates, so the second is solved from its result
+    # (in 0 iterations); only from there on is the solution reused
+    assert len(starts) == 2
+    assert sol.newton_iterations[0] > 0
+    assert not sol.newton_iterations[1:].any()
+    _assert_same_family(sol, _ske_every_fiber(ref_c, _perturb_first_start(real)[0]))
 
 
 def test_spr_two_gauges_same_metric(ref_b):

@@ -1,9 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fanofib import pipeline
 from fanofib.cli import main
 from fanofib.errors import ConfigError
 from fanofib.pipeline import (ALL_CHECKS, PipelineConfig, PipelineStageError,
@@ -125,6 +127,28 @@ def test_refinement_orders_attached():
     rep = run_pipeline(cfg)
     assert "wp_routes[spr]" in rep.orders
     assert rep.orders["fiber_forward[spr]"][0] > 1.5
+
+
+def test_record_wall_times_partition_the_run(monkeypatch):
+    real = pipeline.volume_identity_residual
+
+    def slow_first(ref, which, *args, **kwargs):
+        if which == 1:
+            time.sleep(0.05)
+        return real(ref, which, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "volume_identity_residual", slow_first)
+    cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": "0.2",
+                               "warp_shape": "fiber_cubic", "grids": "32x32"})
+    t0 = time.perf_counter()
+    rep = run_pipeline(cfg)
+    total = time.perf_counter() - t0
+    wall = {f"{r.name}[{r.pipeline}]": r.wall_time for r in rep.records}
+    # each record is charged only the time since the record before it
+    assert wall["volume_identity[1][spr]"] >= 0.05
+    assert wall["volume_identity[2][spr]"] < 0.05
+    spent = sum(wall.values())
+    assert 0.9 * total <= spent <= total
 
 
 # ---------------------------------------------------------------------------
