@@ -31,15 +31,14 @@ VARIANT_BPRIME = "Bprime"
 # push-forward and the fiber-averaged density
 # ---------------------------------------------------------------------------
 
-def pushforward_adjoint_defect(ref: ReferenceGeometry, V,
-                               powers=(0, 1, 2)) -> float:
-    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V over a
-    battery of monomial test functions psi(x_b)."""
+def pushforward_adjoint_defect(ref: ReferenceGeometry, V) -> float:
+    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V over the
+    monomial test functions psi(x_b) = 1, x_b, x_b^2."""
     grid = ref.grid
     rho = V.rho if isinstance(V, VolumeDensity) else np.asarray(V, dtype=float)
     push = fiber_integral(grid, rho)
     worst = 0.0
-    for p in powers:
+    for p in (0, 1, 2):
         psi = grid.nodes_b**p
         lhs = simpson(grid, BASE, psi * push)
         rhs = TWO_PI * simpson2d(grid, rho * psi[None, :])
@@ -262,35 +261,32 @@ def _deviation_from_constant(grid: Grid, field: np.ndarray) -> float:
     return float(np.abs(field - mean).max())
 
 
-def volume_identity_residual(ref: ReferenceGeometry, which: int,
+# the displayed volume identity of each (fiber family, base variant) pair
+_VOLUME_IDENTITY = {(SPR, VARIANT_B): 1, (SPR, VARIANT_BPRIME): 2,
+                    (SKE, VARIANT_B): 3, (SKE, VARIANT_BPRIME): 4}
+
+
+def volume_identity_residual(ref: ReferenceGeometry,
                              fiber_sol: FiberFamilySolution,
                              base_sol: BaseMetricSolution) -> ResidualReport:
-    """Coefficient-wise residual of one displayed volume-form equation.
+    """Coefficient-wise residual of the displayed volume-form equation of
+    the fiber family and base variant, reported as volume_identity[k]:
 
-    which = 1:  pullback(omega_B)  = eT w - (1-eT) Ric(e^{lam(f* rho_B - rho)} Vol)
-    which = 2:  (1-eT) pullback(omega_B') = eT w - (1-eT) Ric(e^{-lam rho} Vol)
-    which = 3:  pullback(omega_B)  = eT w - (1-eT) Ric(e^{lam f* rho_B} Vol)
-    which = 4:  (1-eT) pullback(omega_B') = eT w - (1-eT) Ric(Vol)
+    1 (spr, B):   pullback(omega_B)  = eT w - (1-eT) Ric(e^{lam(f* rho_B - rho)} Vol)
+    2 (spr, B'):  (1-eT) pullback(omega_B') = eT w - (1-eT) Ric(e^{-lam rho} Vol)
+    3 (ske, B):   pullback(omega_B)  = eT w - (1-eT) Ric(e^{lam f* rho_B} Vol)
+    4 (ske, B'):  (1-eT) pullback(omega_B') = eT w - (1-eT) Ric(Vol)
 
-    with w the family form (prescribed-Ricci for 1-2, Einstein for 3-4)
-    and Vol = 2 w_vertical ^ pullback(base metric).  The deviation gaps of
-    the fiber potential and the pulled-back base potential are reported;
-    the exponential factor disappears exactly when the matching gap
-    vanishes.
+    with w the family form and Vol = 2 w_vertical ^ pullback(base metric).
+    The deviation gaps of the fiber potential and the pulled-back base
+    potential are reported; the exponential factor disappears exactly
+    when the matching gap vanishes.
     """
     grid = ref.grid
     eT = float(ref.consts.eT)
     one_minus = float(1 - ref.consts.eT)
     lam = float(ref.consts.lam)
-
-    expected_kind = SPR if which in (1, 2) else SKE
-    expected_variant = VARIANT_B if which in (1, 3) else VARIANT_BPRIME
-    if which not in (1, 2, 3, 4):
-        raise ValueError("which must be one of 1, 2, 3, 4")
-    if fiber_sol.kind != expected_kind or base_sol.variant != expected_variant:
-        raise ValueError(
-            f"identity {which} needs the {expected_kind}/{expected_variant} "
-            f"pipeline, got {fiber_sol.kind}/{base_sol.variant}")
+    which = _VOLUME_IDENTITY[fiber_sol.kind, base_sol.variant]
 
     family_form = ref.omega0 + ddbar_invariant(grid, fiber_sol.rho)
     rho_b_pull = np.broadcast_to(base_sol.rho[None, :], grid.shape)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import ModelRegularityError
-from .grids import BASE, FIBER, Form11Field, Grid, VolumeDensity, values_of
+from .grids import BASE, FIBER, Form11Field, Grid, VolumeDensity
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,7 +59,7 @@ def _axis_arrays(grid: Grid, axis_name: str, ndim: int):
 
 def lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
     """FS-relative ddbar density along one axis: g psi'' + g' psi'."""
-    v = values_of(psi)
+    v = np.asarray(psi, dtype=float)
     g, gp, ax = _axis_arrays(grid, axis_name, v.ndim)
     h = grid.h(axis_name)
     return g * diff2(v, h, ax) + gp * diff1(v, h, ax)
@@ -67,7 +67,7 @@ def lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
 
 def dop(grid: Grid, psi, axis_name: str) -> np.ndarray:
     """The degenerate derivative D = x(1-x) d/dx along one axis."""
-    v = values_of(psi)
+    v = np.asarray(psi, dtype=float)
     g, _, ax = _axis_arrays(grid, axis_name, v.ndim)
     return g * diff1(v, grid.h(axis_name), ax)
 
@@ -122,7 +122,7 @@ def lap_matrix(grid: Grid, axis_name: str) -> np.ndarray:
 
 def simpson(grid: Grid, axis_name: str, values) -> float:
     """Composite Simpson over [0,1]; deterministic compensated summation."""
-    v = values_of(values)
+    v = np.asarray(values, dtype=float)
     k = grid.simpson(axis_name)
     return math.fsum((k * v).tolist()) / (3.0 * grid.n(axis_name))
 
@@ -138,7 +138,7 @@ def simpson2d(grid: Grid, values) -> float:
     this one must not be written through ``simpson_columns``: the same
     order on both sides would make that comparison vacuous.
     """
-    v = values_of(values)
+    v = np.asarray(values, dtype=float)
     rows = np.einsum("ij,j->i", v, grid.simpson_b)
     return math.fsum((grid.simpson_f * rows).tolist()) / (9.0 * grid.n_fiber * grid.n_base)
 
@@ -150,12 +150,14 @@ def simpson_columns(grid: Grid, values2d: np.ndarray) -> np.ndarray:
 
 def integrate_base(grid: Grid, g_vals, weight_fs) -> float:
     """Integral over the base of g against a form of FS-relative density."""
-    return TWO_PI * simpson(grid, BASE, values_of(g_vals) * values_of(weight_fs))
+    g = np.asarray(g_vals, dtype=float)
+    return TWO_PI * simpson(grid, BASE, g * np.asarray(weight_fs, dtype=float))
 
 
 def integrate_total(grid: Grid, density) -> float:
     """Total integral of a volume density over P^1 x P^1."""
-    rho = density.rho if isinstance(density, VolumeDensity) else values_of(density)
+    rho = (density.rho if isinstance(density, VolumeDensity)
+           else np.asarray(density, dtype=float))
     return TWO_PI**2 * simpson2d(grid, rho)
 
 
@@ -199,7 +201,7 @@ def ddbar_invariant(grid: Grid, psi) -> Form11Field:
     defining identity i ddbar log(1+|z|^2) = omega_FS holds with the
     log(1+s) potential evaluated as -log(1-x).
     """
-    v = values_of(psi)
+    v = np.asarray(psi, dtype=float)
     if v.ndim != 2:
         raise ValueError("ddbar_invariant expects a 2D potential")
     if not np.all(np.isfinite(v)):
@@ -234,13 +236,14 @@ def fs_form(grid: Grid, fiber_coeff: float = 0.0, base_coeff: float = 0.0) -> Fo
 def pullback_base_form(grid: Grid, base_fs: np.ndarray) -> Form11Field:
     """Pull a base (1,1)-form of FS-relative density back to the total space."""
     shape = grid.shape
-    m_bb = np.broadcast_to(values_of(base_fs)[None, :] * grid.g_b[None, :], shape).copy()
+    dens = np.asarray(base_fs, dtype=float)
+    m_bb = np.broadcast_to(dens[None, :] * grid.g_b[None, :], shape).copy()
     return Form11Field(np.zeros(shape), m_bb, np.zeros(shape))
 
 
 def ric_volume(grid: Grid, V) -> Form11Field:
     """Ricci form of a volume form: 2(FS_f + FS_b) - i ddbar log(density)."""
-    rho = V.rho if isinstance(V, VolumeDensity) else values_of(V)
+    rho = V.rho if isinstance(V, VolumeDensity) else np.asarray(V, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("ric_volume: density must be positive")
     return fs_form(grid, 2.0, 2.0) - ddbar_invariant(grid, np.log(rho))
@@ -248,7 +251,7 @@ def ric_volume(grid: Grid, V) -> Form11Field:
 
 def fiber_integral(grid: Grid, V) -> np.ndarray:
     """Push a volume density to the base: 2*pi int rho(x_f, b) dx_f."""
-    rho = V.rho if isinstance(V, VolumeDensity) else values_of(V)
+    rho = V.rho if isinstance(V, VolumeDensity) else np.asarray(V, dtype=float)
     if rho.ndim == 1:
         rho = rho[:, None] * np.ones((1, grid.n_base + 1))
     return TWO_PI * simpson_columns(grid, rho)
@@ -314,7 +317,7 @@ def audit_lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
     points, so its residual measures the distance to the continuum
     solution and not to the solver's own discrete equation.
     """
-    v = values_of(psi)
+    v = np.asarray(psi, dtype=float)
     h = grid.h(axis_name)
     g, gp, ax = _axis_arrays(grid, axis_name, v.ndim)
     along = np.moveaxis(np.asarray(v, dtype=float), ax, 0)

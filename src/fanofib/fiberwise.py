@@ -51,10 +51,7 @@ class FiberFamilySolution:
 
 def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
     """Mean-zero fiber potentials with ddbar_fiber(rho) = (u - m0) FS-wise."""
-    grid = ref.grid
-    m0_fs = ref.vertical_fs_omega0()
-    rhs_coeff = (u - m0_fs) * grid.g_f[:, None]
-    return solve_poisson_1d(grid, FIBER, rhs_coeff, rhs_fs=u - m0_fs)
+    return solve_poisson_1d(ref.grid, FIBER, u - ref.vertical_fs_omega0())
 
 
 def _volume_defect(ref: ReferenceGeometry, u: np.ndarray) -> float:
@@ -78,8 +75,7 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
 
     # source of the linear fiber problem; the FS parts cancel exactly
     rhs_fs = -lam * w.eps * w.D2P_fs[:, None] * w.Q[None, :]
-    rhs_coeff = rhs_fs * grid.g_f[:, None]
-    v = solve_poisson_1d(grid, FIBER, rhs_coeff, rhs_fs=rhs_fs)
+    v = solve_poisson_1d(grid, FIBER, rhs_fs)
 
     ev = np.exp(v)
     C = c / simpson_columns(grid, ev)

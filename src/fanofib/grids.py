@@ -110,31 +110,6 @@ def _as_finite(values, what: str) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class RadialField:
-    """Scalar profile on one axis."""
-
-    axis: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.axis not in (FIBER, BASE):
-            raise ValueError(f"unknown axis {self.axis!r}")
-        self.values = _as_finite(self.values, "RadialField")
-
-
-@dataclass(eq=False)
-class Field2D:
-    """Scalar field over the (fiber, base) grid."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _as_finite(self.values, "Field2D")
-        if self.values.ndim != 2:
-            raise ValueError("Field2D expects a 2D array")
-
-
-@dataclass(eq=False)
 class Form11Field:
     """Real (1,1)-form in the log-coordinate frame {i dw_j ^ dwbar_k}.
 
@@ -182,7 +157,3 @@ class VolumeDensity:
             raise ValueError(
                 f"VolumeDensity: non-positive density (min {self.rho.ravel()[i]:.3e})")
 
-
-def values_of(field) -> np.ndarray:
-    """Accept a field container or a bare array."""
-    return np.asarray(getattr(field, "values", field), dtype=float)

@@ -261,8 +261,7 @@ def _check_positive(grid: Grid, spec: ModelSpec, w: WarpData) -> float:
     return worst
 
 
-def build_reference(spec: ModelSpec, consts: DerivedConstants | None = None,
-                    grid: Grid | None = None) -> ReferenceGeometry:
+def build_reference(spec: ModelSpec) -> ReferenceGeometry:
     """Construct omega0, chi, the normalized volume form and h_L's weight.
 
     chi is defined by pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi; its
@@ -270,8 +269,8 @@ def build_reference(spec: ModelSpec, consts: DerivedConstants | None = None,
     Ric = -chi has the closed-form density C exp(-lambda psi_w) and only
     the constant C is fixed by quadrature.
     """
-    consts = consts or derive_constants(spec)
-    grid = grid or Grid(spec.n_fiber, spec.n_base)
+    consts = derive_constants(spec)
+    grid = Grid(spec.n_fiber, spec.n_base)
     w = _warp_data(grid, spec)
     _check_positive(grid, spec, w)
 

@@ -1,7 +1,7 @@
 """Pipeline orchestration: configuration, staged runs, refinement studies.
 
-A run walks, per grid and per fiber-family kind, through constants,
-reference geometry, fiber solves, both base-form routes, the base
+A run builds the reference geometry once per grid and walks, per
+fiber-family kind, through fiber solves, both base-form routes, the base
 Monge-Ampere solves, and the selected residual and identity checks;
 convergence orders are taken between consecutive grids.
 """
@@ -23,7 +23,7 @@ from .basespace import (VARIANT_B, VARIANT_BPRIME, compute_gprime,
 from .errors import ConfigError, FanofibError
 from .fiberwise import SKE, SPR, solve_spr, solve_ske, verify_fiber_family
 from .grids import Grid
-from .model import ModelSpec, build_reference, derive_constants
+from .model import ModelSpec, ReferenceGeometry, build_reference, derive_constants
 from .report import CheckRecord, Report, provenance
 from .wpform import (SectionFamilySpec, volume_family_from_sections,
                      wp_from_residual, wp_from_sections)
@@ -203,9 +203,12 @@ def run_pipeline(config: PipelineConfig) -> Report:
                             "D_fiber": consts.D_class[1],
                             "p": consts.p, "q": consts.q, "r": consts.r}
         for grid_pair in config.grids:
+            stage = f"grid {grid_pair}"
+            laps = _Laps()
+            ref = build_reference(config.model_spec(grid_pair))
             for kind in PIPELINES[config.pipeline]:
                 stage = f"grid {grid_pair} / {kind}"
-                _run_cell(config, grid_pair, kind, report)
+                _run_cell(config, ref, kind, report, laps)
     except FanofibError as exc:
         report.error = {"stage": stage, "message": str(exc),
                         "type": type(exc).__name__}
@@ -217,9 +220,10 @@ def run_pipeline(config: PipelineConfig) -> Report:
 class _Laps:
     """Wall time since the previous lap, starting at construction.
 
-    One per cell: each record is charged the time since the record before
-    it (the first one since the cell began), so the records' times
-    partition the cell's run and no stage is counted twice or dropped.
+    One per grid: each record is charged the time since the record before
+    it (the first one since the grid's reference build began), so the
+    records' times partition the grid's run and no stage is counted twice
+    or dropped.
     """
 
     def __init__(self):
@@ -241,11 +245,8 @@ def _record(report: Report, cfg: PipelineConfig, grid: Grid, kind: str,
         wall_time=laps.lap()))
 
 
-def _run_cell(cfg: PipelineConfig, grid_pair: tuple[int, int], kind: str,
-              report: Report) -> None:
-    laps = _Laps()
-    spec = cfg.model_spec(grid_pair)
-    ref = build_reference(spec)
+def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
+              report: Report, laps: _Laps) -> None:
     grid = ref.grid
 
     fiber = solve_spr(ref) if kind == SPR else solve_ske(ref, tol=cfg.newton_tol)
@@ -322,12 +323,10 @@ def _run_cell(cfg: PipelineConfig, grid_pair: tuple[int, int], kind: str,
                 residual_routes=rep_r.residual_sup)
 
     if "volume_identities" in cfg.checks:
-        pairs = ((1, sol_b), (2, sol_bp)) if kind == SPR \
-            else ((3, sol_b), (4, sol_bp))
-        for which, sol in pairs:
-            rep = volume_identity_residual(ref, which, fiber, sol)
-            _record(report, cfg, grid, kind, f"volume_identity[{which}]",
-                    rep.relative, _TRUNC, laps, **rep.extra)
+        for sol in (sol_b, sol_bp):
+            rep = volume_identity_residual(ref, fiber, sol)
+            _record(report, cfg, grid, kind, rep.name, rep.relative, _TRUNC,
+                    laps, **rep.extra)
 
     if "cohomology" in cfg.checks:
         base = cohomology.check_base_identity(ref, wp_sections)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import TWO_PI, fs_ratio, lap_bands
+from .calculus import TWO_PI, lap_bands
 from .errors import ContractViolation, NonConvergence, SolvabilityError
-from .grids import Grid, values_of
+from .grids import Grid
 
 
 @dataclass(eq=False)
@@ -112,28 +112,24 @@ def poisson_system(grid: Grid, axis_name: str) -> BandedMatrix:
     return BandedMatrix(bands)
 
 
-def solve_poisson_1d(grid: Grid, axis_name: str, rhs, rhs_fs=None,
+def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
                      tol_factor: float = 1e-8):
-    """Solve (x(1-x) d_x)^2 u = rhs with mean-zero gauge, int u dx = 0.
+    """Solve (x(1-x) d_x)^2 u = x(1-x) rhs_fs with mean-zero gauge,
+    int u dx = 0.
 
-    ``rhs`` holds the log-frame coefficient of the source form; columns of
-    a 2D argument are independent problems.  ``rhs_fs`` may supply the
-    FS-relative density of the source directly; otherwise it is recovered
-    by a removable-singularity fill.  The compatibility integral of every
-    column must vanish to ``tol_factor * sup|rhs|``.  The result solves
-    the bordered system [[L, 1], [w, 0]] [u, mu] = [rhs_fs, 0]: the border
-    multiplier mu absorbs the O(h^2) discrete incompatibility.
+    ``rhs_fs`` holds the FS-relative density of the source form; columns
+    of a 2D argument are independent problems.  The compatibility integral
+    of every column must vanish to ``tol_factor * sup|rhs|``, with
+    rhs = x(1-x) rhs_fs the log-frame coefficient of the source.  The
+    result solves the bordered system [[L, 1], [w, 0]] [u, mu] =
+    [rhs_fs, 0]: the border multiplier mu absorbs the O(h^2) discrete
+    incompatibility.
     """
-    r = values_of(rhs)
-    squeeze = r.ndim == 1
+    rfs = np.asarray(rhs_fs, dtype=float)
+    squeeze = rfs.ndim == 1
     if squeeze:
-        r = r[:, None]
-    if rhs_fs is None:
-        rfs = fs_ratio(grid, r, axes=(axis_name,))
-    else:
-        rfs = values_of(rhs_fs)
-        if rfs.ndim == 1:
-            rfs = rfs[:, None]
+        rfs = rfs[:, None]
+    r = rfs * grid.g(axis_name)[:, None]
     if not np.all(np.isfinite(r)):
         raise ValueError("solve_poisson_1d: non-finite right-hand side")
 
@@ -197,7 +193,7 @@ def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
     NonConvergence (with the trace attached) on stagnation or iteration
     exhaustion.
     """
-    x = np.array(values_of(init), dtype=float)
+    x = np.array(init, dtype=float)
     if probe:
         probe_jacobian(residual_fn, jacobian_fn, x)
     res = residual_fn(x)

@@ -179,8 +179,7 @@ def _twist_fs_base(ref: ReferenceGeometry,
 
 def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
                      theta_fs: np.ndarray | float | None = None,
-                     family: SectionVolumeFamily | None = None,
-                     defect_tol: float | None = None) -> WPResult:
+                     family: SectionVolumeFamily | None = None) -> WPResult:
     """Recover the base form from the Ricci form of a fibration volume.
 
     For any base metric theta the combination
@@ -191,7 +190,8 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     splitting of the invariant Hessian makes the cancellation hold at
     the stencil level).  The base-base component is fiber-averaged and
     the vertical components plus the fiber oscillation are reported as
-    the verticality defect.
+    the verticality defect; a defect above max(1e-8, 50 h^2 max(1,
+    sup|r_bb|)) raises PullbackStructureError.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -228,9 +228,8 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 
     osc = r_bb.max(axis=0) - r_bb.min(axis=0)
     defect = float((np.abs(r_ff) + np.abs(r_fb) + osc[None, :]).max())
-    if defect_tol is None:
-        h2 = grid.h(FIBER)**2 + grid.h(BASE)**2
-        defect_tol = max(1e-8, 50.0 * h2 * max(1.0, float(np.abs(r_bb).max())))
+    h2 = grid.h(FIBER)**2 + grid.h(BASE)**2
+    defect_tol = max(1e-8, 50.0 * h2 * max(1.0, float(np.abs(r_bb).max())))
     if defect > defect_tol:
         raise PullbackStructureError(
             f"reconstructed form is not a pullback: defect {defect:.3e} "

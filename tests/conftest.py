@@ -50,3 +50,8 @@ def ske_a(ref_a):
 @pytest.fixture(scope="session")
 def ske_b(ref_b):
     return solve_ske(ref_b)
+
+
+@pytest.fixture(scope="session")
+def ske_c(ref_c):
+    return solve_ske(ref_c)

@@ -238,8 +238,7 @@ def test_criterion_07_volume_identities():
     for which in (1, 2, 3, 4):
         kind = "spr" if which in (1, 2) else "ske"
         sol = cell[kind]["sol_b" if which in (1, 3) else "sol_bp"]
-        rep = volume_identity_residual(cell["ref"], which,
-                                       cell[kind]["fiber"], sol)
+        rep = volume_identity_residual(cell["ref"], cell[kind]["fiber"], sol)
         ok_a = ok_a and rep.residual_sup <= 1e-8
         gaps_zero = gaps_zero and all(v == 0.0 for v in rep.extra.values())
 
@@ -249,8 +248,8 @@ def test_criterion_07_volume_identities():
         skey = "sol_b" if which in (1, 3) else "sol_bp"
         for n in GRIDS:
             c = state(model, n)
-            rep = volume_identity_residual(c["ref"], which,
-                                           c[kind]["fiber"], c[kind][skey])
+            rep = volume_identity_residual(c["ref"], c[kind]["fiber"],
+                                           c[kind][skey])
             out.append(rep.relative)
         return out
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fanofib import pipeline
 from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                compute_gprime, integrated_ma_defect,
                                make_omega_prime, pushforward_adjoint_defect,
@@ -224,7 +226,7 @@ def test_volume_identities_model_a_spr(ref_a, spr_a, which):
     gp = compute_gprime(ref_a, "spr")
     variant = VARIANT_B if which == 1 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
-    rep = volume_identity_residual(ref_a, which, spr_a, sol)
+    rep = volume_identity_residual(ref_a, spr_a, sol)
     assert rep.residual_sup < 1e-10
     assert rep.extra["gap_fiber_potential"] == 0.0
     assert rep.extra["gap_base_potential"] == 0.0
@@ -236,27 +238,38 @@ def test_volume_identities_model_a_ske(ref_a, ske_a, which):
     gp = compute_gprime(ref_a, "ske", ske_a)
     variant = VARIANT_B if which == 3 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
-    rep = volume_identity_residual(ref_a, which, ske_a, sol)
+    rep = volume_identity_residual(ref_a, ske_a, sol)
     assert rep.residual_sup < 1e-10
 
 
 def test_volume_identities_model_b_gaps_positive(ref_b, spr_b):
     gp = compute_gprime(ref_b, "spr")
     sol = solve_base_ma(ref_b, gp, VARIANT_B)
-    rep = volume_identity_residual(ref_b, 1, spr_b, sol)
+    rep = volume_identity_residual(ref_b, spr_b, sol)
     assert rep.relative < 50.0 * (1.0 / 64)**2
     assert rep.extra["gap_fiber_potential"] > 1e-4
     assert rep.extra["gap_base_potential"] > 1e-5
     assert rep.extra["gap_difference"] > 1e-4
 
 
-def test_volume_identities_reject_mismatched_inputs(ref_b, spr_b, ske_b):
-    gp = compute_gprime(ref_b, "spr")
-    sol = solve_base_ma(ref_b, gp, VARIANT_B)
-    with pytest.raises(ValueError):
-        volume_identity_residual(ref_b, 3, spr_b, sol)   # 3 needs Einstein
-    with pytest.raises(ValueError):
-        volume_identity_residual(ref_b, 2, spr_b, sol)   # 2 needs Bprime
+@pytest.mark.parametrize("kind, variant, which", [
+    ("spr", VARIANT_B, 1), ("spr", VARIANT_BPRIME, 2),
+    ("ske", VARIANT_B, 3), ("ske", VARIANT_BPRIME, 4)])
+def test_volume_identity_gate_fails_on_a_perturbed_fiber_column(
+        ref_c, spr_c, ske_c, kind, variant, which):
+    fiber = spr_c if kind == "spr" else ske_c
+    sol = solve_base_ma(ref_c, compute_gprime(ref_c, kind, fiber), variant)
+    tol = pipeline._tolerance(pipeline.PipelineConfig(), ref_c.grid,
+                              pipeline._TRUNC)
+    rep = volume_identity_residual(ref_c, fiber, sol)
+    assert rep.name == f"volume_identity[{which}]"
+    assert rep.relative <= tol          # 1.0e-5 against 2.4e-2 at 64^2
+    u = fiber.vertical_fs.copy()
+    u[:, ref_c.grid.n_base // 2] *= 1.0 + 1e-3
+    bad = volume_identity_residual(
+        ref_c, dataclasses.replace(fiber, vertical_fs=u), sol)
+    assert bad.name == rep.name
+    assert bad.relative > tol           # 0.68 for each identity
 
 
 def test_volume_identity_orders_cubic_model():
@@ -271,7 +284,7 @@ def test_volume_identity_orders_cubic_model():
             variant = VARIANT_B if which in (1, 3) else VARIANT_BPRIME
             sol = solve_base_ma(ref, gp, variant)
             rels[which].append(
-                volume_identity_residual(ref, which, fiber, sol).relative)
+                volume_identity_residual(ref, fiber, sol).relative)
     for which, series in rels.items():
         orders = [math.log2(a / b) for a, b in zip(series, series[1:])]
         assert min(orders) > 1.7, (which, series)

@@ -7,7 +7,9 @@ import pytest
 
 from fanofib import pipeline
 from fanofib.cli import main
+from fanofib.basespace import VARIANT_B
 from fanofib.errors import ConfigError
+from fanofib.fiberwise import SPR
 from fanofib.pipeline import (ALL_CHECKS, PipelineConfig, PipelineStageError,
                               config_from_mapping, load_config, parse_config,
                               run_pipeline)
@@ -102,7 +104,8 @@ def test_pipeline_stage_error_carries_report():
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
     assert err.value.report.error is not None
-    assert "grid" in err.value.report.error["stage"]
+    # the shared reference build fails before either family starts
+    assert err.value.report.error["stage"] == "grid (64, 64)"
 
 
 def test_pipeline_orientation_error_at_constants_stage():
@@ -132,10 +135,10 @@ def test_refinement_orders_attached():
 def test_record_wall_times_partition_the_run(monkeypatch):
     real = pipeline.volume_identity_residual
 
-    def slow_first(ref, which, *args, **kwargs):
-        if which == 1:
+    def slow_first(ref, fiber_sol, base_sol):
+        if fiber_sol.kind == SPR and base_sol.variant == VARIANT_B:
             time.sleep(0.05)
-        return real(ref, which, *args, **kwargs)
+        return real(ref, fiber_sol, base_sol)
 
     monkeypatch.setattr(pipeline, "volume_identity_residual", slow_first)
     cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": "0.2",
@@ -149,6 +152,35 @@ def test_record_wall_times_partition_the_run(monkeypatch):
     assert wall["volume_identity[2][spr]"] < 0.05
     spent = sum(wall.values())
     assert 0.9 * total <= spent <= total
+
+
+def test_both_families_share_one_reference_per_grid(monkeypatch):
+    def run(kind):
+        return run_pipeline(config_from_mapping(
+            {"a": "2", "c": "1", "warp_amplitude": "0.2",
+             "warp_shape": "fiber_cubic", "grids": "32x32", "pipeline": kind}))
+
+    separate = {kind: run(kind) for kind in ("spr", "ske")}
+    real, builds = pipeline.build_reference, []
+
+    def counted(spec):
+        builds.append(spec)
+        return real(spec)
+
+    def outcome(rep, kind):
+        return [(r.name, r.grid, r.residual, r.tolerance, r.passed, r.values)
+                for r in rep.records if r.pipeline == kind]
+
+    monkeypatch.setattr(pipeline, "build_reference", counted)
+    both = run("both")
+    assert len(builds) == 1
+    # neither family changes the reference the other one reads
+    for kind, alone in separate.items():
+        assert outcome(both, kind) == outcome(alone, kind)
+        key = (kind, (32, 32))
+        assert both.profiles[key].keys() == alone.profiles[key].keys()
+        for name, values in alone.profiles[key].items():
+            assert np.array_equal(both.profiles[key][name], values), (kind, name)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ def test_poisson_ke_fiber_rhs_is_zero(ref_a):
     # product model: the fiber problem is trivial
     g = ref_a.grid
     lam = float(ref_a.consts.lam)
-    rhs = 2.0 * g.g_f - lam * float(ref_a.spec.c) * g.g_f
-    u = solve_poisson_1d(g, FIBER, rhs)
+    rhs_fs = np.full(g.n_fiber + 1, 2.0 - lam * float(ref_a.spec.c))
+    u = solve_poisson_1d(g, FIBER, rhs_fs)
     assert np.abs(u).max() == 0.0
 
 
@@ -37,7 +37,7 @@ def test_poisson_recovers_bump():
         x = g.nodes_f
         gx = g.g_f
         rhs_fs = (1.0 - 2.0 * x)**2 - 2.0 * gx     # (g p')' for p = x(1-x)
-        u = solve_poisson_1d(g, FIBER, rhs_fs * gx, rhs_fs=rhs_fs)
+        u = solve_poisson_1d(g, FIBER, rhs_fs)
         expect = gx - 1.0 / 6.0
         assert np.abs(u - expect).max() < 1e-13
         assert abs(simpson(g, FIBER, u)) < 1e-13
@@ -54,8 +54,7 @@ def test_poisson_second_order_on_transcendental_source():
                   - g.gp_f * np.pi * np.sin(np.pi * x))
         # the exact integral vanishes but its Simpson value is only O(h^4)
         # with a pi^6-sized constant; loosen the compatibility gate
-        u = solve_poisson_1d(g, FIBER, rhs_fs * g.g_f, rhs_fs=rhs_fs,
-                             tol_factor=1e-4)
+        u = solve_poisson_1d(g, FIBER, rhs_fs, tol_factor=1e-4)
         expect = u_true - simpson(g, FIBER, u_true)
         errs.append(np.abs(u - expect).max())
     assert errs[1] < 5.0 * (1.0 / 64)**2
@@ -71,7 +70,7 @@ def test_poisson_forward_application_reproduces_rhs():
         x = g.nodes_b
         rhs_fs = np.cos(2.0 * np.pi * x) * 0.5
         rhs_fs -= simpson(g, BASE, rhs_fs)
-        u = solve_poisson_1d(g, BASE, rhs_fs * g.g_b, rhs_fs=rhs_fs)
+        u = solve_poisson_1d(g, BASE, rhs_fs)
         L = lap_matrix(g, BASE)
         resids.append(np.abs(L @ u - rhs_fs).max())
     assert resids[1] < 5.0 * (1.0 / 64)**2
@@ -82,7 +81,7 @@ def test_poisson_compatibility_violation():
     g = Grid(32, 32)
     rhs_fs = np.ones(33)   # integral 2*pi, grossly incompatible
     with pytest.raises(SolvabilityError) as err:
-        solve_poisson_1d(g, FIBER, rhs_fs * g.g_f, rhs_fs=rhs_fs)
+        solve_poisson_1d(g, FIBER, rhs_fs)
     assert abs(err.value.defect) > 1.0
 
 
@@ -92,14 +91,13 @@ def test_poisson_stacked_columns_match_single():
     fs = np.column_stack([np.sin(2 * np.pi * x) * g.g_f,
                           2.0 * np.sin(2 * np.pi * x) * g.g_f])
     fs -= np.array([simpson(g, FIBER, fs[:, 0]), simpson(g, FIBER, fs[:, 1])])
-    coeff = fs * g.g_f[:, None]
-    U = solve_poisson_1d(g, FIBER, coeff, rhs_fs=fs)
-    u0 = solve_poisson_1d(g, FIBER, coeff[:, 0], rhs_fs=fs[:, 0])
+    U = solve_poisson_1d(g, FIBER, fs)
+    u0 = solve_poisson_1d(g, FIBER, fs[:, 0])
     # every column runs the same operations in the same order, so a
     # stacked column equals its single solve exactly
     assert np.array_equal(U[:, 0], u0)
     assert np.abs(U[:, 1] - 2.0 * u0).max() < 1e-12
-    assert np.array_equal(U, solve_poisson_1d(g, FIBER, coeff, rhs_fs=fs))
+    assert np.array_equal(U, solve_poisson_1d(g, FIBER, fs))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +163,7 @@ def test_poisson_matches_dense_bordered_solve(n, axis_name):
     w = 2.0 * np.pi
     cols.append(-gx * w**2 * np.cos(w * x) - gpx * w * np.sin(w * x))
     rfs = np.column_stack(cols)
-    u = solve_poisson_1d(g, axis_name, rfs * gx[:, None], rhs_fs=rfs,
-                         tol_factor=1e-3)
+    u = solve_poisson_1d(g, axis_name, rfs, tol_factor=1e-3)
     expect, mu = _bordered_oracle(g, axis_name, rfs)
     assert abs(mu[-1]) > 1.0 / n**2
     rel = np.abs(u - expect).max(axis=0) / np.abs(expect).max(axis=0)
@@ -207,8 +204,7 @@ def test_solves_on_2048_intervals_build_no_dense_matrix():
     limit = 4 * 2**20
     g = Grid(2048, 16)
     fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
-    coeff = fs * g.g_f[:, None]
-    assert _peak_bytes(lambda: solve_poisson_1d(g, FIBER, coeff, rhs_fs=fs)) < limit
+    assert _peak_bytes(lambda: solve_poisson_1d(g, FIBER, fs)) < limit
     ref, gp, _ = _base_ma_data(2048)
     assert _peak_bytes(lambda: solve_base_ma(ref, gp)) < limit
 

@@ -1,10 +1,14 @@
 import ast
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fanofib").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "fanofib").glob("*.py"))
+# suffixes of the per-function metrics the benchmark's span tracer reports
+FUNCTION_METRICS = ("self_s", "calls", "total_s")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -36,3 +40,22 @@ def test_imports_only_stdlib_and_numpy(path):
             top.add(node.module.split(".")[0])
     foreign = sorted(top - set(sys.stdlib_module_names) - {"numpy"})
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_benchmark_per_layer_functions_are_public_defs():
+    # the traced benchmark reads one metric per named function and fails
+    # with a KeyError deep in a subprocess when a function is renamed
+    per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    named = {}
+    for metric in per_layer:
+        parts = metric["name"].split(".")
+        if len(parts) == 3 and parts[2] in FUNCTION_METRICS:
+            named.setdefault(parts[0], set()).add(parts[1])
+    assert named
+    missing = []
+    for layer, functions in sorted(named.items()):
+        tree = ast.parse((ROOT / "src" / "fanofib" / f"{layer}.py").read_text())
+        defs = {node.name for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+        missing += [f"{layer}.{name}" for name in sorted(functions - defs)]
+    assert not missing, f"BENCHMARK.json names no public def {missing}"
