@@ -148,12 +148,6 @@ def simpson_columns(grid: Grid, values2d: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij->j", grid.simpson_f, values2d) / (3.0 * grid.n_fiber)
 
 
-def integrate_base(grid: Grid, g_vals, weight_fs) -> float:
-    """Integral over the base of g against a form of FS-relative density."""
-    g = np.asarray(g_vals, dtype=float)
-    return TWO_PI * simpson(grid, BASE, g * np.asarray(weight_fs, dtype=float))
-
-
 def integrate_total(grid: Grid, density) -> float:
     """Total integral of a volume density over P^1 x P^1."""
     rho = (density.rho if isinstance(density, VolumeDensity)
@@ -210,35 +204,31 @@ def ddbar_invariant(grid: Grid, psi) -> Form11Field:
     m_ff = g_f * lap(grid, v, FIBER)
     m_bb = grid.g_b[None, :] * lap(grid, v, BASE)
     m_fb = dop(grid, dop(grid, v, BASE), FIBER)
-    return Form11Field(m_ff, m_bb, m_fb)
-
-
-def wedge_top(grid: Grid, M: Form11Field) -> VolumeDensity:
-    """Density of M^2/2 relative to the product FS volume."""
-    num = M.m_ff * M.m_bb - M.m_fb**2
-    return VolumeDensity(fs_ratio(grid, num))
-
-
-def wedge_pair_density(grid: Grid, M: Form11Field, P: Form11Field) -> np.ndarray:
-    """Density of M ^ P relative to the product FS volume (no positivity)."""
-    num = M.m_ff * P.m_bb + M.m_bb * P.m_ff - 2.0 * M.m_fb * P.m_fb
-    return fs_ratio(grid, num)
+    return Form11Field.derived(m_ff, m_bb, m_fb)
 
 
 def fs_form(grid: Grid, fiber_coeff: float = 0.0, base_coeff: float = 0.0) -> Form11Field:
-    """fiber_coeff * FS_f + base_coeff * FS_b as a coefficient field."""
+    """fiber_coeff * FS_f + base_coeff * FS_b as a coefficient field of
+    read-only broadcast views."""
+    if not (math.isfinite(fiber_coeff) and math.isfinite(base_coeff)):
+        raise ValueError("fs_form: non-finite coefficient")
     shape = grid.shape
-    m_ff = np.broadcast_to(fiber_coeff * grid.g_f[:, None], shape).copy()
-    m_bb = np.broadcast_to(base_coeff * grid.g_b[None, :], shape).copy()
-    return Form11Field(m_ff, m_bb, np.zeros(shape))
+    return Form11Field.derived(
+        np.broadcast_to(fiber_coeff * grid.g_f[:, None], shape),
+        np.broadcast_to(base_coeff * grid.g_b[None, :], shape),
+        np.broadcast_to(0.0, shape))
 
 
 def pullback_base_form(grid: Grid, base_fs: np.ndarray) -> Form11Field:
-    """Pull a base (1,1)-form of FS-relative density back to the total space."""
+    """Pull a base (1,1)-form of FS-relative density back to the total
+    space, as read-only broadcast views."""
     shape = grid.shape
     dens = np.asarray(base_fs, dtype=float)
-    m_bb = np.broadcast_to(dens[None, :] * grid.g_b[None, :], shape).copy()
-    return Form11Field(np.zeros(shape), m_bb, np.zeros(shape))
+    if dens.shape != (grid.n_base + 1,) or not np.all(np.isfinite(dens)):
+        raise ValueError("pullback_base_form: expected finite base nodal values")
+    zeros = np.broadcast_to(0.0, shape)
+    return Form11Field.derived(
+        zeros, np.broadcast_to(dens[None, :] * grid.g_b[None, :], shape), zeros)
 
 
 def ric_volume(grid: Grid, V) -> Form11Field:

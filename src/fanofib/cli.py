@@ -7,8 +7,7 @@ import sys
 
 from .errors import FanofibError
 from .model import derive_constants
-from .pipeline import (ALL_CHECKS, PipelineStageError, config_from_mapping,
-                       parse_config, run_pipeline)
+from .pipeline import ALL_CHECKS, PipelineStageError, load_config, run_pipeline
 from .report import console_table, emit_report
 
 
@@ -24,9 +23,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _build_config(args, extra=None):
     mapping = {}
-    if args.config:
-        with open(args.config) as fh:
-            mapping = parse_config(fh.read())
     if args.grid:
         mapping["grids"] = ",".join(args.grid)
     if args.pipeline:
@@ -35,7 +31,7 @@ def _build_config(args, extra=None):
         mapping["residual_tol"] = args.tol
     if extra:
         mapping.update(extra)
-    return config_from_mapping(mapping)
+    return load_config(args.config, mapping)
 
 
 def main(argv=None) -> int:
@@ -64,15 +60,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "constants":
-            mapping = {}
-            if args.config:
-                with open(args.config) as fh:
-                    mapping = parse_config(fh.read())
-            if args.a is not None:
-                mapping["a"] = args.a
-            if args.c is not None:
-                mapping["c"] = args.c
-            cfg = config_from_mapping(mapping)
+            overrides = {k: v for k, v in (("a", args.a), ("c", args.c))
+                         if v is not None}
+            cfg = load_config(args.config, overrides)
             consts = derive_constants(cfg.model_spec(cfg.grids[0]))
             for key in ("eT", "lam", "kappa"):
                 value = getattr(consts, key)

@@ -225,11 +225,3 @@ def verify_fiber_family(ref: ReferenceGeometry,
                              weight_forward_sup=weight_forward,
                              exp_l2_diagnostic=exp_l2)
 
-
-def gauge_shifted(sol: FiberFamilySolution, beta: np.ndarray) -> FiberFamilySolution:
-    """Same family with a per-fiber constant added to the potential."""
-    return FiberFamilySolution(kind=sol.kind, rho=sol.rho + beta[None, :],
-                               vertical_fs=sol.vertical_fs,
-                               residual_sup=sol.residual_sup,
-                               volume_defect=sol.volume_defect,
-                               newton_iterations=sol.newton_iterations)

@@ -128,20 +128,29 @@ class Form11Field:
         if not (self.m_ff.shape == self.m_bb.shape == self.m_fb.shape):
             raise ValueError("coefficient fields must share one shape")
 
+    @classmethod
+    def derived(cls, m_ff, m_bb, m_fb) -> "Form11Field":
+        """Wrap coefficients computed from checked data, without the checks
+        of ``__post_init__``; they may be read-only broadcast views."""
+        form = object.__new__(cls)
+        form.m_ff, form.m_bb, form.m_fb = m_ff, m_bb, m_fb
+        return form
+
     def __add__(self, other: "Form11Field") -> "Form11Field":
-        return Form11Field(self.m_ff + other.m_ff, self.m_bb + other.m_bb,
-                           self.m_fb + other.m_fb)
+        return self.derived(self.m_ff + other.m_ff, self.m_bb + other.m_bb,
+                            self.m_fb + other.m_fb)
 
     def __sub__(self, other: "Form11Field") -> "Form11Field":
-        return Form11Field(self.m_ff - other.m_ff, self.m_bb - other.m_bb,
-                           self.m_fb - other.m_fb)
+        return self.derived(self.m_ff - other.m_ff, self.m_bb - other.m_bb,
+                            self.m_fb - other.m_fb)
 
     def __rmul__(self, s: float) -> "Form11Field":
-        return Form11Field(s * self.m_ff, s * self.m_bb, s * self.m_fb)
+        return self.derived(s * self.m_ff, s * self.m_bb, s * self.m_fb)
 
     def sup(self) -> float:
-        return float(max(np.abs(self.m_ff).max(), np.abs(self.m_bb).max(),
-                         np.abs(self.m_fb).max()))
+        """Largest coefficient magnitude; NaN if any coefficient is NaN."""
+        return float(np.max([np.abs(self.m_ff).max(), np.abs(self.m_bb).max(),
+                             np.abs(self.m_fb).max()]))
 
 
 @dataclass(eq=False)

@@ -167,9 +167,6 @@ class ChartWeight:
     pole_base: float
     smooth: np.ndarray
 
-    def shifted(self, const: float) -> "ChartWeight":
-        return ChartWeight(self.pole_fiber, self.pole_base, self.smooth + const)
-
 
 @dataclass(eq=False)
 class WarpData:
@@ -237,8 +234,6 @@ def _omega0(grid: Grid, spec: ModelSpec, w: WarpData) -> Form11Field:
     a, c, eps = float(spec.a), float(spec.c), w.eps
     m_ff = c * grid.g_f[:, None] + eps * w.D2P[:, None] * w.Q[None, :]
     m_bb = a * grid.g_b[None, :] + eps * w.P[:, None] * w.D2Q[None, :]
-    m_bb = np.broadcast_to(m_bb, grid.shape).copy()
-    m_ff = np.broadcast_to(m_ff, grid.shape).copy()
     m_fb = eps * w.DP[:, None] * w.DQ[None, :]
     return Form11Field(m_ff, m_bb, m_fb)
 
@@ -289,7 +284,7 @@ def build_reference(spec: ModelSpec) -> ReferenceGeometry:
     # residual of the defining relation, machine-zero by construction
     defect = (eta_pull - (float(consts.eT) * omega0 +
                           float(1 - consts.eT) * chi)).sup()
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise FanofibError(f"twist-form identity violated: {defect:.3e}")
 
     psi_w = w.eps * w.P[:, None] * w.Q[None, :]

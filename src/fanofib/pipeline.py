@@ -91,6 +91,15 @@ def _parse_grid(token: str) -> tuple[int, int]:
         raise ConfigError(f"bad grid {token!r}, expected NxM") from exc
 
 
+def _tokens(key: str, raw) -> list[str]:
+    """The non-empty items of a comma-separated string or of a list."""
+    items = raw.split(",") if isinstance(raw, str) else raw
+    tokens = [str(t).strip() for t in items] if isinstance(items, (list, tuple)) else []
+    if not any(tokens):
+        raise ConfigError(f"{key} = {raw!r} is not a non-empty list")
+    return [t for t in tokens if t]
+
+
 def _number(key: str, raw, parse, what: str):
     """``parse(raw)`` if that gives a finite number, else ConfigError."""
     try:
@@ -118,9 +127,7 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
         kw["warp_shape"] = str(m.pop("warp_shape"))
     grids = []
     if "grids" in m:
-        raw = m.pop("grids")
-        tokens = raw.split(",") if isinstance(raw, str) else raw
-        grids = [_parse_grid(t.strip()) for t in tokens if str(t).strip()]
+        grids = [_parse_grid(t) for t in _tokens("grids", m.pop("grids"))]
     if "n_fiber" in m or "n_base" in m:
         nf, nb = (_number(key, m.pop(key, 64), lambda raw: int(str(raw)),
                           "an integer") for key in ("n_fiber", "n_base"))
@@ -134,18 +141,15 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
             raise ConfigError(f"pipeline must be one of {sorted(PIPELINES)}")
         kw["pipeline"] = p
     if "checks" in m:
-        raw = m.pop("checks")
-        names = [t.strip() for t in (raw.split(",") if isinstance(raw, str) else raw)]
+        names = _tokens("checks", m.pop("checks"))
         unknown = [n for n in names if n not in ALL_CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; available {ALL_CHECKS}")
         kw["checks"] = tuple(names)
     m.pop("out", None)
     if m:
-        raise ConfigError(f"unknown configuration keys {sorted(m)}")
+        raise ConfigError(f"unknown configuration keys {sorted(map(str, m))}")
     cfg = PipelineConfig(**kw)
-    if not cfg.grids:
-        raise ConfigError("at least one grid is required")
     for nf, nb in cfg.grids:
         try:
             Grid(nf, nb)
@@ -156,12 +160,25 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
             raise ConfigError("tolerances must be positive")
     if cfg.h2_constant <= 0:
         raise ConfigError(f"h2_constant = {cfg.h2_constant!r} must be positive")
+    if not 0 < cfg.eps_lp < 1:   # keeps the L^1, L^(1+eps_lp), L^2 norms apart
+        raise ConfigError(f"eps_lp = {cfg.eps_lp!r} must lie in (0, 1)")
+    # the model: warp shape and amplitude, a > c > 0, class denominators
+    try:
+        derive_constants(cfg.model_spec(cfg.grids[0]))
+    except FanofibError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg
 
 
-def load_config(path) -> PipelineConfig:
-    with open(path) as fh:
-        return config_from_mapping(parse_config(fh.read()))
+def load_config(path=None, overrides=None) -> PipelineConfig:
+    """The configuration of a key = value file (if ``path`` is given)
+    with the entries of ``overrides`` taking precedence."""
+    mapping = {}
+    if path is not None:
+        with open(path) as fh:
+            mapping = parse_config(fh.read())
+    mapping.update(overrides or {})
+    return config_from_mapping(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +240,8 @@ class _Laps:
     One per grid: each record is charged the time since the record before
     it (the first one since the grid's reference build began), so the
     records' times partition the grid's run and no stage is counted twice
-    or dropped.
+    or dropped.  A call that yields several records charges its shared
+    work to the first: volume_identity[1] and [3] carry their family's pass.
     """
 
     def __init__(self):
@@ -323,8 +341,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
                 residual_routes=rep_r.residual_sup)
 
     if "volume_identities" in cfg.checks:
-        for sol in (sol_b, sol_bp):
-            rep = volume_identity_residual(ref, fiber, sol)
+        for rep in volume_identity_residual(ref, fiber, [sol_b, sol_bp]):
             _record(report, cfg, grid, kind, rep.name, rep.relative, _TRUNC,
                     laps, **rep.extra)
 

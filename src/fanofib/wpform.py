@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import TWO_PI, ddbar_invariant, dop, lap, simpson_columns
+from .calculus import TWO_PI, dop, lap, simpson_columns
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, FIBER, Grid
@@ -215,7 +215,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
         twist_ff_fs = lam * (ref.vertical_fs_omega0() +
                              lap(grid, fiber_sol.rho, FIBER))
         twist_fb = lam * (ref.omega0.m_fb +
-                          ddbar_invariant(grid, fiber_sol.rho).m_fb)
+                          dop(grid, dop(grid, fiber_sol.rho, BASE), FIBER))
     r_ff = (twist_ff_fs - (2.0 - lap(grid, log_u, FIBER))) * grid.g_f[:, None]
 
     # mixed channel: the pulled-back pieces have no mixed entry

@@ -10,6 +10,7 @@ quantities with genuine truncation so a real order is always measured
 alongside.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                twisted_ke_residual, volume_identity_residual,
                                wpl_fs_residual)
 from fanofib.cohomology import check_base_identity, check_total_identity
-from fanofib.fiberwise import gauge_shifted, solve_ske, solve_spr, verify_fiber_family
+from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
 from fanofib.grids import VolumeDensity
 from fanofib.model import ModelSpec, build_reference, derive_constants
 from fanofib.pipeline import config_from_mapping, run_pipeline
@@ -238,7 +239,7 @@ def test_criterion_07_volume_identities():
     for which in (1, 2, 3, 4):
         kind = "spr" if which in (1, 2) else "ske"
         sol = cell[kind]["sol_b" if which in (1, 3) else "sol_bp"]
-        rep = volume_identity_residual(cell["ref"], cell[kind]["fiber"], sol)
+        rep, = volume_identity_residual(cell["ref"], cell[kind]["fiber"], [sol])
         ok_a = ok_a and rep.residual_sup <= 1e-8
         gaps_zero = gaps_zero and all(v == 0.0 for v in rep.extra.values())
 
@@ -248,8 +249,8 @@ def test_criterion_07_volume_identities():
         skey = "sol_b" if which in (1, 3) else "sol_bp"
         for n in GRIDS:
             c = state(model, n)
-            rep = volume_identity_residual(c["ref"], c[kind]["fiber"],
-                                           c[kind][skey])
+            rep, = volume_identity_residual(c["ref"], c[kind]["fiber"],
+                                            [c[kind][skey]])
             out.append(rep.relative)
         return out
 
@@ -323,7 +324,9 @@ def test_criterion_09_gauge_suite():
 
     # per-fiber constant in the fiber potential: bit-identical downstream
     beta = 0.3 * np.sin(2.0 * np.pi * ref.grid.nodes_b)
-    wp_g = wp_from_residual(ref, gauge_shifted(cell["spr"]["fiber"], beta))
+    fiber = cell["spr"]["fiber"]
+    wp_g = wp_from_residual(ref, dataclasses.replace(
+        fiber, rho=fiber.rho + beta[None, :]))
     identical = np.array_equal(wp_g.wp_base, cell["spr"]["wp_r"].wp_base)
     ok &= identical
     notes.append(f"fiber gauge bit-identical {identical}")

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from fanofib import pipeline
+from fanofib import basespace, calculus, pipeline
 from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                compute_gprime, integrated_ma_defect,
                                make_omega_prime, pushforward_adjoint_defect,
                                solve_base_ma, twisted_ke_residual,
                                volume_identity_residual, wpl_fs_residual)
-from fanofib.calculus import TWO_PI, fiber_integral
+from fanofib.calculus import (TWO_PI, ddbar_invariant, fiber_integral,
+                              pullback_base_form, ric_volume)
 from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.grids import VolumeDensity
 from fanofib.model import ModelSpec, build_reference
@@ -90,11 +91,11 @@ def test_g_descends_model_a(ref_a, spr_a):
 
 
 def test_g_descends_gauge_shift_invariance(ref_b, spr_b):
-    from fanofib.fiberwise import gauge_shifted
     gp = compute_gprime(ref_b, "spr")
     r1 = check_g_descends(ref_b, spr_b, gp)
     beta = 0.4 * np.cos(np.pi * ref_b.grid.nodes_b)
-    r2 = check_g_descends(ref_b, gauge_shifted(spr_b, beta), gp)
+    shifted = dataclasses.replace(spr_b, rho=spr_b.rho + beta[None, :])
+    r2 = check_g_descends(ref_b, shifted, gp)
     assert r1.vertical_oscillation == r2.vertical_oscillation
     assert r1.pullback_defect == r2.pullback_defect
 
@@ -226,7 +227,7 @@ def test_volume_identities_model_a_spr(ref_a, spr_a, which):
     gp = compute_gprime(ref_a, "spr")
     variant = VARIANT_B if which == 1 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
-    rep = volume_identity_residual(ref_a, spr_a, sol)
+    rep, = volume_identity_residual(ref_a, spr_a, [sol])
     assert rep.residual_sup < 1e-10
     assert rep.extra["gap_fiber_potential"] == 0.0
     assert rep.extra["gap_base_potential"] == 0.0
@@ -238,14 +239,14 @@ def test_volume_identities_model_a_ske(ref_a, ske_a, which):
     gp = compute_gprime(ref_a, "ske", ske_a)
     variant = VARIANT_B if which == 3 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
-    rep = volume_identity_residual(ref_a, ske_a, sol)
+    rep, = volume_identity_residual(ref_a, ske_a, [sol])
     assert rep.residual_sup < 1e-10
 
 
 def test_volume_identities_model_b_gaps_positive(ref_b, spr_b):
     gp = compute_gprime(ref_b, "spr")
     sol = solve_base_ma(ref_b, gp, VARIANT_B)
-    rep = volume_identity_residual(ref_b, spr_b, sol)
+    rep, = volume_identity_residual(ref_b, spr_b, [sol])
     assert rep.relative < 50.0 * (1.0 / 64)**2
     assert rep.extra["gap_fiber_potential"] > 1e-4
     assert rep.extra["gap_base_potential"] > 1e-5
@@ -261,15 +262,120 @@ def test_volume_identity_gate_fails_on_a_perturbed_fiber_column(
     sol = solve_base_ma(ref_c, compute_gprime(ref_c, kind, fiber), variant)
     tol = pipeline._tolerance(pipeline.PipelineConfig(), ref_c.grid,
                               pipeline._TRUNC)
-    rep = volume_identity_residual(ref_c, fiber, sol)
+    rep, = volume_identity_residual(ref_c, fiber, [sol])
     assert rep.name == f"volume_identity[{which}]"
     assert rep.relative <= tol          # 1.0e-5 against 2.4e-2 at 64^2
     u = fiber.vertical_fs.copy()
     u[:, ref_c.grid.n_base // 2] *= 1.0 + 1e-3
-    bad = volume_identity_residual(
-        ref_c, dataclasses.replace(fiber, vertical_fs=u), sol)
+    bad, = volume_identity_residual(
+        ref_c, dataclasses.replace(fiber, vertical_fs=u), [sol])
     assert bad.name == rep.name
     assert bad.relative > tol           # 0.68 for each identity
+
+
+def _full_assembly(ref, fiber_sol, base_sol):
+    """Oracle: sup and scale of one volume identity assembled in full,
+    lhs - [eT (omega0 + i ddbar rho) - (1-eT) Ric(Vol)] with Vol the
+    twisted volume density, as the shared path computed it before."""
+    grid = ref.grid
+    eT, one_minus = float(ref.consts.eT), float(1 - ref.consts.eT)
+    lam = float(ref.consts.lam)
+    rho_b = np.broadcast_to(base_sol.rho[None, :], grid.shape)
+    exponent = np.zeros(grid.shape)
+    if fiber_sol.kind == "spr":
+        exponent = exponent - lam * fiber_sol.rho
+    if base_sol.variant == VARIANT_B:
+        exponent = exponent + lam * rho_b
+    vol = VolumeDensity(np.exp(exponent) * 2.0 * fiber_sol.vertical_fs *
+                        base_sol.dens_fs[None, :])
+    rhs = (eT * (ref.omega0 + ddbar_invariant(grid, fiber_sol.rho))
+           - one_minus * ric_volume(grid, vol))
+    lhs = pullback_base_form(grid, base_sol.dens_fs)
+    if base_sol.variant == VARIANT_BPRIME:
+        lhs = one_minus * lhs
+    return (lhs - rhs).sup(), rhs.sup()
+
+
+@pytest.mark.parametrize("model", [
+    dict(warp_amplitude=0.2),
+    dict(warp_amplitude=0.2, warp_shape="fiber_cubic")])
+@pytest.mark.parametrize("n", [64, 256])
+def test_shared_volume_identity_path_matches_full_assembly(model, n):
+    # Both assemblies apply the same linear stencils to potentials that
+    # agree in exact arithmetic (eT rho + (1-eT) log Vol).  Each path forms
+    # its potentials with at most 8 roundings of terms bounded by M, so
+    # they differ nodewise by delta <= 16 eps M.  A log-frame coefficient
+    # g (g d2 + g' d1) maps delta to at most delta / (2 h^2) (g <= 1/4,
+    # |g'| <= 1, stencil weights 4/h^2 and 1/h), and each path's own
+    # stencil evaluation rounds about 8 terms of size <= M / (2 h^2).
+    # Sum: 16 eps M / h^2; the bound carries a factor 2 on top.
+    ref = build_reference(ModelSpec.make(2, 1, n_fiber=n, n_base=n, **model))
+    lam = float(ref.consts.lam)
+    eps, h = np.finfo(float).eps, 1.0 / n
+    for fiber in (solve_spr(ref), solve_ske(ref)):
+        gp = compute_gprime(ref, fiber.kind, fiber)
+        sols = [solve_base_ma(ref, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
+        reps = volume_identity_residual(ref, fiber, sols)
+        for rep, sol in zip(reps, sols):
+            M = (1.0 + np.abs(np.log(2.0 * fiber.vertical_fs)).max()
+                 + np.abs(np.log(sol.dens_fs)).max()
+                 + (1.0 + lam) * (np.abs(fiber.rho).max()
+                                  + np.abs(sol.rho).max()))
+            bound = 32.0 * eps * M / h**2
+            sup, scale = _full_assembly(ref, fiber, sol)
+            assert abs(rep.residual_sup - sup) <= bound, (rep.name, sup, bound)
+            assert abs(rep.scale - scale) <= bound, (rep.name, scale, bound)
+            assert rep.relative == rep.residual_sup / rep.scale
+
+
+def test_volume_identities_take_one_ddbar_per_family(ref_c, spr_c, ske_c,
+                                                     monkeypatch):
+    calls = []
+    real = calculus.ddbar_invariant
+
+    def counted(grid, psi):
+        calls.append(psi)
+        return real(grid, psi)
+
+    monkeypatch.setattr(calculus, "ddbar_invariant", counted)
+    monkeypatch.setattr(basespace, "ddbar_invariant", counted)
+    for fiber in (spr_c, ske_c):
+        gp = compute_gprime(ref_c, fiber.kind, fiber)
+        sols = [solve_base_ma(ref_c, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
+        calls.clear()
+        reps = volume_identity_residual(ref_c, fiber, sols)
+        assert [r.name for r in reps] == (
+            ["volume_identity[1]", "volume_identity[2]"] if fiber.kind == "spr"
+            else ["volume_identity[3]", "volume_identity[4]"])
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", ["vertical_fs", "dens_fs"])
+def test_volume_identity_never_passes_a_nan(ref_c, spr_c, ske_c, field):
+    tol = pipeline._tolerance(pipeline.PipelineConfig(), ref_c.grid,
+                              pipeline._TRUNC)
+    j = ref_c.grid.n_base // 2
+    for fiber in (spr_c, ske_c):
+        gp = compute_gprime(ref_c, fiber.kind, fiber)
+        sols = [solve_base_ma(ref_c, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
+        if field == "vertical_fs":
+            u = fiber.vertical_fs.copy()
+            u[:, j] = np.nan
+            fiber = dataclasses.replace(fiber, vertical_fs=u)
+        else:
+            bad = []
+            for sol in sols:
+                dens = sol.dens_fs.copy()
+                dens[j] = np.nan
+                bad.append(dataclasses.replace(sol, dens_fs=dens))
+            sols = bad
+        try:
+            reps = volume_identity_residual(ref_c, fiber, sols)
+        except ValueError:
+            continue                    # raising is a failed check too
+        assert len(reps) == 2
+        for rep in reps:
+            assert not rep.relative <= tol, rep.name
 
 
 def test_volume_identity_orders_cubic_model():
@@ -284,7 +390,7 @@ def test_volume_identity_orders_cubic_model():
             variant = VARIANT_B if which in (1, 3) else VARIANT_BPRIME
             sol = solve_base_ma(ref, gp, variant)
             rels[which].append(
-                volume_identity_residual(ref, fiber, sol).relative)
+                volume_identity_residual(ref, fiber, [sol])[0].relative)
     for which, series in rels.items():
         orders = [math.log2(a / b) for a, b in zip(series, series[1:])]
         assert min(orders) > 1.7, (which, series)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant, fd_weights,
-                              fiber_integral, fs_form, integrate_base, integrate_total, lap,
-                              pullback_base_form, ric_volume, simpson,
-                              simpson2d, wedge_pair_density, wedge_top)
+                              fiber_integral, fs_form, fs_ratio, integrate_total,
+                              lap, pullback_base_form, ric_volume, simpson,
+                              simpson2d)
 from fanofib import basespace
 from fanofib.grids import BASE, FIBER, Form11Field, Grid, VolumeDensity
 
@@ -52,6 +52,15 @@ def test_ddbar_constant_is_zero():
     g = grid64()
     M = ddbar_invariant(g, np.full(g.shape, 3.7))
     assert M.sup() == 0.0
+
+
+def test_form_sup_propagates_nan():
+    # form arithmetic does not re-validate, so sup() must not drop a NaN
+    g = grid64()
+    for entry in ("m_ff", "m_bb", "m_fb"):
+        M = 1.0 * fs_form(g, 1.0, 1.0)
+        getattr(M, entry)[3, 5] = np.nan
+        assert np.isnan(M.sup()), entry
 
 
 def _ddbar_oracle(psi_fn, n):
@@ -141,6 +150,18 @@ def test_exactness_integrates_to_zero():
 # ---------------------------------------------------------------------------
 # wedge and Ricci operations
 # ---------------------------------------------------------------------------
+
+def wedge_pair_density(grid, M, P):
+    """Oracle: density of M ^ P relative to the product FS volume,
+    (M_ff P_bb + M_bb P_ff - 2 M_fb P_fb) / (g_f g_b)."""
+    num = M.m_ff * P.m_bb + M.m_bb * P.m_ff - 2.0 * M.m_fb * P.m_fb
+    return fs_ratio(grid, num)
+
+
+def wedge_top(grid, M):
+    """Oracle: density of M^2/2 relative to the product FS volume."""
+    return VolumeDensity(0.5 * wedge_pair_density(grid, M, M))
+
 
 def test_wedge_top_product_fs_is_one():
     g = grid64()
@@ -258,18 +279,17 @@ def test_fiber_integral_model_a_volume(ref_a):
     assert np.allclose(out, 8.0 * math.pi / 3.0, rtol=1e-14)
 
 
-def test_integrate_base_fs_normalization():
+def test_base_simpson_fs_normalization():
     g = grid64()
     ones = np.ones(g.n_base + 1)
-    assert integrate_base(g, ones, ones) == pytest.approx(TWO_PI, abs=1e-13)
+    assert TWO_PI * simpson(g, BASE, ones) == pytest.approx(TWO_PI, abs=1e-13)
 
 
-def test_integrate_base_eta_model_a(ref_a):
+def test_base_simpson_eta_model_a(ref_a):
     g = ref_a.grid
-    ones = np.ones(g.n_base + 1)
     eta = np.full(g.n_base + 1, ref_a.eta_fs)
-    assert integrate_base(g, ones, eta) == pytest.approx(4.0 * math.pi / 3.0,
-                                                         rel=1e-14)
+    assert TWO_PI * simpson(g, BASE, eta) == pytest.approx(4.0 * math.pi / 3.0,
+                                                           rel=1e-14)
 
 
 def test_integrate_total_unit_density():

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanofib import pipeline
 from fanofib.cli import main
-from fanofib.basespace import VARIANT_B
 from fanofib.errors import ConfigError
 from fanofib.fiberwise import SPR
 from fanofib.pipeline import (ALL_CHECKS, PipelineConfig, PipelineStageError,
@@ -51,6 +56,67 @@ def test_parse_config_rejects_garbage():
         config_from_mapping({"checks": "fiber,unknown_check"})
     with pytest.raises(ConfigError):
         config_from_mapping({"pipeline": "all"})
+    for bad in ({"grids": [64]}, {"grids": []}, {"grids": " , "},
+                {"grids": 64}, {"checks": [1]}, {"checks": []},
+                {"checks": None}, {1: "a", "b": 2}):
+        with pytest.raises(ConfigError):
+            config_from_mapping(bad)
+
+
+_KEYS = ("a", "c", "warp_amplitude", "warp_shape", "grids", "n_fiber",
+         "n_base", "pipeline", "checks", "newton_tol", "residual_tol",
+         "quadrature_tol", "h2_constant", "eps_lp", "out")
+_TOKENS = ("", " ", "0", "1", "2", "3/2", "-1", "1/0", "1e-400", "1e400",
+           "nan", "inf", "abc", "16x16", "32x64", "48x64", "16x16,32x32", "x",
+           "fiber_cubic", "product_bump", "both", "spr", "fiber,gprime",
+           "volume_identities", "0.2", "64.5")
+_VALUES = st.one_of(
+    st.sampled_from(_TOKENS), st.none(), st.booleans(),
+    st.integers(-10**4, 10**4), st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+    st.lists(st.one_of(st.sampled_from(_TOKENS), st.integers(), st.none()),
+             max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.one_of(st.sampled_from(_KEYS), st.text(max_size=4)),
+                       _VALUES, max_size=6))
+def test_any_mapping_builds_a_config_or_raises_config_error(mapping):
+    try:
+        cfg = config_from_mapping(mapping)
+    except ConfigError:
+        return
+    assert isinstance(cfg, PipelineConfig)
+    assert config_from_mapping(cfg.as_mapping()) == cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_KEYS + ("nonsense",)),
+                          st.one_of(st.sampled_from(_TOKENS),
+                                    st.text(st.characters(
+                                        exclude_characters="\r\n#",
+                                        exclude_categories=("Cs",)),
+                                        max_size=8))),
+                max_size=5))
+def test_cli_exits_2_with_one_line_on_any_rejected_config(lines):
+    text = "".join(f"{key} = {value}\n" for key, value in lines)
+    try:
+        config_from_mapping(parse_config(text))
+    except ConfigError:
+        pass
+    else:
+        return                          # a valid config; not run here
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", path])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1
 
 
 def test_config_tolerances_positive():
@@ -135,10 +201,10 @@ def test_refinement_orders_attached():
 def test_record_wall_times_partition_the_run(monkeypatch):
     real = pipeline.volume_identity_residual
 
-    def slow_first(ref, fiber_sol, base_sol):
-        if fiber_sol.kind == SPR and base_sol.variant == VARIANT_B:
+    def slow_first(ref, fiber_sol, base_sols):
+        if fiber_sol.kind == SPR:
             time.sleep(0.05)
-        return real(ref, fiber_sol, base_sol)
+        return real(ref, fiber_sol, base_sols)
 
     monkeypatch.setattr(pipeline, "volume_identity_residual", slow_first)
     cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": "0.2",
@@ -147,7 +213,8 @@ def test_record_wall_times_partition_the_run(monkeypatch):
     rep = run_pipeline(cfg)
     total = time.perf_counter() - t0
     wall = {f"{r.name}[{r.pipeline}]": r.wall_time for r in rep.records}
-    # each record is charged only the time since the record before it
+    # each record is charged only the time since the record before it;
+    # the one call per family is charged to its first record
     assert wall["volume_identity[1][spr]"] >= 0.05
     assert wall["volume_identity[2][spr]"] < 0.05
     spent = sum(wall.values())
@@ -284,7 +351,10 @@ def test_cli_rejects_malformed_number(tmp_path, capsys, line):
 @pytest.mark.parametrize("line, key", [
     ("grids = 48x64", "n_fiber=48"), ("grids = 0x0", "n_fiber=0"),
     ("grids = 16x16,32x48", "n_base=48"), ("n_fiber = 48", "n_fiber=48"),
-    ("h2_constant = -1", "h2_constant"), ("h2_constant = 0", "h2_constant")])
+    ("h2_constant = -1", "h2_constant"), ("h2_constant = 0", "h2_constant"),
+    ("grids = ", "grids"), ("warp_shape = nope", "warp_shape"),
+    ("warp_amplitude = -0.1", "warp_amplitude"), ("c = 2", "a > c"),
+    ("eps_lp = -1", "eps_lp")])
 def test_cli_rejects_invalid_setting(tmp_path, capsys, line, key):
     # rejected while the configuration is parsed, before any grid is built
     cfg = write_cfg(tmp_path, f"a = 2\nc = 1\n{line}\n")

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from fanofib.errors import FanofibError, PullbackStructureError
-from fanofib.fiberwise import gauge_shifted, solve_spr
+from fanofib.fiberwise import solve_spr
 from fanofib.model import ModelSpec, build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
@@ -137,9 +138,8 @@ def test_wp_residual_rejects_bad_theta(ref_b, spr_b):
 
 
 def test_wp_residual_flags_inconsistent_fiber_data(ref_b, spr_b):
-    corrupted = gauge_shifted(spr_b, np.zeros(ref_b.grid.n_base + 1))
-    corrupted.vertical_fs = spr_b.vertical_fs * (
-        1.0 + 0.3 * ref_b.grid.nodes_f[:, None])
+    corrupted = dataclasses.replace(spr_b, vertical_fs=spr_b.vertical_fs * (
+        1.0 + 0.3 * ref_b.grid.nodes_f[:, None]))
     with pytest.raises(PullbackStructureError):
         wp_from_residual(ref_b, corrupted)
 
@@ -147,7 +147,8 @@ def test_wp_residual_flags_inconsistent_fiber_data(ref_b, spr_b):
 def test_wp_residual_gauge_bit_identical(ref_b, spr_b):
     beta = 0.3 * np.sin(2.0 * np.pi * ref_b.grid.nodes_b)
     wp1 = wp_from_residual(ref_b, spr_b)
-    wp2 = wp_from_residual(ref_b, gauge_shifted(spr_b, beta))
+    wp2 = wp_from_residual(
+        ref_b, dataclasses.replace(spr_b, rho=spr_b.rho + beta[None, :]))
     assert np.array_equal(wp1.wp_base, wp2.wp_base)
     assert wp1.verticality_defect == wp2.verticality_defect
 
