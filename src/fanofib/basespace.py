@@ -302,6 +302,7 @@ def volume_identity_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolut
     r_lo, r_hi = R.m_bb.min(axis=0), R.m_bb.max(axis=0)
     f_lo, f_hi = rho_f.min(axis=0), rho_f.max(axis=0)
     f_mean = simpson2d(grid, rho_f)
+    gap_fiber = _sup_about(f_lo, f_hi, f_mean)
 
     reports = []
     for sol in base_sols:
@@ -316,7 +317,7 @@ def volume_identity_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolut
         scale = float(np.max([shared_sup, 1e-30, _sup_about(r_lo, r_hi, -shift)]))
         b_mean = simpson(grid, BASE, sol.rho)
         offset = sol.rho + (f_mean - b_mean)   # rho_f - offset has mean 0
-        gaps = {"gap_fiber_potential": _sup_about(f_lo, f_hi, f_mean),
+        gaps = {"gap_fiber_potential": gap_fiber,
                 "gap_base_potential": _sup_about(sol.rho, sol.rho, b_mean),
                 "gap_difference": _sup_about(f_lo - offset, f_hi - offset, 0.0)}
         which = _VOLUME_IDENTITY[fiber_sol.kind, sol.variant]
