@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (TWO_PI, ddbar_invariant, fiber_integral, fs_form,
-                       integrate_total, lap, lap_bands, simpson, simpson2d)
+from .calculus import (TWO_PI, fiber_integral, integrate_total, lap,
+                       lap_bands, simpson, simpson2d)
 from .errors import PositivityError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, VolumeDensity
@@ -268,6 +268,7 @@ _VOLUME_IDENTITY = {(SPR, VARIANT_B): 1, (SPR, VARIANT_BPRIME): 2,
 
 
 def volume_identity_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
+                             wp: WPResult,
                              base_sols: list[BaseMetricSolution]) -> list[ResidualReport]:
     """Coefficient-wise residuals of the displayed volume-form equations of
     one fiber family, one report volume_identity[k] per base solution:
@@ -282,24 +283,41 @@ def volume_identity_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolut
     F = log 2u [- lam rho for spr] set by the family and b = log dens_B
     [+ lam rho_B for B] by the variant.  ddbar is linear and i ddbar b =
     pullback(L_b b), so each right side is R + (1-eT) pullback(L_b b) with
-    one family field R = eT omega0 - 2(1-eT)(FS_f + FS_b) + i ddbar(eT rho
-    + (1-eT) F); a variant changes only base profiles in the base-base
-    entry, so it costs O(n_base) given R's column extremes.  The deviation
+    one family field
+
+        R = eT omega0 - 2(1-eT)(FS_f + FS_b) + i ddbar(eT rho + (1-eT) F).
+
+    R is the pullback residual r of ``wpform.wp_from_residual`` up to a
+    factor and the pulled-back form 2 FS_b.  There r = lam omega0 - 2 FS_f +
+    i ddbar log u for spr and r = lam w - 2 FS_f + i ddbar log u for ske.
+    Since lam (1-eT) = eT, the spr potential is eT rho + (1-eT) F =
+    (1-eT) log 2u, and i ddbar log 2 = 0, so in both cases
+
+        R = (1-eT) (r - 2 FS_b).
+
+    ``wp`` must be the residual route's result for this family; R's
+    vertical sup and the base-column extremes of R_bb follow from its
+    summary of r in O(n_base).  A variant changes only base profiles in
+    the base-base entry, so it costs O(n_base) as well.  The deviation
     gaps of the fiber potential and the pulled-back base potential are
     reported; the exponential factor disappears exactly when the matching
     gap vanishes.
     """
+    summary = wp.residual
+    if wp.route != "residual" or summary is None:
+        raise ValueError("the volume identities need the residual route's "
+                         f"form, not the {wp.route!r} route's")
+    if summary.kind != fiber_sol.kind:
+        raise ValueError(f"the residual of the {summary.kind} family cannot "
+                         f"serve the {fiber_sol.kind} family")
     grid = ref.grid
-    eT, one_minus = float(ref.consts.eT), float(1 - ref.consts.eT)
+    one_minus = float(1 - ref.consts.eT)
     lam = float(ref.consts.lam)
+    shared_sup = one_minus * float(np.max([summary.ff_sup, summary.fb_sup]))
+    two_fs_b = 2.0 * grid.g_b
+    r_lo = one_minus * (summary.bb_lo - two_fs_b)
+    r_hi = one_minus * (summary.bb_hi - two_fs_b)
     rho_f = fiber_sol.rho
-    F = np.log(2.0 * fiber_sol.vertical_fs)
-    if fiber_sol.kind == SPR:
-        F = F - lam * rho_f
-    R = (eT * ref.omega0 - one_minus * fs_form(grid, 2.0, 2.0)
-         + ddbar_invariant(grid, eT * rho_f + one_minus * F))
-    shared_sup = np.max([np.abs(R.m_ff).max(), np.abs(R.m_fb).max()])
-    r_lo, r_hi = R.m_bb.min(axis=0), R.m_bb.max(axis=0)
     f_lo, f_hi = rho_f.min(axis=0), rho_f.max(axis=0)
     f_mean = simpson2d(grid, rho_f)
     gap_fiber = _sup_about(f_lo, f_hi, f_mean)

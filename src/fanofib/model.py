@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -217,12 +218,27 @@ class ReferenceGeometry:
     phi_L: ChartWeight
     eta_fs: float            # FS-relative density of eta (the constant kappa)
     V: float                 # 2 * fiber volume of omega0
-    phi_check_residual: float  # forward ddbar(phi_L) vs omega0, O(h^2)
 
     def vertical_fs_omega0(self) -> np.ndarray:
-        """FS-relative density of omega0 restricted to the fibers."""
+        """FS-relative density of omega0 restricted to the fibers; built on
+        the first call and shared, read-only, by every later one."""
+        return self._vertical_fs_omega0
+
+    @cached_property
+    def _vertical_fs_omega0(self) -> np.ndarray:
         w = self.warp
-        return float(self.spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
+        out = float(self.spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def phi_check_residual(self) -> float:
+        """Forward check Ric(h_L) = omega0, computed on first access: the
+        analytic pole parts are exact, the smooth part is differentiated
+        by the grid operators (O(h^2))."""
+        fd = ddbar_invariant(self.grid, self.phi_L.smooth)
+        pole = fs_form(self.grid, self.phi_L.pole_fiber, self.phi_L.pole_base)
+        return (pole + fd - self.omega0).sup()
 
     def base_fs_omega0(self) -> np.ndarray:
         """FS-relative density of the base-base entry of omega0."""
@@ -301,14 +317,7 @@ def build_reference(spec: ModelSpec) -> ReferenceGeometry:
         raise FanofibError(f"volume normalization defect {norm_defect:.3e}")
 
     phi_L = ChartWeight(float(spec.c), float(spec.a), psi_w)
-
-    # forward check Ric(h_L) = omega0: analytic pole parts are exact, the
-    # smooth part is differentiated by the grid operators (O(h^2))
-    fd = ddbar_invariant(grid, psi_w)
-    pole = fs_form(grid, phi_L.pole_fiber, phi_L.pole_base)
-    phi_check = (pole + fd - omega0).sup()
-
     V = 2.0 * TWO_PI * float(spec.c)
     return ReferenceGeometry(spec=spec, consts=consts, grid=grid, warp=w,
                              omega0=omega0, chi=chi, Omega=Omega, phi_L=phi_L,
-                             eta_fs=kappa, V=V, phi_check_residual=phi_check)
+                             eta_fs=kappa, V=V)

@@ -241,7 +241,10 @@ class _Laps:
     it (the first one since the grid's reference build began), so the
     records' times partition the grid's run and no stage is counted twice
     or dropped.  A call that yields several records charges its shared
-    work to the first: volume_identity[1] and [3] carry their family's pass.
+    work to the first.  Work computed before a record and reused later is
+    charged to that record: wp_routes carries the family's pullback
+    residual (``wp_from_residual``), which the volume identities reuse, so
+    their records carry only O(n_base) work beyond the gap diagnostics.
     """
 
     def __init__(self):
@@ -289,7 +292,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
     family = volume_family_from_sections(
         ref, sfs, ske=fiber if kind == SKE else None)
     wp_sections = wp_from_sections(ref, family)
-    wp_residual = wp_from_residual(ref, fiber, family=family)
+    wp_residual = wp_from_residual(ref, fiber)
 
     if "wp_routes" in cfg.checks:
         diff = float(np.abs(wp_sections.wp_base -
@@ -341,7 +344,8 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
                 residual_routes=rep_r.residual_sup)
 
     if "volume_identities" in cfg.checks:
-        for rep in volume_identity_residual(ref, fiber, [sol_b, sol_bp]):
+        for rep in volume_identity_residual(ref, fiber, wp_residual,
+                                            [sol_b, sol_bp]):
             _record(report, cfg, grid, kind, rep.name, rep.relative, _TRUNC,
                     laps, **rep.extra)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import TWO_PI, lap_bands
+from .calculus import TWO_PI, _row_blocks, lap_bands
 from .errors import ContractViolation, NonConvergence, SolvabilityError
 from .grids import Grid
 
@@ -149,8 +149,16 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
         np.column_stack([rfs, np.ones(n + 1)]))
     a, b = ab[:, :m], ab[:, m:]
     v = a - (a[0] / b[0]) * b          # border multiplier mu = a0 / b0
-    # Simpson gauge; a running sum keeps the reduction order per column
-    u = v - np.add.accumulate(weights[:, None] * v, axis=0)[-1]
+    # Simpson gauge: a running row sum in row blocks, so each column adds
+    # its weighted rows in order and the block's products stay in cache
+    total = None
+    for lo, hi in _row_blocks(0, n + 1, m):
+        part = weights[lo:hi, None] * v[lo:hi]
+        if total is not None:
+            part[0] += total
+        np.add.accumulate(part, axis=0, out=part)
+        total = part[-1]
+    u = v - total
     return u[:, 0] if squeeze else u
 
 

@@ -72,18 +72,39 @@ class SectionVolumeFamily:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class PullbackResidualSummary:
+    """Extremes of the pullback residual r of the residual route.
+
+    r = twist - 2 FS_f + i ddbar log u in the log frame: its vertical
+    entries must vanish and its base-base entry must be constant along
+    each fiber.
+    The verticality gate reads these numbers, and the volume identities
+    derive their family field from them (``basespace``), so r is
+    assembled once per fiber family.
+    """
+
+    kind: str                    # the fiber family r was assembled from
+    ff_sup: float                # sup |r_ff|
+    fb_sup: float                # sup |r_fb|
+    bb_lo: np.ndarray            # per base column: min over the fiber of r_bb
+    bb_hi: np.ndarray            # per base column: max over the fiber of r_bb
+
+
 @dataclass(eq=False)
 class WPResult:
-    """The base-form coefficient and the weight of the direct-image metric."""
+    """The base-form coefficient, with the data particular to its route."""
 
     wp_base: np.ndarray          # log-frame coefficient on the base grid
     wp_fs: np.ndarray            # FS-relative density (finite everywhere)
-    log_norm: np.ndarray         # log of the fiber integrals; -inf where the
-                                 # chart frame degenerates at a base pole
-    smooth_log_norm: np.ndarray
-    route: str
+    route: str                   # "sections" | "residual"
+    # sections route: log of the fiber integrals, -inf where the chart
+    # frame degenerates at a base pole, and its smooth part
+    log_norm: np.ndarray | None = None
+    smooth_log_norm: np.ndarray | None = None
+    # residual route
     verticality_defect: float | None = None
-    mu: np.ndarray | None = None
+    residual: PullbackResidualSummary | None = None
 
 
 def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
@@ -161,8 +182,8 @@ def wp_from_sections(ref: ReferenceGeometry,
         if family.pole_one != 0.0:
             log_norm = log_norm + family.pole_one * np.log(1.0 - xb)
 
-    return WPResult(wp_base=wp_base, wp_fs=wp_fs, log_norm=log_norm,
-                    smooth_log_norm=smooth_log_norm, route="sections")
+    return WPResult(wp_base=wp_base, wp_fs=wp_fs, route="sections",
+                    log_norm=log_norm, smooth_log_norm=smooth_log_norm)
 
 
 def _twist_fs_base(ref: ReferenceGeometry,
@@ -178,20 +199,21 @@ def _twist_fs_base(ref: ReferenceGeometry,
 
 
 def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
-                     theta_fs: np.ndarray | float | None = None,
-                     family: SectionVolumeFamily | None = None) -> WPResult:
+                     theta_fs: np.ndarray | float | None = None) -> WPResult:
     """Recover the base form from the Ricci form of a fibration volume.
 
     For any base metric theta the combination
 
-        twist + pullback(Ric theta) - Ric(vertical ^ pullback(theta))
+        r = twist + pullback(Ric theta) - Ric(vertical ^ pullback(theta))
 
     is a pullback; the theta-dependence cancels exactly (the linear
     splitting of the invariant Hessian makes the cancellation hold at
     the stencil level).  The base-base component is fiber-averaged and
     the vertical components plus the fiber oscillation are reported as
     the verticality defect; a defect above max(1e-8, 50 h^2 max(1,
-    sup|r_bb|)) raises PullbackStructureError.
+    sup|r_bb|)), or one that is not a number, raises
+    PullbackStructureError.  The extremes of r are kept in
+    ``WPResult.residual`` for the volume identities.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -216,38 +238,29 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
                              lap(grid, fiber_sol.rho, FIBER))
         twist_fb = lam * (ref.omega0.m_fb +
                           dop(grid, dop(grid, fiber_sol.rho, BASE), FIBER))
-    r_ff = (twist_ff_fs - (2.0 - lap(grid, log_u, FIBER))) * grid.g_f[:, None]
+    abs_ff = np.abs((twist_ff_fs - (2.0 - lap(grid, log_u, FIBER)))
+                    * grid.g_f[:, None])
 
     # mixed channel: the pulled-back pieces have no mixed entry
-    r_fb = twist_fb + dop(grid, dop(grid, log_u, BASE), FIBER)
+    abs_fb = np.abs(twist_fb + dop(grid, dop(grid, log_u, BASE), FIBER))
 
     # base-base channel, FS-relative; the Ric(theta) and wedge theta terms
     # cancel identically, leaving twist_bb + L_b log u
     r_bb_fs = _twist_fs_base(ref, fiber_sol) + lap(grid, log_u, BASE)
     r_bb = r_bb_fs * grid.g_b[None, :]
 
-    osc = r_bb.max(axis=0) - r_bb.min(axis=0)
-    defect = float((np.abs(r_ff) + np.abs(r_fb) + osc[None, :]).max())
+    bb_lo, bb_hi = r_bb.min(axis=0), r_bb.max(axis=0)
+    defect = float((abs_ff + abs_fb + (bb_hi - bb_lo)[None, :]).max())
     h2 = grid.h(FIBER)**2 + grid.h(BASE)**2
     defect_tol = max(1e-8, 50.0 * h2 * max(1.0, float(np.abs(r_bb).max())))
-    if defect > defect_tol:
+    if not defect <= defect_tol:
         raise PullbackStructureError(
             f"reconstructed form is not a pullback: defect {defect:.3e} "
             f"exceeds {defect_tol:.3e}")
 
     wp_fs = simpson_columns(grid, r_bb_fs)
-    wp_base = grid.g_b * wp_fs
-
-    mu = None
-    log_norm = np.full(grid.n_base + 1, -np.inf)
-    smooth_log_norm = np.zeros(grid.n_base + 1)
-    if family is not None:
-        integrals = TWO_PI * simpson_columns(grid, family.density(grid))
-        mu = integrals / (TWO_PI * simpson_columns(grid, u))
-        with np.errstate(divide="ignore"):
-            log_norm = np.log(integrals)
-        smooth_log_norm = family.smooth_log_norm
-
-    return WPResult(wp_base=wp_base, wp_fs=wp_fs, log_norm=log_norm,
-                    smooth_log_norm=smooth_log_norm, route="residual",
-                    verticality_defect=defect, mu=mu)
+    summary = PullbackResidualSummary(
+        kind=fiber_sol.kind, ff_sup=float(abs_ff.max()),
+        fb_sup=float(abs_fb.max()), bb_lo=bb_lo, bb_hi=bb_hi)
+    return WPResult(wp_base=grid.g_b * wp_fs, wp_fs=wp_fs, route="residual",
+                    verticality_defect=defect, residual=summary)

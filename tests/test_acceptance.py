@@ -60,7 +60,7 @@ def state(model: str, n: int) -> dict:
             ref, SectionFamilySpec.canonical(ref.consts, weight),
             ske=fiber if kind == "ske" else None)
         wp_s = wp_from_sections(ref, fam)
-        wp_r = wp_from_residual(ref, fiber, family=fam)
+        wp_r = wp_from_residual(ref, fiber)
         gp = compute_gprime(ref, kind, fiber_sol=fiber)
         cell[kind] = {
             "fiber": fiber,
@@ -239,7 +239,8 @@ def test_criterion_07_volume_identities():
     for which in (1, 2, 3, 4):
         kind = "spr" if which in (1, 2) else "ske"
         sol = cell[kind]["sol_b" if which in (1, 3) else "sol_bp"]
-        rep, = volume_identity_residual(cell["ref"], cell[kind]["fiber"], [sol])
+        rep, = volume_identity_residual(cell["ref"], cell[kind]["fiber"],
+                                        cell[kind]["wp_r"], [sol])
         ok_a = ok_a and rep.residual_sup <= 1e-8
         gaps_zero = gaps_zero and all(v == 0.0 for v in rep.extra.values())
 
@@ -250,7 +251,7 @@ def test_criterion_07_volume_identities():
         for n in GRIDS:
             c = state(model, n)
             rep, = volume_identity_residual(c["ref"], c[kind]["fiber"],
-                                            [c[kind][skey]])
+                                            c[kind]["wp_r"], [c[kind][skey]])
             out.append(rep.relative)
         return out
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                volume_identity_residual, wpl_fs_residual)
 from fanofib.calculus import (TWO_PI, ddbar_invariant, fiber_integral,
                               pullback_base_form, ric_volume)
+from fanofib.errors import PullbackStructureError
 from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.grids import VolumeDensity
 from fanofib.model import ModelSpec, build_reference
@@ -227,7 +229,8 @@ def test_volume_identities_model_a_spr(ref_a, spr_a, which):
     gp = compute_gprime(ref_a, "spr")
     variant = VARIANT_B if which == 1 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
-    rep, = volume_identity_residual(ref_a, spr_a, [sol])
+    rep, = volume_identity_residual(ref_a, spr_a, wp_from_residual(ref_a, spr_a),
+                                    [sol])
     assert rep.residual_sup < 1e-10
     assert rep.extra["gap_fiber_potential"] == 0.0
     assert rep.extra["gap_base_potential"] == 0.0
@@ -239,14 +242,16 @@ def test_volume_identities_model_a_ske(ref_a, ske_a, which):
     gp = compute_gprime(ref_a, "ske", ske_a)
     variant = VARIANT_B if which == 3 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
-    rep, = volume_identity_residual(ref_a, ske_a, [sol])
+    rep, = volume_identity_residual(ref_a, ske_a, wp_from_residual(ref_a, ske_a),
+                                    [sol])
     assert rep.residual_sup < 1e-10
 
 
 def test_volume_identities_model_b_gaps_positive(ref_b, spr_b):
     gp = compute_gprime(ref_b, "spr")
     sol = solve_base_ma(ref_b, gp, VARIANT_B)
-    rep, = volume_identity_residual(ref_b, spr_b, [sol])
+    rep, = volume_identity_residual(ref_b, spr_b, wp_from_residual(ref_b, spr_b),
+                                    [sol])
     assert rep.relative < 50.0 * (1.0 / 64)**2
     assert rep.extra["gap_fiber_potential"] > 1e-4
     assert rep.extra["gap_base_potential"] > 1e-5
@@ -262,13 +267,15 @@ def test_volume_identity_gate_fails_on_a_perturbed_fiber_column(
     sol = solve_base_ma(ref_c, compute_gprime(ref_c, kind, fiber), variant)
     tol = pipeline._tolerance(pipeline.PipelineConfig(), ref_c.grid,
                               pipeline._TRUNC)
-    rep, = volume_identity_residual(ref_c, fiber, [sol])
+    rep, = volume_identity_residual(ref_c, fiber, wp_from_residual(ref_c, fiber),
+                                    [sol])
     assert rep.name == f"volume_identity[{which}]"
     assert rep.relative <= tol          # 1.0e-5 against 2.4e-2 at 64^2
     u = fiber.vertical_fs.copy()
     u[:, ref_c.grid.n_base // 2] *= 1.0 + 1e-3
+    perturbed = dataclasses.replace(fiber, vertical_fs=u)
     bad, = volume_identity_residual(
-        ref_c, dataclasses.replace(fiber, vertical_fs=u), [sol])
+        ref_c, perturbed, wp_from_residual(ref_c, perturbed), [sol])
     assert bad.name == rep.name
     assert bad.relative > tol           # 0.68 for each identity
 
@@ -301,21 +308,26 @@ def _full_assembly(ref, fiber_sol, base_sol):
     dict(warp_amplitude=0.2, warp_shape="fiber_cubic")])
 @pytest.mark.parametrize("n", [64, 256])
 def test_shared_volume_identity_path_matches_full_assembly(model, n):
-    # Both assemblies apply the same linear stencils to potentials that
-    # agree in exact arithmetic (eT rho + (1-eT) log Vol).  Each path forms
-    # its potentials with at most 8 roundings of terms bounded by M, so
-    # they differ nodewise by delta <= 16 eps M.  A log-frame coefficient
-    # g (g d2 + g' d1) maps delta to at most delta / (2 h^2) (g <= 1/4,
-    # |g'| <= 1, stencil weights 4/h^2 and 1/h), and each path's own
-    # stencil evaluation rounds about 8 terms of size <= M / (2 h^2).
-    # Sum: 16 eps M / h^2; the bound carries a factor 2 on top.
+    # Both assemblies apply the same linear stencils and agree in exact
+    # arithmetic; they differ in where the linear combination is formed.
+    # The oracle forms the potential eT rho + (1-eT) log Vol with at most
+    # 8 roundings of terms bounded by M and differentiates it once.  The
+    # shared path (wp_from_residual, then R = (1-eT)(r - 2 FS_b))
+    # differentiates log u, rho and the base profile b one by one and
+    # combines the coefficients.  A log-frame coefficient g (g d2 + g' d1)
+    # maps a nodal error delta to at most delta / (2 h^2) (g <= 1/4,
+    # |g'| <= 1, stencil weights 4/h^2 and 1/h), and each stencil
+    # evaluation rounds about 8 terms of size <= M / (2 h^2), 4 eps M / h^2.
+    # Oracle: 4 + 4, shared path: 3 * 4, sum 20 eps M / h^2 (with the
+    # roundings of the final combinations); the bound carries 32.
     ref = build_reference(ModelSpec.make(2, 1, n_fiber=n, n_base=n, **model))
     lam = float(ref.consts.lam)
     eps, h = np.finfo(float).eps, 1.0 / n
     for fiber in (solve_spr(ref), solve_ske(ref)):
         gp = compute_gprime(ref, fiber.kind, fiber)
         sols = [solve_base_ma(ref, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
-        reps = volume_identity_residual(ref, fiber, sols)
+        reps = volume_identity_residual(ref, fiber, wp_from_residual(ref, fiber),
+                                        sols)
         for rep, sol in zip(reps, sols):
             M = (1.0 + np.abs(np.log(2.0 * fiber.vertical_fs)).max()
                  + np.abs(np.log(sol.dens_fs)).max()
@@ -328,26 +340,54 @@ def test_shared_volume_identity_path_matches_full_assembly(model, n):
             assert rep.relative == rep.residual_sup / rep.scale
 
 
-def test_volume_identities_take_one_ddbar_per_family(ref_c, spr_c, ske_c,
-                                                     monkeypatch):
-    calls = []
-    real = calculus.ddbar_invariant
+def test_volume_identities_take_no_full_field_pass(monkeypatch):
+    # the family field comes from the residual route's summary of r, so a
+    # call costs O(n_base) beyond the gap diagnostics of the fiber potential
+    n = 256
+    ref = build_reference(ModelSpec.make(2, 1, warp_amplitude=0.2,
+                                         warp_shape="fiber_cubic",
+                                         n_fiber=n, n_base=n))
+    one_field = np.zeros(ref.grid.shape).nbytes
+    passes = []
+    real_ddbar, real_lap = calculus.ddbar_invariant, basespace.lap
 
-    def counted(grid, psi):
-        calls.append(psi)
-        return real(grid, psi)
+    def ddbar(grid, psi):
+        passes.append("ddbar_invariant")
+        return real_ddbar(grid, psi)
 
-    monkeypatch.setattr(calculus, "ddbar_invariant", counted)
-    monkeypatch.setattr(basespace, "ddbar_invariant", counted)
-    for fiber in (spr_c, ske_c):
-        gp = compute_gprime(ref_c, fiber.kind, fiber)
-        sols = [solve_base_ma(ref_c, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
-        calls.clear()
-        reps = volume_identity_residual(ref_c, fiber, sols)
+    def lap(grid, psi, axis_name):
+        if np.ndim(psi) != 1:
+            passes.append("lap 2D")
+        return real_lap(grid, psi, axis_name)
+
+    monkeypatch.setattr(calculus, "ddbar_invariant", ddbar)
+    monkeypatch.setattr(basespace, "ddbar_invariant", ddbar, raising=False)
+    monkeypatch.setattr(basespace, "lap", lap)
+    for fiber in (solve_spr(ref), solve_ske(ref)):
+        gp = compute_gprime(ref, fiber.kind, fiber)
+        sols = [solve_base_ma(ref, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
+        wp = wp_from_residual(ref, fiber)
+        passes.clear()
+        tracemalloc.start()
+        try:
+            reps = volume_identity_residual(ref, fiber, wp, sols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert [r.name for r in reps] == (
             ["volume_identity[1]", "volume_identity[2]"] if fiber.kind == "spr"
             else ["volume_identity[3]", "volume_identity[4]"])
-        assert len(calls) == 1
+        assert passes == []
+        assert peak < one_field, (fiber.kind, peak, one_field)
+
+
+def test_volume_identities_reject_a_foreign_form(ref_c, spr_c, ske_c):
+    sol = solve_base_ma(ref_c, compute_gprime(ref_c, "spr", spr_c), VARIANT_B)
+    with pytest.raises(ValueError, match="residual route"):
+        volume_identity_residual(ref_c, spr_c, wp_of(ref_c), [sol])
+    with pytest.raises(ValueError, match="ske family"):
+        volume_identity_residual(ref_c, spr_c, wp_from_residual(ref_c, ske_c),
+                                 [sol])
 
 
 @pytest.mark.parametrize("field", ["vertical_fs", "dens_fs"])
@@ -370,8 +410,9 @@ def test_volume_identity_never_passes_a_nan(ref_c, spr_c, ske_c, field):
                 bad.append(dataclasses.replace(sol, dens_fs=dens))
             sols = bad
         try:
-            reps = volume_identity_residual(ref_c, fiber, sols)
-        except ValueError:
+            reps = volume_identity_residual(
+                ref_c, fiber, wp_from_residual(ref_c, fiber), sols)
+        except (ValueError, PullbackStructureError):
             continue                    # raising is a failed check too
         assert len(reps) == 2
         for rep in reps:
@@ -389,8 +430,8 @@ def test_volume_identity_orders_cubic_model():
             gp = compute_gprime(ref, fiber.kind, fiber)
             variant = VARIANT_B if which in (1, 3) else VARIANT_BPRIME
             sol = solve_base_ma(ref, gp, variant)
-            rels[which].append(
-                volume_identity_residual(ref, fiber, [sol])[0].relative)
+            rels[which].append(volume_identity_residual(
+                ref, fiber, wp_from_residual(ref, fiber), [sol])[0].relative)
     for which, series in rels.items():
         orders = [math.log2(a / b) for a, b in zip(series, series[1:])]
         assert min(orders) > 1.7, (which, series)

@@ -10,7 +10,7 @@ from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant, fd_weights,
                               fiber_integral, fs_form, fs_ratio, integrate_total,
                               lap, pullback_base_form, ric_volume, simpson,
                               simpson2d)
-from fanofib import basespace
+from fanofib import basespace, calculus
 from fanofib.grids import BASE, FIBER, Form11Field, Grid, VolumeDensity
 
 
@@ -372,3 +372,84 @@ def test_determinism_bitwise(ref_b):
     M2 = ddbar_invariant(g, np.log(rho.copy()))
     assert np.array_equal(M1.m_ff, M2.m_ff)
     assert np.array_equal(M1.m_fb, M2.m_fb)
+
+
+# ---------------------------------------------------------------------------
+# row-blocked kernels: the bits of the whole-field expressions
+# ---------------------------------------------------------------------------
+
+def _diff1_whole(a, h, axis):
+    v = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def _diff2_whole(a, h, axis):
+    v = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
+    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
+    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    return np.moveaxis(out, 0, axis)
+
+
+def _axis_whole(grid, axis_name, ndim):
+    g, gp = grid.g(axis_name), grid.gp(axis_name)
+    if ndim == 1:
+        return g, gp, 0
+    if axis_name == FIBER:
+        return g[:, None], gp[:, None], 0
+    return g[None, :], gp[None, :], 1
+
+
+def _lap_whole(grid, v, axis_name):
+    g, gp, ax = _axis_whole(grid, axis_name, v.ndim)
+    h = grid.h(axis_name)
+    return g * _diff2_whole(v, h, ax) + gp * _diff1_whole(v, h, ax)
+
+
+def _five_point_whole(v, w):
+    n = v.shape[0]
+    out = np.empty_like(v)
+    out[2:n - 2] = sum(w[2, k] * v[k:n - 4 + k] for k in range(5))
+    head, tail = v[:5], v[n - 5:]
+    for r in (0, 1):
+        out[r] = sum(w[r, k] * head[k] for k in range(5))
+        out[n - 2 + r] = sum(w[3 + r, k] * tail[k] for k in range(5))
+    return out
+
+
+def _audit_lap_whole(grid, v, axis_name):
+    h = grid.h(axis_name)
+    g, gp, ax = _axis_whole(grid, axis_name, v.ndim)
+    nodes = np.arange(5.0)
+    w1, w2 = (np.array([fd_weights(float(k), nodes, d)[:, d] for k in range(5)])
+              for d in (1, 2))
+    along = np.moveaxis(v, ax, 0)
+    d1 = np.moveaxis(_five_point_whole(along, w1 / h), 0, ax)
+    d2 = np.moveaxis(_five_point_whole(along, w2 / h**2), 0, ax)
+    return g * d2 + gp * d1
+
+
+BLOCK_GRIDS = [(16, 16), (32, 256), (256, 32), (2048, 64), (1024, 1024)]
+
+
+@pytest.mark.parametrize("block", [None, 1, 333])
+@pytest.mark.parametrize("shape", BLOCK_GRIDS, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_blocked_stencils_are_bit_identical(shape, block, monkeypatch):
+    # the whole-field expressions above are the kernels before blocking;
+    # a small block size makes many blocks with a ragged last one
+    if block is not None:
+        monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
+    g = Grid(*shape)
+    rng = np.random.default_rng(sum(shape))
+    v = rng.standard_normal(g.shape) * np.exp(g.nodes_f)[:, None]
+    cases = [(v, FIBER), (v, BASE), (v[:, 3], FIBER), (v[5], BASE)]
+    for field, axis_name in cases:
+        assert np.array_equal(lap(g, field, axis_name),
+                              _lap_whole(g, field, axis_name)), axis_name
+        assert np.array_equal(audit_lap(g, field, axis_name),
+                              _audit_lap_whole(g, field, axis_name)), axis_name

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanofib import calculus, model
 from fanofib.calculus import ddbar_invariant, fs_form, integrate_total
 from fanofib.errors import ConfigError, ModelOrientationError, PositivityError
 from fanofib.model import (ModelSpec, build_reference, derive_constants,
@@ -123,6 +124,35 @@ def test_reference_model_a(ref_a):
     expect = fs_form(ref_a.grid, -2.0, -2.0)
     assert (ref_a.chi - expect).sup() < 1e-13
     assert ref_a.phi_check_residual < 1e-13
+
+
+def test_reference_vertical_density_is_shared_and_read_only(ref_b):
+    m0 = ref_b.vertical_fs_omega0()
+    assert ref_b.vertical_fs_omega0() is m0
+    w = ref_b.warp
+    expect = float(ref_b.spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
+    assert np.array_equal(m0, expect)
+    with pytest.raises(ValueError):
+        m0[0, 0] = 1.0
+
+
+def test_reference_build_takes_no_ddbar(monkeypatch):
+    calls = []
+    real = calculus.ddbar_invariant
+
+    def counted(grid, psi):
+        calls.append(psi)
+        return real(grid, psi)
+
+    monkeypatch.setattr(calculus, "ddbar_invariant", counted)
+    monkeypatch.setattr(model, "ddbar_invariant", counted)
+    ref = build_reference(ModelSpec.make(2, 1, n_fiber=64, n_base=64))
+    assert calls == []
+    # the forward check of h_L's weight is computed when first read
+    assert ref.phi_check_residual < 1e-13
+    assert len(calls) == 1
+    assert ref.phi_check_residual < 1e-13
+    assert len(calls) == 1
 
 
 def test_reference_twist_identity(ref_b):

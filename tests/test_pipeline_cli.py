@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -199,24 +200,26 @@ def test_refinement_orders_attached():
 
 
 def test_record_wall_times_partition_the_run(monkeypatch):
-    real = pipeline.volume_identity_residual
+    real = pipeline.wp_from_residual
 
-    def slow_first(ref, fiber_sol, base_sols):
+    def slow_first(ref, fiber_sol):
         if fiber_sol.kind == SPR:
             time.sleep(0.05)
-        return real(ref, fiber_sol, base_sols)
+        return real(ref, fiber_sol)
 
-    monkeypatch.setattr(pipeline, "volume_identity_residual", slow_first)
+    monkeypatch.setattr(pipeline, "wp_from_residual", slow_first)
     cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": "0.2",
                                "warp_shape": "fiber_cubic", "grids": "32x32"})
     t0 = time.perf_counter()
     rep = run_pipeline(cfg)
     total = time.perf_counter() - t0
     wall = {f"{r.name}[{r.pipeline}]": r.wall_time for r in rep.records}
-    # each record is charged only the time since the record before it;
-    # the one call per family is charged to its first record
-    assert wall["volume_identity[1][spr]"] >= 0.05
-    assert wall["volume_identity[2][spr]"] < 0.05
+    # each record is charged only the time since the record before it; the
+    # family's pullback residual, which the volume identities reuse, is
+    # charged to wp_routes
+    assert wall["wp_routes[spr]"] >= 0.05
+    assert wall["gprime[spr]"] < 0.05
+    assert wall["volume_identity[1][spr]"] < 0.05
     spent = sum(wall.values())
     assert 0.9 * total <= spent <= total
 
@@ -363,6 +366,25 @@ def test_cli_rejects_invalid_setting(tmp_path, capsys, line, key):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
+
+
+def test_cli_non_finite_fiber_family_exits_2(tmp_path, capsys, monkeypatch):
+    real = pipeline.solve_spr
+
+    def nan_column(ref):
+        sol = real(ref)
+        u = sol.vertical_fs.copy()
+        u[:, ref.grid.n_base // 2] = np.nan
+        return dataclasses.replace(sol, vertical_fs=u)
+
+    monkeypatch.setattr(pipeline, "solve_spr", nan_column)
+    cfg = write_cfg(tmp_path, MODEL_B)
+    code = main(["run", "--config", cfg, "--grid", "32x32"])
+    err = capsys.readouterr().err
+    assert code == 2
+    named = [line for line in err.splitlines() if "grid (32, 32) / spr" in line]
+    assert len(named) == 1 and named[0].startswith("error at stage")
+    assert "Traceback" not in err
 
 
 def test_cli_rerun_byte_identical(tmp_path):

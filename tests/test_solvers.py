@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fanofib import calculus
 from fanofib.basespace import compute_gprime, solve_base_ma
 from fanofib.calculus import diff1, diff2, lap, lap_bands, lap_matrix, simpson
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.grids import BASE, FIBER, Grid
 from fanofib.model import ModelSpec, build_reference
-from fanofib.solvers import (BandedMatrix, newton_semilinear, probe_jacobian,
-                             solve_poisson_1d)
+from fanofib.solvers import (BandedMatrix, newton_semilinear, poisson_system,
+                             probe_jacobian, solve_poisson_1d)
 
 
 def test_poisson_zero_rhs():
@@ -294,3 +295,38 @@ def test_probe_accepts_consistent_pair():
     w = 1.0 + g.nodes_f
     residual, jacobian = _liouville_like(g, w)
     probe_jacobian(residual, jacobian, 0.2 * np.ones(33))
+
+
+def _poisson_whole(grid, axis_name, rhs_fs):
+    """solve_poisson_1d with the Simpson gauge as one accumulate over the
+    whole field (compatibility check left out)."""
+    rfs = np.asarray(rhs_fs, dtype=float)
+    squeeze = rfs.ndim == 1
+    if squeeze:
+        rfs = rfs[:, None]
+    n = grid.n(axis_name)
+    weights = grid.simpson(axis_name) / (3.0 * n)
+    m = rfs.shape[1]
+    ab = poisson_system(grid, axis_name).solve(
+        np.column_stack([rfs, np.ones(n + 1)]))
+    a, b = ab[:, :m], ab[:, m:]
+    v = a - (a[0] / b[0]) * b
+    u = v - np.add.accumulate(weights[:, None] * v, axis=0)[-1]
+    return u[:, 0] if squeeze else u
+
+
+@pytest.mark.parametrize("block", [None, 1, 333])
+@pytest.mark.parametrize("shape", [(16, 16), (32, 256), (256, 32), (2048, 64),
+                                   (1024, 1024)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_blocked_poisson_gauge_is_bit_identical(shape, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
+    g = Grid(*shape)
+    rng = np.random.default_rng(sum(shape))
+    for axis_name, other in ((FIBER, g.n_base), (BASE, g.n_fiber)):
+        w = g.simpson(axis_name) / (3.0 * g.n(axis_name))
+        fs = rng.standard_normal((g.n(axis_name) + 1, other + 1))
+        fs -= np.einsum("i,ij->j", w, fs)[None, :]      # compatible columns
+        for rhs in (fs, fs[:, 0]):
+            assert np.array_equal(solve_poisson_1d(g, axis_name, rhs),
+                                  _poisson_whole(g, axis_name, rhs)), axis_name

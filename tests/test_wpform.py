@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fanofib.calculus import TWO_PI, simpson_columns
 from fanofib.errors import FanofibError, PullbackStructureError
 from fanofib.fiberwise import solve_spr
 from fanofib.model import ModelSpec, build_reference
@@ -117,12 +118,15 @@ def test_wp_weight_constant_shift(ref_b):
 
 def test_wp_residual_model_a(ref_a, spr_a):
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
-    wp = wp_from_residual(ref_a, spr_a, family=fam)
+    wp = wp_from_residual(ref_a, spr_a)
     assert np.abs(wp.wp_fs - 4.0).max() < 1e-10
     assert wp.verticality_defect < 1e-10
     # fiber ratio of the two normalizations of the same fiber Ricci data
-    assert wp.mu[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.isfinite(wp.mu))
+    g = ref_a.grid
+    mu = (TWO_PI * simpson_columns(g, fam.density(g))
+          / (TWO_PI * simpson_columns(g, spr_a.vertical_fs)))
+    assert mu[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(np.isfinite(mu))
 
 
 def test_wp_residual_theta_independence(ref_b, spr_b):
@@ -142,6 +146,14 @@ def test_wp_residual_flags_inconsistent_fiber_data(ref_b, spr_b):
         1.0 + 0.3 * ref_b.grid.nodes_f[:, None]))
     with pytest.raises(PullbackStructureError):
         wp_from_residual(ref_b, corrupted)
+
+
+def test_wp_residual_gate_never_passes_a_nan(ref_b, spr_b):
+    # NaN compares False with everything, so the gate is written to fail it
+    u = spr_b.vertical_fs.copy()
+    u[:, ref_b.grid.n_base // 2] = np.nan
+    with pytest.raises(PullbackStructureError):
+        wp_from_residual(ref_b, dataclasses.replace(spr_b, vertical_fs=u))
 
 
 def test_wp_residual_gauge_bit_identical(ref_b, spr_b):
