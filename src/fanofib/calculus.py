@@ -283,8 +283,6 @@ def ric_volume(grid: Grid, V) -> Form11Field:
 def fiber_integral(grid: Grid, V) -> np.ndarray:
     """Push a volume density to the base: 2*pi int rho(x_f, b) dx_f."""
     rho = V.rho if isinstance(V, VolumeDensity) else np.asarray(V, dtype=float)
-    if rho.ndim == 1:
-        rho = rho[:, None] * np.ones((1, grid.n_base + 1))
     return TWO_PI * simpson_columns(grid, rho)
 
 

@@ -51,7 +51,7 @@ class FiberFamilySolution:
 
 def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
     """Mean-zero fiber potentials with ddbar_fiber(rho) = (u - m0) FS-wise."""
-    return solve_poisson_1d(ref.grid, FIBER, u - ref.vertical_fs_omega0())
+    return solve_poisson_1d(ref.grid, FIBER, u - ref.vertical_fs)
 
 
 def _volume_defect(ref: ReferenceGeometry, u: np.ndarray) -> float:
@@ -146,7 +146,7 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11, max_iter: int = 40,
     grid = ref.grid
     lam = float(ref.consts.lam)
     c = float(ref.spec.c)
-    m0_fs = ref.vertical_fs_omega0()
+    m0_fs = ref.vertical_fs
     L = lap_matrix(grid, FIBER)
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
 
@@ -202,7 +202,7 @@ def verify_fiber_family(ref: ReferenceGeometry,
     u = sol.vertical_fs
     ric_fs = 2.0 - audit_lap(grid, np.log(u), FIBER)
     if sol.kind == SPR:
-        target = lam * ref.vertical_fs_omega0()
+        target = lam * ref.vertical_fs
     else:
         target = lam * u
     forward = float(np.abs(ric_fs - target).max())
@@ -212,7 +212,7 @@ def verify_fiber_family(ref: ReferenceGeometry,
     if sol.kind == SKE:
         # weight of the Einstein Hermitian metric: phi_L + rho, fiberwise
         # curvature must reproduce the fiber metric
-        curv = ref.vertical_fs_omega0() + audit_lap(grid, sol.rho, FIBER)
+        curv = ref.vertical_fs + audit_lap(grid, sol.rho, FIBER)
         weight_forward = float(np.abs(curv - u).max())
         exp_l2 = float(np.sqrt(integrate_total(
             grid, np.exp(-2.0 * lam * sol.rho) * ref.Omega.rho)))

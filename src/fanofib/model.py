@@ -69,8 +69,8 @@ class ModelSpec:
             raise ConfigError(f"unknown warp_shape {warp_shape!r}; "
                               f"available: {sorted(WARP_SHAPES)}")
         eps = float(warp_amplitude)
-        if eps < 0.0:
-            raise ConfigError("warp_amplitude must be >= 0")
+        if not (math.isfinite(eps) and eps >= 0.0):
+            raise ConfigError(f"warp_amplitude must be finite and >= 0, got {eps!r}")
         return cls(_as_fraction(a), _as_fraction(c), eps, warp_shape,
                    int(n_fiber), int(n_base))
 
@@ -131,29 +131,6 @@ def derive_constants(spec: ModelSpec) -> DerivedConstants:
                             p=k, q=alpha, r=beta)
 
 
-def kahler_class_at_decay(u: Fraction, spec: ModelSpec,
-                          consts: DerivedConstants) -> tuple[Fraction, Fraction]:
-    """Flow class at decay factor u = e^{-t}, exact in u."""
-    u = _as_fraction(u)
-    if not (consts.eT <= u <= 1):
-        raise ValueError(f"decay factor {u} outside [e^-T, 1]")
-    one_minus = 1 - consts.eT
-    s0 = (u - consts.eT) / one_minus
-    s1 = (1 - u) / one_minus
-    return (s0 * spec.a + s1 * consts.kappa, s0 * spec.c)
-
-
-def kahler_class_at_time(t: float, spec: ModelSpec,
-                         consts: DerivedConstants) -> tuple[float, float]:
-    """Flow class at time t in [0, T] (floating point)."""
-    if t < -1e-12 or t > consts.T + 1e-12:
-        raise ValueError(f"time {t} outside [0, {consts.T}]")
-    u = math.exp(-min(max(t, 0.0), consts.T))
-    s1 = (1.0 - u) / float(1 - consts.eT)
-    s0 = 1.0 - s1
-    return (s0 * float(spec.a) + s1 * float(consts.kappa), s0 * float(spec.c))
-
-
 @dataclass(eq=False)
 class ChartWeight:
     """Local potential split as pole parts plus a globally smooth part.
@@ -178,10 +155,8 @@ class WarpData:
     Q: np.ndarray        # Q(x_b)
     DP: np.ndarray       # x(1-x) P'
     DQ: np.ndarray
-    D2P: np.ndarray      # (x(1-x) d_x)^2 P
-    D2Q: np.ndarray
-    D2P_fs: np.ndarray   # D2P / g = (g P')', polynomial hence exact at the poles
-    D2Q_fs: np.ndarray
+    D2P_fs: np.ndarray   # (x(1-x) d_x)^2 P / x(1-x) = (g P')', polynomial
+    D2Q_fs: np.ndarray   # hence exact at the poles
     DP_half: np.ndarray  # sqrt(g) P', for the FS-relative mixed entry
     DQ_half: np.ndarray
 
@@ -191,45 +166,65 @@ def _warp_data(grid: Grid, spec: ModelSpec) -> WarpData:
     xf, xb = grid.nodes_f, grid.nodes_b
     DP_poly = _G * P_poly.deriv()
     DQ_poly = _G * Q_poly.deriv()
-    D2P_fs_poly = DP_poly.deriv()
-    D2Q_fs_poly = DQ_poly.deriv()
     return WarpData(
         eps=spec.warp_amplitude,
         P=P_poly(xf), Q=Q_poly(xb),
         DP=DP_poly(xf), DQ=DQ_poly(xb),
-        D2P=_G(xf) * D2P_fs_poly(xf), D2Q=_G(xb) * D2Q_fs_poly(xb),
-        D2P_fs=D2P_fs_poly(xf), D2Q_fs=D2Q_fs_poly(xb),
+        D2P_fs=DP_poly.deriv()(xf), D2Q_fs=DQ_poly.deriv()(xb),
         DP_half=np.sqrt(_G(xf)) * P_poly.deriv()(xf),
         DQ_half=np.sqrt(_G(xb)) * Q_poly.deriv()(xb),
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(eq=False)
 class ReferenceGeometry:
-    """Reference metric, twist form and normalized volume form of a model."""
+    """Reference metric omega0, normalized volume form and h_L's weight.
+
+    Per grid, omega0 is held as the two FS-relative densities the run
+    reads, both read-only: ``vertical_fs`` = c + eps D2P_fs(x_f) Q(x_b) on
+    the fibers and ``base_fs`` = a + eps P(x_f) D2Q_fs(x_b) on the base.
+    The log-frame mixed entry ``mixed_fb``, omega0 as a log-frame
+    ``Form11Field``, the twist form ``chi`` and ``phi_check_residual`` are
+    built on first read and then kept.
+    """
 
     spec: ModelSpec
     consts: DerivedConstants
     grid: Grid
     warp: WarpData
-    omega0: Form11Field
-    chi: Form11Field
+    vertical_fs: np.ndarray  # FS-relative density of omega0 on the fibers
+    base_fs: np.ndarray      # FS-relative density of its base-base entry
     Omega: VolumeDensity
     phi_L: ChartWeight
     eta_fs: float            # FS-relative density of eta (the constant kappa)
     V: float                 # 2 * fiber volume of omega0
 
-    def vertical_fs_omega0(self) -> np.ndarray:
-        """FS-relative density of omega0 restricted to the fibers; built on
-        the first call and shared, read-only, by every later one."""
-        return self._vertical_fs_omega0
+    @cached_property
+    def mixed_fb(self) -> np.ndarray:
+        """Log-frame mixed entry of omega0, eps DP(x_f) DQ(x_b), read-only."""
+        w = self.warp
+        return _read_only(w.eps * w.DP[:, None] * w.DQ[None, :])
 
     @cached_property
-    def _vertical_fs_omega0(self) -> np.ndarray:
-        w = self.warp
-        out = float(self.spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
-        out.flags.writeable = False
-        return out
+    def omega0(self) -> Form11Field:
+        """omega0 in the log-coordinate frame."""
+        grid = self.grid
+        return Form11Field(self.vertical_fs * grid.g_f[:, None],
+                           self.base_fs * grid.g_b[None, :], self.mixed_fb)
+
+    @cached_property
+    def chi(self) -> Form11Field:
+        """Twist form, pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi."""
+        lam = float(self.consts.lam)
+        eta_bb = fs_form(self.grid, 0.0, self.eta_fs).m_bb
+        return Form11Field(-lam * self.omega0.m_ff,
+                           (lam + 1.0) * eta_bb - lam * self.omega0.m_bb,
+                           -lam * self.omega0.m_fb)
 
     @cached_property
     def phi_check_residual(self) -> float:
@@ -240,31 +235,18 @@ class ReferenceGeometry:
         pole = fs_form(self.grid, self.phi_L.pole_fiber, self.phi_L.pole_base)
         return (pole + fd - self.omega0).sup()
 
-    def base_fs_omega0(self) -> np.ndarray:
-        """FS-relative density of the base-base entry of omega0."""
-        w = self.warp
-        return float(self.spec.a) + w.eps * w.P[:, None] * w.D2Q_fs[None, :]
 
-
-def _omega0(grid: Grid, spec: ModelSpec, w: WarpData) -> Form11Field:
-    a, c, eps = float(spec.a), float(spec.c), w.eps
-    m_ff = c * grid.g_f[:, None] + eps * w.D2P[:, None] * w.Q[None, :]
-    m_bb = a * grid.g_b[None, :] + eps * w.P[:, None] * w.D2Q[None, :]
-    m_fb = eps * w.DP[:, None] * w.DQ[None, :]
-    return Form11Field(m_ff, m_bb, m_fb)
-
-
-def _check_positive(grid: Grid, spec: ModelSpec, w: WarpData) -> float:
-    """Minimum FS-relative eigenvalue of omega0; raises if not positive."""
-    a11 = float(spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
-    a22 = float(spec.a) + w.eps * w.P[:, None] * w.D2Q_fs[None, :]
+def _check_positive(grid: Grid, w: WarpData, a11: np.ndarray,
+                    a22: np.ndarray) -> float:
+    """Minimum eigenvalue of omega0 from its FS-relative entries a11 (fiber)
+    and a22 (base); raises unless positive, so also if it is NaN."""
     a12 = w.eps * w.DP_half[:, None] * w.DQ_half[None, :]
     half_tr = 0.5 * (a11 + a22)
     disc = np.sqrt((0.5 * (a11 - a22))**2 + a12**2)
     lam_min = half_tr - disc
     i, j = np.unravel_index(int(np.argmin(lam_min)), lam_min.shape)
     worst = float(lam_min[i, j])
-    if worst <= 0.0:
+    if not worst > 0.0:
         raise PositivityError(
             f"reference form not positive: eigenvalue {worst:.3e} at "
             f"(x_f, x_b) = ({grid.nodes_f[i]:.4f}, {grid.nodes_b[j]:.4f})",
@@ -273,43 +255,29 @@ def _check_positive(grid: Grid, spec: ModelSpec, w: WarpData) -> float:
 
 
 def build_reference(spec: ModelSpec) -> ReferenceGeometry:
-    """Construct omega0, chi, the normalized volume form and h_L's weight.
+    """Build omega0's FS-relative densities, the normalized volume form and
+    h_L's weight on one grid.
 
-    chi is defined by pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi; its
-    class is minus the anticanonical one, so the volume form with
-    Ric = -chi has the closed-form density C exp(-lambda psi_w) and only
-    the constant C is fixed by quadrature.
+    The two densities are assembled here and nowhere else, checked for
+    positivity and kept read-only.  The twist form chi of pullback(eta) =
+    e^{-T} omega0 + (1-e^{-T}) chi has minus the anticanonical class, so
+    the volume form with Ric = -chi has the closed-form density
+    C exp(-lambda psi_w); only the constant C is fixed by quadrature,
+    against the mass of 2 omega0 ^ pullback(eta).
     """
     consts = derive_constants(spec)
     grid = Grid(spec.n_fiber, spec.n_base)
     w = _warp_data(grid, spec)
-    _check_positive(grid, spec, w)
+    vertical_fs = float(spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
+    base_fs = float(spec.a) + w.eps * w.P[:, None] * w.D2Q_fs[None, :]
+    _check_positive(grid, w, vertical_fs, base_fs)
 
-    omega0 = _omega0(grid, spec, w)
     lam = float(consts.lam)
     kappa = float(consts.kappa)
-
-    eta_pull = fs_form(grid, 0.0, kappa)
-    lam_plus = lam + 1.0
-    chi = Form11Field(
-        -lam * omega0.m_ff,
-        lam_plus * eta_pull.m_bb - lam * omega0.m_bb,
-        -lam * omega0.m_fb,
-    )
-
-    # residual of the defining relation, machine-zero by construction
-    defect = (eta_pull - (float(consts.eT) * omega0 +
-                          float(1 - consts.eT) * chi)).sup()
-    if not defect <= 1e-10:
-        raise FanofibError(f"twist-form identity violated: {defect:.3e}")
-
     psi_w = w.eps * w.P[:, None] * w.Q[None, :]
-    rho_raw = np.exp(-lam * psi_w)
-    # normalization: total mass of 2 omega0 ^ pullback(eta), same quadrature
-    mixed_density = 2.0 * kappa * (float(spec.c) +
-                                   w.eps * w.D2P_fs[:, None] * w.Q[None, :])
-    target = integrate_total(grid, mixed_density)
-    rho = rho_raw * (target / integrate_total(grid, rho_raw))
+    rho = np.exp(-lam * psi_w)
+    target = integrate_total(grid, 2.0 * kappa * vertical_fs)
+    rho *= target / integrate_total(grid, rho)
     Omega = VolumeDensity(rho)
 
     norm_defect = abs(integrate_total(grid, Omega) / target - 1.0)
@@ -319,5 +287,6 @@ def build_reference(spec: ModelSpec) -> ReferenceGeometry:
     phi_L = ChartWeight(float(spec.c), float(spec.a), psi_w)
     V = 2.0 * TWO_PI * float(spec.c)
     return ReferenceGeometry(spec=spec, consts=consts, grid=grid, warp=w,
-                             omega0=omega0, chi=chi, Omega=Omega, phi_L=phi_L,
-                             eta_fs=kappa, V=V)
+                             vertical_fs=_read_only(vertical_fs),
+                             base_fs=_read_only(base_fs), Omega=Omega,
+                             phi_L=phi_L, eta_fs=kappa, V=V)

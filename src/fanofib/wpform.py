@@ -146,7 +146,7 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     # forward check of the defining fiber Ricci prescription
     ric_fs = 2.0 - lap(ref.grid, smooth_log, FIBER)
     if sfs.weight_kind == "hL":
-        target = lam * ref.vertical_fs_omega0()
+        target = lam * ref.vertical_fs
     else:
         target = lam * ske.vertical_fs
     ric_defect = float(np.abs(ric_fs - target).max())
@@ -192,7 +192,7 @@ def _twist_fs_base(ref: ReferenceGeometry,
     reference form for the prescribed-Ricci family, the family form
     itself for the Einstein family)."""
     lam = float(ref.consts.lam)
-    out = lam * ref.base_fs_omega0()
+    out = lam * ref.base_fs
     if fiber_sol.kind == SKE:
         out = out + lam * lap(ref.grid, fiber_sol.rho, BASE)
     return out
@@ -206,14 +206,14 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 
         r = twist + pullback(Ric theta) - Ric(vertical ^ pullback(theta))
 
-    is a pullback; the theta-dependence cancels exactly (the linear
-    splitting of the invariant Hessian makes the cancellation hold at
-    the stencil level).  The base-base component is fiber-averaged and
-    the vertical components plus the fiber oscillation are reported as
-    the verticality defect; a defect above max(1e-8, 50 h^2 max(1,
-    sup|r_bb|)), or one that is not a number, raises
-    PullbackStructureError.  The extremes of r are kept in
-    ``WPResult.residual`` for the volume identities.
+    is a pullback.  The theta terms cancel symbolically, before any
+    discretisation, so r is assembled without theta: ``theta_fs`` is only
+    checked to be a positive base density, and no computation reads it.
+    The base-base component is fiber-averaged and the vertical components
+    plus the fiber oscillation are reported as the verticality defect; a
+    defect above max(1e-8, 50 h^2 max(1, sup|r_bb|)), or one that is not
+    a number, raises PullbackStructureError.  The extremes of r are kept
+    in ``WPResult.residual`` for the volume identities.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -231,12 +231,12 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 
     # vertical channel: twist_ff - (2 - L_f log u), times g_f
     if fiber_sol.kind == SPR:
-        twist_ff_fs = lam * ref.vertical_fs_omega0()
-        twist_fb = lam * ref.omega0.m_fb
+        twist_ff_fs = lam * ref.vertical_fs
+        twist_fb = lam * ref.mixed_fb
     else:
-        twist_ff_fs = lam * (ref.vertical_fs_omega0() +
+        twist_ff_fs = lam * (ref.vertical_fs +
                              lap(grid, fiber_sol.rho, FIBER))
-        twist_fb = lam * (ref.omega0.m_fb +
+        twist_fb = lam * (ref.mixed_fb +
                           dop(grid, dop(grid, fiber_sol.rho, BASE), FIBER))
     abs_ff = np.abs((twist_ff_fs - (2.0 - lap(grid, log_u, FIBER)))
                     * grid.g_f[:, None])

@@ -6,7 +6,7 @@ import pytest
 from fanofib.cohomology import (CohomClass, anticanonical_class,
                                 check_base_identity, check_total_identity,
                                 integrate_wp, reference_class)
-from fanofib.model import ModelSpec, derive_constants, kahler_class_at_decay
+from fanofib.model import ModelSpec, derive_constants
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 
@@ -28,9 +28,8 @@ def test_class_arithmetic():
 
 
 def test_limit_class_is_semiample_direction():
-    spec = ModelSpec.make(2, 1)
-    dc = derive_constants(spec)
-    assert kahler_class_at_decay(dc.eT, spec, dc) == (dc.kappa, F(0))
+    dc = derive_constants(ModelSpec.make(2, 1))
+    assert dc.D_class == (dc.kappa, 0)
 
 
 def test_base_identity_model_a(ref_a):

@@ -59,7 +59,7 @@ def test_spr_uniqueness_under_regauged_reference(ref_b, spr_b):
 def test_spr_class_restriction_is_poisson_compatible(ref_b):
     # the source of the linear fiber problem integrates to zero exactly
     lam = float(ref_b.consts.lam)
-    rhs_fs = 2.0 - lam * ref_b.vertical_fs_omega0()
+    rhs_fs = 2.0 - lam * ref_b.vertical_fs
     defects = simpson_columns(ref_b.grid, rhs_fs)
     assert np.abs(defects).max() < 1e-14
 
@@ -120,7 +120,7 @@ def _ske_every_fiber(ref, single, tol=1e-11, max_iter=40):
     L = lap_matrix(grid, FIBER)
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
     work = np.zeros((grid.n_fiber + 2, grid.n_fiber + 2))
-    v = np.log(ref.vertical_fs_omega0())
+    v = np.log(ref.vertical_fs)
     iters = np.zeros(grid.n_base + 1, dtype=int)
     residual = 0.0
     for j in range(grid.n_base + 1):
@@ -218,4 +218,4 @@ def test_fiber_ricci_identity_on_vertical_metric(ref_b, spr_b):
     # solver-level identity: FS-relative fiber Ricci equals the prescription
     lam = float(ref_b.consts.lam)
     ric_fs = 2.0 - lap(ref_b.grid, np.log(spr_b.vertical_fs), FIBER)
-    assert np.abs(ric_fs - lam * ref_b.vertical_fs_omega0()).max() < 1e-11
+    assert np.abs(ric_fs - lam * ref_b.vertical_fs).max() < 1e-11

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 from fanofib import calculus, model
 from fanofib.calculus import ddbar_invariant, fs_form, integrate_total
 from fanofib.errors import ConfigError, ModelOrientationError, PositivityError
-from fanofib.model import (ModelSpec, build_reference, derive_constants,
-                           kahler_class_at_decay, kahler_class_at_time)
+from fanofib.model import ModelSpec, build_reference, derive_constants
 
 F = Fraction
 
@@ -79,41 +79,6 @@ def test_constants_invariants_random(pa, pc, qa, qc):
 
 
 # ---------------------------------------------------------------------------
-# class evolution
-# ---------------------------------------------------------------------------
-
-def test_class_at_endpoints():
-    spec = ModelSpec.make(2, 1)
-    dc = derive_constants(spec)
-    assert kahler_class_at_decay(F(1), spec, dc) == (F(2), F(1))
-    assert kahler_class_at_decay(dc.eT, spec, dc) == (dc.kappa, F(0))
-    assert kahler_class_at_time(0.0, spec, dc) == (2.0, 1.0)
-    b, f = kahler_class_at_time(dc.T, spec, dc)
-    assert abs(b - 2.0 / 3.0) < 1e-14 and abs(f) < 1e-15
-
-
-def test_class_outside_range_rejected():
-    spec = ModelSpec.make(2, 1)
-    dc = derive_constants(spec)
-    with pytest.raises(ValueError):
-        kahler_class_at_time(-0.5, spec, dc)
-    with pytest.raises(ValueError):
-        kahler_class_at_time(dc.T + 0.1, spec, dc)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 12))
-def test_class_algebraic_identity(k):
-    # the interpolation form equals e^{-t}[omega0] - (1-e^{-t}) * (2,2)
-    spec = ModelSpec.make(2, 1)
-    dc = derive_constants(spec)
-    u = dc.eT + (1 - dc.eT) * F(k, 12)
-    got = kahler_class_at_decay(u, spec, dc)
-    expect = (u * spec.a - (1 - u) * 2, u * spec.c - (1 - u) * 2)
-    assert got == expect
-
-
-# ---------------------------------------------------------------------------
 # reference geometry
 # ---------------------------------------------------------------------------
 
@@ -127,13 +92,45 @@ def test_reference_model_a(ref_a):
 
 
 def test_reference_vertical_density_is_shared_and_read_only(ref_b):
-    m0 = ref_b.vertical_fs_omega0()
-    assert ref_b.vertical_fs_omega0() is m0
+    m0 = ref_b.vertical_fs
     w = ref_b.warp
     expect = float(ref_b.spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
     assert np.array_equal(m0, expect)
     with pytest.raises(ValueError):
         m0[0, 0] = 1.0
+    b0 = ref_b.base_fs
+    expect = float(ref_b.spec.a) + w.eps * w.P[:, None] * w.D2Q_fs[None, :]
+    assert np.array_equal(b0, expect)
+    with pytest.raises(ValueError):
+        b0[0, 0] = 1.0
+
+
+def test_reference_mixed_entry_is_omega0s(ref_c):
+    # the one log-frame entry the run reads (wp_from_residual's twist) is
+    # the mixed entry of omega0, bit for bit
+    w = ref_c.warp
+    assert np.array_equal(ref_c.mixed_fb, w.eps * w.DP[:, None] * w.DQ[None, :])
+    assert np.array_equal(ref_c.mixed_fb, ref_c.omega0.m_fb)
+    with pytest.raises(ValueError):
+        ref_c.mixed_fb[1, 1] = 1.0
+
+
+def test_reference_build_holds_only_the_profiles_it_needs():
+    # omega0's two FS-relative densities, the volume density and the warp
+    # potential: no log-frame omega0 and no chi until they are read
+    n = 256
+    spec = ModelSpec.make(2, 1, warp_amplitude=0.2, warp_shape="fiber_cubic",
+                          n_fiber=n, n_base=n)
+    field = (n + 1)**2 * 8
+    tracemalloc.start()
+    try:
+        ref = build_reference(spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained / field <= 5.0
+    assert peak / field <= 8.0
+    assert "omega0" not in vars(ref) and "chi" not in vars(ref)
 
 
 def test_reference_build_takes_no_ddbar(monkeypatch):
@@ -192,6 +189,19 @@ def test_reference_positivity_guard():
         build_reference(ModelSpec.make(2, 1, warp_amplitude=30.0))
     assert err.value.worst is not None and err.value.worst <= 0.0
     assert err.value.location is not None
+
+
+@pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_warp_amplitude(amplitude):
+    with pytest.raises(ConfigError, match="finite"):
+        ModelSpec.make(2, 1, warp_amplitude=amplitude)
+
+
+def test_reference_positivity_guard_rejects_nan():
+    # a NaN eigenvalue is not positive; the spec bypasses make()
+    with pytest.raises(PositivityError) as err:
+        build_reference(ModelSpec(F(2), F(1), math.nan))
+    assert math.isnan(err.value.worst)
 
 
 def test_weight_constant_shift_leaves_forms(ref_a):

@@ -5,6 +5,7 @@ import json
 import os
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from fanofib import pipeline
 from fanofib.cli import main
 from fanofib.errors import ConfigError
 from fanofib.fiberwise import SPR
+from fanofib.grids import Form11Field
 from fanofib.pipeline import (ALL_CHECKS, PipelineConfig, PipelineStageError,
                               config_from_mapping, load_config, parse_config,
                               run_pipeline)
@@ -149,6 +151,30 @@ def test_pipeline_records_have_all_requested_checks(model_a_report):
         prefix = prefixes.get(check, check)
         assert any(r.name.startswith(prefix)
                    for r in model_a_report.records), check
+
+
+def test_run_pipeline_builds_no_form_field(monkeypatch):
+    # the run reads omega0 as FS-relative profiles plus its log-frame mixed
+    # entry; no stage of either family assembles a (1,1)-form field
+    calls = Counter()
+    real_init = Form11Field.__post_init__
+    real_derived = Form11Field.derived.__func__
+
+    def counted_init(self):
+        calls["__post_init__"] += 1
+        real_init(self)
+
+    def counted_derived(cls, m_ff, m_bb, m_fb):
+        calls["derived"] += 1
+        return real_derived(cls, m_ff, m_bb, m_fb)
+
+    monkeypatch.setattr(Form11Field, "__post_init__", counted_init)
+    monkeypatch.setattr(Form11Field, "derived", classmethod(counted_derived))
+    cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": 0.2,
+                               "warp_shape": "fiber_cubic", "grids": "32x32"})
+    assert cfg.pipeline == "both" and cfg.checks == ALL_CHECKS
+    assert run_pipeline(cfg).passed
+    assert calls == Counter()
 
 
 def test_pipeline_model_a_values(model_a_report):
