@@ -73,18 +73,18 @@ def make_omega_prime(ref: ReferenceGeometry,
     return VolumeDensity(rho * (target_mass / integrate_total(ref.grid, rho)))
 
 
-def compute_gprime(ref: ReferenceGeometry, variant: str = SPR,
+def compute_gprime(ref: ReferenceGeometry,
                    fiber_sol: FiberFamilySolution | None = None,
                    eps_lp: float = 0.1) -> GprimeReport:
-    """G' = f_* Omega / (V eta) as a base profile with its L^p diagnostics."""
-    if variant == SPR:
-        vol = ref.Omega
-    elif variant == SKE:
-        if fiber_sol is None:
-            raise ValueError("the Einstein variant needs its fiber family")
-        vol = make_omega_prime(ref, fiber_sol)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    """G' = f_* Omega / (V eta) as a base profile with its L^p diagnostics.
+
+    The fiber family picks the volume: the Einstein family pushes forward
+    its twisted volume Omega' (``make_omega_prime``); the prescribed-Ricci
+    family, or no family, pushes forward Omega.  The report's ``variant``
+    is the kind of the family used.
+    """
+    variant = SPR if fiber_sol is None else fiber_sol.kind
+    vol = make_omega_prime(ref, fiber_sol) if variant == SKE else ref.Omega
 
     grid = ref.grid
     push = fiber_integral(grid, vol)
@@ -146,12 +146,13 @@ class BaseMetricSolution:
 
 def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
                   variant: str = VARIANT_B, init: np.ndarray | float = 0.0,
-                  tol: float = 1e-11, max_iter: int = 60) -> BaseMetricSolution:
+                  tol: float = 1e-11) -> BaseMetricSolution:
     """Damped Newton for (ref_form + i ddbar rho) = G' e^rho ref_form.
 
     ``variant`` selects the reference form eta or eta/(1-e^{-T}); the
     linearization L - khat G' e^rho has a strictly negative-definite
-    zeroth-order part, so every step is a regular solve.  The residual
+    zeroth-order part, so every step is a regular solve, and Newton gets
+    at most 60 steps.  The residual
     applies L by its stencil (``lap``) and the Jacobian is banded, so a
     step costs O(n) time and memory.
     """
@@ -181,8 +182,7 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
 
     x0 = np.broadcast_to(np.asarray(init, dtype=float),
                          (grid.n_base + 1,)).astype(float)
-    result = newton_semilinear(residual, jacobian, x0, tol=tol,
-                               max_iter=max_iter)
+    result = newton_semilinear(residual, jacobian, x0, tol=tol, max_iter=60)
     rho = result.x
     dens = khat + lap(grid, rho, BASE)
     margin = float(dens.min())

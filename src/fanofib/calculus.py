@@ -208,15 +208,13 @@ def _fill_ends(v: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(w, 0, axis)
 
 
-def fs_ratio(grid: Grid, coeff: np.ndarray, axes=(FIBER, BASE)) -> np.ndarray:
-    """Divide a log-frame coefficient by x(1-x) per listed axis, filling
-    the removable endpoint singularities by one-sided limits."""
+def fs_ratio(grid: Grid, coeff: np.ndarray) -> np.ndarray:
+    """Divide a log-frame coefficient on the 2D grid by x(1-x) along both
+    axes, filling the removable endpoint singularities by one-sided
+    limits."""
     out = np.array(coeff, dtype=float)
-    for axis_name in axes:
-        if out.ndim == 2:
-            g, _, ax = _axis_arrays(grid, axis_name, 2)
-        else:
-            g, ax = grid.g(axis_name), 0
+    for axis_name in (FIBER, BASE):
+        g, _, ax = _axis_arrays(grid, axis_name, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = out / g
         out = _fill_ends(out, ax)

@@ -126,27 +126,24 @@ def _ske_single_fiber(L: np.ndarray, wk: np.ndarray, lam: float,
     return result.x[:n], result
 
 
-def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11, max_iter: int = 40,
-              warm_start: bool = True) -> FiberFamilySolution:
+def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution:
     """Fiberwise Einstein family: Ric(omega_b) = lambda * omega_b.
 
-    Newton runs on the log FS-density per fiber; with ``warm_start`` each
-    fiber is initialized (and its orbit gauge pinned) at the previous
-    solution, selecting a smoothly varying family.  The zero-potential
-    initialization of every fiber is kept for cross-checks.
+    Newton (at most 40 steps) runs on the log FS-density per fiber.  The
+    first fiber starts at the reference vertical metric; each later fiber
+    is initialized (and its orbit gauge pinned) at the previous solution,
+    selecting a smoothly varying family.
 
     A fiber's system depends on its index only through the start point:
-    L, the gauge weights, lambda, ``tol`` and ``max_iter`` are shared.
-    With ``warm_start``, a fiber that converges in 0 iterations returns
-    its start point unchanged, so the next fiber would be handed the
-    identical system; it reuses that solution (0 iterations, the same
-    residual) instead of re-running the probe and Newton.  A fiber after
-    one that iterated, and every fiber of a cold start, is solved in full.
+    L, the gauge weights, lambda and ``tol`` are shared.  A fiber that
+    converges in 0 iterations returns its start point unchanged, so the
+    next fiber would be handed the identical system; it reuses that
+    solution (0 iterations, the same residual) instead of re-running the
+    probe and Newton.  A fiber after one that iterated is solved in full.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
     c = float(ref.spec.c)
-    m0_fs = ref.vertical_fs
     L = lap_matrix(grid, FIBER)
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
 
@@ -154,13 +151,12 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11, max_iter: int = 40,
     v = np.zeros((grid.n_fiber + 1, nb))
     iters = np.zeros(nb, dtype=int)
     residual = 0.0
-    vj = result = None
+    vj, result = np.log(ref.vertical_fs[:, 0]), None
     work = np.zeros((grid.n_fiber + 2, grid.n_fiber + 2))
     for j in range(nb):
         # a warm start at a fixed point reproduces it: reuse the solution
-        if not (warm_start and result is not None and result.iterations == 0):
-            v0 = vj if (warm_start and vj is not None) else np.log(m0_fs[:, j])
-            vj, result = _ske_single_fiber(L, wk, lam, v0, tol, max_iter, work)
+        if result is None or result.iterations:
+            vj, result = _ske_single_fiber(L, wk, lam, vj, tol, 40, work)
             residual = max(residual, result.trace[-1])
         v[:, j] = vj
         iters[j] = result.iterations
@@ -179,10 +175,15 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11, max_iter: int = 40,
 
 @dataclass(eq=False)
 class FiberVerifyReport:
+    """Independent audit of a fiber family.
+
+    The solver residual and the volume defect are the family's own
+    ``residual_sup`` and ``volume_defect``; the audit adds what the
+    solver does not measure.
+    """
+
     kind: str
-    solver_residual_sup: float
     forward_residual_sup: float   # independent higher-order audit
-    volume_defect: float
     positivity_margin: float
     weight_forward_sup: float | None = None   # fiberwise curvature of the
                                               # Einstein Hermitian weight
@@ -200,28 +201,21 @@ def verify_fiber_family(ref: ReferenceGeometry,
     grid = ref.grid
     lam = float(ref.consts.lam)
     u = sol.vertical_fs
-    ric_fs = 2.0 - audit_lap(grid, np.log(u), FIBER)
+    weight_forward = exp_l2 = None
     if sol.kind == SPR:
         target = lam * ref.vertical_fs
     else:
         target = lam * u
-    forward = float(np.abs(ric_fs - target).max())
-
-    weight_forward = None
-    exp_l2 = None
-    if sol.kind == SKE:
         # weight of the Einstein Hermitian metric: phi_L + rho, fiberwise
         # curvature must reproduce the fiber metric
         curv = ref.vertical_fs + audit_lap(grid, sol.rho, FIBER)
         weight_forward = float(np.abs(curv - u).max())
         exp_l2 = float(np.sqrt(integrate_total(
             grid, np.exp(-2.0 * lam * sol.rho) * ref.Omega.rho)))
+    ric_fs = 2.0 - audit_lap(grid, np.log(u), FIBER)
+    forward = float(np.abs(ric_fs - target).max())
 
-    return FiberVerifyReport(kind=sol.kind,
-                             solver_residual_sup=sol.residual_sup,
-                             forward_residual_sup=forward,
-                             volume_defect=_volume_defect(ref, u),
+    return FiberVerifyReport(kind=sol.kind, forward_residual_sup=forward,
                              positivity_margin=float(u.min()),
                              weight_forward_sup=weight_forward,
                              exp_l2_diagnostic=exp_l2)
-

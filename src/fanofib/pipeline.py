@@ -68,8 +68,9 @@ class PipelineConfig:
 
 
 def parse_config(text: str) -> dict:
-    """Parse the key = value configuration format ('#' starts a comment)."""
-    out = {}
+    """Parse the key = value configuration format ('#' starts a comment);
+    a key may be set once."""
+    out, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,7 +80,10 @@ def parse_config(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        out[key] = value
+        if key in out:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set "
+                              f"on line {first_line[key]}")
+        out[key], first_line[key] = value, lineno
     return out
 
 
@@ -274,23 +278,19 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
 
     if "fiber" in cfg.checks:
         audit = verify_fiber_family(ref, fiber)
-        values = {"solver_residual": audit.solver_residual_sup,
-                  "volume_defect": audit.volume_defect,
-                  "positivity_margin": audit.positivity_margin,
-                  "forward_residual": audit.forward_residual_sup}
+        values = {"solver_residual": fiber.residual_sup,
+                  "volume_defect": fiber.volume_defect,
+                  "positivity_margin": audit.positivity_margin}
         if audit.weight_forward_sup is not None:
             values["weight_forward"] = audit.weight_forward_sup
             values["exp_l2"] = audit.exp_l2_diagnostic
-        _record(report, cfg, grid, kind, "fiber_solver", audit.solver_residual_sup,
-                _EXACT, laps, **{k: v for k, v in values.items()
-                               if k != "forward_residual"})
+        _record(report, cfg, grid, kind, "fiber_solver", fiber.residual_sup,
+                _EXACT, laps, **values)
         _record(report, cfg, grid, kind, "fiber_forward",
                 audit.forward_residual_sup, _TRUNC, laps)
 
-    weight_kind = "hL" if kind == SPR else "hSKE"
-    sfs = SectionFamilySpec.canonical(ref.consts, weight_kind)
     family = volume_family_from_sections(
-        ref, sfs, ske=fiber if kind == SKE else None)
+        ref, SectionFamilySpec.canonical(ref.consts), fiber)
     wp_sections = wp_from_sections(ref, family)
     wp_residual = wp_from_residual(ref, fiber)
 
@@ -302,7 +302,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
                 ric_defect=family.ric_defect,
                 wp_fs_min=float(wp_sections.wp_fs.min()))
 
-    gprime = compute_gprime(ref, kind, fiber_sol=fiber, eps_lp=cfg.eps_lp)
+    gprime = compute_gprime(ref, fiber, eps_lp=cfg.eps_lp)
     if "gprime" in cfg.checks:
         gp = gprime
         descend = check_g_descends(ref, fiber, gp)

@@ -176,9 +176,9 @@ def _probe_direction(n: int) -> np.ndarray:
     return np.sin(np.pi * t) + 0.25 * np.cos(3.0 * np.pi * t)
 
 
-def probe_jacobian(residual_fn, jacobian_fn, x0: np.ndarray,
-                   rel_tol: float = 1e-4) -> None:
-    """Directional finite-difference consistency check at the start point."""
+def probe_jacobian(residual_fn, jacobian_fn, x0: np.ndarray) -> None:
+    """Directional finite-difference consistency check at the start point,
+    to a relative tolerance of 1e-4."""
     x0 = np.asarray(x0, dtype=float)
     d = _probe_direction(x0.size)
     eps = 1e-6 * (1.0 + float(np.abs(x0).max(initial=0.0)))
@@ -186,7 +186,7 @@ def probe_jacobian(residual_fn, jacobian_fn, x0: np.ndarray,
     jd = jacobian_fn(x0) @ d
     err = float(np.abs(fd - jd).max())
     scale = float(np.abs(jd).max() + np.abs(fd).max()) + 1e-12
-    if err > rel_tol * scale:
+    if err > 1e-4 * scale:
         raise ContractViolation(
             f"Jacobian probe failed: |FD - J d| = {err:.3e} vs scale {scale:.3e}")
 

@@ -35,18 +35,19 @@ class SectionFamilySpec:
 
     F(b, z) = f_scale * z_b**f_power on the standard chart; nonzero
     ``f_power`` realizes the frame of the opposite chart, which is how
-    the gluing of the local definitions is exercised.
+    the gluing of the local definitions is exercised.  The Hermitian
+    weight is not part of the chart data: the fiber family handed to
+    ``volume_family_from_sections`` selects it.
     """
 
     alpha: int
     beta: int
-    weight_kind: str = "hL"      # "hL" | "hSKE"
     f_scale: float = 1.0
     f_power: int = 0
 
     @classmethod
-    def canonical(cls, consts, weight_kind: str = "hL") -> "SectionFamilySpec":
-        return cls(alpha=consts.alpha, beta=consts.beta, weight_kind=weight_kind)
+    def canonical(cls, consts) -> "SectionFamilySpec":
+        return cls(alpha=consts.alpha, beta=consts.beta)
 
 
 @dataclass(eq=False)
@@ -108,9 +109,15 @@ class WPResult:
 
 
 def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
-                                ske: FiberFamilySolution | None = None
+                                fiber: FiberFamilySolution | None = None
                                 ) -> SectionVolumeFamily:
     """Fiber volume forms of a section family, as FS-relative densities.
+
+    The fiber family picks the Hermitian weight and the fiber Ricci
+    target of the forward check: the Einstein family (``fiber.kind ==
+    SKE``) takes the weight h_L e^{-rho} and the target lambda u of its
+    own metric; any other ``fiber``, or none, takes h_L and lambda times
+    the reference vertical density.
 
     The fiber-pole exponent 2 - lambda*c cancels exactly (that is the
     degeneration identity), so the density is bounded on every fiber; an
@@ -131,12 +138,10 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
 
     lam = float(consts.lam)
     smooth_weight = ref.phi_L.smooth
-    if sfs.weight_kind == "hSKE":
-        if ske is None or ske.kind != SKE:
-            raise ValueError("hSKE weight needs a solved fiberwise Einstein family")
-        smooth_weight = smooth_weight + ske.rho
-    elif sfs.weight_kind != "hL":
-        raise ValueError(f"unknown weight_kind {sfs.weight_kind!r}")
+    ric_target = ref.vertical_fs
+    if fiber is not None and fiber.kind == SKE:
+        smooth_weight = smooth_weight + fiber.rho
+        ric_target = fiber.vertical_fs
 
     beta = float(sfs.beta)
     smooth_log = (2.0 / beta) * math.log(sfs.f_scale) - lam * smooth_weight
@@ -145,11 +150,7 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
 
     # forward check of the defining fiber Ricci prescription
     ric_fs = 2.0 - lap(ref.grid, smooth_log, FIBER)
-    if sfs.weight_kind == "hL":
-        target = lam * ref.vertical_fs
-    else:
-        target = lam * ske.vertical_fs
-    ric_defect = float(np.abs(ric_fs - target).max())
+    ric_defect = float(np.abs(ric_fs - lam * ric_target).max())
 
     integrals = TWO_PI * simpson_columns(ref.grid, np.exp(smooth_log))
     if np.any(integrals <= 0.0):
@@ -186,18 +187,6 @@ def wp_from_sections(ref: ReferenceGeometry,
                     log_norm=log_norm, smooth_log_norm=smooth_log_norm)
 
 
-def _twist_fs_base(ref: ReferenceGeometry,
-                   fiber_sol: FiberFamilySolution) -> np.ndarray:
-    """FS-relative base-base density of the twist form lambda*omega (the
-    reference form for the prescribed-Ricci family, the family form
-    itself for the Einstein family)."""
-    lam = float(ref.consts.lam)
-    out = lam * ref.base_fs
-    if fiber_sol.kind == SKE:
-        out = out + lam * lap(ref.grid, fiber_sol.rho, BASE)
-    return out
-
-
 def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
                      theta_fs: np.ndarray | float | None = None) -> WPResult:
     """Recover the base form from the Ricci form of a fibration volume.
@@ -229,15 +218,19 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     u = fiber_sol.vertical_fs
     log_u = np.log(u)
 
-    # vertical channel: twist_ff - (2 - L_f log u), times g_f
+    # the twist form lambda*omega: the reference form for the
+    # prescribed-Ricci family, the family form itself for the Einstein one
     if fiber_sol.kind == SPR:
         twist_ff_fs = lam * ref.vertical_fs
         twist_fb = lam * ref.mixed_fb
+        twist_bb_fs = lam * ref.base_fs
     else:
-        twist_ff_fs = lam * (ref.vertical_fs +
-                             lap(grid, fiber_sol.rho, FIBER))
-        twist_fb = lam * (ref.mixed_fb +
-                          dop(grid, dop(grid, fiber_sol.rho, BASE), FIBER))
+        rho = fiber_sol.rho
+        twist_ff_fs = lam * (ref.vertical_fs + lap(grid, rho, FIBER))
+        twist_fb = lam * (ref.mixed_fb + dop(grid, dop(grid, rho, BASE), FIBER))
+        twist_bb_fs = lam * ref.base_fs + lam * lap(grid, rho, BASE)
+
+    # vertical channel: twist_ff - (2 - L_f log u), times g_f
     abs_ff = np.abs((twist_ff_fs - (2.0 - lap(grid, log_u, FIBER)))
                     * grid.g_f[:, None])
 
@@ -245,8 +238,10 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     abs_fb = np.abs(twist_fb + dop(grid, dop(grid, log_u, BASE), FIBER))
 
     # base-base channel, FS-relative; the Ric(theta) and wedge theta terms
-    # cancel identically, leaving twist_bb + L_b log u
-    r_bb_fs = _twist_fs_base(ref, fiber_sol) + lap(grid, log_u, BASE)
+    # cancel identically, leaving twist_bb + L_b log u (added in place, so
+    # the twist costs no n^2 array beyond the residual)
+    r_bb_fs = twist_bb_fs
+    r_bb_fs += lap(grid, log_u, BASE)
     r_bb = r_bb_fs * grid.g_b[None, :]
 
     bb_lo, bb_hi = r_bb.min(axis=0), r_bb.max(axis=0)

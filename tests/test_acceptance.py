@@ -55,13 +55,11 @@ def state(model: str, n: int) -> dict:
     cell = {"ref": ref}
     for kind, solver in (("spr", solve_spr), ("ske", solve_ske)):
         fiber = solver(ref)
-        weight = "hL" if kind == "spr" else "hSKE"
         fam = volume_family_from_sections(
-            ref, SectionFamilySpec.canonical(ref.consts, weight),
-            ske=fiber if kind == "ske" else None)
+            ref, SectionFamilySpec.canonical(ref.consts), fiber)
         wp_s = wp_from_sections(ref, fam)
         wp_r = wp_from_residual(ref, fiber)
-        gp = compute_gprime(ref, kind, fiber_sol=fiber)
+        gp = compute_gprime(ref, fiber)
         cell[kind] = {
             "fiber": fiber,
             "family": fam,

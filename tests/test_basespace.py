@@ -21,9 +21,8 @@ from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 
 
-def wp_of(ref, kind="hL", ske=None):
-    fam = volume_family_from_sections(
-        ref, SectionFamilySpec.canonical(ref.consts, kind), ske=ske)
+def wp_of(ref):
+    fam = volume_family_from_sections(ref, SectionFamilySpec.canonical(ref.consts))
     return wp_from_sections(ref, fam)
 
 
@@ -49,7 +48,7 @@ def test_pushforward_of_section_family(ref_a):
 
 
 def test_gprime_model_a(ref_a, spr_a):
-    gp = compute_gprime(ref_a, "spr")
+    gp = compute_gprime(ref_a)
     assert np.allclose(gp.gprime, 1.0, atol=1e-14)
     assert gp.normalization_defect < 1e-14
     assert gp.delta_lower == pytest.approx(1.0, abs=1e-14)
@@ -57,14 +56,14 @@ def test_gprime_model_a(ref_a, spr_a):
 
 
 def test_gprime_model_a_ske_matches_spr(ref_a, ske_a):
-    gp = compute_gprime(ref_a, "ske", ske_a)
+    gp = compute_gprime(ref_a, ske_a)
     assert np.allclose(gp.gprime, 1.0, atol=1e-13)
 
 
 def test_gprime_model_b_normalized(ref_b, spr_b, ske_b):
     eta_mass = TWO_PI * float(ref_b.eta_fs)
-    for variant, sol in (("spr", spr_b), ("ske", ske_b)):
-        gp = compute_gprime(ref_b, variant, sol)
+    for sol in (spr_b, ske_b):
+        gp = compute_gprime(ref_b, sol)
         assert gp.normalization_defect < 1e-12
         assert gp.delta_lower > 0.5
         assert np.abs(gp.gprime - 1.0).max() > 1e-4   # genuinely nonconstant
@@ -86,14 +85,14 @@ def test_omega_prime_defining_relation(ref_b, ske_b):
 
 
 def test_g_descends_model_a(ref_a, spr_a):
-    gp = compute_gprime(ref_a, "spr")
+    gp = compute_gprime(ref_a)
     rep = check_g_descends(ref_a, spr_a, gp)
     assert rep.vertical_oscillation < 1e-12
     assert rep.pullback_defect < 1e-12
 
 
 def test_g_descends_gauge_shift_invariance(ref_b, spr_b):
-    gp = compute_gprime(ref_b, "spr")
+    gp = compute_gprime(ref_b)
     r1 = check_g_descends(ref_b, spr_b, gp)
     beta = 0.4 * np.cos(np.pi * ref_b.grid.nodes_b)
     shifted = dataclasses.replace(spr_b, rho=spr_b.rho + beta[None, :])
@@ -103,7 +102,7 @@ def test_g_descends_gauge_shift_invariance(ref_b, spr_b):
 
 
 def test_g_descends_rejects_mismatched_family(ref_b, spr_b, ske_b):
-    gp = compute_gprime(ref_b, "ske", ske_b)
+    gp = compute_gprime(ref_b, ske_b)
     assert check_g_descends(ref_b, ske_b, gp).vertical_oscillation < 1e-2
     with pytest.raises(ValueError):
         check_g_descends(ref_b, spr_b, gp)
@@ -118,7 +117,7 @@ def test_g_descends_order_cubic_model():
                                              warp_shape="fiber_cubic",
                                              n_fiber=n, n_base=n))
         spr = solve_spr(ref)
-        gp = compute_gprime(ref, "spr")
+        gp = compute_gprime(ref)
         rep = check_g_descends(ref, spr, gp)
         oscs.append(rep.vertical_oscillation)
         pulls.append(rep.pullback_defect)
@@ -131,7 +130,7 @@ def test_g_descends_order_cubic_model():
 # ---------------------------------------------------------------------------
 
 def test_base_ma_model_a_trivial(ref_a):
-    gp = compute_gprime(ref_a, "spr")
+    gp = compute_gprime(ref_a)
     sol = solve_base_ma(ref_a, gp, VARIANT_B)
     assert np.abs(sol.rho).max() == 0.0
     assert np.allclose(sol.dens_fs, float(ref_a.eta_fs), atol=1e-14)
@@ -142,7 +141,7 @@ def test_base_ma_model_a_trivial(ref_a):
 
 
 def test_base_ma_model_b(ref_b, spr_b):
-    gp = compute_gprime(ref_b, "spr")
+    gp = compute_gprime(ref_b)
     sol = solve_base_ma(ref_b, gp, VARIANT_B)
     assert sol.forward_residual < 1e-11
     assert sol.positivity_margin > 0.0
@@ -154,7 +153,7 @@ def test_base_ma_model_b(ref_b, spr_b):
 
 
 def test_base_ma_uniqueness_probe(ref_b):
-    gp = compute_gprime(ref_b, "spr")
+    gp = compute_gprime(ref_b)
     sols = [solve_base_ma(ref_b, gp, VARIANT_B, init=i)
             for i in (0.0, 0.5, -0.5)]
     for other in sols[1:]:
@@ -162,7 +161,7 @@ def test_base_ma_uniqueness_probe(ref_b):
 
 
 def test_base_ma_rejects_unknown_variant(ref_a):
-    gp = compute_gprime(ref_a, "spr")
+    gp = compute_gprime(ref_a)
     with pytest.raises(ValueError):
         solve_base_ma(ref_a, gp, "C")
 
@@ -172,7 +171,7 @@ def test_base_ma_rejects_unknown_variant(ref_a):
 # ---------------------------------------------------------------------------
 
 def test_twisted_ke_model_a(ref_a, spr_a):
-    gp = compute_gprime(ref_a, "spr")
+    gp = compute_gprime(ref_a)
     wp = wp_of(ref_a)
     for variant in (VARIANT_B, VARIANT_BPRIME):
         sol = solve_base_ma(ref_a, gp, variant)
@@ -182,7 +181,7 @@ def test_twisted_ke_model_a(ref_a, spr_a):
 
 
 def test_twisted_ke_model_b_both_routes(ref_b, spr_b):
-    gp = compute_gprime(ref_b, "spr")
+    gp = compute_gprime(ref_b)
     wp_s = wp_of(ref_b)
     wp_r = wp_from_residual(ref_b, spr_b)
     for variant in (VARIANT_B, VARIANT_BPRIME):
@@ -214,8 +213,8 @@ def test_omega_rescale_leaves_base_metric(ref_b, spr_b):
     import dataclasses
     scaled = dataclasses.replace(ref_b)
     scaled.Omega = VolumeDensity(2.0 * ref_b.Omega.rho)
-    gp1 = compute_gprime(ref_b, "spr")
-    gp2 = compute_gprime(scaled, "spr")
+    gp1 = compute_gprime(ref_b)
+    gp2 = compute_gprime(scaled)
     assert np.abs(gp2.gprime - 2.0 * gp1.gprime).max() < 1e-12
     sol1 = solve_base_ma(ref_b, gp1, VARIANT_B)
     sol2 = solve_base_ma(scaled, gp2, VARIANT_B)
@@ -226,7 +225,7 @@ def test_omega_rescale_leaves_base_metric(ref_b, spr_b):
 
 @pytest.mark.parametrize("which", [1, 2])
 def test_volume_identities_model_a_spr(ref_a, spr_a, which):
-    gp = compute_gprime(ref_a, "spr")
+    gp = compute_gprime(ref_a)
     variant = VARIANT_B if which == 1 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
     rep, = volume_identity_residual(ref_a, spr_a, wp_from_residual(ref_a, spr_a),
@@ -239,7 +238,7 @@ def test_volume_identities_model_a_spr(ref_a, spr_a, which):
 
 @pytest.mark.parametrize("which", [3, 4])
 def test_volume_identities_model_a_ske(ref_a, ske_a, which):
-    gp = compute_gprime(ref_a, "ske", ske_a)
+    gp = compute_gprime(ref_a, ske_a)
     variant = VARIANT_B if which == 3 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
     rep, = volume_identity_residual(ref_a, ske_a, wp_from_residual(ref_a, ske_a),
@@ -248,7 +247,7 @@ def test_volume_identities_model_a_ske(ref_a, ske_a, which):
 
 
 def test_volume_identities_model_b_gaps_positive(ref_b, spr_b):
-    gp = compute_gprime(ref_b, "spr")
+    gp = compute_gprime(ref_b)
     sol = solve_base_ma(ref_b, gp, VARIANT_B)
     rep, = volume_identity_residual(ref_b, spr_b, wp_from_residual(ref_b, spr_b),
                                     [sol])
@@ -264,7 +263,7 @@ def test_volume_identities_model_b_gaps_positive(ref_b, spr_b):
 def test_volume_identity_gate_fails_on_a_perturbed_fiber_column(
         ref_c, spr_c, ske_c, kind, variant, which):
     fiber = spr_c if kind == "spr" else ske_c
-    sol = solve_base_ma(ref_c, compute_gprime(ref_c, kind, fiber), variant)
+    sol = solve_base_ma(ref_c, compute_gprime(ref_c, fiber), variant)
     tol = pipeline._tolerance(pipeline.PipelineConfig(), ref_c.grid,
                               pipeline._TRUNC)
     rep, = volume_identity_residual(ref_c, fiber, wp_from_residual(ref_c, fiber),
@@ -324,7 +323,7 @@ def test_shared_volume_identity_path_matches_full_assembly(model, n):
     lam = float(ref.consts.lam)
     eps, h = np.finfo(float).eps, 1.0 / n
     for fiber in (solve_spr(ref), solve_ske(ref)):
-        gp = compute_gprime(ref, fiber.kind, fiber)
+        gp = compute_gprime(ref, fiber)
         sols = [solve_base_ma(ref, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
         reps = volume_identity_residual(ref, fiber, wp_from_residual(ref, fiber),
                                         sols)
@@ -364,7 +363,7 @@ def test_volume_identities_take_no_full_field_pass(monkeypatch):
     monkeypatch.setattr(basespace, "ddbar_invariant", ddbar, raising=False)
     monkeypatch.setattr(basespace, "lap", lap)
     for fiber in (solve_spr(ref), solve_ske(ref)):
-        gp = compute_gprime(ref, fiber.kind, fiber)
+        gp = compute_gprime(ref, fiber)
         sols = [solve_base_ma(ref, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
         wp = wp_from_residual(ref, fiber)
         passes.clear()
@@ -382,7 +381,7 @@ def test_volume_identities_take_no_full_field_pass(monkeypatch):
 
 
 def test_volume_identities_reject_a_foreign_form(ref_c, spr_c, ske_c):
-    sol = solve_base_ma(ref_c, compute_gprime(ref_c, "spr", spr_c), VARIANT_B)
+    sol = solve_base_ma(ref_c, compute_gprime(ref_c, spr_c), VARIANT_B)
     with pytest.raises(ValueError, match="residual route"):
         volume_identity_residual(ref_c, spr_c, wp_of(ref_c), [sol])
     with pytest.raises(ValueError, match="ske family"):
@@ -396,7 +395,7 @@ def test_volume_identity_never_passes_a_nan(ref_c, spr_c, ske_c, field):
                               pipeline._TRUNC)
     j = ref_c.grid.n_base // 2
     for fiber in (spr_c, ske_c):
-        gp = compute_gprime(ref_c, fiber.kind, fiber)
+        gp = compute_gprime(ref_c, fiber)
         sols = [solve_base_ma(ref_c, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
         if field == "vertical_fs":
             u = fiber.vertical_fs.copy()
@@ -427,7 +426,7 @@ def test_volume_identity_orders_cubic_model():
                                              n_fiber=n, n_base=n))
         spr, ske = solve_spr(ref), solve_ske(ref)
         for which, fiber in ((1, spr), (2, spr), (3, ske), (4, ske)):
-            gp = compute_gprime(ref, fiber.kind, fiber)
+            gp = compute_gprime(ref, fiber)
             variant = VARIANT_B if which in (1, 3) else VARIANT_BPRIME
             sol = solve_base_ma(ref, gp, variant)
             rels[which].append(volume_identity_residual(

@@ -33,6 +33,14 @@ def write_cfg(tmp_path, text, name="model.cfg"):
     return str(path)
 
 
+def model_with(line):
+    """The config a = 2, c = 1 with ``line`` setting one more key, or
+    replacing the entry of its key (a key may be set once)."""
+    entries = {"a": "a = 2", "c": "c = 1"}
+    entries[line.split("=")[0].strip()] = line
+    return "".join(f"{entry}\n" for entry in entries.values())
+
+
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -64,6 +72,33 @@ def test_parse_config_rejects_garbage():
                 {"checks": None}, {1: "a", "b": 2}):
         with pytest.raises(ConfigError):
             config_from_mapping(bad)
+
+
+def test_parse_config_rejects_a_repeated_key():
+    with pytest.raises(ConfigError,
+                       match="line 3: key 'a' is already set on line 1"):
+        parse_config("a = 2\nc = 1\na = 3\n")
+
+
+def test_cli_rejects_a_repeated_key(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "a = 2\nc = 1\na = 3\n", name="dup.cfg")
+    code = main(["run", "--config", cfg, "--grid", "16x16"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'a'" in err and "line 1" in err and "line 3" in err
+
+
+def test_cli_grid_and_tol_override_the_file(tmp_path):
+    cfg = write_cfg(tmp_path, MODEL_A + "grids = 32x32\nresidual_tol = 1e-6\n"
+                    "checks = fiber\npipeline = spr\n")
+    out = tmp_path / "out"
+    main(["run", "--config", cfg, "--grid", "16x16", "--tol", "1.0",
+          "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    assert report["grids"] == [[16, 16]]
+    forward = [r for r in report["records"] if r["name"] == "fiber_forward"]
+    assert [float(r["tolerance"]) for r in forward] == [1.0]
 
 
 _KEYS = ("a", "c", "warp_amplitude", "warp_shape", "grids", "n_fiber",
@@ -369,7 +404,7 @@ def test_cli_bad_model_exit_code(tmp_path, capsys):
                                   "n_fiber = 64.5", "warp_amplitude = nan",
                                   "warp_amplitude = inf", "newton_tol = nan"])
 def test_cli_rejects_malformed_number(tmp_path, capsys, line):
-    cfg = write_cfg(tmp_path, f"a = 2\nc = 1\n{line}\n")
+    cfg = write_cfg(tmp_path, model_with(line))
     code = main(["run", "--config", cfg, "--grid", "16x16"])
     err = capsys.readouterr().err
     assert code == 2
@@ -386,7 +421,7 @@ def test_cli_rejects_malformed_number(tmp_path, capsys, line):
     ("eps_lp = -1", "eps_lp")])
 def test_cli_rejects_invalid_setting(tmp_path, capsys, line, key):
     # rejected while the configuration is parsed, before any grid is built
-    cfg = write_cfg(tmp_path, f"a = 2\nc = 1\n{line}\n")
+    cfg = write_cfg(tmp_path, model_with(line))
     code = main(["run", "--config", cfg])
     err = capsys.readouterr().err
     assert code == 2

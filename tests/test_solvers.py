@@ -173,7 +173,7 @@ def test_poisson_matches_dense_bordered_solve(n, axis_name):
 
 def _base_ma_data(n_base):
     ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", 16, n_base))
-    gp = compute_gprime(ref, "spr")
+    gp = compute_gprime(ref)
     return ref, gp, float(ref.eta_fs)
 
 

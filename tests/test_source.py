@@ -59,3 +59,57 @@ def test_benchmark_per_layer_functions_are_public_defs():
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
         missing += [f"{layer}.{name}" for name in sorted(functions - defs)]
     assert not missing, f"BENCHMARK.json names no public def {missing}"
+
+
+def _knobs(tree: ast.Module):
+    """(function name, parameter, positional index or None) for every
+    defaulted parameter of a public function or public method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _defaulted(node, 0)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield from _defaulted(item, 0 if static else 1)
+
+
+def _defaulted(func: ast.FunctionDef, bound: int):
+    if func.name.startswith("_"):
+        return
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index in range(max(first, bound), len(positional)):
+        yield func.name, positional[index].arg, index - bound
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield func.name, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a parameter that no call passes is a knob nobody turns: its default
+    # is the only value the program has ever run with, so it belongs in
+    # the body as a constant.  A call is matched by the called name; one
+    # with *args or **kwargs counts as passing every parameter.
+    knobs = [knob for path in SOURCES
+             for knob in _knobs(ast.parse(path.read_text()))]
+    passed = set()
+    for path in sorted({*SOURCES, *(ROOT / "tests").glob("*.py"),
+                        *(ROOT / "perfbench").glob("*.py")}):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            n_pos = (float("inf") if any(isinstance(a, ast.Starred) for a in call.args)
+                     else len(call.args))
+            every_keyword = any(kw.arg is None for kw in call.keywords)
+            keywords = {kw.arg for kw in call.keywords}
+            for func, param, index in knobs:
+                if func == name and (every_keyword or param in keywords or
+                                     (index is not None and index < n_pos)):
+                    passed.add((func, param))
+    unturned = sorted({f"{func}({param})" for func, param, _ in knobs
+                       if (func, param) not in passed})
+    assert not unturned, f"defaulted parameters no call passes: {unturned}"

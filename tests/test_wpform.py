@@ -12,8 +12,8 @@ from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 
 
-def canonical(ref, kind="hL"):
-    return SectionFamilySpec.canonical(ref.consts, kind)
+def canonical(ref):
+    return SectionFamilySpec.canonical(ref.consts)
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +39,18 @@ def test_family_rejects_inconsistent_exponents(ref_a):
         volume_family_from_sections(ref_a, bad)
 
 
-def test_family_hske_needs_solution(ref_a):
-    with pytest.raises(ValueError):
-        volume_family_from_sections(ref_a, canonical(ref_a, "hSKE"))
+def test_family_weight_follows_the_fiber_family(ref_b, spr_b, ske_b):
+    # h_L for no family and for the prescribed-Ricci one; h_L e^{-rho}
+    # with the Ricci target lambda u for the Einstein family
+    plain = volume_family_from_sections(ref_b, canonical(ref_b))
+    spr = volume_family_from_sections(ref_b, canonical(ref_b), spr_b)
+    ske = volume_family_from_sections(ref_b, canonical(ref_b), ske_b)
+    assert np.array_equal(spr.smooth_log, plain.smooth_log)
+    assert spr.ric_defect == plain.ric_defect
+    lam = float(ref_b.consts.lam)
+    assert np.allclose(ske.smooth_log, plain.smooth_log - lam * ske_b.rho,
+                       rtol=0.0, atol=1e-12)
+    assert ske.ric_defect < 50.0 * (1.0 / 64)**2
 
 
 # ---------------------------------------------------------------------------
