@@ -4,14 +4,19 @@ The linear problem (x(1-x) d_x)^2 u = r is degenerate at the endpoints;
 in divided form L u = r/g it carries natural Robin rows u'(0) = r_fs(0),
 -u'(1) = r_fs(1) and a one-dimensional kernel of constants.  L has five
 diagonals (``calculus.lap_bands``): its interior rows are tridiagonal and
-its two endpoint rows reach two columns inward.  The Poisson solve and
-the Newton steps with a ``BandedMatrix`` Jacobian go through one O(n)
-elimination on those bands: the two outlying end-row entries are removed
-against rows 1 and n-1, then a Thomas sweep runs down the remaining
-tridiagonal system, vectorised over right-hand side columns.  Each
-column sees the same IEEE operations in the same order whatever is
-stacked beside it, so every run is bit-deterministic and a stacked solve
-equals the single ones exactly.  Dense Jacobians are solved by LAPACK.
+its two endpoint rows reach two columns inward.
+
+The Poisson solve eliminates nothing.  g is quadratic, so every interior
+row of L is a difference of two fluxes a_{i+1/2} (u_{i+1} - u_i) / h^2
+(``poisson_system``), and the bordered system [[L, 1], [w, 0]] has a
+closed form: one cumulative sum of the source gives the fluxes, a 2x2
+system shared by all columns fixes the first flux and the border
+multiplier, and a second cumulative sum gives the solution.  Each column
+sees the same IEEE operations in the same order whatever is stacked
+beside it, so every run is bit-deterministic and a stacked solve equals
+the single ones exactly.  The Newton steps of the base Monge-Ampere
+equation, whose Jacobian is a ``BandedMatrix``, go through one O(n)
+elimination on the bands; dense Jacobians are solved by LAPACK.
 """
 
 from __future__ import annotations
@@ -56,11 +61,14 @@ class BandedMatrix:
         return out
 
     def solve(self, rhs) -> np.ndarray:
-        """Solve A x = rhs for a vector or for every column of a matrix.
+        """Solve A x = rhs for one right-hand side vector.
 
-        Raises ``np.linalg.LinAlgError`` on a zero or non-finite pivot.
-        The elimination does not pivot; it is stable for the diagonally
-        dominant systems built from L.
+        The two outlying end-row entries are removed against rows 1 and
+        n-1, then a Thomas sweep runs down the remaining tridiagonal
+        system on Python floats, where numpy's per-call cost would
+        dominate.  Raises ``np.linalg.LinAlgError`` on a zero or
+        non-finite pivot.  The elimination does not pivot; it is stable
+        for the diagonally dominant systems built from L.
         """
         b = self.bands
         n = b.shape[1] - 1
@@ -76,10 +84,9 @@ class BandedMatrix:
         sub[n] -= fn * diag[n - 1]
         diag[n] -= fn * sup[n - 1]
         r = np.asarray(rhs, dtype=float)
-        # one right-hand side runs on Python floats, where numpy's per-call
-        # cost would dominate; several run on the rows of a copy.  Both
-        # evaluate the same IEEE operations in the same order.
-        y = r.tolist() if r.ndim == 1 else r.copy()
+        if r.shape != (n + 1,):
+            raise ValueError(f"BandedMatrix.solve needs one rhs of length {n + 1}")
+        y = r.tolist()
         y[0] = y[0] - f0 * y[1]
         y[n] = y[n] - fn * y[n - 1]
         # Thomas sweep: forward elimination, then back substitution
@@ -98,18 +105,65 @@ class BandedMatrix:
         return np.asarray(y)
 
 
-def poisson_system(grid: Grid, axis_name: str) -> BandedMatrix:
-    """Regular banded stand-in for the bordered matrix [[L, 1], [w, 0]].
+@dataclass(frozen=True, eq=False)
+class PoissonSystem:
+    """Per-grid constants of the flux-form solve (``poisson_system``).
 
-    L 1 = 0, so A = L + delta e0 e0^T is regular and A 1 = delta e0; the
-    shift delta = L[0, 0] keeps A diagonally dominant.  One solve
-    A [a b] = [r 1] yields the border multiplier mu = a0 / b0 and the
-    solution a - mu b up to a constant, which the Simpson-weight row
-    w of the bordered system then fixes (int u dx = 0).
+    ``conductance[i]`` = a_{i+1/2} / h^2; a unit border multiplier adds
+    ``mu_flux[i]`` = -i to the flux F_i; ``end_solve``, the inverse of the
+    end rows' 2x2 system times their right-hand side weights, maps a
+    column's (r_0, r_1, r_{n-1}, r_n, r_1 + ... + r_{n-1}) to (F_0, mu).
     """
+
+    conductance: np.ndarray
+    mu_flux: np.ndarray
+    end_solve: np.ndarray
+
+
+def poisson_system(grid: Grid, axis_name: str) -> PoissonSystem:
+    """The constants of the bordered system [[L, 1], [w, 0]] on one axis.
+
+    g = x(1-x) is quadratic, so every interior row of L = g d2 + g' d1 is
+    in flux form, (a_{i+1/2} (u_{i+1} - u_i) - a_{i-1/2} (u_i - u_{i-1}))
+    / h^2, with a_{i+1/2} = g_i + g'_i h/2 = g_{i+1} - g'_{i+1} h/2 =
+    g(x_{i+1/2}) + h^2/4 > 0.  With the flux F_i = a_{i+1/2} (u_{i+1} -
+    u_i) / h^2, row i of L u + mu = r reads F_i - F_{i-1} = r_i - mu, so
+    F_i = F_0 + r_1 + ... + r_i - i mu.
+    The two one-sided end rows of ``lap_bands`` touch only F_0, F_1 and
+    F_{n-2}, F_{n-1}; they are one 2x2 system for (F_0, mu), the same for
+    every column.
+    """
+    n = grid.n(axis_name)
+    h = grid.h(axis_name)
     bands = lap_bands(grid, axis_name)
-    bands[2, 0] *= 2.0
-    return BandedMatrix(bands)
+    mid = (np.arange(n) + 0.5) * h
+    cond = (mid * (1.0 - mid) + 0.25 * h**2) / h**2
+    # L 1 = 0, so each end row is a sum over the differences
+    # d_i = u_{i+1} - u_i = F_i / cond_i: with c_k the entry of row 0 in
+    # column k, row 0 = (c_1 + c_2) d_0 + c_2 d_1, and with e_k the entry of
+    # row n in column k, row n = -(e_{n-2} + e_{n-1}) d_{n-1} - e_{n-2} d_{n-2}
+    c2 = bands[4, 0]
+    p0, p1 = (bands[3, 0] + c2) / cond[0], c2 / cond[1]
+    e2 = bands[0, n]
+    q1, q2 = -(bands[1, n] + e2) / cond[n - 1], -e2 / cond[n - 2]
+    system = np.array([[p0 + p1, 1.0 - p1],
+                       [q1 + q2, 1.0 - (n - 1) * q1 - (n - 2) * q2]])
+    rhs_weights = np.array([[1.0, -p1, 0.0, 0.0, 0.0],
+                            [0.0, 0.0, q2, 1.0, -(q1 + q2)]])
+    return PoissonSystem(cond, -np.arange(n, dtype=float),
+                         np.linalg.inv(system) @ rhs_weights)
+
+
+def _weighted_row_sum(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * v[i] for every column, adding the rows in order.
+
+    With several columns einsum runs the columns as its inner loop and adds
+    the rows one after another; a single column it would sum pairwise, so
+    that case runs the same sequence through accumulate.
+    """
+    if v.shape[1] == 1:
+        return np.add.accumulate(weights * v[:, 0])[-1:]
+    return np.einsum("i,ij->j", weights, v)
 
 
 def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
@@ -124,19 +178,26 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
     result solves the bordered system [[L, 1], [w, 0]] [u, mu] =
     [rhs_fs, 0]: the border multiplier mu absorbs the O(h^2) discrete
     incompatibility.
+
+    In flux form (``poisson_system``) the solve is closed: one cumulative
+    sum of the source gives the fluxes F_i - F_0 + i mu, the end rows give
+    (F_0, mu), a second cumulative sum of F_i / conductance_i gives u up
+    to a constant, and the Simpson weights fix the constant.
     """
     rfs = np.asarray(rhs_fs, dtype=float)
     squeeze = rfs.ndim == 1
     if squeeze:
         rfs = rfs[:, None]
-    r = rfs * grid.g(axis_name)[:, None]
-    if not np.all(np.isfinite(r)):
+    # sup|rhs| per column, in the array that later holds the solution; a
+    # non-finite rhs makes its column's max non-finite
+    out = rfs * grid.g(axis_name)[:, None]
+    scale = np.abs(out, out=out).max(axis=0)
+    if not np.all(np.isfinite(scale)):
         raise ValueError("solve_poisson_1d: non-finite right-hand side")
 
     n = grid.n(axis_name)
     weights = grid.simpson(axis_name) / (3.0 * n)
     defects = TWO_PI * np.einsum("i,ij->j", weights, rfs)
-    scale = np.abs(r).max(axis=0)
     bad = np.abs(defects) > tol_factor * np.maximum(scale, 1e-30)
     if np.any(bad):
         j = int(np.argmax(np.abs(defects)))
@@ -144,22 +205,25 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
             f"incompatible source: defect integral {defects[j]:.3e} "
             f"exceeds {tol_factor:.1e} * ||rhs||", float(defects[j]))
 
-    m = rfs.shape[1]
-    ab = poisson_system(grid, axis_name).solve(
-        np.column_stack([rfs, np.ones(n + 1)]))
-    a, b = ab[:, :m], ab[:, m:]
-    v = a - (a[0] / b[0]) * b          # border multiplier mu = a0 / b0
-    # Simpson gauge: a running row sum in row blocks, so each column adds
-    # its weighted rows in order and the block's products stay in cache
+    system = poisson_system(grid, axis_name)
+    out[:2] = 0.0
+    np.cumsum(rfs[1:n], axis=0, out=out[2:])      # out[i + 1] = r_1 + ... + r_i
+    ends = (rfs[0], rfs[1], rfs[n - 1], rfs[n], out[n])
+    f0, mu = sum(k[:, None] * e for k, e in zip(system.end_solve.T, ends))
+    # in row blocks, from u_0 = 0: the fluxes, the differences u_{i+1} - u_i
+    # and their running sum, carried from block to block in row order
     total = None
-    for lo, hi in _row_blocks(0, n + 1, m):
-        part = weights[lo:hi, None] * v[lo:hi]
+    for lo, hi in _row_blocks(0, n, rfs.shape[1]):
+        part = out[lo + 1:hi + 1]
+        part += f0
+        part += np.multiply.outer(system.mu_flux[lo:hi], mu)
+        part /= system.conductance[lo:hi, None]
         if total is not None:
             part[0] += total
         np.add.accumulate(part, axis=0, out=part)
         total = part[-1]
-    u = v - total
-    return u[:, 0] if squeeze else u
+    out -= _weighted_row_sum(weights, out)        # Simpson gauge
+    return out[:, 0] if squeeze else out
 
 
 @dataclass(eq=False)

@@ -25,7 +25,7 @@ import numpy as np
 from .calculus import TWO_PI, dop, lap, simpson_columns
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
-from .grids import BASE, FIBER, Grid
+from .grids import BASE, FIBER
 from .model import ReferenceGeometry
 
 
@@ -62,15 +62,6 @@ class SectionVolumeFamily:
     pole_zero: float
     pole_one: float
     ric_defect: float            # forward check of the prescribed fiber Ricci
-
-    def density(self, grid: Grid) -> np.ndarray:
-        xb = grid.nodes_b[None, :]
-        out = np.exp(self.smooth_log)
-        if self.pole_zero != 0.0:
-            out = out * np.power(xb, self.pole_zero)
-        if self.pole_one != 0.0:
-            out = out * np.power(1.0 - xb, self.pole_one)
-        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fanofib.fiberwise import solve_ske, solve_spr
@@ -55,3 +56,18 @@ def ske_b(ref_b):
 @pytest.fixture(scope="session")
 def ske_c(ref_c):
     return solve_ske(ref_c)
+
+
+@pytest.fixture(scope="session")
+def section_density():
+    """The nodal density exp(smooth_log) x_b^pole_zero (1 - x_b)^pole_one
+    of a ``wpform.SectionVolumeFamily`` on its grid."""
+    def density(fam, grid):
+        xb = grid.nodes_b[None, :]
+        out = np.exp(fam.smooth_log)
+        if fam.pole_zero != 0.0:
+            out = out * np.power(xb, fam.pole_zero)
+        if fam.pole_one != 0.0:
+            out = out * np.power(1.0 - xb, fam.pole_one)
+        return out
+    return density

@@ -409,7 +409,8 @@ def test_cli_rejects_malformed_number(tmp_path, capsys, line):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert line.split(" = ")[0] in err
+    key, raw = line.split(" = ")
+    assert f"{key} = {raw!r} is not" in err
 
 
 @pytest.mark.parametrize("line, key", [

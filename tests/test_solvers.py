@@ -86,6 +86,20 @@ def test_poisson_compatibility_violation():
     assert abs(err.value.defect) > 1.0
 
 
+@pytest.mark.parametrize("row, value", [(5, np.nan), (5, np.inf), (0, np.inf),
+                                        (32, -np.inf)])
+def test_poisson_rejects_a_non_finite_source(row, value):
+    # an infinity at a pole row meets g = 0 there; it must not pass as 0
+    g = Grid(32, 32)
+    fs = np.zeros((33, 3))
+    fs[row, 1] = value
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_poisson_1d(g, FIBER, fs)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_poisson_1d(g, FIBER, fs[:, 1])
+
+
 def test_poisson_stacked_columns_match_single():
     g = Grid(32, 32)
     x = g.nodes_f
@@ -134,8 +148,8 @@ def _bordered_oracle(grid, axis_name, rfs):
 
     One step of iterative refinement with a long-double residual removes
     the LU's own roundoff, about cond * eps (5e-12 relative at n = 1024,
-    twenty times the banded solve's error against a long-double solve),
-    so the comparison measures the banded solve alone.
+    a thousand times the flux solve's error), so the comparison measures
+    the flux solve alone.
     """
     n = grid.n(axis_name)
     A = np.zeros((n + 2, n + 2))
@@ -168,7 +182,41 @@ def test_poisson_matches_dense_bordered_solve(n, axis_name):
     expect, mu = _bordered_oracle(g, axis_name, rfs)
     assert abs(mu[-1]) > 1.0 / n**2
     rel = np.abs(u - expect).max(axis=0) / np.abs(expect).max(axis=0)
-    assert rel.max() <= 1e-12
+    # the flux form reads <= 7e-15 up to n = 2048; an elimination over the
+    # n+1 rows, such as a Thomas sweep, reads 1.5e-13 at 512 and 2.7e-13
+    # at 1024
+    assert rel.max() <= 5e-14
+
+
+@pytest.mark.parametrize("n", [16, 256, 2048])
+@pytest.mark.parametrize("axis_name", [FIBER, BASE])
+def test_lap_interior_rows_are_in_flux_form(n, axis_name):
+    # row i of L is (a_{i+1/2} (u_{i+1} - u_i) - a_{i-1/2} (u_i - u_{i-1}))
+    # / h^2: the solver's conductances a / h^2 are L's off-diagonal entries
+    # and their sum is minus its diagonal, up to the rounding of g and g'
+    # (on these power-of-two grids they agree to the last bit)
+    g = Grid(n, 16) if axis_name == FIBER else Grid(16, n)
+    bands = lap_bands(g, axis_name)
+    cond = poisson_system(g, axis_name).conductance
+    assert np.all(cond > 0.0)
+    ulp = 4.0 * np.finfo(float).eps
+    below, above = cond[:-1], cond[1:]
+    assert np.all(np.abs(bands[1, 1:n] - below) <= ulp * below)
+    assert np.all(np.abs(bands[3, 1:n] - above) <= ulp * above)
+    assert np.all(np.abs(bands[2, 1:n] + below + above) <= ulp * (below + above))
+
+
+def test_poisson_solve_holds_one_field_and_row_blocks():
+    # the compatibility gate forms |rhs| in the array that then holds the
+    # result, and every other temporary is one row block: the peak reads
+    # 1.04 fields; an elimination that keeps the right-hand side and a
+    # multiplier column beside the result reads 4.02
+    g = Grid(1024, 1024)
+    w = g.simpson_f / (3.0 * g.n_fiber)
+    fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
+    fs -= np.einsum("i,ij->j", w, fs)[None, :]
+    peak = _peak_bytes(lambda: solve_poisson_1d(g, FIBER, fs))
+    assert peak <= 2 * fs.nbytes
 
 
 def _base_ma_data(n_base):
@@ -215,6 +263,13 @@ def test_banded_matrix_rejects_entries_outside_its_pattern():
     bands[4, 3] = 1.0
     with pytest.raises(ValueError):
         BandedMatrix(bands)
+
+
+def test_banded_solve_takes_one_right_hand_side():
+    bands = lap_bands(Grid(16, 16), BASE)
+    bands[2] -= 1.0
+    with pytest.raises(ValueError, match="one rhs"):
+        BandedMatrix(bands).solve(np.ones((17, 2)))
 
 
 def test_banded_singular_system_is_nonconvergence():
@@ -298,19 +353,23 @@ def test_probe_accepts_consistent_pair():
 
 
 def _poisson_whole(grid, axis_name, rhs_fs):
-    """solve_poisson_1d with the Simpson gauge as one accumulate over the
-    whole field (compatibility check left out)."""
+    """solve_poisson_1d's flux solve as whole-field expressions: no row
+    blocks, the Simpson gauge as one accumulate (compatibility check left
+    out)."""
     rfs = np.asarray(rhs_fs, dtype=float)
     squeeze = rfs.ndim == 1
     if squeeze:
         rfs = rfs[:, None]
     n = grid.n(axis_name)
     weights = grid.simpson(axis_name) / (3.0 * n)
-    m = rfs.shape[1]
-    ab = poisson_system(grid, axis_name).solve(
-        np.column_stack([rfs, np.ones(n + 1)]))
-    a, b = ab[:, :m], ab[:, m:]
-    v = a - (a[0] / b[0]) * b
+    system = poisson_system(grid, axis_name)
+    sums = np.cumsum(rfs[1:n], axis=0)
+    ends = (rfs[0], rfs[1], rfs[n - 1], rfs[n], sums[-1])
+    f0, mu = sum(k[:, None] * e for k, e in zip(system.end_solve.T, ends))
+    flux = (np.vstack([np.zeros_like(f0), sums]) + f0
+            + np.multiply.outer(system.mu_flux, mu))
+    v = np.vstack([np.zeros_like(f0),
+                   np.cumsum(flux / system.conductance[:, None], axis=0)])
     u = v - np.add.accumulate(weights[:, None] * v, axis=0)[-1]
     return u[:, 0] if squeeze else u
 

@@ -20,9 +20,9 @@ def canonical(ref):
 # the section volume family
 # ---------------------------------------------------------------------------
 
-def test_family_density_model_a(ref_a):
+def test_family_density_model_a(ref_a, section_density):
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
-    dens = fam.density(ref_a.grid)
+    dens = section_density(fam, ref_a.grid)
     expect = (1.0 - ref_a.grid.nodes_b[None, :])**4
     assert np.abs(dens - expect).max() < 1e-14
     assert fam.ric_defect < 1e-13
@@ -125,14 +125,14 @@ def test_wp_weight_constant_shift(ref_b):
 # residual route
 # ---------------------------------------------------------------------------
 
-def test_wp_residual_model_a(ref_a, spr_a):
+def test_wp_residual_model_a(ref_a, spr_a, section_density):
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
     wp = wp_from_residual(ref_a, spr_a)
     assert np.abs(wp.wp_fs - 4.0).max() < 1e-10
     assert wp.verticality_defect < 1e-10
     # fiber ratio of the two normalizations of the same fiber Ricci data
     g = ref_a.grid
-    mu = (TWO_PI * simpson_columns(g, fam.density(g))
+    mu = (TWO_PI * simpson_columns(g, section_density(fam, g))
           / (TWO_PI * simpson_columns(g, spr_a.vertical_fs)))
     assert mu[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.isfinite(mu))
