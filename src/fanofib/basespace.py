@@ -17,8 +17,8 @@ from .calculus import (TWO_PI, fiber_integral, integrate_total, lap,
                        lap_bands, simpson, simpson2d)
 from .errors import PositivityError
 from .fiberwise import SKE, SPR, FiberFamilySolution
-from .grids import BASE, VolumeDensity
-from .model import ReferenceGeometry
+from .grids import BASE
+from .model import ReferenceGeometry, checked_volume
 from .solvers import BandedMatrix, newton_semilinear
 from .wpform import WPResult
 
@@ -30,11 +30,10 @@ VARIANT_BPRIME = "Bprime"
 # push-forward and the fiber-averaged density
 # ---------------------------------------------------------------------------
 
-def pushforward_adjoint_defect(ref: ReferenceGeometry, V) -> float:
-    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V over the
-    monomial test functions psi(x_b) = 1, x_b, x_b^2."""
+def pushforward_adjoint_defect(ref: ReferenceGeometry, rho: np.ndarray) -> float:
+    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V, V of density
+    ``rho``, over the monomial test functions psi(x_b) = 1, x_b, x_b^2."""
     grid = ref.grid
-    rho = V.rho if isinstance(V, VolumeDensity) else np.asarray(V, dtype=float)
     push = fiber_integral(grid, rho)
     worst = 0.0
     for p in (0, 1, 2):
@@ -57,20 +56,22 @@ class GprimeReport:
     lp_norms: dict
     normalization_defect: float
     adjoint_defect: float
-    volume: VolumeDensity    # the total-space volume pushed forward
+    volume: np.ndarray       # density of the total-space volume pushed forward
 
 
 def make_omega_prime(ref: ReferenceGeometry,
-                     ske: FiberFamilySolution) -> VolumeDensity:
-    """Twisted volume form e^{-lambda rho} * Omega for the Einstein family,
-    rescaled so the push-forward carries unit mean against eta (the free
-    multiplicative constant of the construction)."""
+                     ske: FiberFamilySolution) -> np.ndarray:
+    """Density of the twisted volume form e^{-lambda rho} * Omega for the
+    Einstein family, rescaled so the push-forward carries unit mean against
+    eta (the free multiplicative constant of the construction).  Raises
+    PositivityError unless it is finite and positive."""
     if ske.kind != SKE:
         raise ValueError("omega-prime needs the fiberwise Einstein family")
     lam = float(ref.consts.lam)
-    rho = ref.Omega.rho * np.exp(-lam * ske.rho)
+    rho = ref.Omega * np.exp(-lam * ske.rho)
     target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
-    return VolumeDensity(rho * (target_mass / integrate_total(ref.grid, rho)))
+    return checked_volume(rho * (target_mass / integrate_total(ref.grid, rho)),
+                          "twisted volume form")
 
 
 def compute_gprime(ref: ReferenceGeometry,
@@ -119,7 +120,7 @@ def check_g_descends(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     if gprime.variant != fiber_sol.kind:
         raise ValueError(f"G' of the {gprime.variant} family cannot audit "
                          f"the {fiber_sol.kind} family")
-    G = gprime.volume.rho / (2.0 * ref.eta_fs * fiber_sol.vertical_fs)
+    G = gprime.volume / (2.0 * ref.eta_fs * fiber_sol.vertical_fs)
     osc = float((G.max(axis=0) - G.min(axis=0)).max())
     pullback = float(np.abs(G - gprime.gprime[None, :]).max())
     return GDescendsReport(variant=fiber_sol.kind, vertical_oscillation=osc,

@@ -3,6 +3,8 @@
 The invariant complex Hessian is computed through the degenerate
 derivative D = x(1-x) d/dx per axis: for a torus-invariant potential
 ``psi`` the coefficient of i ddbar(psi) in the log frame is D_j D_k psi.
+A (1,1)-form is the array of its log-frame coefficients [ff, bb, fb]:
+form algebra is numpy arithmetic, and ``np.abs(M).max()`` keeps a NaN.
 The divided form L(psi) = D^2(psi)/g = g psi'' + g' psi' stays regular
 at the endpoints and is used whenever a Fubini-Study-relative density
 is wanted without a removable-singularity fill.
@@ -15,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ModelRegularityError
-from .grids import BASE, FIBER, Form11Field, Grid, VolumeDensity
+from .grids import BASE, FIBER, Grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,6 +115,24 @@ def dop(grid: Grid, psi, axis_name: str) -> np.ndarray:
     return g * diff1(v, grid.h(axis_name), ax)
 
 
+def ddbar_invariant(grid: Grid, psi) -> np.ndarray:
+    """Log-frame coefficients of i ddbar(psi) for a torus-invariant
+    potential, stacked as one (3, n_f+1, n_b+1) array [ff, bb, fb].
+
+    Exactly linear; second-order accurate in the grid spacings.  The
+    defining identity i ddbar log(1+|z|^2) = omega_FS holds with the
+    log(1+s) potential evaluated as -log(1-x).
+    """
+    v = np.asarray(psi, dtype=float)
+    if v.ndim != 2:
+        raise ValueError("ddbar_invariant expects a 2D potential")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("ddbar_invariant: non-finite potential")
+    return np.stack((grid.g_f[:, None] * lap(grid, v, FIBER),
+                     grid.g_b[None, :] * lap(grid, v, BASE),
+                     dop(grid, dop(grid, v, BASE), FIBER)))
+
+
 def lap_bands(grid: Grid, axis_name: str) -> np.ndarray:
     """The matrix of L = g d2 + g' d1 by its five central diagonals.
 
@@ -189,11 +209,14 @@ def simpson_columns(grid: Grid, values2d: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij->j", grid.simpson_f, values2d) / (3.0 * grid.n_fiber)
 
 
+def fiber_integral(grid: Grid, rho) -> np.ndarray:
+    """Push a volume density to the base: 2*pi int rho(x_f, b) dx_f."""
+    return TWO_PI * simpson_columns(grid, rho)
+
+
 def integrate_total(grid: Grid, density) -> float:
     """Total integral of a volume density over P^1 x P^1."""
-    rho = (density.rho if isinstance(density, VolumeDensity)
-           else np.asarray(density, dtype=float))
-    return TWO_PI**2 * simpson2d(grid, rho)
+    return TWO_PI**2 * simpson2d(grid, density)
 
 
 # ---------------------------------------------------------------------------
@@ -221,67 +244,6 @@ def fs_ratio(grid: Grid, coeff: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ModelRegularityError("boundary limit of FS-relative density is not finite")
     return out
-
-
-# ---------------------------------------------------------------------------
-# invariant form operations
-# ---------------------------------------------------------------------------
-
-def ddbar_invariant(grid: Grid, psi) -> Form11Field:
-    """Coefficient field of i ddbar(psi) for a torus-invariant potential.
-
-    Exactly linear; second-order accurate in the grid spacings.  The
-    defining identity i ddbar log(1+|z|^2) = omega_FS holds with the
-    log(1+s) potential evaluated as -log(1-x).
-    """
-    v = np.asarray(psi, dtype=float)
-    if v.ndim != 2:
-        raise ValueError("ddbar_invariant expects a 2D potential")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("ddbar_invariant: non-finite potential")
-    g_f = grid.g_f[:, None]
-    m_ff = g_f * lap(grid, v, FIBER)
-    m_bb = grid.g_b[None, :] * lap(grid, v, BASE)
-    m_fb = dop(grid, dop(grid, v, BASE), FIBER)
-    return Form11Field.derived(m_ff, m_bb, m_fb)
-
-
-def fs_form(grid: Grid, fiber_coeff: float = 0.0, base_coeff: float = 0.0) -> Form11Field:
-    """fiber_coeff * FS_f + base_coeff * FS_b as a coefficient field of
-    read-only broadcast views."""
-    if not (math.isfinite(fiber_coeff) and math.isfinite(base_coeff)):
-        raise ValueError("fs_form: non-finite coefficient")
-    shape = grid.shape
-    return Form11Field.derived(
-        np.broadcast_to(fiber_coeff * grid.g_f[:, None], shape),
-        np.broadcast_to(base_coeff * grid.g_b[None, :], shape),
-        np.broadcast_to(0.0, shape))
-
-
-def pullback_base_form(grid: Grid, base_fs: np.ndarray) -> Form11Field:
-    """Pull a base (1,1)-form of FS-relative density back to the total
-    space, as read-only broadcast views."""
-    shape = grid.shape
-    dens = np.asarray(base_fs, dtype=float)
-    if dens.shape != (grid.n_base + 1,) or not np.all(np.isfinite(dens)):
-        raise ValueError("pullback_base_form: expected finite base nodal values")
-    zeros = np.broadcast_to(0.0, shape)
-    return Form11Field.derived(
-        zeros, np.broadcast_to(dens[None, :] * grid.g_b[None, :], shape), zeros)
-
-
-def ric_volume(grid: Grid, V) -> Form11Field:
-    """Ricci form of a volume form: 2(FS_f + FS_b) - i ddbar log(density)."""
-    rho = V.rho if isinstance(V, VolumeDensity) else np.asarray(V, dtype=float)
-    if np.any(rho <= 0.0):
-        raise ValueError("ric_volume: density must be positive")
-    return fs_form(grid, 2.0, 2.0) - ddbar_invariant(grid, np.log(rho))
-
-
-def fiber_integral(grid: Grid, V) -> np.ndarray:
-    """Push a volume density to the base: 2*pi int rho(x_f, b) dx_f."""
-    rho = V.rho if isinstance(V, VolumeDensity) else np.asarray(V, dtype=float)
-    return TWO_PI * simpson_columns(grid, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 from .calculus import (audit_lap, integrate_total, lap, lap_matrix,
                        simpson_columns)
 from .errors import PositivityError
-from .grids import FIBER, Grid
+from .grids import FIBER
 from .model import ReferenceGeometry
 from .solvers import newton_semilinear, solve_poisson_1d
 
@@ -43,10 +43,6 @@ class FiberFamilySolution:
     residual_sup: float        # solver residual (discrete system)
     volume_defect: float       # relative defect of the per-fiber volume
     newton_iterations: np.ndarray | None = None
-
-    def vertical_coeff(self, grid: Grid) -> np.ndarray:
-        """Log-frame vertical coefficient of the family metric."""
-        return self.vertical_fs * grid.g_f[:, None]
 
 
 def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
@@ -211,7 +207,7 @@ def verify_fiber_family(ref: ReferenceGeometry,
         curv = ref.vertical_fs + audit_lap(grid, sol.rho, FIBER)
         weight_forward = float(np.abs(curv - u).max())
         exp_l2 = float(np.sqrt(integrate_total(
-            grid, np.exp(-2.0 * lam * sol.rho) * ref.Omega.rho)))
+            grid, np.exp(-2.0 * lam * sol.rho) * ref.Omega)))
     ric_fs = 2.0 - audit_lap(grid, np.log(u), FIBER)
     forward = float(np.abs(ric_fs - target).max())
 

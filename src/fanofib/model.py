@@ -18,9 +18,9 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .calculus import TWO_PI, ddbar_invariant, fs_form, integrate_total
+from .calculus import TWO_PI, integrate_total
 from .errors import ConfigError, FanofibError, ModelOrientationError, PositivityError
-from .grids import Form11Field, Grid, VolumeDensity
+from .grids import Grid
 
 # Moment-coordinate weight x(1-x) as a polynomial; warp factors are kept
 # at degree <= 3 so that every class integral below is Simpson-exact.
@@ -181,16 +181,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def checked_volume(rho: np.ndarray, what: str) -> np.ndarray:
+    """``rho`` if finite and positive at every node, else PositivityError."""
+    lo, hi = float(rho.min()), float(rho.max())
+    if not (lo > 0.0 and hi < math.inf):
+        raise PositivityError(f"{what}: density not finite and positive "
+                              f"(min {lo:.3e}, max {hi:.3e})", worst=lo)
+    return rho
+
+
 @dataclass(eq=False)
 class ReferenceGeometry:
     """Reference metric omega0, normalized volume form and h_L's weight.
 
     Per grid, omega0 is held as the two FS-relative densities the run
-    reads, both read-only: ``vertical_fs`` = c + eps D2P_fs(x_f) Q(x_b) on
-    the fibers and ``base_fs`` = a + eps P(x_f) D2Q_fs(x_b) on the base.
-    The log-frame mixed entry ``mixed_fb``, omega0 as a log-frame
-    ``Form11Field``, the twist form ``chi`` and ``phi_check_residual`` are
-    built on first read and then kept.
+    reads: ``vertical_fs`` = c + eps D2P_fs(x_f) Q(x_b) on the fibers and
+    ``base_fs`` = a + eps P(x_f) D2Q_fs(x_b) on the base.  They and the
+    volume density ``Omega`` are read-only arrays; the log-frame mixed
+    entry ``mixed_fb`` is built on first read and then kept.
     """
 
     spec: ModelSpec
@@ -199,7 +207,7 @@ class ReferenceGeometry:
     warp: WarpData
     vertical_fs: np.ndarray  # FS-relative density of omega0 on the fibers
     base_fs: np.ndarray      # FS-relative density of its base-base entry
-    Omega: VolumeDensity
+    Omega: np.ndarray        # volume density relative to the product FS volume
     phi_L: ChartWeight
     eta_fs: float            # FS-relative density of eta (the constant kappa)
     V: float                 # 2 * fiber volume of omega0
@@ -209,31 +217,6 @@ class ReferenceGeometry:
         """Log-frame mixed entry of omega0, eps DP(x_f) DQ(x_b), read-only."""
         w = self.warp
         return _read_only(w.eps * w.DP[:, None] * w.DQ[None, :])
-
-    @cached_property
-    def omega0(self) -> Form11Field:
-        """omega0 in the log-coordinate frame."""
-        grid = self.grid
-        return Form11Field(self.vertical_fs * grid.g_f[:, None],
-                           self.base_fs * grid.g_b[None, :], self.mixed_fb)
-
-    @cached_property
-    def chi(self) -> Form11Field:
-        """Twist form, pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi."""
-        lam = float(self.consts.lam)
-        eta_bb = fs_form(self.grid, 0.0, self.eta_fs).m_bb
-        return Form11Field(-lam * self.omega0.m_ff,
-                           (lam + 1.0) * eta_bb - lam * self.omega0.m_bb,
-                           -lam * self.omega0.m_fb)
-
-    @cached_property
-    def phi_check_residual(self) -> float:
-        """Forward check Ric(h_L) = omega0, computed on first access: the
-        analytic pole parts are exact, the smooth part is differentiated
-        by the grid operators (O(h^2))."""
-        fd = ddbar_invariant(self.grid, self.phi_L.smooth)
-        pole = fs_form(self.grid, self.phi_L.pole_fiber, self.phi_L.pole_base)
-        return (pole + fd - self.omega0).sup()
 
 
 def _check_positive(grid: Grid, w: WarpData, a11: np.ndarray,
@@ -258,12 +241,13 @@ def build_reference(spec: ModelSpec) -> ReferenceGeometry:
     """Build omega0's FS-relative densities, the normalized volume form and
     h_L's weight on one grid.
 
-    The two densities are assembled here and nowhere else, checked for
-    positivity and kept read-only.  The twist form chi of pullback(eta) =
-    e^{-T} omega0 + (1-e^{-T}) chi has minus the anticanonical class, so
-    the volume form with Ric = -chi has the closed-form density
-    C exp(-lambda psi_w); only the constant C is fixed by quadrature,
-    against the mass of 2 omega0 ^ pullback(eta).
+    The two densities and the volume density are assembled here and
+    nowhere else, checked for positivity and kept read-only.  The twist
+    form chi of pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi has minus
+    the anticanonical class, so the volume form with Ric = -chi has the
+    closed-form density C exp(-lambda psi_w); only the constant C is fixed
+    by quadrature, against the mass of 2 omega0 ^ pullback(eta).  A
+    density that is not finite and positive raises PositivityError.
     """
     consts = derive_constants(spec)
     grid = Grid(spec.n_fiber, spec.n_base)
@@ -278,7 +262,7 @@ def build_reference(spec: ModelSpec) -> ReferenceGeometry:
     rho = np.exp(-lam * psi_w)
     target = integrate_total(grid, 2.0 * kappa * vertical_fs)
     rho *= target / integrate_total(grid, rho)
-    Omega = VolumeDensity(rho)
+    Omega = _read_only(checked_volume(rho, "reference volume form"))
 
     norm_defect = abs(integrate_total(grid, Omega) / target - 1.0)
     if norm_defect > 1e-12:

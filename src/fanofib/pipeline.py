@@ -266,7 +266,7 @@ def _record(report: Report, cfg: PipelineConfig, grid: Grid, kind: str,
     report.records.append(CheckRecord(
         name=name, pipeline=kind, grid=(grid.n_fiber, grid.n_base),
         residual=float(residual), tolerance=tol,
-        passed=bool(residual <= tol), values=values,
+        passed=bool(residual <= tol), grade=grade, values=values,
         wall_time=laps.lap()))
 
 
@@ -374,9 +374,12 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
 
 
 def _attach_orders(report: Report) -> None:
-    """Convergence order log2(r_h / r_{h/2}) between consecutive grids."""
+    """Convergence order log2(r_h / r_{h/2}) between consecutive grids of a
+    truncation-grade series; an exact-grade residual is roundoff."""
     series: dict[tuple[str, str], list] = {}
     for rec in report.records:
+        if rec.grade == _EXACT:
+            continue
         series.setdefault((rec.name, rec.pipeline), []).append(rec.residual)
     for (name, kind), residuals in series.items():
         if len(residuals) < 2:

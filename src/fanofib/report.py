@@ -28,6 +28,7 @@ class CheckRecord:
     residual: float
     tolerance: float
     passed: bool
+    grade: str               # tolerance grade, in memory only like wall_time
     values: dict = field(default_factory=dict)
     wall_time: float = 0.0
 

@@ -1,0 +1,45 @@
+"""Test oracles for the (1,1)-forms of the paper, which the run holds only
+as FS-relative profiles.  A form is a (3, n_f+1, n_b+1) array of log-frame
+coefficients [ff, bb, fb], as ``calculus.ddbar_invariant`` returns it; a
+volume form is its density relative to the product FS volume.
+"""
+
+import numpy as np
+
+from fanofib.calculus import ddbar_invariant
+
+FF, BB, FB = 0, 1, 2
+
+
+def fs_form(grid, fiber_coeff, base_coeff):
+    """fiber_coeff * FS_f + base_coeff * FS_b; a base profile as
+    ``base_coeff`` gives the pullback of that base form."""
+    return np.stack(np.broadcast_arrays(fiber_coeff * grid.g_f[:, None],
+                                        base_coeff * grid.g_b[None, :], 0.0))
+
+
+def omega0(ref):
+    """omega0 in the log frame, from the reference's FS-relative profiles."""
+    grid = ref.grid
+    return np.stack((ref.vertical_fs * grid.g_f[:, None],
+                     ref.base_fs * grid.g_b[None, :], ref.mixed_fb))
+
+
+def chi(ref):
+    """Twist form, pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi."""
+    lam = float(ref.consts.lam)
+    return (lam + 1.0) * fs_form(ref.grid, 0.0, ref.eta_fs) - lam * omega0(ref)
+
+
+def ric_weight_residual(ref) -> float:
+    """sup |Ric(h_L) - omega0|: the pole parts of h_L's weight are exact,
+    its smooth part is differentiated by the grid operators."""
+    phi = ref.phi_L
+    ric = fs_form(ref.grid, phi.pole_fiber, phi.pole_base) + ddbar_invariant(
+        ref.grid, phi.smooth)
+    return np.abs(ric - omega0(ref)).max()
+
+
+def ric_volume(grid, rho):
+    """Ricci form of a volume form: 2(FS_f + FS_b) - i ddbar log(density)."""
+    return fs_form(grid, 2.0, 2.0) - ddbar_invariant(grid, np.log(rho))

@@ -22,7 +22,6 @@ from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                wpl_fs_residual)
 from fanofib.cohomology import check_base_identity, check_total_identity
 from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
-from fanofib.grids import VolumeDensity
 from fanofib.model import ModelSpec, build_reference, derive_constants
 from fanofib.pipeline import config_from_mapping, run_pipeline
 from fanofib.report import emit_report
@@ -332,7 +331,7 @@ def test_criterion_09_gauge_suite():
 
     # volume-form rescale
     scaled = dataclasses.replace(ref)
-    scaled.Omega = VolumeDensity(2.0 * ref.Omega.rho)
+    scaled.Omega = 2.0 * ref.Omega
     r1 = wpl_fs_residual(ref, cell["spr"]["wp_s"]).residual_sup
     r2 = wpl_fs_residual(scaled, cell["spr"]["wp_s"]).residual_sup
     ok &= abs(r1 - r2) <= 1e-12

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanofib import fiberwise
-from fanofib.calculus import (TWO_PI, fs_ratio, lap, lap_matrix,
-                              pullback_base_form, simpson_columns)
+from fanofib.calculus import TWO_PI, fs_ratio, lap, lap_matrix, simpson_columns
 from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
 from fanofib.grids import FIBER
 from fanofib.model import ModelSpec, build_reference
+from forms import BB, fs_form
 
 
 def test_spr_model_a_is_reference(ref_a, spr_a):
@@ -194,14 +194,14 @@ def test_gauge_shift_never_moves_vertical_data(ref_b, spr_b, s0, s1):
     beta = s0 + s1 * grid.nodes_b**2
     shifted = dataclasses.replace(spr_b, rho=spr_b.rho + beta[None, :])
     assert np.array_equal(shifted.vertical_fs, spr_b.vertical_fs)
-    assert np.array_equal(shifted.vertical_coeff(grid),
-                          spr_b.vertical_coeff(grid))
+    # the log-frame vertical coefficients of the family metrics
+    m_shifted, m_ff = (sol.vertical_fs * grid.g_f[:, None] for sol in (shifted, spr_b))
+    assert np.array_equal(m_shifted, m_ff)
     # wedges against pulled-back forms only see the vertical channel: the
     # density of M ^ theta is M_ff theta_bb / (g_f g_b)
-    theta = pullback_base_form(grid, np.full(grid.n_base + 1, ref_b.eta_fs))
-    assert np.array_equal(
-        fs_ratio(grid, shifted.vertical_coeff(grid) * theta.m_bb),
-        fs_ratio(grid, spr_b.vertical_coeff(grid) * theta.m_bb))
+    theta = fs_form(grid, 0.0, np.full(grid.n_base + 1, ref_b.eta_fs))
+    assert np.array_equal(fs_ratio(grid, m_shifted * theta[BB]),
+                          fs_ratio(grid, m_ff * theta[BB]))
 
 
 def test_fiber_ricci_identity_on_vertical_metric(ref_b, spr_b):

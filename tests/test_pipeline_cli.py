@@ -5,7 +5,6 @@ import json
 import os
 import tempfile
 import time
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,6 @@ from fanofib import pipeline
 from fanofib.cli import main
 from fanofib.errors import ConfigError
 from fanofib.fiberwise import SPR
-from fanofib.grids import Form11Field
 from fanofib.pipeline import (ALL_CHECKS, PipelineConfig, PipelineStageError,
                               config_from_mapping, load_config, parse_config,
                               run_pipeline)
@@ -188,30 +186,6 @@ def test_pipeline_records_have_all_requested_checks(model_a_report):
                    for r in model_a_report.records), check
 
 
-def test_run_pipeline_builds_no_form_field(monkeypatch):
-    # the run reads omega0 as FS-relative profiles plus its log-frame mixed
-    # entry; no stage of either family assembles a (1,1)-form field
-    calls = Counter()
-    real_init = Form11Field.__post_init__
-    real_derived = Form11Field.derived.__func__
-
-    def counted_init(self):
-        calls["__post_init__"] += 1
-        real_init(self)
-
-    def counted_derived(cls, m_ff, m_bb, m_fb):
-        calls["derived"] += 1
-        return real_derived(cls, m_ff, m_bb, m_fb)
-
-    monkeypatch.setattr(Form11Field, "__post_init__", counted_init)
-    monkeypatch.setattr(Form11Field, "derived", classmethod(counted_derived))
-    cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": 0.2,
-                               "warp_shape": "fiber_cubic", "grids": "32x32"})
-    assert cfg.pipeline == "both" and cfg.checks == ALL_CHECKS
-    assert run_pipeline(cfg).passed
-    assert calls == Counter()
-
-
 def test_pipeline_model_a_values(model_a_report):
     wp = [r for r in model_a_report.records if r.name == "wp_routes"][0]
     assert wp.residual < 1e-10
@@ -251,13 +225,21 @@ def test_partial_checks_subset():
 
 
 def test_refinement_orders_attached():
+    # only truncation-grade series get orders: an exact-grade residual is
+    # roundoff, so its log2 ratio is no order; the records themselves stay
     cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": "0.2",
                                "warp_shape": "fiber_cubic",
-                               "grids": "32x32,64x64", "pipeline": "spr",
-                               "checks": "wp_routes,fiber"})
+                               "grids": "32x32,64x64", "pipeline": "both",
+                               "checks": "wp_routes,fiber,gprime,base_ma"})
     rep = run_pipeline(cfg)
     assert "wp_routes[spr]" in rep.orders
     assert rep.orders["fiber_forward[spr]"][0] > 1.5
+    exact = {"fiber_solver", "gprime", "base_ma[B]", "base_ma[Bprime]"}
+    assert exact <= {r.name for r in rep.records}
+    for kind in ("spr", "ske"):
+        assert not {f"{name}[{kind}]" for name in exact} & set(rep.orders)
+        assert {f"{name}[{kind}]" for name in ("wp_routes", "fiber_forward",
+                                               "g_descends")} <= set(rep.orders)
 
 
 def test_record_wall_times_partition_the_run(monkeypatch):

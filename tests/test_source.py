@@ -42,15 +42,21 @@ def test_imports_only_stdlib_and_numpy(path):
     assert not foreign, f"{path.name} imports {foreign}"
 
 
-def test_benchmark_per_layer_functions_are_public_defs():
-    # the traced benchmark reads one metric per named function and fails
-    # with a KeyError deep in a subprocess when a function is renamed
+def _benchmark_functions() -> dict[str, set[str]]:
+    """layer -> the functions BENCHMARK.json names per-layer metrics of."""
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     named = {}
     for metric in per_layer:
         parts = metric["name"].split(".")
         if len(parts) == 3 and parts[2] in FUNCTION_METRICS:
             named.setdefault(parts[0], set()).add(parts[1])
+    return named
+
+
+def test_benchmark_per_layer_functions_are_public_defs():
+    # the traced benchmark reads one metric per named function and fails
+    # with a KeyError deep in a subprocess when a function is renamed
+    named = _benchmark_functions()
     assert named
     missing = []
     for layer, functions in sorted(named.items()):
@@ -59,6 +65,29 @@ def test_benchmark_per_layer_functions_are_public_defs():
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
         missing += [f"{layer}.{name}" for name in sorted(functions - defs)]
     assert not missing, f"BENCHMARK.json names no public def {missing}"
+
+
+def test_every_public_def_is_referenced_in_src():
+    # a public def or class, or a public method or property of a public
+    # class, that no module of the package reads is API kept alive only by
+    # its tests.  A read is matched by name alone: a Name or Attribute node
+    # for a def or class, an Attribute node for a method or property.  The
+    # functions the benchmark traces are exempt.
+    exempt = _benchmark_functions()
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    attrs = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    names = attrs | {node.id for node in nodes if isinstance(node, ast.Name)}
+    public = [(module, node, names) for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    public += [(f"{module}.{cls.name}", item, attrs) for module, cls, _ in public
+               if isinstance(cls, ast.ClassDef) for item in cls.body
+               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    unused = [f"{owner}.{node.name}" for owner, node, used in public
+              if node.name not in used and node.name not in exempt.get(owner, ())]
+    assert not unused, f"public names no module of the package uses: {unused}"
 
 
 def _knobs(tree: ast.Module):
