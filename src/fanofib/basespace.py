@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (TWO_PI, fiber_integral, integrate_total, lap,
+from .calculus import (TWO_PI, _col_max, _col_range, _row_blocks, _simpson_of_rows,
+                       _simpson_rows, fiber_integral, integrate_total, lap,
                        lap_bands, simpson, simpson2d)
 from .errors import PositivityError
 from .fiberwise import SKE, SPR, FiberFamilySolution
@@ -39,8 +40,12 @@ def pushforward_adjoint_defect(ref: ReferenceGeometry, rho: np.ndarray) -> float
     for p in (0, 1, 2):
         psi = grid.nodes_b**p
         lhs = simpson(grid, BASE, psi * push)
-        rhs = TWO_PI * simpson2d(grid, rho * psi[None, :])
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+        # simpson2d of rho * psi, whose fiber rows are summed block by block
+        rows = np.empty(grid.n_fiber + 1)
+        for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
+            rows[lo:hi] = _simpson_rows(grid, rho[lo:hi] * psi[None, :])
+        rhs = TWO_PI * _simpson_of_rows(grid, rows)
+        worst = float(np.max([worst, abs(lhs - rhs) / max(abs(rhs), 1e-30)]))
     return worst
 
 
@@ -68,10 +73,12 @@ def make_omega_prime(ref: ReferenceGeometry,
     if ske.kind != SKE:
         raise ValueError("omega-prime needs the fiberwise Einstein family")
     lam = float(ref.consts.lam)
-    rho = ref.Omega * np.exp(-lam * ske.rho)
+    rho = -lam * ske.rho                 # the density, formed in one array
+    np.exp(rho, out=rho)
+    np.multiply(ref.Omega, rho, out=rho)
     target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
-    return checked_volume(rho * (target_mass / integrate_total(ref.grid, rho)),
-                          "twisted volume form")
+    rho *= target_mass / integrate_total(ref.grid, rho)
+    return checked_volume(rho, "twisted volume form")
 
 
 def compute_gprime(ref: ReferenceGeometry,
@@ -120,9 +127,14 @@ def check_g_descends(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     if gprime.variant != fiber_sol.kind:
         raise ValueError(f"G' of the {gprime.variant} family cannot audit "
                          f"the {fiber_sol.kind} family")
-    G = gprime.volume / (2.0 * ref.eta_fs * fiber_sol.vertical_fs)
-    osc = float((G.max(axis=0) - G.min(axis=0)).max())
-    pullback = float(np.abs(G - gprime.gprime[None, :]).max())
+    # G in row blocks, reduced to per-column extremes as it is formed
+    hi = lo = gap = None
+    for a, b in _row_blocks(0, ref.grid.n_fiber + 1, ref.grid.n_base + 1):
+        G = gprime.volume[a:b] / (2.0 * ref.eta_fs * fiber_sol.vertical_fs[a:b])
+        lo, hi = _col_range(lo, hi, G)
+        gap = _col_max(gap, np.abs(G - gprime.gprime[None, :]))
+    osc = float((hi - lo).max())
+    pullback = float(gap.max())
     return GDescendsReport(variant=fiber_sol.kind, vertical_oscillation=osc,
                            pullback_defect=pullback)
 

@@ -21,98 +21,164 @@ from .grids import BASE, FIBER, Grid
 
 TWO_PI = 2.0 * math.pi
 
-_AXIS_INDEX = {FIBER: 0, BASE: 1}
+# ---------------------------------------------------------------------------
+# finite differences, in row blocks
+# ---------------------------------------------------------------------------
+#
+# Every stencil has one implementation, a private kernel that returns the
+# rows [lo, hi) of its result along axis 0.  The public operators are loops
+# of a kernel over row blocks; a stage that reduces its result without
+# keeping it calls the kernel itself, block by block.  Along the base axis
+# of a 2D field a kernel runs on the transposed view of a row block.  Each
+# element sees the IEEE operations of the whole-field expression in the
+# same order, so the blocking changes no bit; only the temporaries shrink
+# to one block.
+
+# Row-blocked kernels take at most this many elements per block, so that a
+# block and its temporaries stay in cache.  A wide field gets few rows per
+# block and a narrow one many, so no shape is cut into thousands of tiny
+# blocks.  A block also holds at most 1/_MIN_BLOCKS of the rows, so that a
+# stage holding k block temporaries holds about k/_MIN_BLOCKS of a field on
+# a small grid too.
+_BLOCK_ELEMS = 1 << 14
+_MIN_BLOCKS = 16
 
 
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
+def _row_blocks(start: int, stop: int, width: int):
+    """Consecutive [lo, hi) row ranges covering [start, stop)."""
+    step = max(1, min(_BLOCK_ELEMS // max(width, 1), (stop - start) // _MIN_BLOCKS))
+    return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
+
+
+def _d1_rows(v: np.ndarray, lo: int, hi: int, h: float, start: int = 0,
+             n: int | None = None) -> np.ndarray:
+    """Rows [lo, hi) of the second-order first derivative along axis 0,
+    one-sided at the two end rows, of a field with rows 0..n of which
+    ``v`` holds rows ``start`` on (all of them by default)."""
+    if n is None:
+        n = v.shape[0] - 1
+    out = np.empty_like(v[:hi - lo])
+    i, j = max(lo, 1), min(hi, n)        # the interior rows of the block
+    if i < j:
+        mid = out[i - lo:j - lo]
+        np.subtract(v[i + 1 - start:j + 1 - start], v[i - 1 - start:j - 1 - start],
+                    out=mid)
+        mid /= 2.0 * h
+    if lo == 0:
+        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    if hi == n + 1:
+        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return out
+
+
+def _d2_rows(v: np.ndarray, lo: int, hi: int, h: float) -> np.ndarray:
+    """Rows [lo, hi) of the second-order second derivative along axis 0,
+    one-sided at the two end rows."""
+    n = v.shape[0] - 1
+    out = np.empty_like(v[lo:hi])
+    i, j = max(lo, 1), min(hi, n)        # the interior rows of the block
+    if i < j:
+        mid = out[i - lo:j - lo]
+        np.multiply(2.0, v[i:j], out=mid)
+        np.subtract(v[i + 1:j + 1], mid, out=mid)
+        mid += v[i - 1:j - 1]
+        mid /= h**2
+    if lo == 0:
+        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
+    if hi == n + 1:
+        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
+    return out
+
+
+def _column(a: np.ndarray, lo: int, hi: int, ndim: int) -> np.ndarray:
+    """Entries [lo, hi) of a per-row profile, shaped to scale rows of an
+    ``ndim``-dimensional block."""
+    return a[lo:hi].reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _lap_rows(v: np.ndarray, lo: int, hi: int, g: np.ndarray, gp: np.ndarray,
+              h: float) -> np.ndarray:
+    """Rows [lo, hi) of ``g * diff2 + gp * diff1`` along axis 0."""
+    out = _d2_rows(v, lo, hi, h)
+    out *= _column(g, lo, hi, v.ndim)
+    d1 = _d1_rows(v, lo, hi, h)
+    d1 *= _column(gp, lo, hi, v.ndim)
+    out += d1
+    return out
+
+
+def _lap_fiber(grid: Grid, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the fiber-axis L of a 2D field."""
+    return _lap_rows(v, lo, hi, grid.g_f, grid.gp_f, grid.h(FIBER))
+
+
+def _lap_base(grid: Grid, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the base-axis L of a 2D field."""
+    t = v[lo:hi].T
+    return _lap_rows(t, 0, t.shape[0], grid.g_b, grid.gp_b, grid.h(BASE)).T
+
+
+def _dfdb(grid: Grid, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of D_f D_b v, the mixed log-frame coefficient of
+    i ddbar v; D_b runs on the rows that D_f reads."""
+    n = v.shape[0] - 1
+    s = max(0, min(lo - 1, n - 2))
+    e = min(n + 1, max(hi + 1, 3))
+    t = v[s:e].T
+    db = _d1_rows(t, 0, t.shape[0], grid.h(BASE))
+    db *= grid.g_b[:, None]
+    out = _d1_rows(db.T, lo, hi, grid.h(FIBER), s, n)
+    out *= grid.g_f[lo:hi, None]
+    return out
+
+
+def _col_max(acc: np.ndarray | None, block: np.ndarray) -> np.ndarray:
+    """Per-column maxima of ``block``, or ``acc`` raised to them; the
+    reduction of a streamed stage.  ``ndarray.max`` and ``np.maximum``
+    propagate a NaN, where Python's ``max`` could drop it."""
+    top = block.max(axis=0)
+    return top if acc is None else np.maximum(acc, top, out=acc)
+
+
+def _col_range(lo: np.ndarray | None, hi: np.ndarray | None,
+               block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lo`` and ``hi`` widened to the per-column minima and maxima of
+    ``block`` (None: those extremes)."""
+    low = block.min(axis=0)
+    lo = low if lo is None else np.minimum(lo, low, out=lo)
+    return lo, _col_max(hi, block)
+
+
+def _blocks(grid: Grid, kernel, v: np.ndarray) -> np.ndarray:
+    """A row kernel's whole result on a 2D field, block by block."""
+    out = np.empty_like(v)
+    for lo, hi in _row_blocks(0, v.shape[0], v.shape[1]):
+        out[lo:hi] = kernel(grid, v, lo, hi)
+    return out
+
 
 def diff1(a: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second-order first derivative; one-sided stencils at the ends."""
     v = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(_d1_rows(v, 0, v.shape[0], h), 0, axis)
 
 
 def diff2(a: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """Second-order second derivative; one-sided stencils at the ends."""
     v = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
-
-
-def _axis_arrays(grid: Grid, axis_name: str, ndim: int):
-    """g, g' broadcast onto a field of the given dimensionality."""
-    ax = _AXIS_INDEX[axis_name] if ndim == 2 else 0
-    g, gp = grid.g(axis_name), grid.gp(axis_name)
-    if ndim == 2 and axis_name == FIBER:
-        g, gp = g[:, None], gp[:, None]
-    elif ndim == 2:
-        g, gp = g[None, :], gp[None, :]
-    return g, gp, ax
-
-
-# Row-blocked kernels take this many elements per block, so that a block
-# and its temporaries stay in cache.  A wide field gets few rows per block
-# and a narrow one many, so no shape is cut into thousands of tiny blocks.
-_BLOCK_ELEMS = 1 << 14
-
-
-def _row_blocks(start: int, stop: int, width: int):
-    """Consecutive [lo, hi) row ranges covering [start, stop)."""
-    step = max(1, _BLOCK_ELEMS // max(width, 1))
-    return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
-
-
-def _lap_rows(v: np.ndarray, g: np.ndarray, gp: np.ndarray,
-              h: float) -> np.ndarray:
-    """``g * diff2 + gp * diff1`` along axis 0 of a 2D field, in row blocks.
-
-    Every element sees the IEEE operations of the unblocked expression in
-    the same order, so the result is bit-identical; only the temporaries
-    shrink to one block.
-    """
-    n = v.shape[0] - 1
-    out = np.empty_like(v)
-    h2, h2x = h**2, 2.0 * h
-    for lo, hi in _row_blocks(1, n, v.shape[1]):
-        below, mid, above = v[lo - 1:hi - 1], v[lo:hi], v[lo + 1:hi + 1]
-        out[lo:hi] = (g[lo:hi, None] * ((above - 2.0 * mid + below) / h2)
-                      + gp[lo:hi, None] * ((above - below) / h2x))
-    # the one-sided end rows of diff2 and diff1
-    d2 = 2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]
-    out[0] = g[0] * (d2 / h2) + gp[0] * ((-3.0 * v[0] + 4.0 * v[1] - v[2]) / h2x)
-    d2 = 2.0 * v[n] - 5.0 * v[n - 1] + 4.0 * v[n - 2] - v[n - 3]
-    out[n] = g[n] * (d2 / h2) + gp[n] * ((3.0 * v[n] - 4.0 * v[n - 1] + v[n - 2]) / h2x)
-    return out
+    return np.moveaxis(_d2_rows(v, 0, v.shape[0], h), 0, axis)
 
 
 def lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
     """FS-relative ddbar density along one axis: g psi'' + g' psi'.
 
-    Along the fiber axis of a 2D field the stencil runs in row blocks
-    (``_lap_rows``), with the same bits as the whole-field expression.
+    A 2D field is done in row blocks (``_lap_fiber``, ``_lap_base``).
     """
     v = np.asarray(psi, dtype=float)
-    h = grid.h(axis_name)
-    if v.ndim == 2 and axis_name == FIBER:
-        return _lap_rows(v, grid.g_f, grid.gp_f, h)
-    g, gp, ax = _axis_arrays(grid, axis_name, v.ndim)
-    return g * diff2(v, h, ax) + gp * diff1(v, h, ax)
-
-
-def dop(grid: Grid, psi, axis_name: str) -> np.ndarray:
-    """The degenerate derivative D = x(1-x) d/dx along one axis."""
-    v = np.asarray(psi, dtype=float)
-    g, _, ax = _axis_arrays(grid, axis_name, v.ndim)
-    return g * diff1(v, grid.h(axis_name), ax)
+    if v.ndim == 2:
+        return _blocks(grid, _lap_fiber if axis_name == FIBER else _lap_base, v)
+    return _lap_rows(v, 0, v.shape[0], grid.g(axis_name), grid.gp(axis_name),
+                     grid.h(axis_name))
 
 
 def ddbar_invariant(grid: Grid, psi) -> np.ndarray:
@@ -130,7 +196,7 @@ def ddbar_invariant(grid: Grid, psi) -> np.ndarray:
         raise ValueError("ddbar_invariant: non-finite potential")
     return np.stack((grid.g_f[:, None] * lap(grid, v, FIBER),
                      grid.g_b[None, :] * lap(grid, v, BASE),
-                     dop(grid, dop(grid, v, BASE), FIBER)))
+                     _blocks(grid, _dfdb, v)))
 
 
 def lap_bands(grid: Grid, axis_name: str) -> np.ndarray:
@@ -200,7 +266,17 @@ def simpson2d(grid: Grid, values) -> float:
     order on both sides would make that comparison vacuous.
     """
     v = np.asarray(values, dtype=float)
-    rows = np.einsum("ij,j->i", v, grid.simpson_b)
+    return _simpson_of_rows(grid, _simpson_rows(grid, v))
+
+
+def _simpson_rows(grid: Grid, block: np.ndarray) -> np.ndarray:
+    """The base-weighted sums of a block of fiber rows; a row's sum depends
+    on that row alone, so a field's row sums may be taken block by block."""
+    return np.einsum("ij,j->i", block, grid.simpson_b)
+
+
+def _simpson_of_rows(grid: Grid, rows: np.ndarray) -> float:
+    """``simpson2d`` from the base-weighted sums of all fiber rows."""
     return math.fsum((grid.simpson_f * rows).tolist()) / (9.0 * grid.n_fiber * grid.n_base)
 
 
@@ -236,8 +312,7 @@ def fs_ratio(grid: Grid, coeff: np.ndarray) -> np.ndarray:
     axes, filling the removable endpoint singularities by one-sided
     limits."""
     out = np.array(coeff, dtype=float)
-    for axis_name in (FIBER, BASE):
-        g, _, ax = _axis_arrays(grid, axis_name, 2)
+    for ax, g in ((0, grid.g_f[:, None]), (1, grid.g_b[None, :])):
         with np.errstate(divide="ignore", invalid="ignore"):
             out = out / g
         out = _fill_ends(out, ax)
@@ -280,20 +355,55 @@ def _stencil_weights(deriv: int) -> np.ndarray:
                      for k in range(5)])
 
 
-def _five_point(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Apply the rows of ``w`` along axis 0 of ``v``: the centred row 2 on
-    the interior, the one-sided rows 0, 1 and 3, 4 on the two end nodes of
-    each side.  Terms are summed in stencil order."""
-    n = v.shape[0]
-    out = np.empty_like(v)
-    # interior rows in cache-sized blocks; the bits are those of one pass
-    for lo, hi in _row_blocks(2, n - 2, v[0].size):
-        out[lo:hi] = sum(w[2, k] * v[lo - 2 + k:hi - 2 + k] for k in range(5))
-    head, tail = v[:5], v[n - 5:]
-    for r in (0, 1):
-        out[r] = sum(w[r, k] * head[k] for k in range(5))
-        out[n - 2 + r] = sum(w[3 + r, k] * tail[k] for k in range(5))
+def _five_point_rows(v: np.ndarray, lo: int, hi: int, w: np.ndarray,
+                     start: int, n: int) -> np.ndarray:
+    """Rows [lo, hi) of the stencils ``w`` applied along axis 0 of a field
+    with rows 0..n, of which ``v`` holds rows ``start`` on: the centred
+    row 2 of ``w`` on the interior, the one-sided rows 0, 1 and 3, 4 on
+    the two end nodes of each side.  Terms are summed in stencil order."""
+    out = np.empty_like(v[:hi - lo])
+    i, j = max(lo, 2), min(hi, n - 1)    # the interior rows of the block
+    if i < j:
+        acc, term = out[i - lo:j - lo], np.empty_like(out[i - lo:j - lo])
+        first = i - 2 - start
+        np.multiply(w[2, 0], v[first:first + j - i], out=acc)
+        for k in range(1, 5):
+            acc += np.multiply(w[2, k], v[first + k:first + k + j - i], out=term)
+    ends = [(r, r, 0) for r in range(lo, min(hi, 2))]
+    ends += [(r, r - n + 4, n - 4) for r in range(max(lo, n - 1), hi)]
+    for r, row, first in ends:           # first: the stencil's first node
+        nodes = v[first - start:first - start + 5]
+        out[r - lo] = sum(w[row, k] * nodes[k] for k in range(5))
     return out
+
+
+def _audit_rows(v: np.ndarray, lo: int, hi: int, g: np.ndarray, gp: np.ndarray,
+                weights: tuple, start: int = 0, n: int | None = None) -> np.ndarray:
+    """Rows [lo, hi) of ``audit_lap`` along axis 0 of a field with rows
+    0..n, of which ``v`` holds rows ``start`` on (all of them by default);
+    ``weights`` are ``_audit_weights``."""
+    if n is None:
+        n = v.shape[0] - 1
+    w1, w2 = weights
+    out = _five_point_rows(v, lo, hi, w2, start, n)
+    out *= _column(g, lo, hi, v.ndim)
+    d1 = _five_point_rows(v, lo, hi, w1, start, n)
+    d1 *= _column(gp, lo, hi, v.ndim)
+    out += d1
+    return out
+
+
+def _audit_weights(h: float) -> tuple:
+    """The five-point weights of d/dx and d^2/dx^2 at spacing h."""
+    return _stencil_weights(1) / h, _stencil_weights(2) / h**2
+
+
+def _audit_halo(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """The rows [s, e) that rows [lo, hi) of ``audit_lap`` read along axis 0
+    of a field with rows 0..n."""
+    s = 0 if lo < 2 else min(lo - 2, n - 4)
+    e = n + 1 if hi > n - 1 else max(hi + 2, 5)
+    return s, e
 
 
 def audit_lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
@@ -306,12 +416,19 @@ def audit_lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
     before they are applied.  The audit shares no stencil with ``lap``,
     whose second-order three-point differences define the solvers' fixed
     points, so its residual measures the distance to the continuum
-    solution and not to the solver's own discrete equation.
+    solution and not to the solver's own discrete equation.  A 2D field
+    is done in row blocks (``_audit_rows``).
     """
     v = np.asarray(psi, dtype=float)
-    h = grid.h(axis_name)
-    g, gp, ax = _axis_arrays(grid, axis_name, v.ndim)
-    along = np.moveaxis(np.asarray(v, dtype=float), ax, 0)
-    d1 = np.moveaxis(_five_point(along, _stencil_weights(1) / h), 0, ax)
-    d2 = np.moveaxis(_five_point(along, _stencil_weights(2) / h**2), 0, ax)
-    return g * d2 + gp * d1
+    g, gp, h = grid.g(axis_name), grid.gp(axis_name), grid.h(axis_name)
+    weights = _audit_weights(h)
+    if v.ndim == 1:
+        return _audit_rows(v, 0, v.shape[0], g, gp, weights)
+    out = np.empty_like(v)
+    for lo, hi in _row_blocks(0, v.shape[0], v.shape[1]):
+        if axis_name == FIBER:
+            out[lo:hi] = _audit_rows(v, lo, hi, g, gp, weights)
+        else:
+            t = v[lo:hi].T
+            out[lo:hi] = _audit_rows(t, 0, t.shape[0], g, gp, weights).T
+    return out

@@ -18,15 +18,17 @@ verified identity is gauge-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (audit_lap, integrate_total, lap, lap_matrix,
-                       simpson_columns)
-from .errors import PositivityError
+from .calculus import (TWO_PI, _audit_halo, _audit_rows, _audit_weights, _col_max,
+                       _lap_fiber, _row_blocks, _simpson_of_rows, _simpson_rows,
+                       lap_matrix, simpson_columns)
+from .errors import FanofibError
 from .grids import FIBER
-from .model import ReferenceGeometry
+from .model import ReferenceGeometry, checked_volume
 from .solvers import newton_semilinear, solve_poisson_1d
 
 SPR = "spr"
@@ -73,14 +75,17 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
     rhs_fs = -lam * w.eps * w.D2P_fs[:, None] * w.Q[None, :]
     v = solve_poisson_1d(grid, FIBER, rhs_fs)
 
-    ev = np.exp(v)
-    C = c / simpson_columns(grid, ev)
-    u = ev * C[None, :]
-    if np.any(u <= 0.0):
-        raise PositivityError("prescribed-Ricci fiber metric lost positivity")
+    # discrete forward residual of the linear solve, per row block
+    worst = None
+    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
+        worst = _col_max(worst, np.abs(_lap_fiber(grid, v, lo, hi) - rhs_fs[lo:hi]))
+    residual = float(worst.max())
+    del rhs_fs          # not read again
 
-    # discrete forward residual of the linear solve
-    residual = float(np.abs(lap(grid, v, FIBER) - rhs_fs).max())
+    # u = C(b) e^v, formed in the array that held v
+    u = np.exp(v, out=v)
+    u *= (c / simpson_columns(grid, u))[None, :]
+    checked_volume(u, "prescribed-Ricci fiber metric")
 
     rho = _recover_potential(ref, u)
     return FiberFamilySolution(kind=SPR, rho=rho, vertical_fs=u,
@@ -157,11 +162,13 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution
         v[:, j] = vj
         iters[j] = result.iterations
 
-    u = np.exp(v)
+    del L, work       # the dense Newton matrices, before the recovery
+    u = np.exp(v, out=v)
     # the discrete Einstein solve preserves the class volume only to
     # truncation; enforce it exactly and let the forward audit carry the
     # O(h^2) discrepancy
     u *= (c / simpson_columns(grid, u))[None, :]
+    checked_volume(u, "Einstein fiber metric")
     rho = _recover_potential(ref, u)
     return FiberFamilySolution(kind=SKE, rho=rho, vertical_fs=u,
                                residual_sup=residual,
@@ -192,26 +199,45 @@ def verify_fiber_family(ref: ReferenceGeometry,
 
     The forward residual is measured with an independent higher-order
     discretization, so it reflects the distance to the continuum solution
-    rather than the solver's own fixed point.
+    rather than the solver's own fixed point.  The audit runs in row
+    blocks: log u is taken on the rows each block's stencils read, and
+    every residual is reduced to per-column maxima as it is formed.  A
+    fiber potential, Einstein weight residual or exp_l2 diagnostic that is
+    not finite raises FanofibError: the later stages would read it.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
-    u = sol.vertical_fs
-    weight_forward = exp_l2 = None
-    if sol.kind == SPR:
-        target = lam * ref.vertical_fs
-    else:
-        target = lam * u
-        # weight of the Einstein Hermitian metric: phi_L + rho, fiberwise
-        # curvature must reproduce the fiber metric
-        curv = ref.vertical_fs + audit_lap(grid, sol.rho, FIBER)
-        weight_forward = float(np.abs(curv - u).max())
-        exp_l2 = float(np.sqrt(integrate_total(
-            grid, np.exp(-2.0 * lam * sol.rho) * ref.Omega)))
-    ric_fs = 2.0 - audit_lap(grid, np.log(u), FIBER)
-    forward = float(np.abs(ric_fs - target).max())
+    u, rho = sol.vertical_fs, sol.rho
+    if not (math.isfinite(float(rho.min())) and math.isfinite(float(rho.max()))):
+        raise FanofibError(f"{sol.kind} fiber potential is not finite")
+    n = grid.n_fiber
+    g, gp = grid.g_f, grid.gp_f
+    weights = _audit_weights(grid.h(FIBER))
+    forward = curv_gap = None
+    rows = np.empty(n + 1)
+    for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
+        s, e = _audit_halo(lo, hi, n)
+        ric_fs = 2.0 - _audit_rows(np.log(u[s:e]), lo, hi, g, gp, weights, s, n)
+        if sol.kind == SPR:
+            target = lam * ref.vertical_fs[lo:hi]
+        else:
+            target = lam * u[lo:hi]
+            # weight of the Einstein Hermitian metric: phi_L + rho,
+            # fiberwise curvature must reproduce the fiber metric
+            curv = ref.vertical_fs[lo:hi] + _audit_rows(rho, lo, hi, g, gp, weights)
+            curv_gap = _col_max(curv_gap, np.abs(curv - u[lo:hi]))
+            rows[lo:hi] = _simpson_rows(grid, np.exp(-2.0 * lam * rho[lo:hi])
+                                        * ref.Omega[lo:hi])
+        forward = _col_max(forward, np.abs(ric_fs - target))
 
-    return FiberVerifyReport(kind=sol.kind, forward_residual_sup=forward,
+    weight_forward = exp_l2 = None
+    if sol.kind == SKE:
+        weight_forward = float(curv_gap.max())
+        exp_l2 = float(np.sqrt(TWO_PI**2 * _simpson_of_rows(grid, rows)))
+        if not (math.isfinite(weight_forward) and math.isfinite(exp_l2)):
+            raise FanofibError(f"Einstein weight audit is not finite: weight "
+                               f"residual {weight_forward}, exp_l2 {exp_l2}")
+    return FiberVerifyReport(kind=sol.kind, forward_residual_sup=float(forward.max()),
                              positivity_margin=float(u.min()),
                              weight_forward_sup=weight_forward,
                              exp_l2_diagnostic=exp_l2)

@@ -93,7 +93,3 @@ class Grid:
     @cached_property
     def simpson_b(self) -> np.ndarray:
         return _simpson_pattern(self.n_base)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n_fiber + 1, self.n_base + 1)

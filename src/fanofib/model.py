@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -197,8 +196,9 @@ class ReferenceGeometry:
     Per grid, omega0 is held as the two FS-relative densities the run
     reads: ``vertical_fs`` = c + eps D2P_fs(x_f) Q(x_b) on the fibers and
     ``base_fs`` = a + eps P(x_f) D2Q_fs(x_b) on the base.  They and the
-    volume density ``Omega`` are read-only arrays; the log-frame mixed
-    entry ``mixed_fb`` is built on first read and then kept.
+    volume density ``Omega`` are read-only arrays.  The log-frame mixed
+    entry eps DP(x_f) DQ(x_b) is rank one, so a stage that needs it forms
+    its rows from ``warp`` where it reads them.
     """
 
     spec: ModelSpec
@@ -211,12 +211,6 @@ class ReferenceGeometry:
     phi_L: ChartWeight
     eta_fs: float            # FS-relative density of eta (the constant kappa)
     V: float                 # 2 * fiber volume of omega0
-
-    @cached_property
-    def mixed_fb(self) -> np.ndarray:
-        """Log-frame mixed entry of omega0, eps DP(x_f) DQ(x_b), read-only."""
-        w = self.warp
-        return _read_only(w.eps * w.DP[:, None] * w.DQ[None, :])
 
 
 def _check_positive(grid: Grid, w: WarpData, a11: np.ndarray,

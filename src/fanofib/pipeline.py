@@ -21,11 +21,12 @@ from .basespace import (VARIANT_B, VARIANT_BPRIME, compute_gprime,
                         twisted_ke_residual, volume_identity_residual,
                         wpl_fs_residual)
 from .errors import ConfigError, FanofibError
-from .fiberwise import SKE, SPR, solve_spr, solve_ske, verify_fiber_family
+from .fiberwise import (SKE, SPR, FiberFamilySolution, solve_spr, solve_ske,
+                        verify_fiber_family)
 from .grids import Grid
 from .model import ModelSpec, ReferenceGeometry, build_reference, derive_constants
 from .report import CheckRecord, Report, provenance
-from .wpform import (SectionFamilySpec, volume_family_from_sections,
+from .wpform import (SectionFamilySpec, WPResult, volume_family_from_sections,
                      wp_from_residual, wp_from_sections)
 
 ALL_CHECKS = ("fiber", "wp_routes", "gprime", "base_ma", "twisted_ke",
@@ -270,6 +271,15 @@ def _record(report: Report, cfg: PipelineConfig, grid: Grid, kind: str,
         wall_time=laps.lap()))
 
 
+def _sections_route(ref: ReferenceGeometry,
+                    fiber: FiberFamilySolution) -> tuple[WPResult, float]:
+    """The sections route's base form and its family's Ricci defect.  The
+    family's n^2 log density is not read again, so it is dropped here."""
+    family = volume_family_from_sections(
+        ref, SectionFamilySpec.canonical(ref.consts), fiber)
+    return wp_from_sections(ref, family), family.ric_defect
+
+
 def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
               report: Report, laps: _Laps) -> None:
     grid = ref.grid
@@ -289,9 +299,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
         _record(report, cfg, grid, kind, "fiber_forward",
                 audit.forward_residual_sup, _TRUNC, laps)
 
-    family = volume_family_from_sections(
-        ref, SectionFamilySpec.canonical(ref.consts), fiber)
-    wp_sections = wp_from_sections(ref, family)
+    wp_sections, ric_defect = _sections_route(ref, fiber)
     wp_residual = wp_from_residual(ref, fiber)
 
     if "wp_routes" in cfg.checks:
@@ -299,7 +307,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
                             wp_residual.wp_base).max())
         _record(report, cfg, grid, kind, "wp_routes", diff, _TRUNC, laps,
                 verticality_defect=wp_residual.verticality_defect,
-                ric_defect=family.ric_defect,
+                ric_defect=ric_defect,
                 wp_fs_min=float(wp_sections.wp_fs.min()))
 
     gprime = compute_gprime(ref, fiber, eps_lp=cfg.eps_lp)
@@ -311,7 +319,8 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
                 adjoint_defect=gp.adjoint_defect,
                 **{f"lp_{p:g}": v for p, v in gp.lp_norms.items()})
         _record(report, cfg, grid, kind, "g_descends",
-                max(descend.vertical_oscillation, descend.pullback_defect),
+                float(np.max([descend.vertical_oscillation,
+                              descend.pullback_defect])),
                 _TRUNC, laps, vertical_oscillation=descend.vertical_oscillation,
                 pullback_defect=descend.pullback_defect)
 
@@ -353,7 +362,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
         base = cohomology.check_base_identity(ref, wp_sections)
         fiber_rep, total = cohomology.check_total_identity(ref, wp_sections)
         _record(report, cfg, grid, kind, "cohomology",
-                max(base.relative, total.relative), _TRUNC, laps,
+                float(np.max([base.relative, total.relative])), _TRUNC, laps,
                 base_measured=base.measured, base_expected=base.expected,
                 total_base_defect=total.defect,
                 fiber_defect_exact=float(fiber_rep.exact_defect))

@@ -22,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import TWO_PI, dop, lap, simpson_columns
+from .calculus import (TWO_PI, _col_max, _col_range, _dfdb, _lap_base, _lap_fiber,
+                       _row_blocks, lap, simpson_columns)
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, FIBER
@@ -128,22 +129,29 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
         raise ValueError("f_scale must be positive")
 
     lam = float(consts.lam)
-    smooth_weight = ref.phi_L.smooth
-    ric_target = ref.vertical_fs
-    if fiber is not None and fiber.kind == SKE:
-        smooth_weight = smooth_weight + fiber.rho
-        ric_target = fiber.vertical_fs
-
+    grid = ref.grid
     beta = float(sfs.beta)
-    smooth_log = (2.0 / beta) * math.log(sfs.f_scale) - lam * smooth_weight
+    # smooth_log = 2/beta log f_scale - lam * (smooth part of the weight),
+    # formed in the one array it is returned in
+    if fiber is not None and fiber.kind == SKE:
+        smooth_log = ref.phi_L.smooth + fiber.rho
+        smooth_log *= lam
+        ric_target = fiber.vertical_fs
+    else:
+        smooth_log = lam * ref.phi_L.smooth
+        ric_target = ref.vertical_fs
+    np.subtract((2.0 / beta) * math.log(sfs.f_scale), smooth_log, out=smooth_log)
     pole_zero = sfs.f_power / beta
     pole_one = float(consts.lam * ref.spec.a) - pole_zero
 
-    # forward check of the defining fiber Ricci prescription
-    ric_fs = 2.0 - lap(ref.grid, smooth_log, FIBER)
-    ric_defect = float(np.abs(ric_fs - lam * ric_target).max())
+    # forward check of the defining fiber Ricci prescription, per row block
+    worst = None
+    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
+        ric_fs = 2.0 - _lap_fiber(grid, smooth_log, lo, hi)
+        worst = _col_max(worst, np.abs(ric_fs - lam * ric_target[lo:hi]))
+    ric_defect = float(worst.max())
 
-    integrals = TWO_PI * simpson_columns(ref.grid, np.exp(smooth_log))
+    integrals = TWO_PI * simpson_columns(grid, np.exp(smooth_log))
     if np.any(integrals <= 0.0):
         raise FanofibError("non-positive fiber integral in the section family")
 
@@ -193,7 +201,9 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     plus the fiber oscillation are reported as the verticality defect; a
     defect above max(1e-8, 50 h^2 max(1, sup|r_bb|)), or one that is not
     a number, raises PullbackStructureError.  The extremes of r are kept
-    in ``WPResult.residual`` for the volume identities.
+    in ``WPResult.residual`` for the volume identities.  r is formed in
+    row blocks and reduced per column as it is formed; only log u and the
+    FS-relative r_bb, which the fiber average needs, are held whole.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -206,39 +216,57 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     if fiber_sol.kind not in (SPR, SKE):
         raise ValueError(f"unknown fiber family kind {fiber_sol.kind!r}")
 
-    u = fiber_sol.vertical_fs
-    log_u = np.log(u)
+    log_u = np.log(fiber_sol.vertical_fs)
+    w = ref.warp
+    rho = fiber_sol.rho if fiber_sol.kind == SKE else None   # the twist's potential
 
-    # the twist form lambda*omega: the reference form for the
-    # prescribed-Ricci family, the family form itself for the Einstein one
-    if fiber_sol.kind == SPR:
-        twist_ff_fs = lam * ref.vertical_fs
-        twist_fb = lam * ref.mixed_fb
-        twist_bb_fs = lam * ref.base_fs
-    else:
-        rho = fiber_sol.rho
-        twist_ff_fs = lam * (ref.vertical_fs + lap(grid, rho, FIBER))
-        twist_fb = lam * (ref.mixed_fb + dop(grid, dop(grid, rho, BASE), FIBER))
-        twist_bb_fs = lam * ref.base_fs + lam * lap(grid, rho, BASE)
+    # r in row blocks, one channel at a time: the ff and fb channels are
+    # reduced to per-column maxima as they are formed, and of r_bb only the
+    # FS-relative field, which the fiber average needs, is kept whole.  The
+    # twist form is lambda*omega: the reference form for the prescribed-
+    # Ricci family, the family form itself for the Einstein one.
+    r_bb_fs = np.empty_like(log_u)
+    ff = fb = ffb = bb_lo = bb_hi = None
+    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
+        # vertical channel: twist_ff - (2 - L_f log u), times g_f
+        if rho is None:
+            abs_ff = lam * ref.vertical_fs[lo:hi]
+        else:
+            abs_ff = _lap_fiber(grid, rho, lo, hi)
+            np.add(ref.vertical_fs[lo:hi], abs_ff, out=abs_ff)
+            abs_ff *= lam
+        abs_ff -= 2.0 - _lap_fiber(grid, log_u, lo, hi)
+        abs_ff *= grid.g_f[lo:hi, None]
+        ff = _col_max(ff, np.abs(abs_ff, out=abs_ff))
 
-    # vertical channel: twist_ff - (2 - L_f log u), times g_f
-    abs_ff = np.abs((twist_ff_fs - (2.0 - lap(grid, log_u, FIBER)))
-                    * grid.g_f[:, None])
+        # mixed channel: the pulled-back pieces have no mixed entry;
+        # omega0's is eps DP(x_f) DQ(x_b)
+        abs_fb = w.eps * w.DP[lo:hi, None] * w.DQ[None, :]
+        if rho is not None:
+            abs_fb += _dfdb(grid, rho, lo, hi)
+        abs_fb *= lam
+        abs_fb += _dfdb(grid, log_u, lo, hi)
+        fb = _col_max(fb, np.abs(abs_fb, out=abs_fb))
+        abs_ff += abs_fb
+        ffb = _col_max(ffb, abs_ff)
+        del abs_ff, abs_fb      # before the next channel's temporaries
 
-    # mixed channel: the pulled-back pieces have no mixed entry
-    abs_fb = np.abs(twist_fb + dop(grid, dop(grid, log_u, BASE), FIBER))
+        # base-base channel, FS-relative; the Ric(theta) and wedge theta
+        # terms cancel identically, leaving twist_bb + L_b log u
+        block = r_bb_fs[lo:hi]
+        np.multiply(lam, ref.base_fs[lo:hi], out=block)
+        if rho is not None:
+            block += lam * _lap_base(grid, rho, lo, hi)
+        block += _lap_base(grid, log_u, lo, hi)
+        bb_lo, bb_hi = _col_range(bb_lo, bb_hi, block * grid.g_b[None, :])
 
-    # base-base channel, FS-relative; the Ric(theta) and wedge theta terms
-    # cancel identically, leaving twist_bb + L_b log u (added in place, so
-    # the twist costs no n^2 array beyond the residual)
-    r_bb_fs = twist_bb_fs
-    r_bb_fs += lap(grid, log_u, BASE)
-    r_bb = r_bb_fs * grid.g_b[None, :]
-
-    bb_lo, bb_hi = r_bb.min(axis=0), r_bb.max(axis=0)
-    defect = float((abs_ff + abs_fb + (bb_hi - bb_lo)[None, :]).max())
+    # max over the field of |r_ff| + |r_fb| + the fiber spread of r_bb:
+    # rounding is monotone, so adding the spread to each column's maximum
+    # gives the full-field value bit for bit
+    defect = float((ffb + (bb_hi - bb_lo)).max())
+    r_bb_sup = float(np.maximum(np.abs(bb_lo), np.abs(bb_hi)).max())
     h2 = grid.h(FIBER)**2 + grid.h(BASE)**2
-    defect_tol = max(1e-8, 50.0 * h2 * max(1.0, float(np.abs(r_bb).max())))
+    defect_tol = max(1e-8, 50.0 * h2 * max(1.0, r_bb_sup))
     if not defect <= defect_tol:
         raise PullbackStructureError(
             f"reconstructed form is not a pullback: defect {defect:.3e} "
@@ -246,7 +274,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 
     wp_fs = simpson_columns(grid, r_bb_fs)
     summary = PullbackResidualSummary(
-        kind=fiber_sol.kind, ff_sup=float(abs_ff.max()),
-        fb_sup=float(abs_fb.max()), bb_lo=bb_lo, bb_hi=bb_hi)
+        kind=fiber_sol.kind, ff_sup=float(ff.max()), fb_sup=float(fb.max()),
+        bb_lo=bb_lo, bb_hi=bb_hi)
     return WPResult(wp_base=grid.g_b * wp_fs, wp_fs=wp_fs, route="residual",
                     verticality_defect=defect, residual=summary)

@@ -18,11 +18,22 @@ def fs_form(grid, fiber_coeff, base_coeff):
                                         base_coeff * grid.g_b[None, :], 0.0))
 
 
+def field_shape(grid):
+    """The shape of a nodal field on ``grid``."""
+    return (grid.n_fiber + 1, grid.n_base + 1)
+
+
+def mixed_fb(ref):
+    """The log-frame mixed entry of omega0, eps DP(x_f) DQ(x_b), in full."""
+    w = ref.warp
+    return w.eps * w.DP[:, None] * w.DQ[None, :]
+
+
 def omega0(ref):
     """omega0 in the log frame, from the reference's FS-relative profiles."""
     grid = ref.grid
     return np.stack((ref.vertical_fs * grid.g_f[:, None],
-                     ref.base_fs * grid.g_b[None, :], ref.mixed_fb))
+                     ref.base_fs * grid.g_b[None, :], mixed_fb(ref)))
 
 
 def chi(ref):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.model import ModelSpec, build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
-from forms import fs_form, omega0, ric_volume
+from conftest import peak_fields
+from forms import field_shape, fs_form, omega0, ric_volume
 
 
 def wp_of(ref):
@@ -294,8 +294,8 @@ def _full_assembly(ref, fiber_sol, base_sol):
     grid = ref.grid
     eT, one_minus = float(ref.consts.eT), float(1 - ref.consts.eT)
     lam = float(ref.consts.lam)
-    rho_b = np.broadcast_to(base_sol.rho[None, :], grid.shape)
-    exponent = np.zeros(grid.shape)
+    rho_b = np.broadcast_to(base_sol.rho[None, :], field_shape(grid))
+    exponent = np.zeros(field_shape(grid))
     if fiber_sol.kind == "spr":
         exponent = exponent - lam * fiber_sol.rho
     if base_sol.variant == VARIANT_B:
@@ -354,7 +354,6 @@ def test_volume_identities_take_no_full_field_pass(monkeypatch):
     ref = build_reference(ModelSpec.make(2, 1, warp_amplitude=0.2,
                                          warp_shape="fiber_cubic",
                                          n_fiber=n, n_base=n))
-    one_field = np.zeros(ref.grid.shape).nbytes
     passes = []
     real_ddbar, real_lap = calculus.ddbar_invariant, basespace.lap
 
@@ -375,17 +374,13 @@ def test_volume_identities_take_no_full_field_pass(monkeypatch):
         sols = [solve_base_ma(ref, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
         wp = wp_from_residual(ref, fiber)
         passes.clear()
-        tracemalloc.start()
-        try:
-            reps = volume_identity_residual(ref, fiber, wp, sols)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_fields(volume_identity_residual, ref, fiber, wp, sols)
+        reps = volume_identity_residual(ref, fiber, wp, sols)
         assert [r.name for r in reps] == (
             ["volume_identity[1]", "volume_identity[2]"] if fiber.kind == "spr"
             else ["volume_identity[3]", "volume_identity[4]"])
         assert passes == []
-        assert peak < one_field, (fiber.kind, peak, one_field)
+        assert peak < 1.0, (fiber.kind, peak)
 
 
 def test_volume_identities_reject_a_foreign_form(ref_c, spr_c, ske_c):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,8 @@ from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant, fd_weights,
                               simpson, simpson2d)
 from fanofib import basespace, calculus
 from fanofib.grids import BASE, FIBER, Grid
-from forms import BB, FB, FF, fs_form, omega0, ric_volume
+from conftest import peak_fields
+from forms import BB, FB, FF, field_shape, fs_form, omega0, ric_volume
 
 
 def grid64():
@@ -38,7 +38,7 @@ def test_ddbar_fs_potential_is_fs_form():
         g = Grid(n, n)
         column = log1s(g.nodes_f)
         column[-1] = 0.0  # value at the pole node is never used below
-        psi = np.broadcast_to(column[:, None], g.shape).copy()
+        psi = np.broadcast_to(column[:, None], field_shape(g)).copy()
         M = ddbar_invariant(g, psi)
         sel = g.nodes_f <= 0.75
         errs.append(np.abs(M[FF][sel, :] - g.g_f[sel, None]).max())
@@ -50,8 +50,8 @@ def test_ddbar_fs_potential_is_fs_form():
 
 def test_ddbar_constant_is_zero():
     g = grid64()
-    M = ddbar_invariant(g, np.full(g.shape, 3.7))
-    assert M.shape == (3,) + g.shape
+    M = ddbar_invariant(g, np.full(field_shape(g), 3.7))
+    assert M.shape == (3,) + field_shape(g)
     assert np.abs(M).max() == 0.0
 
 
@@ -124,7 +124,7 @@ def test_ddbar_linearity(s, t):
 
 def test_ddbar_rejects_nonfinite():
     g = Grid(16, 16)
-    bad = np.zeros(g.shape)
+    bad = np.zeros(field_shape(g))
     bad[3, 3] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         ddbar_invariant(g, bad)
@@ -176,7 +176,7 @@ def test_mixed_wedge_model_a(ref_a):
 def test_ric_volume_constant_density():
     g = grid64()
     for const in (1.0, 7.0):
-        R = ric_volume(g, np.full(g.shape, const))
+        R = ric_volume(g, np.full(field_shape(g), const))
         expect = fs_form(g, 2.0, 2.0)
         assert np.abs(R - expect).max() == 0.0
 
@@ -248,7 +248,7 @@ def test_audit_lap_fourth_order():
 
 def test_fiber_integral_constant():
     g = grid64()
-    out = fiber_integral(g, np.full(g.shape, 2.5))
+    out = fiber_integral(g, np.full(field_shape(g), 2.5))
     assert np.allclose(out, 2.5 * TWO_PI, atol=0.0)
 
 
@@ -278,8 +278,8 @@ def test_base_simpson_eta_model_a(ref_a):
 
 def test_integrate_total_unit_density():
     g = grid64()
-    assert integrate_total(g, np.ones(g.shape)) == pytest.approx(4 * math.pi**2,
-                                                                 rel=1e-15)
+    assert integrate_total(g, np.ones(field_shape(g))) == pytest.approx(
+        4 * math.pi**2, rel=1e-15)
 
 
 def _simpson2d_full_product(grid, v):
@@ -292,7 +292,7 @@ def test_simpson2d_matches_full_product_fsum():
     # the base-first row sums are plain floating-point sums of n_b+1 terms;
     # their error is bounded by (n_b+1) eps times the integral of |v|
     g = Grid(1024, 1024)
-    v = np.random.default_rng(7).standard_normal(g.shape)
+    v = np.random.default_rng(7).standard_normal(field_shape(g))
     bound = (g.n_base + 1) * np.finfo(float).eps * simpson2d(g, np.abs(v))
     assert abs(simpson2d(g, v) - _simpson2d_full_product(g, v)) <= bound
 
@@ -309,16 +309,10 @@ def test_simpson2d_exact_on_tensor_cubics(shape):
 
 def test_simpson2d_builds_no_full_size_temporary():
     g = Grid(1024, 1024)
-    v = np.random.default_rng(3).standard_normal(g.shape)
+    v = np.random.default_rng(3).standard_normal(field_shape(g))
     simpson2d(g, v)  # fill the grid's cached weights outside the trace
-    tracemalloc.start()
-    try:
-        simpson2d(g, v)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     # the field itself is 8.4 MB; the row sums and fiber weights are 16 kB
-    assert peak < 1e6
+    assert peak_fields(simpson2d, g, v) < 1e6 / v.nbytes
 
 
 def test_pushforward_adjoint_defect_sees_a_perturbed_fiber_integral(ref_c, monkeypatch):
@@ -430,10 +424,62 @@ def test_blocked_stencils_are_bit_identical(shape, block, monkeypatch):
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
     g = Grid(*shape)
     rng = np.random.default_rng(sum(shape))
-    v = rng.standard_normal(g.shape) * np.exp(g.nodes_f)[:, None]
+    v = rng.standard_normal(field_shape(g)) * np.exp(g.nodes_f)[:, None]
     cases = [(v, FIBER), (v, BASE), (v[:, 3], FIBER), (v[5], BASE)]
     for field, axis_name in cases:
         assert np.array_equal(lap(g, field, axis_name),
                               _lap_whole(g, field, axis_name)), axis_name
         assert np.array_equal(audit_lap(g, field, axis_name),
                               _audit_lap_whole(g, field, axis_name)), axis_name
+
+
+def _dfdb_whole(grid, v):
+    """D_f D_b v as dop(dop(v, BASE), FIBER) composed it on whole fields."""
+    inner = grid.g_b[None, :] * _diff1_whole(v, grid.h(BASE), 1)
+    return grid.g_f[:, None] * _diff1_whole(inner, grid.h(FIBER), 0)
+
+
+KERNEL_GRIDS = [(16, 1024), (1024, 16), (64, 64), (256, 256)]
+
+
+@pytest.mark.parametrize("blocking", ["default", "one block", "333 elements"])
+@pytest.mark.parametrize("shape", KERNEL_GRIDS, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_block_kernels_looped_equal_the_whole_field_expressions(shape, blocking,
+                                                                monkeypatch):
+    if blocking == "one block":
+        monkeypatch.setattr(calculus, "_BLOCK_ELEMS", 1 << 30)
+        monkeypatch.setattr(calculus, "_MIN_BLOCKS", 1)
+    elif blocking == "333 elements":
+        monkeypatch.setattr(calculus, "_BLOCK_ELEMS", 333)
+    g = Grid(*shape)
+    n = g.n_fiber
+    blocks = list(calculus._row_blocks(0, n + 1, g.n_base + 1))
+    if blocking == "one block":
+        assert blocks == [(0, n + 1)]
+    elif blocking == "default" and shape != (16, 1024):
+        # sixteen full blocks, then a partial one
+        assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+    v = np.random.default_rng(sum(shape)).standard_normal(field_shape(g))
+
+    def looped(kernel):
+        return np.concatenate([kernel(g, v, lo, hi) for lo, hi in blocks])
+
+    assert np.array_equal(looped(calculus._lap_fiber), _lap_whole(g, v, FIBER))
+    assert np.array_equal(looped(calculus._lap_base), _lap_whole(g, v, BASE))
+    assert np.array_equal(looped(calculus._dfdb), _dfdb_whole(g, v))
+    weights = calculus._audit_weights(g.h(FIBER))
+    audit = _audit_lap_whole(g, v, FIBER)
+    assert np.array_equal(np.concatenate(
+        [calculus._audit_rows(v, lo, hi, g.g_f, g.gp_f, weights)
+         for lo, hi in blocks]), audit)
+    # the audit from halo slices, as the fiber audit reads log u
+    parts = []
+    for lo, hi in blocks:
+        s, e = calculus._audit_halo(lo, hi, n)
+        parts.append(calculus._audit_rows(v[s:e], lo, hi, g.g_f, g.gp_f,
+                                          weights, s, n))
+    assert np.array_equal(np.concatenate(parts), audit)
+    # simpson2d's base-weighted row sums, block by block
+    rows = np.concatenate([calculus._simpson_rows(g, v[lo:hi]) for lo, hi in blocks])
+    assert np.array_equal(rows, np.einsum("ij,j->i", v, g.simpson_b))
+    assert calculus._simpson_of_rows(g, rows) == simpson2d(g, v)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,8 @@ from fanofib import calculus
 from fanofib.calculus import ddbar_invariant, integrate_total
 from fanofib.errors import ConfigError, ModelOrientationError, PositivityError
 from fanofib.model import ModelSpec, build_reference, derive_constants
-from forms import FB, chi, fs_form, omega0, ric_volume, ric_weight_residual
+from conftest import peak_fields
+from forms import chi, fs_form, omega0, ric_volume, ric_weight_residual
 
 F = Fraction
 
@@ -108,31 +108,26 @@ def test_reference_vertical_density_is_shared_and_read_only(ref_b):
         ref_b.Omega[0, 0] = 1.0
 
 
-def test_reference_mixed_entry_is_omega0s(ref_c):
-    # the one log-frame entry the run reads (wp_from_residual's twist) is
-    # the mixed entry of omega0, bit for bit
-    w = ref_c.warp
-    assert np.array_equal(ref_c.mixed_fb, w.eps * w.DP[:, None] * w.DQ[None, :])
-    assert np.array_equal(ref_c.mixed_fb, omega0(ref_c)[FB])
-    with pytest.raises(ValueError):
-        ref_c.mixed_fb[1, 1] = 1.0
-
-
 def test_reference_build_holds_only_the_profiles_it_needs():
     # the reference, bound to ``ref`` while traced, retains omega0's two
     # FS-relative densities, the volume density and the warp potential
     n = 256
     spec = ModelSpec.make(2, 1, warp_amplitude=0.2, warp_shape="fiber_cubic",
                           n_fiber=n, n_base=n)
-    field = (n + 1)**2 * 8
-    tracemalloc.start()
-    try:
-        ref = build_reference(spec)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert retained / field <= 5.0
-    assert peak / field <= 8.0
+    assert peak_fields(build_reference, spec) <= 8.0
+    assert _held_bytes(build_reference(spec)) / (n + 1)**2 / 8 <= 5.0
+
+
+def _held_bytes(obj, seen=None) -> int:
+    """Bytes of the distinct arrays an object holds, followed through the
+    attributes of the objects it holds."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    return sum(_held_bytes(v, seen) for v in getattr(obj, "__dict__", {}).values())
 
 
 def test_reference_build_takes_no_ddbar(monkeypatch):

@@ -431,6 +431,34 @@ def test_cli_non_finite_fiber_family_exits_2(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_cli_non_finite_einstein_potential_exits_2_at_the_fiber_audit(
+        tmp_path, capsys, monkeypatch):
+    # a NaN column in rho leaves the Einstein family's solver and forward
+    # records at 0.0; the fiber audit's gate must end the run before the
+    # WP stage reads the potential
+    real_solve, real_wp = pipeline.solve_ske, pipeline.wp_from_residual
+
+    def nan_column(ref, tol):
+        sol = real_solve(ref, tol=tol)
+        rho = sol.rho.copy()
+        rho[:, ref.grid.n_base // 2] = np.nan
+        return dataclasses.replace(sol, rho=rho)
+
+    def wp_before_the_gate(ref, fiber):
+        assert fiber.kind == SPR, "the WP stage read a non-finite Einstein family"
+        return real_wp(ref, fiber)
+
+    monkeypatch.setattr(pipeline, "solve_ske", nan_column)
+    monkeypatch.setattr(pipeline, "wp_from_residual", wp_before_the_gate)
+    cfg = write_cfg(tmp_path, MODEL_B)
+    code = main(["run", "--config", cfg, "--grid", "32x32", "--pipeline", "both"])
+    err = capsys.readouterr().err
+    assert code == 2
+    named = [line for line in err.splitlines() if "grid (32, 32) / ske" in line]
+    assert len(named) == 1 and "fiber potential is not finite" in named[0]
+    assert "Traceback" not in err
+
+
 def test_cli_rerun_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_B)
     for sub in ("r1", "r2"):

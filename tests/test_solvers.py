@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from fanofib.grids import BASE, FIBER, Grid
 from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import (BandedMatrix, newton_semilinear, poisson_system,
                              probe_jacobian, solve_poisson_1d)
+from conftest import peak_fields
 
 
 def test_poisson_zero_rhs():
@@ -216,8 +216,7 @@ def test_poisson_solve_holds_one_field_and_row_blocks():
     w = g.simpson_f / (3.0 * g.n_fiber)
     fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
     fs -= np.einsum("i,ij->j", w, fs)[None, :]
-    peak = _peak_bytes(lambda: solve_poisson_1d(g, FIBER, fs))
-    assert peak <= 2 * fs.nbytes
+    assert peak_fields(solve_poisson_1d, g, FIBER, fs) <= 2.0
 
 
 def _base_ma_data(n_base):
@@ -240,23 +239,15 @@ def test_base_ma_newton_step_matches_dense(n_base):
     assert np.abs(step - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_solves_on_2048_intervals_build_no_dense_matrix():
     # one dense 2049^2 float64 array takes 33.6 MB
     limit = 4 * 2**20
     g = Grid(2048, 16)
     fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
-    assert _peak_bytes(lambda: solve_poisson_1d(g, FIBER, fs)) < limit
+    field = 2049 * 17 * 8       # both grids have 2049 x 17 nodes
+    assert peak_fields(solve_poisson_1d, g, FIBER, fs) < limit / field
     ref, gp, _ = _base_ma_data(2048)
-    assert _peak_bytes(lambda: solve_base_ma(ref, gp)) < limit
+    assert peak_fields(solve_base_ma, ref, gp) < limit / field
 
 
 def test_banded_matrix_rejects_entries_outside_its_pattern():

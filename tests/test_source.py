@@ -3,6 +3,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,8 +72,11 @@ def test_every_public_def_is_referenced_in_src():
     # a public def or class, or a public method or property of a public
     # class, that no module of the package reads is API kept alive only by
     # its tests.  A read is matched by name alone: a Name or Attribute node
-    # for a def or class, an Attribute node for a method or property.  The
-    # functions the benchmark traces are exempt.
+    # for a def or class, an Attribute node for a method or property.  A
+    # method or property named like an ndarray attribute (``shape``,
+    # ``copy``, ...) is reported whatever reads it: every array's read of
+    # that name would match.  The functions the benchmark traces are
+    # exempt.
     exempt = _benchmark_functions()
     trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
@@ -82,12 +86,16 @@ def test_every_public_def_is_referenced_in_src():
               for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")]
-    public += [(f"{module}.{cls.name}", item, attrs) for module, cls, _ in public
+    members = [(f"{module}.{cls.name}", item) for module, cls, _ in public
                if isinstance(cls, ast.ClassDef) for item in cls.body
                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    public += [(owner, item, attrs) for owner, item in members]
     unused = [f"{owner}.{node.name}" for owner, node, used in public
               if node.name not in used and node.name not in exempt.get(owner, ())]
     assert not unused, f"public names no module of the package uses: {unused}"
+    shadowed = [f"{owner}.{item.name}" for owner, item in members
+                if item.name in dir(np.ndarray)]
+    assert not shadowed, f"public members named like ndarray attributes: {shadowed}"
 
 
 def _knobs(tree: ast.Module):

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from fanofib.calculus import TWO_PI, simpson_columns
+from fanofib.calculus import TWO_PI, diff1, lap, simpson_columns
 from fanofib.errors import FanofibError, PullbackStructureError
 from fanofib.fiberwise import solve_spr
+from fanofib.grids import BASE, FIBER
 from fanofib.model import ModelSpec, build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
+from forms import FB, mixed_fb, omega0
 
 
 def canonical(ref):
@@ -177,6 +179,58 @@ def test_wp_residual_gauge_bit_identical(ref_b, spr_b):
 # ---------------------------------------------------------------------------
 # route equivalence
 # ---------------------------------------------------------------------------
+
+def _pullback_residual_whole(ref, fiber_sol):
+    """Oracle: r of the residual route assembled in whole fields, with
+    omega0's mixed entry in full (``forms.mixed_fb``) and D_f D_b composed
+    of whole-field ``diff1``; returns the route's defect, the extremes of r
+    and the fiber average of r_bb."""
+    grid = ref.grid
+    lam = float(ref.consts.lam)
+    hf, hb = grid.h(FIBER), grid.h(BASE)
+
+    def dfdb(v):
+        return grid.g_f[:, None] * diff1(grid.g_b[None, :] * diff1(v, hb, 1), hf, 0)
+
+    log_u = np.log(fiber_sol.vertical_fs)
+    if fiber_sol.kind == "spr":
+        twist_ff_fs = lam * ref.vertical_fs
+        twist_fb = lam * mixed_fb(ref)
+        twist_bb_fs = lam * ref.base_fs
+    else:
+        rho = fiber_sol.rho
+        twist_ff_fs = lam * (ref.vertical_fs + lap(grid, rho, FIBER))
+        twist_fb = lam * (mixed_fb(ref) + dfdb(rho))
+        twist_bb_fs = lam * ref.base_fs + lam * lap(grid, rho, BASE)
+    abs_ff = np.abs((twist_ff_fs - (2.0 - lap(grid, log_u, FIBER)))
+                    * grid.g_f[:, None])
+    abs_fb = np.abs(twist_fb + dfdb(log_u))
+    r_bb_fs = twist_bb_fs + lap(grid, log_u, BASE)
+    r_bb = r_bb_fs * grid.g_b[None, :]
+    bb_lo, bb_hi = r_bb.min(axis=0), r_bb.max(axis=0)
+    defect = float((abs_ff + abs_fb + (bb_hi - bb_lo)[None, :]).max())
+    return (defect, float(abs_ff.max()), float(abs_fb.max()), bb_lo, bb_hi,
+            simpson_columns(grid, r_bb_fs))
+
+
+@pytest.mark.parametrize("family", ["spr_c", "ske_c"])
+def test_wp_residual_is_the_whole_field_assembly(ref_c, family, request):
+    # r is formed in row blocks, omega0's mixed entry among it, and reduced
+    # per column as it is formed; every number the route returns has the
+    # bits of the whole-field assembly
+    fiber = request.getfixturevalue(family)
+    wp = wp_from_residual(ref_c, fiber)
+    defect, ff_sup, fb_sup, bb_lo, bb_hi, wp_fs = _pullback_residual_whole(ref_c, fiber)
+    assert wp.verticality_defect == defect
+    assert (wp.residual.ff_sup, wp.residual.fb_sup) == (ff_sup, fb_sup)
+    assert np.array_equal(wp.residual.bb_lo, bb_lo)
+    assert np.array_equal(wp.residual.bb_hi, bb_hi)
+    assert np.array_equal(wp.wp_fs, wp_fs)
+    # the oracle's mixed entry is omega0's
+    w = ref_c.warp
+    assert np.array_equal(mixed_fb(ref_c), omega0(ref_c)[FB])
+    assert np.array_equal(mixed_fb(ref_c), w.eps * w.DP[:, None] * w.DQ[None, :])
+
 
 def test_routes_agree_model_a(ref_a, spr_a):
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
