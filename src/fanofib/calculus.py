@@ -231,8 +231,9 @@ def lap_bands(grid: Grid, axis_name: str) -> np.ndarray:
 def lap_matrix(grid: Grid, axis_name: str) -> np.ndarray:
     """Dense (n+1)^2 matrix of L, written in place from ``lap_bands``.
 
-    The solvers work on the bands; the dense form serves only the
-    per-fiber Newton of the fiberwise Einstein family and tests.
+    The solvers and the Jacobian products work on the bands; the dense
+    form serves only the residual of the fiberwise Einstein Newton (and a
+    Newton step, when a fiber takes one) and tests.
     """
     bands = lap_bands(grid, axis_name)
     n = grid.n(axis_name)

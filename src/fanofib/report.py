@@ -108,8 +108,9 @@ def emit_report(report: Report, out_dir) -> list[Path]:
             names = list(columns)
             rows = np.column_stack([np.asarray(columns[k]) for k in names])
             lines = [",".join(names)]
-            for row in rows:
-                lines.append(",".join(repr(float(v)) for v in row))
+            # tolist() yields Python floats, whose repr is the shortest
+            # round-trip string
+            lines += [",".join(map(repr, row)) for row in rows.tolist()]
             fname.write_text("\n".join(lines) + "\n")
             paths.append(fname)
         return paths

@@ -14,9 +14,13 @@ system shared by all columns fixes the first flux and the border
 multiplier, and a second cumulative sum gives the solution.  Each column
 sees the same IEEE operations in the same order whatever is stacked
 beside it, so every run is bit-deterministic and a stacked solve equals
-the single ones exactly.  The Newton steps of the base Monge-Ampere
-equation, whose Jacobian is a ``BandedMatrix``, go through one O(n)
-elimination on the bands; dense Jacobians are solved by LAPACK.
+the single ones exactly.
+
+Newton takes a Jacobian that is either a dense array, solved by LAPACK,
+or any operator with ``@`` and ``solve``.  The base Monge-Ampere
+Jacobian is a ``BandedMatrix``, whose step is one O(n) elimination on
+the bands; the fiberwise Einstein Jacobian applies itself by bands and
+assembles its dense bordered matrix only to take a step.
 """
 
 from __future__ import annotations
@@ -259,7 +263,9 @@ def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
                       max_iter: int = 40, probe: bool = True) -> NewtonResult:
     """Damped Newton iteration with an optional Jacobian consistency probe.
 
-    ``jacobian_fn`` returns a ``BandedMatrix`` or a dense array-like.
+    ``jacobian_fn`` returns a dense array, which LAPACK solves, or any
+    operator with ``@`` (read by the probe) and ``solve(rhs)`` (one step),
+    such as a ``BandedMatrix``.
 
     Returns once the sup-norm of the residual drops below ``tol``; raises
     NonConvergence (with the trace attached) on stagnation or iteration
@@ -276,7 +282,7 @@ def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
             return NewtonResult(x, trace, it, True)
         J = jacobian_fn(x)
         try:
-            step = (J.solve(-res) if isinstance(J, BandedMatrix)
+            step = (J.solve(-res) if hasattr(J, "solve")
                     else np.linalg.solve(J, -res))
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"singular Jacobian at iteration {it}", trace) from exc

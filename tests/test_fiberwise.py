@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanofib import fiberwise
-from fanofib.calculus import TWO_PI, fs_ratio, lap, lap_matrix, simpson_columns
+from fanofib.calculus import TWO_PI, fs_ratio, lap, lap_bands, lap_matrix, simpson_columns
+from fanofib.errors import ContractViolation
 from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
 from fanofib.grids import FIBER
 from fanofib.model import ModelSpec, build_reference
+from fanofib.solvers import BandedMatrix, NewtonResult, probe_jacobian
 from forms import BB, fs_form
 
 
@@ -111,14 +113,14 @@ def _ske_every_fiber(ref, single, tol=1e-11, max_iter=40):
     grid = ref.grid
     lam = float(ref.consts.lam)
     L = lap_matrix(grid, FIBER)
+    band = BandedMatrix(lap_bands(grid, FIBER))
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
-    work = np.zeros((grid.n_fiber + 2, grid.n_fiber + 2))
     v = np.log(ref.vertical_fs)
     iters = np.zeros(grid.n_base + 1, dtype=int)
     residual = 0.0
     for j in range(grid.n_base + 1):
         v0 = v[:, j - 1] if j else v[:, 0]
-        v[:, j], result = single(L, wk, lam, v0, tol, max_iter, work)
+        v[:, j], result = single(L, band, wk, lam, v0, tol, max_iter)
         iters[j] = result.iterations
         residual = max(residual, result.trace[-1])
     u = np.exp(v)
@@ -138,11 +140,11 @@ def _perturb_first_start(single):
     """``single`` with the first fiber's start point moved off the solution."""
     starts = []
 
-    def wrapped(L, wk, lam, v0, *rest):
+    def wrapped(L, band, wk, lam, v0, *rest):
         if not starts:
             v0 = v0 + 1e-3 * np.cos(np.pi * np.linspace(0.0, 1.0, v0.size))
         starts.append(v0)
-        return single(L, wk, lam, v0, *rest)
+        return single(L, band, wk, lam, v0, *rest)
 
     return wrapped, starts
 
@@ -178,6 +180,55 @@ def test_ske_fiber_after_an_iterating_one_is_solved(ref_c, monkeypatch):
     assert sol.newton_iterations[0] > 0
     assert not sol.newton_iterations[1:].any()
     _assert_same_family(sol, _ske_every_fiber(ref_c, _perturb_first_start(real)[0]))
+
+
+def _einstein_newton_inputs(n_fiber, monkeypatch):
+    """The residual and Jacobian that one fiber's Newton receives, the
+    point they are taken at (a nontrivial fiber plus 1e-3 cos(pi x), with
+    a nonzero border multiplier) and the dense bordered Jacobian there."""
+    ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", n_fiber, 16))
+    grid = ref.grid
+    lam = float(ref.consts.lam)
+    L = lap_matrix(grid, FIBER)
+    wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
+    v = np.log(ref.vertical_fs[:, 5]) + 1e-3 * np.cos(np.pi * grid.nodes_f)
+    captured = []
+
+    def capture(residual, jacobian, init, **kwargs):
+        captured.append((residual, jacobian))
+        return NewtonResult(np.array(init))
+
+    monkeypatch.setattr(fiberwise, "newton_semilinear", capture)
+    fiberwise._ske_single_fiber(L, BandedMatrix(lap_bands(grid, FIBER)), wk,
+                                lam, v, 1e-11, 40)
+    (residual, jacobian), = captured
+    n = v.size
+    dense = np.zeros((n + 1, n + 1))
+    dense[:n, :n] = -L - np.diag(lam * np.exp(v))
+    dense[:n, n] = 1.0 - 2.0 * np.linspace(0.0, 1.0, n)
+    dense[n, :n] = wk
+    return residual, jacobian, np.concatenate([v, [0.37]]), dense
+
+
+@pytest.mark.parametrize("n_fiber", [64, 1024])
+def test_ske_jacobian_operator_is_the_dense_bordered_jacobian(n_fiber, monkeypatch):
+    residual, jacobian, x, dense = _einstein_newton_inputs(n_fiber, monkeypatch)
+    J = jacobian(x)
+    rng = np.random.default_rng(13)
+    for y in (x, rng.standard_normal(x.size)):
+        # relative to |J| |y|, the scale of each entry's rounding: L's
+        # entries reach n^2/4 while L v is O(1) on a smooth v
+        err = np.abs(J @ y - dense @ y).max()
+        assert err <= 1e-12 * (np.abs(dense) @ np.abs(y)).max()
+    r = rng.standard_normal(x.size)
+    assert np.array_equal(J.solve(r), np.linalg.solve(dense, r))
+    # the probe accepts the operator and catches a dropped border column or
+    # a dropped lam e^v diagonal
+    probe_jacobian(residual, jacobian, x)
+    for broken in (dataclasses.replace(J, kvec=np.zeros_like(J.kvec)),
+                   dataclasses.replace(J, lam_ev=np.zeros_like(J.lam_ev))):
+        with pytest.raises(ContractViolation):
+            probe_jacobian(residual, lambda _: broken, x)
 
 
 def test_spr_two_gauges_same_metric(ref_b):

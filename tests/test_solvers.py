@@ -7,6 +7,7 @@ from fanofib import calculus
 from fanofib.basespace import compute_gprime, solve_base_ma
 from fanofib.calculus import diff1, diff2, lap, lap_bands, lap_matrix, simpson
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
+from fanofib.fiberwise import solve_ske
 from fanofib.grids import BASE, FIBER, Grid
 from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import (BandedMatrix, newton_semilinear, poisson_system,
@@ -250,6 +251,16 @@ def test_solves_on_2048_intervals_build_no_dense_matrix():
     assert peak_fields(solve_base_ma, ref, gp) < limit / field
 
 
+def test_einstein_solve_on_2048_intervals_holds_one_dense_matrix():
+    # the residual's dense L is the one 2049^2 array: the Jacobian probe
+    # applies the Jacobian by bands, and a fiber that converges in 0
+    # iterations assembles no dense step matrix
+    dense = 2049**2 * 8
+    field = 2049 * 17 * 8
+    ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", 2048, 16))
+    assert peak_fields(solve_ske, ref) < 1.25 * dense / field
+
+
 def test_banded_matrix_rejects_entries_outside_its_pattern():
     bands = lap_bands(Grid(16, 16), FIBER)
     bands[4, 3] = 1.0
@@ -322,6 +333,44 @@ def test_newton_probe_rejects_wrong_jacobian():
 
     with pytest.raises(ContractViolation):
         newton_semilinear(residual, bad_jacobian, 0.1 * np.ones(33))
+
+
+class _SolvingOperator:
+    """A dense matrix behind ``@`` and ``solve``, counting its solves."""
+
+    def __init__(self, matrix, solves):
+        self.matrix, self.solves = matrix, solves
+
+    def __matmul__(self, x):
+        return self.matrix @ x
+
+    def solve(self, rhs):
+        self.solves.append(1)
+        return np.linalg.solve(self.matrix, rhs)
+
+
+def test_newton_sends_a_dense_jacobian_to_lapack_and_an_operator_to_its_solve(
+        monkeypatch):
+    g = Grid(64, 64)
+    w = 2.0 + np.sin(np.pi * g.nodes_f)
+    residual, jacobian = _liouville_like(g, w)
+    lapack, real = [], np.linalg.solve
+
+    def counting(a, b):
+        lapack.append(type(a))
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    dense = newton_semilinear(residual, jacobian, 0.3 * np.ones(65), tol=1e-12)
+    assert dense.iterations > 0
+    assert lapack == [np.ndarray] * dense.iterations
+    # the same matrices behind an operator: every step is its own solve
+    solves = []
+    op = newton_semilinear(residual, lambda v: _SolvingOperator(jacobian(v), solves),
+                           0.3 * np.ones(65), tol=1e-12)
+    assert len(solves) == dense.iterations
+    assert len(lapack) == 2 * dense.iterations
+    assert np.array_equal(op.x, dense.x)
 
 
 def test_newton_nonconvergence_carries_trace():

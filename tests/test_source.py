@@ -150,3 +150,42 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     unturned = sorted({f"{func}({param})" for func, param, _ in knobs
                        if (func, param) not in passed})
     assert not unturned, f"defaulted parameters no call passes: {unturned}"
+
+
+# the functions that may allocate a dense square matrix: L itself, for the
+# Einstein residual, and the Einstein Newton step
+SQUARE_ALLOCATORS = {"calculus.lap_matrix", "fiberwise._BorderedJacobian.solve"}
+
+
+def _square_allocations(tree: ast.Module, module: str):
+    """(qualified name of the enclosing def, line) of every np.zeros,
+    np.empty or np.ones call whose shape is a 2-tuple of two textually
+    equal expressions."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in ("zeros", "empty", "ones")
+                  and getattr(child.func.value, "id", None) == "np"):
+                shape = (child.args[0] if child.args else
+                         next((kw.value for kw in child.keywords
+                               if kw.arg == "shape"), None))
+                if (isinstance(shape, ast.Tuple) and len(shape.elts) == 2
+                        and ast.unparse(shape.elts[0]) == ast.unparse(shape.elts[1])):
+                    yield inner, child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(tree, module)
+
+
+def test_dense_square_matrices_are_allocated_only_where_allowed():
+    # an (n+1)^2 array at n = 2048 takes 33.6 MB, more than every field of
+    # a 2048x64 run together: the banded operators need none
+    found = [(scope, f"{path.name}:{line}") for path in SOURCES
+             for scope, line in _square_allocations(ast.parse(path.read_text()),
+                                                    path.stem)]
+    assert {scope for scope, _ in found} == SQUARE_ALLOCATORS, (
+        f"square dense allocations: {found}")
