@@ -283,7 +283,24 @@ def _simpson_of_rows(grid: Grid, rows: np.ndarray) -> float:
 
 def simpson_columns(grid: Grid, values2d: np.ndarray) -> np.ndarray:
     """Simpson along the fiber axis for every base column (fixed order)."""
-    return np.einsum("i,ij->j", grid.simpson_f, values2d) / (3.0 * grid.n_fiber)
+    return _carry_columns(grid, None, values2d, 0) / (3.0 * grid.n_fiber)
+
+
+def _carry_columns(grid: Grid, total: np.ndarray | None, block: np.ndarray,
+                   lo: int) -> np.ndarray:
+    """``total`` plus the fiber-weighted column sums of ``block``, the rows
+    from ``lo`` on of a field (None: those sums alone).
+
+    ``einsum`` adds a column's terms one row after the other, so the
+    running total enters as a leading row of weight 1 and the sums carried
+    through a field's row blocks, divided by 3 n_f, are ``simpson_columns``
+    of the whole field bit for bit.
+    """
+    weights = grid.simpson_f[lo:lo + block.shape[0]]
+    if total is None:
+        return np.einsum("i,ij->j", weights, block)
+    return np.einsum("i,ij->j", np.concatenate(([1.0], weights)),
+                     np.vstack((total, block)))
 
 
 def fiber_integral(grid: Grid, rho) -> np.ndarray:

@@ -48,8 +48,13 @@ class FiberFamilySolution:
 
 
 def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
-    """Mean-zero fiber potentials with ddbar_fiber(rho) = (u - m0) FS-wise."""
-    return solve_poisson_1d(ref.grid, FIBER, u - ref.vertical_fs)
+    """Mean-zero fiber potentials with ddbar_fiber(rho) = (u - m0) FS-wise;
+    the source is formed in one array, row block by row block."""
+    grid = ref.grid
+    rhs = np.empty_like(u)
+    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
+        np.subtract(u[lo:hi], ref.vertical_rows(lo, hi), out=rhs[lo:hi])
+    return solve_poisson_1d(grid, FIBER, rhs)
 
 
 def _volume_defect(ref: ReferenceGeometry, u: np.ndarray) -> float:
@@ -188,7 +193,10 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution
     v = np.zeros((grid.n_fiber + 1, nb))
     iters = np.zeros(nb, dtype=int)
     residual = 0.0
-    vj = np.log(ref.vertical_fs[:, 0])
+    # fiber 0 starts at omega0's vertical density on base column 0, formed
+    # from the 1D profiles as ``ref.vertical_rows`` forms each column
+    w = ref.warp
+    vj = np.log(c + w.eps * w.D2P_fs * w.Q[0])
     for j in range(nb):
         vj, result = _ske_single_fiber(L, band, wk, lam, vj, tol, 40)
         residual = max(residual, result.trace[-1])
@@ -256,12 +264,12 @@ def verify_fiber_family(ref: ReferenceGeometry,
         s, e = _audit_halo(lo, hi, n)
         ric_fs = 2.0 - _audit_rows(np.log(u[s:e]), lo, hi, g, gp, weights, s, n)
         if sol.kind == SPR:
-            target = lam * ref.vertical_fs[lo:hi]
+            target = lam * ref.vertical_rows(lo, hi)
         else:
             target = lam * u[lo:hi]
             # weight of the Einstein Hermitian metric: phi_L + rho,
             # fiberwise curvature must reproduce the fiber metric
-            curv = ref.vertical_fs[lo:hi] + _audit_rows(rho, lo, hi, g, gp, weights)
+            curv = ref.vertical_rows(lo, hi) + _audit_rows(rho, lo, hi, g, gp, weights)
             curv_gap = _col_max(curv_gap, np.abs(curv - u[lo:hi]))
             rows[lo:hi] = _simpson_rows(grid, np.exp(-2.0 * lam * rho[lo:hi])
                                         * ref.Omega[lo:hi])

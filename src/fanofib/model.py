@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .calculus import TWO_PI, integrate_total
+from .calculus import (TWO_PI, _row_blocks, _simpson_of_rows, _simpson_rows,
+                       integrate_total)
 from .errors import ConfigError, FanofibError, ModelOrientationError, PositivityError
 from .grids import Grid
 
@@ -193,78 +194,103 @@ def checked_volume(rho: np.ndarray, what: str) -> np.ndarray:
 class ReferenceGeometry:
     """Reference metric omega0, normalized volume form and h_L's weight.
 
-    Per grid, omega0 is held as the two FS-relative densities the run
-    reads: ``vertical_fs`` = c + eps D2P_fs(x_f) Q(x_b) on the fibers and
-    ``base_fs`` = a + eps P(x_f) D2Q_fs(x_b) on the base.  They and the
-    volume density ``Omega`` are read-only arrays.  The log-frame mixed
-    entry eps DP(x_f) DQ(x_b) is rank one, so a stage that needs it forms
-    its rows from ``warp`` where it reads them.
+    omega0's FS-relative entries are rank one in the warp profiles: c +
+    eps D2P_fs(x_f) Q(x_b) on the fibers, a + eps P(x_f) D2Q_fs(x_b) on the
+    base and the log-frame mixed entry eps DP(x_f) DQ(x_b).  No n^2 field
+    of them is held: ``vertical_rows`` and ``base_rows`` form the rows a
+    stage reads, block by block, and a stage that needs the mixed entry
+    forms its rows from ``warp``.  The volume density ``Omega`` is a
+    read-only array.
     """
 
     spec: ModelSpec
     consts: DerivedConstants
     grid: Grid
     warp: WarpData
-    vertical_fs: np.ndarray  # FS-relative density of omega0 on the fibers
-    base_fs: np.ndarray      # FS-relative density of its base-base entry
     Omega: np.ndarray        # volume density relative to the product FS volume
     phi_L: ChartWeight
     eta_fs: float            # FS-relative density of eta (the constant kappa)
     V: float                 # 2 * fiber volume of omega0
 
+    def vertical_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) of omega0's FS-relative density on the fibers."""
+        w = self.warp
+        return float(self.spec.c) + w.eps * w.D2P_fs[lo:hi, None] * w.Q[None, :]
 
-def _check_positive(grid: Grid, w: WarpData, a11: np.ndarray,
-                    a22: np.ndarray) -> float:
-    """Minimum eigenvalue of omega0 from its FS-relative entries a11 (fiber)
-    and a22 (base); raises unless positive, so also if it is NaN."""
-    a12 = w.eps * w.DP_half[:, None] * w.DQ_half[None, :]
-    half_tr = 0.5 * (a11 + a22)
-    disc = np.sqrt((0.5 * (a11 - a22))**2 + a12**2)
-    lam_min = half_tr - disc
-    i, j = np.unravel_index(int(np.argmin(lam_min)), lam_min.shape)
-    worst = float(lam_min[i, j])
+    def base_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) of the FS-relative density of omega0's base-base
+        entry."""
+        w = self.warp
+        return float(self.spec.a) + w.eps * w.P[lo:hi, None] * w.D2Q_fs[None, :]
+
+
+def _check_positive(ref: ReferenceGeometry) -> None:
+    """Minimum eigenvalue of omega0 from its FS-relative entries, in row
+    blocks; raises unless positive, so also if it is NaN.
+
+    The reported node is the first minimum of the whole field in row-major
+    order, or its first NaN: ``argmin`` picks it within a block, and again
+    among the blocks' minima.
+    """
+    grid, w = ref.grid, ref.warp
+    width = grid.n_base + 1
+    mins, nodes = [], []
+    for lo, hi in _row_blocks(0, grid.n_fiber + 1, width):
+        a11, a22 = ref.vertical_rows(lo, hi), ref.base_rows(lo, hi)
+        a12 = w.eps * w.DP_half[lo:hi, None] * w.DQ_half[None, :]
+        half_tr = 0.5 * (a11 + a22)
+        disc = np.sqrt((0.5 * (a11 - a22))**2 + a12**2)
+        lam_min = half_tr - disc
+        k = int(np.argmin(lam_min))
+        mins.append(lam_min.flat[k])
+        nodes.append(lo * width + k)
+    b = int(np.argmin(mins))
+    worst = float(mins[b])
     if not worst > 0.0:
+        i, j = divmod(nodes[b], width)
         raise PositivityError(
             f"reference form not positive: eigenvalue {worst:.3e} at "
             f"(x_f, x_b) = ({grid.nodes_f[i]:.4f}, {grid.nodes_b[j]:.4f})",
             worst=worst, location=(float(grid.nodes_f[i]), float(grid.nodes_b[j])))
-    return worst
 
 
 def build_reference(spec: ModelSpec) -> ReferenceGeometry:
-    """Build omega0's FS-relative densities, the normalized volume form and
-    h_L's weight on one grid.
+    """Build the reference geometry on one grid: omega0's warp profiles,
+    the normalized volume form and h_L's weight.
 
-    The two densities and the volume density are assembled here and
-    nowhere else, checked for positivity and kept read-only.  The twist
+    omega0 is checked for positivity row block by row block.  The twist
     form chi of pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi has minus
     the anticanonical class, so the volume form with Ric = -chi has the
     closed-form density C exp(-lambda psi_w); only the constant C is fixed
-    by quadrature, against the mass of 2 omega0 ^ pullback(eta).  A
-    density that is not finite and positive raises PositivityError.
+    by quadrature, against the mass of 2 omega0 ^ pullback(eta), whose row
+    sums are taken block by block.  The density is formed in the array
+    that becomes the read-only ``Omega``, so the build holds two fields,
+    ``Omega`` and psi_w.  A density that is not finite and positive raises
+    PositivityError.
     """
     consts = derive_constants(spec)
     grid = Grid(spec.n_fiber, spec.n_base)
     w = _warp_data(grid, spec)
-    vertical_fs = float(spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
-    base_fs = float(spec.a) + w.eps * w.P[:, None] * w.D2Q_fs[None, :]
-    _check_positive(grid, w, vertical_fs, base_fs)
-
     lam = float(consts.lam)
     kappa = float(consts.kappa)
     psi_w = w.eps * w.P[:, None] * w.Q[None, :]
-    rho = np.exp(-lam * psi_w)
-    target = integrate_total(grid, 2.0 * kappa * vertical_fs)
-    rho *= target / integrate_total(grid, rho)
-    Omega = _read_only(checked_volume(rho, "reference volume form"))
+    rho = np.multiply(-lam, psi_w)
+    np.exp(rho, out=rho)
+    # rho is Omega, normalized and checked in place before ref is returned
+    ref = ReferenceGeometry(spec=spec, consts=consts, grid=grid, warp=w, Omega=rho,
+                            phi_L=ChartWeight(float(spec.c), float(spec.a), psi_w),
+                            eta_fs=kappa, V=2.0 * TWO_PI * float(spec.c))
+    _check_positive(ref)
 
-    norm_defect = abs(integrate_total(grid, Omega) / target - 1.0)
+    # the row sums of integrate_total(2 kappa omega0_ff), block by block
+    rows = np.empty(grid.n_fiber + 1)
+    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
+        rows[lo:hi] = _simpson_rows(grid, 2.0 * kappa * ref.vertical_rows(lo, hi))
+    target = TWO_PI**2 * _simpson_of_rows(grid, rows)
+    rho *= target / integrate_total(grid, rho)
+    _read_only(checked_volume(rho, "reference volume form"))
+
+    norm_defect = abs(integrate_total(grid, rho) / target - 1.0)
     if norm_defect > 1e-12:
         raise FanofibError(f"volume normalization defect {norm_defect:.3e}")
-
-    phi_L = ChartWeight(float(spec.c), float(spec.a), psi_w)
-    V = 2.0 * TWO_PI * float(spec.c)
-    return ReferenceGeometry(spec=spec, consts=consts, grid=grid, warp=w,
-                             vertical_fs=_read_only(vertical_fs),
-                             base_fs=_read_only(base_fs), Omega=Omega,
-                             phi_L=phi_L, eta_fs=kappa, V=V)
+    return ref

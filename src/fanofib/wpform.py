@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import (TWO_PI, _col_max, _col_range, _dfdb, _lap_base, _lap_fiber,
-                       _row_blocks, lap, simpson_columns)
+from .calculus import (TWO_PI, _carry_columns, _col_max, _col_range, _dfdb,
+                       _lap_base, _lap_fiber, _row_blocks, lap)
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, FIBER
@@ -133,25 +133,27 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     beta = float(sfs.beta)
     # smooth_log = 2/beta log f_scale - lam * (smooth part of the weight),
     # formed in the one array it is returned in
-    if fiber is not None and fiber.kind == SKE:
+    ske_u = fiber.vertical_fs if fiber is not None and fiber.kind == SKE else None
+    if ske_u is not None:
         smooth_log = ref.phi_L.smooth + fiber.rho
         smooth_log *= lam
-        ric_target = fiber.vertical_fs
     else:
         smooth_log = lam * ref.phi_L.smooth
-        ric_target = ref.vertical_fs
     np.subtract((2.0 / beta) * math.log(sfs.f_scale), smooth_log, out=smooth_log)
     pole_zero = sfs.f_power / beta
     pole_one = float(consts.lam * ref.spec.a) - pole_zero
 
-    # forward check of the defining fiber Ricci prescription, per row block
-    worst = None
+    # forward check of the defining fiber Ricci prescription, and the fiber
+    # integrals of exp(smooth_log), per row block
+    worst = sums = None
     for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
         ric_fs = 2.0 - _lap_fiber(grid, smooth_log, lo, hi)
-        worst = _col_max(worst, np.abs(ric_fs - lam * ric_target[lo:hi]))
+        target = ref.vertical_rows(lo, hi) if ske_u is None else ske_u[lo:hi]
+        worst = _col_max(worst, np.abs(ric_fs - lam * target))
+        sums = _carry_columns(grid, sums, np.exp(smooth_log[lo:hi]), lo)
     ric_defect = float(worst.max())
 
-    integrals = TWO_PI * simpson_columns(grid, np.exp(smooth_log))
+    integrals = TWO_PI * (sums / (3.0 * grid.n_fiber))
     if np.any(integrals <= 0.0):
         raise FanofibError("non-positive fiber integral in the section family")
 
@@ -202,8 +204,8 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     defect above max(1e-8, 50 h^2 max(1, sup|r_bb|)), or one that is not
     a number, raises PullbackStructureError.  The extremes of r are kept
     in ``WPResult.residual`` for the volume identities.  r is formed in
-    row blocks and reduced per column as it is formed; only log u and the
-    FS-relative r_bb, which the fiber average needs, are held whole.
+    row blocks and reduced per column as it is formed, its fiber average
+    included; only log u is held whole.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -221,19 +223,18 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     rho = fiber_sol.rho if fiber_sol.kind == SKE else None   # the twist's potential
 
     # r in row blocks, one channel at a time: the ff and fb channels are
-    # reduced to per-column maxima as they are formed, and of r_bb only the
-    # FS-relative field, which the fiber average needs, is kept whole.  The
+    # reduced to per-column maxima as they are formed, and the FS-relative
+    # r_bb to its per-column extremes and its running fiber sums.  The
     # twist form is lambda*omega: the reference form for the prescribed-
     # Ricci family, the family form itself for the Einstein one.
-    r_bb_fs = np.empty_like(log_u)
-    ff = fb = ffb = bb_lo = bb_hi = None
+    ff = fb = ffb = bb_lo = bb_hi = bb_sums = None
     for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
         # vertical channel: twist_ff - (2 - L_f log u), times g_f
         if rho is None:
-            abs_ff = lam * ref.vertical_fs[lo:hi]
+            abs_ff = lam * ref.vertical_rows(lo, hi)
         else:
             abs_ff = _lap_fiber(grid, rho, lo, hi)
-            np.add(ref.vertical_fs[lo:hi], abs_ff, out=abs_ff)
+            np.add(ref.vertical_rows(lo, hi), abs_ff, out=abs_ff)
             abs_ff *= lam
         abs_ff -= 2.0 - _lap_fiber(grid, log_u, lo, hi)
         abs_ff *= grid.g_f[lo:hi, None]
@@ -253,12 +254,14 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 
         # base-base channel, FS-relative; the Ric(theta) and wedge theta
         # terms cancel identically, leaving twist_bb + L_b log u
-        block = r_bb_fs[lo:hi]
-        np.multiply(lam, ref.base_fs[lo:hi], out=block)
+        block = ref.base_rows(lo, hi)
+        block *= lam
         if rho is not None:
             block += lam * _lap_base(grid, rho, lo, hi)
         block += _lap_base(grid, log_u, lo, hi)
         bb_lo, bb_hi = _col_range(bb_lo, bb_hi, block * grid.g_b[None, :])
+        bb_sums = _carry_columns(grid, bb_sums, block, lo)
+        del block               # before the next block's temporaries
 
     # max over the field of |r_ff| + |r_fb| + the fiber spread of r_bb:
     # rounding is monotone, so adding the spread to each column's maximum
@@ -272,7 +275,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
             f"reconstructed form is not a pullback: defect {defect:.3e} "
             f"exceeds {defect_tol:.3e}")
 
-    wp_fs = simpson_columns(grid, r_bb_fs)
+    wp_fs = bb_sums / (3.0 * grid.n_fiber)
     summary = PullbackResidualSummary(
         kind=fiber_sol.kind, ff_sup=float(ff.max()), fb_sup=float(fb.max()),
         bb_lo=bb_lo, bb_hi=bb_hi)

@@ -23,6 +23,17 @@ def field_shape(grid):
     return (grid.n_fiber + 1, grid.n_base + 1)
 
 
+def vertical_fs(ref):
+    """omega0's FS-relative density on the fibers in full, from the row
+    accessor the run reads it through."""
+    return ref.vertical_rows(0, ref.grid.n_fiber + 1)
+
+
+def base_fs(ref):
+    """The FS-relative density of omega0's base-base entry in full."""
+    return ref.base_rows(0, ref.grid.n_fiber + 1)
+
+
 def mixed_fb(ref):
     """The log-frame mixed entry of omega0, eps DP(x_f) DQ(x_b), in full."""
     w = ref.warp
@@ -32,8 +43,8 @@ def mixed_fb(ref):
 def omega0(ref):
     """omega0 in the log frame, from the reference's FS-relative profiles."""
     grid = ref.grid
-    return np.stack((ref.vertical_fs * grid.g_f[:, None],
-                     ref.base_fs * grid.g_b[None, :], mixed_fb(ref)))
+    return np.stack((vertical_fs(ref) * grid.g_f[:, None],
+                     base_fs(ref) * grid.g_b[None, :], mixed_fb(ref)))
 
 
 def chi(ref):

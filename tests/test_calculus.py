@@ -315,6 +315,43 @@ def test_simpson2d_builds_no_full_size_temporary():
     assert peak_fields(simpson2d, g, v) < 1e6 / v.nbytes
 
 
+def _carried(g, v):
+    """simpson_columns of ``v`` from the column sums carried through its
+    row blocks."""
+    total = None
+    for lo, hi in calculus._row_blocks(0, g.n_fiber + 1, g.n_base + 1):
+        total = calculus._carry_columns(g, total, v[lo:hi], lo)
+    return total / (3.0 * g.n_fiber)
+
+
+@pytest.mark.parametrize("shape", [(1024, 1024), (2048, 64), (64, 2048)],
+                         ids=lambda s: f"{s[0] + 1}x{s[1] + 1}")
+def test_carried_column_sums_equal_simpson_columns_bit_for_bit(shape):
+    g = Grid(*shape)
+    rng = np.random.default_rng(sum(shape))
+    # magnitudes over 24 decades, so that a change of summation order shows
+    v = rng.standard_normal(field_shape(g)) * 10.0**rng.uniform(-12, 12, field_shape(g))
+    whole = np.einsum("i,ij->j", g.simpson_f, v) / (3.0 * g.n_fiber)
+    assert calculus.simpson_columns(g, v).tobytes() == whole.tobytes()
+    assert _carried(g, v).tobytes() == whole.tobytes()
+    # the blocks' own sums, added afterwards, round differently
+    blocks = list(calculus._row_blocks(0, g.n_fiber + 1, g.n_base + 1))
+    assert len(blocks) > 2
+    regrouped = sum(np.einsum("i,ij->j", g.simpson_f[lo:hi], v[lo:hi])
+                    for lo, hi in blocks) / (3.0 * g.n_fiber)
+    assert not np.array_equal(regrouped, whole)
+
+
+def test_carried_column_sums_propagate_a_nan():
+    g = Grid(64, 64)
+    v = np.ones(field_shape(g))
+    last = list(calculus._row_blocks(0, g.n_fiber + 1, g.n_base + 1))[-2][0]
+    v[last, 7] = np.nan
+    out = _carried(g, v)
+    assert math.isnan(out[7])
+    assert np.array_equal(np.delete(out, 7), np.delete(calculus.simpson_columns(g, v), 7))
+
+
 def test_pushforward_adjoint_defect_sees_a_perturbed_fiber_integral(ref_c, monkeypatch):
     # fiber_integral contracts the fiber axis first and simpson2d the base
     # axis; the adjoint check compares the two and must detect a bad column

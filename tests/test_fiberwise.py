@@ -13,7 +13,7 @@ from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
 from fanofib.grids import FIBER
 from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import BandedMatrix, NewtonResult, probe_jacobian
-from forms import BB, fs_form
+from forms import BB, fs_form, vertical_fs
 
 
 def test_spr_model_a_is_reference(ref_a, spr_a):
@@ -61,7 +61,7 @@ def test_spr_uniqueness_under_regauged_reference(ref_b, spr_b):
 def test_spr_class_restriction_is_poisson_compatible(ref_b):
     # the source of the linear fiber problem integrates to zero exactly
     lam = float(ref_b.consts.lam)
-    rhs_fs = 2.0 - lam * ref_b.vertical_fs
+    rhs_fs = 2.0 - lam * vertical_fs(ref_b)
     defects = simpson_columns(ref_b.grid, rhs_fs)
     assert np.abs(defects).max() < 1e-14
 
@@ -115,7 +115,7 @@ def _ske_every_fiber(ref, single, tol=1e-11, max_iter=40):
     L = lap_matrix(grid, FIBER)
     band = BandedMatrix(lap_bands(grid, FIBER))
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
-    v = np.log(ref.vertical_fs)
+    v = np.log(vertical_fs(ref))
     iters = np.zeros(grid.n_base + 1, dtype=int)
     residual = 0.0
     for j in range(grid.n_base + 1):
@@ -191,7 +191,7 @@ def _einstein_newton_inputs(n_fiber, monkeypatch):
     lam = float(ref.consts.lam)
     L = lap_matrix(grid, FIBER)
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
-    v = np.log(ref.vertical_fs[:, 5]) + 1e-3 * np.cos(np.pi * grid.nodes_f)
+    v = np.log(vertical_fs(ref)[:, 5]) + 1e-3 * np.cos(np.pi * grid.nodes_f)
     captured = []
 
     def capture(residual, jacobian, init, **kwargs):
@@ -259,4 +259,4 @@ def test_fiber_ricci_identity_on_vertical_metric(ref_b, spr_b):
     # solver-level identity: FS-relative fiber Ricci equals the prescription
     lam = float(ref_b.consts.lam)
     ric_fs = 2.0 - lap(ref_b.grid, np.log(spr_b.vertical_fs), FIBER)
-    assert np.abs(ric_fs - lam * ref_b.vertical_fs).max() < 1e-11
+    assert np.abs(ric_fs - lam * vertical_fs(ref_b)).max() < 1e-11

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanofib import calculus
+from fanofib import calculus, model
 from fanofib.calculus import ddbar_invariant, integrate_total
 from fanofib.errors import ConfigError, ModelOrientationError, PositivityError
 from fanofib.model import ModelSpec, build_reference, derive_constants
 from conftest import peak_fields
-from forms import chi, fs_form, omega0, ric_volume, ric_weight_residual
+from forms import (base_fs, chi, fs_form, omega0, ric_volume, ric_weight_residual,
+                   vertical_fs)
 
 F = Fraction
 
@@ -92,30 +93,66 @@ def test_reference_model_a(ref_a):
     assert ric_weight_residual(ref_a) < 1e-13
 
 
-def test_reference_vertical_density_is_shared_and_read_only(ref_b):
-    m0 = ref_b.vertical_fs
+def test_reference_row_accessors_match_the_whole_field_on_every_block(ref_b):
     w = ref_b.warp
-    expect = float(ref_b.spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
-    assert np.array_equal(m0, expect)
-    with pytest.raises(ValueError):
-        m0[0, 0] = 1.0
-    b0 = ref_b.base_fs
-    expect = float(ref_b.spec.a) + w.eps * w.P[:, None] * w.D2Q_fs[None, :]
-    assert np.array_equal(b0, expect)
-    with pytest.raises(ValueError):
-        b0[0, 0] = 1.0
+    grid = ref_b.grid
+    vertical = float(ref_b.spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
+    base = float(ref_b.spec.a) + w.eps * w.P[:, None] * w.D2Q_fs[None, :]
+    blocks = list(calculus._row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
+    assert len(blocks) > 2
+    for lo, hi in blocks:
+        assert ref_b.vertical_rows(lo, hi).tobytes() == vertical[lo:hi].tobytes()
+        assert ref_b.base_rows(lo, hi).tobytes() == base[lo:hi].tobytes()
     with pytest.raises(ValueError):
         ref_b.Omega[0, 0] = 1.0
 
 
+def _whole_field_min_eigenvalue(ref):
+    """omega0's minimum eigenvalue on the whole grid, in one expression."""
+    w = ref.warp
+    a11, a22 = vertical_fs(ref), base_fs(ref)
+    a12 = w.eps * w.DP_half[:, None] * w.DQ_half[None, :]
+    return 0.5 * (a11 + a22) - np.sqrt((0.5 * (a11 - a22))**2 + a12**2)
+
+
+@pytest.mark.parametrize("case", ["negative", "nan"])
+def test_positivity_error_names_the_first_worst_node_of_the_whole_field(ref_b, case):
+    # the check runs in row blocks, yet the node it names is the whole
+    # field's first minimum in row-major order, or its first NaN, here past
+    # the first block (and in the NaN case ahead of a more negative row)
+    grid = ref_b.grid
+    w = ref_b.warp
+    if case == "negative":
+        # c - eps/8 < 0 at the centre of the product bump
+        warp = dataclasses.replace(w, eps=10.0)
+    else:
+        d2p = w.D2P_fs.copy()
+        d2p[40] = math.nan
+        d2p[50] = -1e3
+        warp = dataclasses.replace(w, D2P_fs=d2p)
+    bad = dataclasses.replace(ref_b, warp=warp)
+    lam_min = _whole_field_min_eigenvalue(bad)
+    i, j = np.unravel_index(int(np.argmin(lam_min)), lam_min.shape)
+    first_block = next(calculus._row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
+    assert i >= first_block[1]
+    with pytest.raises(PositivityError) as err:
+        model._check_positive(bad)
+    if case == "nan":
+        assert math.isnan(err.value.worst) and (i, j) == (40, 0)
+    else:
+        assert err.value.worst == lam_min[i, j] < 0.0
+    assert err.value.location == (float(grid.nodes_f[i]), float(grid.nodes_b[j]))
+
+
 def test_reference_build_holds_only_the_profiles_it_needs():
-    # the reference, bound to ``ref`` while traced, retains omega0's two
-    # FS-relative densities, the volume density and the warp potential
+    # the reference retains two fields, the volume density and the warp
+    # potential (2.05 with the 1D profiles); the build adds the row blocks
+    # of the positivity check (2.68 in all)
     n = 256
     spec = ModelSpec.make(2, 1, warp_amplitude=0.2, warp_shape="fiber_cubic",
                           n_fiber=n, n_base=n)
-    assert peak_fields(build_reference, spec) <= 8.0
-    assert _held_bytes(build_reference(spec)) / (n + 1)**2 / 8 <= 5.0
+    assert peak_fields(build_reference, spec) <= 3.0
+    assert _held_bytes(build_reference(spec)) / (n + 1)**2 / 8 <= 2.1
 
 
 def _held_bytes(obj, seen=None) -> int:

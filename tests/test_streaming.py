@@ -39,9 +39,20 @@ def test_fiber_audit_holds_row_blocks(ref_256, families_256, kind):
 
 @pytest.mark.parametrize("kind", [SPR, SKE])
 def test_wp_residual_holds_log_u_and_r_bb(ref_256, families_256, kind):
-    # log u and the FS-relative r_bb, plus a few row blocks: 2.43 fields;
-    # every channel formed in full held about 10
-    assert peak_fields(wp_from_residual, ref_256, families_256[kind]) <= 2.5
+    # log u plus a few row blocks: 1.44 fields; r_bb is reduced, its fiber
+    # average included, as it is formed.  r_bb held whole made it 2.43, and
+    # every channel formed in full about 10
+    assert peak_fields(wp_from_residual, ref_256, families_256[kind]) <= 1.5
+
+
+@pytest.mark.parametrize("kind", [SPR, SKE])
+def test_sections_route_holds_its_log_density(ref_256, families_256, kind):
+    # smooth_log, which it returns, plus a few row blocks: 1.26 (ske) and
+    # 1.32 (spr) fields; exp(smooth_log) formed in full for the fiber
+    # integrals made it 2.02
+    sfs = SectionFamilySpec.canonical(ref_256.consts)
+    assert peak_fields(volume_family_from_sections, ref_256, sfs,
+                       families_256[kind]) <= 1.5
 
 
 @pytest.mark.parametrize("kind", [SPR, SKE])
@@ -51,13 +62,14 @@ def test_g_descent_holds_row_blocks(ref_256, families_256, kind):
     assert peak_fields(check_g_descends, ref_256, fiber, gprime) <= 0.5
 
 
-def test_run_peak_is_at_most_ten_fields():
-    # the reference's four profiles and the family's two fields are live
-    # through a cell; the largest stage adds about 2.4 (8.5 in all, 17.1
-    # with every residual channel formed in full)
+def test_run_peak_is_at_most_six_fields():
+    # the reference's two fields (Omega and the warp potential) and the
+    # family's two are live through a cell; the largest stage adds about
+    # 1.4 (5.4 in all; 8.5 with omega0's densities and r_bb held whole,
+    # 17.1 with every residual channel formed in full)
     cfg = PipelineConfig(warp_amplitude=0.2, warp_shape="fiber_cubic",
                          grids=((512, 512),), pipeline="both")
-    assert peak_fields(run_pipeline, cfg) <= 10.0
+    assert peak_fields(run_pipeline, cfg) <= 6.0
 
 
 # ---------------------------------------------------------------------------

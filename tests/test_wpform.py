@@ -11,7 +11,7 @@ from fanofib.grids import BASE, FIBER
 from fanofib.model import ModelSpec, build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
-from forms import FB, mixed_fb, omega0
+from forms import FB, base_fs, mixed_fb, omega0, vertical_fs
 
 
 def canonical(ref):
@@ -194,14 +194,14 @@ def _pullback_residual_whole(ref, fiber_sol):
 
     log_u = np.log(fiber_sol.vertical_fs)
     if fiber_sol.kind == "spr":
-        twist_ff_fs = lam * ref.vertical_fs
+        twist_ff_fs = lam * vertical_fs(ref)
         twist_fb = lam * mixed_fb(ref)
-        twist_bb_fs = lam * ref.base_fs
+        twist_bb_fs = lam * base_fs(ref)
     else:
         rho = fiber_sol.rho
-        twist_ff_fs = lam * (ref.vertical_fs + lap(grid, rho, FIBER))
+        twist_ff_fs = lam * (vertical_fs(ref) + lap(grid, rho, FIBER))
         twist_fb = lam * (mixed_fb(ref) + dfdb(rho))
-        twist_bb_fs = lam * ref.base_fs + lam * lap(grid, rho, BASE)
+        twist_bb_fs = lam * base_fs(ref) + lam * lap(grid, rho, BASE)
     abs_ff = np.abs((twist_ff_fs - (2.0 - lap(grid, log_u, FIBER)))
                     * grid.g_f[:, None])
     abs_fb = np.abs(twist_fb + dfdb(log_u))
