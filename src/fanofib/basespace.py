@@ -114,7 +114,6 @@ def compute_gprime(ref: ReferenceGeometry,
 
 @dataclass(eq=False)
 class GDescendsReport:
-    variant: str
     vertical_oscillation: float
     pullback_defect: float
 
@@ -135,8 +134,7 @@ def check_g_descends(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
         gap = _col_max(gap, np.abs(G - gprime.gprime[None, :]))
     osc = float((hi - lo).max())
     pullback = float(gap.max())
-    return GDescendsReport(variant=fiber_sol.kind, vertical_oscillation=osc,
-                           pullback_defect=pullback)
+    return GDescendsReport(vertical_oscillation=osc, pullback_defect=pullback)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +144,6 @@ def check_g_descends(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 @dataclass(eq=False)
 class BaseMetricSolution:
     variant: str             # "B" | "Bprime"
-    kind: str                # which fiber pipeline fed G'
     rho: np.ndarray
     dens_fs: np.ndarray      # FS-relative density of the solved base metric
     khat: float              # density of the reference form in the equation
@@ -202,8 +199,7 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
     if margin <= 0.0:
         raise PositivityError(f"base metric lost positivity (margin {margin:.3e})",
                               worst=margin)
-    return BaseMetricSolution(variant=variant, kind=gprime.variant, rho=rho,
-                              dens_fs=dens, khat=khat,
+    return BaseMetricSolution(variant=variant, rho=rho, dens_fs=dens, khat=khat,
                               forward_residual=float(np.abs(residual(rho)).max()),
                               positivity_margin=margin,
                               zeroth_order_min=float(zeroth_min[0]),
@@ -250,8 +246,7 @@ def twisted_ke_residual(ref: ReferenceGeometry, sol: BaseMetricSolution,
     scale = float(np.abs(g * sol.dens_fs).max())
     sup = float(np.abs(res).max())
     return ResidualReport(name=f"twisted_ke[{sol.variant}]", residual_sup=sup,
-                          scale=scale, relative=sup / scale,
-                          extra={"wp_route": wp.route}, field=res)
+                          scale=scale, relative=sup / scale, extra={}, field=res)
 
 
 def wpl_fs_residual(ref: ReferenceGeometry, wp: WPResult) -> ResidualReport:
@@ -265,7 +260,7 @@ def wpl_fs_residual(ref: ReferenceGeometry, wp: WPResult) -> ResidualReport:
     scale = float(np.abs(g * lam_plus * ref.eta_fs).max())
     sup = float(np.abs(res).max())
     return ResidualReport(name="wpl_fs", residual_sup=sup, scale=scale,
-                          relative=sup / scale, extra={"wp_route": wp.route})
+                          relative=sup / scale, extra={})
 
 
 def _sup_about(lo: np.ndarray, hi: np.ndarray, centre) -> float:

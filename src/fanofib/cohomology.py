@@ -57,7 +57,6 @@ def reference_class(spec: ModelSpec) -> CohomClass:
 
 @dataclass(eq=False)
 class CohomReport:
-    name: str
     measured: float
     expected: float
     defect: float
@@ -78,8 +77,7 @@ def check_base_identity(ref: ReferenceGeometry, wp: WPResult) -> CohomReport:
                               (consts.lam + 1) * consts.kappa)
     measured = integrate_wp(ref, wp)
     defect = abs(measured - expected)
-    return CohomReport(name="cohomology_base", measured=measured,
-                       expected=expected, defect=defect,
+    return CohomReport(measured=measured, expected=expected, defect=defect,
                        relative=defect / abs(expected))
 
 
@@ -95,8 +93,7 @@ def check_total_identity(ref: ReferenceGeometry, wp: WPResult
     lhs = anticanonical_class()
 
     fiber_defect = lhs.pair_fiber() - consts.lam * reference_class(spec).pair_fiber()
-    fiber = CohomReport(name="cohomology_total_fiber",
-                        measured=float(TWO_PI * consts.lam * spec.c),
+    fiber = CohomReport(measured=float(TWO_PI * consts.lam * spec.c),
                         expected=float(TWO_PI * lhs.pair_fiber()),
                         defect=float(abs(fiber_defect)) * TWO_PI,
                         relative=float(abs(fiber_defect)) / 2.0,
@@ -107,7 +104,6 @@ def check_total_identity(ref: ReferenceGeometry, wp: WPResult
     measured = (TWO_PI * float(consts.lam * spec.a) +
                 TWO_PI * float(base_anticanonical()) - wp_int)
     defect = abs(measured - expected)
-    base = CohomReport(name="cohomology_total_base", measured=measured,
-                       expected=expected, defect=defect,
+    base = CohomReport(measured=measured, expected=expected, defect=defect,
                        relative=defect / abs(expected))
     return fiber, base

@@ -8,8 +8,9 @@ class (volume 2*pi*c):
   unique;
 * the fiberwise Einstein family, Ric = lambda * (metric itself), a
   Liouville-type problem whose solutions form a Moebius orbit; the
-  orbit coordinate is pinned by a bordered Newton gauge and warm starts
-  select a smoothly varying family along the base.
+  orbit coordinate is pinned by a bordered Newton gauge.  One fiber is
+  solved and its solution fills every column: the fiber equation does
+  not depend on the base point, so the family is constant along the base.
 
 Fiber potentials carry the mean-zero gauge per fiber; the per-fiber
 constant never enters wedges against pulled-back base forms, so every
@@ -44,7 +45,6 @@ class FiberFamilySolution:
     vertical_fs: np.ndarray    # FS-relative vertical metric density, > 0
     residual_sup: float        # solver residual (discrete system)
     volume_defect: float       # relative defect of the per-fiber volume
-    newton_iterations: np.ndarray | None = None
 
 
 def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
@@ -104,10 +104,10 @@ class _BorderedJacobian:
     bordered Einstein system at v.
 
     ``J @ x`` applies it in O(n) through the bands of L, which is all the
-    Jacobian probe reads.  ``solve`` runs only when a fiber takes a Newton
-    step: it assembles the dense matrix entry for entry as the step has
-    always been taken (-L, then the diagonal, then the border) and hands
-    it to LAPACK.  The step is not eliminated against the block
+    Jacobian probe reads.  ``solve`` runs only when the fiber takes a
+    Newton step: it assembles the dense matrix entry for entry as the
+    step has always been taken (-L, then the diagonal, then the border)
+    and hands it to LAPACK.  The step is not eliminated against the block
     A = -L - lam diag(e^v): A is singular at the Einstein solution
     (L k = -2k and lam c = 2 give A k = 0 for u = c).
     """
@@ -163,23 +163,20 @@ def _ske_single_fiber(L: np.ndarray, band: BandedMatrix, wk: np.ndarray,
 def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution:
     """Fiberwise Einstein family: Ric(omega_b) = lambda * omega_b.
 
-    Newton (at most 40 steps) runs on the log FS-density per fiber.  The
-    first fiber starts at the reference vertical metric; each later fiber
-    is initialized (and its orbit gauge pinned) at the previous solution,
-    selecting a smoothly varying family.
-
-    A fiber's system depends on its index only through the start point:
-    L, the gauge weights, lambda and ``tol`` are shared.  A fiber that
-    converges in 0 iterations returns its start point unchanged, so every
-    later fiber would be handed the identical system; its solution fills
-    the remaining columns (0 iterations, the same residual) instead of
-    re-running the probe and Newton.  A fiber after one that iterated is
-    solved in full.
+    Newton (at most 40 steps) runs on the log FS-density of fiber 0, from
+    the reference vertical metric on base column 0, with the orbit gauge
+    pinned there; its solution fills every column.  There is no
+    warm-start chain: a fiber's system depends on its index only through
+    the start point, and every warp shape has Q(0) = 0, so fiber 0 starts
+    at v = log c, which solves the discrete system (each row of L sums to
+    zero and lambda c = 2) up to the roundoff of the dense L @ v.  The
+    family is therefore constant along the base; only a gauge profile
+    along the base, a Moebius dilation per fiber, would make it vary.
 
     The Jacobian is applied by bands and assembled densely only for a
     Newton step.  The residual keeps the dense product L @ v: its roundoff
-    floor decides whether a warm start is already converged, and with it
-    the outcome of the a = 3, c = 2 solve on 512x64 that the benchmark
+    floor decides whether the start is already converged, and with it the
+    outcome of the a = 3, c = 2 solve on 512x64 that the benchmark
     records as the known defect ``einstein_c_ne_1``.
     """
     grid = ref.grid
@@ -188,26 +185,14 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution
     L = lap_matrix(grid, FIBER)
     band = BandedMatrix(lap_bands(grid, FIBER))
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
-
-    nb = grid.n_base + 1
-    v = np.zeros((grid.n_fiber + 1, nb))
-    iters = np.zeros(nb, dtype=int)
-    residual = 0.0
     # fiber 0 starts at omega0's vertical density on base column 0, formed
     # from the 1D profiles as ``ref.vertical_rows`` forms each column
     w = ref.warp
-    vj = np.log(c + w.eps * w.D2P_fs * w.Q[0])
-    for j in range(nb):
-        vj, result = _ske_single_fiber(L, band, wk, lam, vj, tol, 40)
-        residual = max(residual, result.trace[-1])
-        iters[j] = result.iterations
-        if not result.iterations:
-            # a warm start at a fixed point reproduces it: reuse the solution
-            v[:, j:] = vj[:, None]
-            break
-        v[:, j] = vj
-
+    v0, result = _ske_single_fiber(L, band, wk, lam,
+                                   np.log(c + w.eps * w.D2P_fs * w.Q[0]), tol, 40)
     del L             # the dense Laplacian, before the recovery
+
+    v = np.repeat(v0[:, None], grid.n_base + 1, axis=1)
     u = np.exp(v, out=v)
     # the discrete Einstein solve preserves the class volume only to
     # truncation; enforce it exactly and let the forward audit carry the
@@ -216,9 +201,8 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution
     checked_volume(u, "Einstein fiber metric")
     rho = _recover_potential(ref, u)
     return FiberFamilySolution(kind=SKE, rho=rho, vertical_fs=u,
-                               residual_sup=residual,
-                               volume_defect=_volume_defect(ref, u),
-                               newton_iterations=iters)
+                               residual_sup=result.trace[-1],
+                               volume_defect=_volume_defect(ref, u))
 
 
 @dataclass(eq=False)
@@ -230,7 +214,6 @@ class FiberVerifyReport:
     solver does not measure.
     """
 
-    kind: str
     forward_residual_sup: float   # independent higher-order audit
     positivity_margin: float
     weight_forward_sup: float | None = None   # fiberwise curvature of the
@@ -282,7 +265,7 @@ def verify_fiber_family(ref: ReferenceGeometry,
         if not (math.isfinite(weight_forward) and math.isfinite(exp_l2)):
             raise FanofibError(f"Einstein weight audit is not finite: weight "
                                f"residual {weight_forward}, exp_l2 {exp_l2}")
-    return FiberVerifyReport(kind=sol.kind, forward_residual_sup=float(forward.max()),
+    return FiberVerifyReport(forward_residual_sup=float(forward.max()),
                              positivity_margin=float(u.min()),
                              weight_forward_sup=weight_forward,
                              exp_l2_diagnostic=exp_l2)

@@ -135,14 +135,12 @@ def derive_constants(spec: ModelSpec) -> DerivedConstants:
 class ChartWeight:
     """Local potential split as pole parts plus a globally smooth part.
 
-    Represents  pole_fiber*log(1+s_f) + pole_base*log(1+s_b) + smooth,
-    with log(1+s) = -log(1-x); the log poles live at x = 1 and are kept
-    symbolic so coefficient fields can be evaluated through their smooth
-    extensions.
+    Represents  c*log(1+s_f) + a*log(1+s_b) + smooth, with log(1+s) =
+    -log(1-x) and (a, c) the model's class; the log poles live at x = 1
+    and are kept symbolic so coefficient fields can be evaluated through
+    their smooth extensions.
     """
 
-    pole_fiber: float
-    pole_base: float
     smooth: np.ndarray
 
 
@@ -278,7 +276,7 @@ def build_reference(spec: ModelSpec) -> ReferenceGeometry:
     np.exp(rho, out=rho)
     # rho is Omega, normalized and checked in place before ref is returned
     ref = ReferenceGeometry(spec=spec, consts=consts, grid=grid, warp=w, Omega=rho,
-                            phi_L=ChartWeight(float(spec.c), float(spec.a), psi_w),
+                            phi_L=ChartWeight(psi_w),
                             eta_fs=kappa, V=2.0 * TWO_PI * float(spec.c))
     _check_positive(ref)
 

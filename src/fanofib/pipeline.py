@@ -21,12 +21,11 @@ from .basespace import (VARIANT_B, VARIANT_BPRIME, compute_gprime,
                         twisted_ke_residual, volume_identity_residual,
                         wpl_fs_residual)
 from .errors import ConfigError, FanofibError
-from .fiberwise import (SKE, SPR, FiberFamilySolution, solve_spr, solve_ske,
-                        verify_fiber_family)
+from .fiberwise import SKE, SPR, solve_spr, solve_ske, verify_fiber_family
 from .grids import Grid
 from .model import ModelSpec, ReferenceGeometry, build_reference, derive_constants
 from .report import CheckRecord, Report, provenance
-from .wpform import (SectionFamilySpec, WPResult, volume_family_from_sections,
+from .wpform import (SectionFamilySpec, volume_family_from_sections,
                      wp_from_residual, wp_from_sections)
 
 ALL_CHECKS = ("fiber", "wp_routes", "gprime", "base_ma", "twisted_ke",
@@ -271,15 +270,6 @@ def _record(report: Report, cfg: PipelineConfig, grid: Grid, kind: str,
         wall_time=laps.lap()))
 
 
-def _sections_route(ref: ReferenceGeometry,
-                    fiber: FiberFamilySolution) -> tuple[WPResult, float]:
-    """The sections route's base form and its family's Ricci defect.  The
-    family's n^2 log density is not read again, so it is dropped here."""
-    family = volume_family_from_sections(
-        ref, SectionFamilySpec.canonical(ref.consts), fiber)
-    return wp_from_sections(ref, family), family.ric_defect
-
-
 def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
               report: Report, laps: _Laps) -> None:
     grid = ref.grid
@@ -299,7 +289,9 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
         _record(report, cfg, grid, kind, "fiber_forward",
                 audit.forward_residual_sup, _TRUNC, laps)
 
-    wp_sections, ric_defect = _sections_route(ref, fiber)
+    family = volume_family_from_sections(
+        ref, SectionFamilySpec.canonical(ref.consts), fiber)
+    wp_sections = wp_from_sections(ref, family)
     wp_residual = wp_from_residual(ref, fiber)
 
     if "wp_routes" in cfg.checks:
@@ -307,7 +299,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
                             wp_residual.wp_base).max())
         _record(report, cfg, grid, kind, "wp_routes", diff, _TRUNC, laps,
                 verticality_defect=wp_residual.verticality_defect,
-                ric_defect=ric_defect,
+                ric_defect=family.ric_defect,
                 wp_fs_min=float(wp_sections.wp_fs.min()))
 
     gprime = compute_gprime(ref, fiber, eps_lp=cfg.eps_lp)
@@ -340,16 +332,15 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
     if "twisted_ke" in cfg.checks:
         for sol in (sol_b, sol_bp):
             rep_r = twisted_ke_residual(ref, sol, wp_residual)
-            _record(report, cfg, grid, kind, f"twisted_ke[{sol.variant}]",
-                    rep_r.relative, _TRUNC, laps,
-                    residual_sections=tke[sol.variant].residual_sup,
+            _record(report, cfg, grid, kind, rep_r.name, rep_r.relative,
+                    _TRUNC, laps, residual_sections=tke[sol.variant].residual_sup,
                     residual_routes=rep_r.residual_sup, scale=rep_r.scale)
 
     if "wpl_fs" in cfg.checks and kind == SPR:
         rep = wpl_fs_residual(ref, wp_sections)
         rep_r = wpl_fs_residual(ref, wp_residual)
-        _record(report, cfg, grid, kind, "wpl_fs", rep_r.relative, _TRUNC, laps,
-                residual_sections=rep.residual_sup,
+        _record(report, cfg, grid, kind, rep_r.name, rep_r.relative,
+                _TRUNC, laps, residual_sections=rep.residual_sup,
                 residual_routes=rep_r.residual_sup)
 
     if "volume_identities" in cfg.checks:

@@ -235,7 +235,6 @@ class NewtonResult:
     x: np.ndarray
     trace: list = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
 
 
 def _probe_direction(n: int) -> np.ndarray:
@@ -279,7 +278,7 @@ def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
     trace = [norm]
     for it in range(max_iter):
         if norm <= tol:
-            return NewtonResult(x, trace, it, True)
+            return NewtonResult(x, trace, it)
         J = jacobian_fn(x)
         try:
             step = (J.solve(-res) if hasattr(J, "solve")
@@ -299,6 +298,6 @@ def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
         x, res, norm = x_try, res_try, norm_try
         trace.append(norm)
     if norm <= tol:
-        return NewtonResult(x, trace, max_iter, True)
+        return NewtonResult(x, trace, max_iter)
     raise NonConvergence(f"no convergence in {max_iter} iterations "
                          f"(last residual {norm:.3e})", trace)

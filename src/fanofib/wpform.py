@@ -55,10 +55,12 @@ class SectionFamilySpec:
 class SectionVolumeFamily:
     """Family of fiber volume densities relative to the fiber FS volume.
 
-    density(x_f, b) = exp(smooth_log) * x_b^pole_zero * (1-x_b)^pole_one.
+    density(x_f, b) = exp(smooth_log) * x_b^pole_zero * (1-x_b)^pole_one,
+    with smooth_log = 2/beta log f_scale - lambda * (smooth part of the
+    Hermitian weight).  The base form reads only the fiber integrals of
+    the smooth part, so smooth_log itself is not kept.
     """
 
-    smooth_log: np.ndarray
     smooth_log_norm: np.ndarray  # log 2*pi int exp(smooth_log) per fiber
     pole_zero: float
     pole_one: float
@@ -91,10 +93,6 @@ class WPResult:
     wp_base: np.ndarray          # log-frame coefficient on the base grid
     wp_fs: np.ndarray            # FS-relative density (finite everywhere)
     route: str                   # "sections" | "residual"
-    # sections route: log of the fiber integrals, -inf where the chart
-    # frame degenerates at a base pole, and its smooth part
-    log_norm: np.ndarray | None = None
-    smooth_log_norm: np.ndarray | None = None
     # residual route
     verticality_defect: float | None = None
     residual: PullbackResidualSummary | None = None
@@ -132,7 +130,7 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     grid = ref.grid
     beta = float(sfs.beta)
     # smooth_log = 2/beta log f_scale - lam * (smooth part of the weight),
-    # formed in the one array it is returned in
+    # formed in one array
     ske_u = fiber.vertical_fs if fiber is not None and fiber.kind == SKE else None
     if ske_u is not None:
         smooth_log = ref.phi_L.smooth + fiber.rho
@@ -157,8 +155,7 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     if np.any(integrals <= 0.0):
         raise FanofibError("non-positive fiber integral in the section family")
 
-    return SectionVolumeFamily(smooth_log=smooth_log,
-                               smooth_log_norm=np.log(integrals),
+    return SectionVolumeFamily(smooth_log_norm=np.log(integrals),
                                pole_zero=pole_zero, pole_one=pole_one,
                                ric_defect=ric_defect)
 
@@ -167,25 +164,14 @@ def wp_from_sections(ref: ReferenceGeometry,
                      family: SectionVolumeFamily) -> WPResult:
     """Differentiate the log fiber integrals of the section volume family.
 
-    The pole parts of log_norm contribute pole_zero + pole_one to the
-    FS-relative density in closed form; only the smooth part is
-    differentiated on the grid.
+    The log fiber integrals are the smooth part plus the pole parts
+    pole_zero log x_b + pole_one log(1 - x_b), which contribute pole_zero
+    + pole_one to the FS-relative density in closed form; only the smooth
+    part is differentiated on the grid.
     """
     grid = ref.grid
-    smooth_log_norm = family.smooth_log_norm
-    wp_fs = (family.pole_zero + family.pole_one) - lap(grid, smooth_log_norm, BASE)
-    wp_base = grid.g_b * wp_fs
-
-    xb = grid.nodes_b
-    log_norm = smooth_log_norm.copy()
-    with np.errstate(divide="ignore"):
-        if family.pole_zero != 0.0:
-            log_norm = log_norm + family.pole_zero * np.log(xb)
-        if family.pole_one != 0.0:
-            log_norm = log_norm + family.pole_one * np.log(1.0 - xb)
-
-    return WPResult(wp_base=wp_base, wp_fs=wp_fs, route="sections",
-                    log_norm=log_norm, smooth_log_norm=smooth_log_norm)
+    wp_fs = family.pole_zero + family.pole_one - lap(grid, family.smooth_log_norm, BASE)
+    return WPResult(wp_base=grid.g_b * wp_fs, wp_fs=wp_fs, route="sections")
 
 
 def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,

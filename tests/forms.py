@@ -54,11 +54,11 @@ def chi(ref):
 
 
 def ric_weight_residual(ref) -> float:
-    """sup |Ric(h_L) - omega0|: the pole parts of h_L's weight are exact,
-    its smooth part is differentiated by the grid operators."""
-    phi = ref.phi_L
-    ric = fs_form(ref.grid, phi.pole_fiber, phi.pole_base) + ddbar_invariant(
-        ref.grid, phi.smooth)
+    """sup |Ric(h_L) - omega0|: the pole parts c log(1+s_f) + a log(1+s_b)
+    of h_L's weight are exact, its smooth part is differentiated by the
+    grid operators."""
+    ric = fs_form(ref.grid, float(ref.spec.c), float(ref.spec.a)) + ddbar_invariant(
+        ref.grid, ref.phi_L.smooth)
     return np.abs(ric - omega0(ref)).max()
 
 

@@ -41,7 +41,7 @@ def test_pushforward_adjoint_identity(ref_b):
 def test_pushforward_of_section_family(ref_a, section_density):
     fam = volume_family_from_sections(
         ref_a, SectionFamilySpec.canonical(ref_a.consts))
-    push = fiber_integral(ref_a.grid, section_density(fam, ref_a.grid))
+    push = fiber_integral(ref_a.grid, section_density(ref_a, fam))
     expect = TWO_PI * (1.0 - ref_a.grid.nodes_b)**4
     assert np.abs(push - expect).max() < 1e-12
 

@@ -316,7 +316,6 @@ def test_newton_converges_quadratically():
     w = 2.0 + np.sin(np.pi * g.nodes_f)
     residual, jacobian = _liouville_like(g, w)
     result = newton_semilinear(residual, jacobian, 0.3 * np.ones(65), tol=1e-12)
-    assert result.converged
     assert np.abs(residual(result.x)).max() < 1e-12
     # quadratic tail: once below 1e-3 the next step lands below ~square
     tail = [r for r in result.trace if 0 < r < 1e-3]

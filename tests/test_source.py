@@ -98,6 +98,32 @@ def test_every_public_def_is_referenced_in_src():
     assert not shadowed, f"public members named like ndarray attributes: {shadowed}"
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        func = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_in_src():
+    # a result field that no stage reads is computed, stored and documented
+    # for nothing.  A read is an Attribute load of the field's name anywhere
+    # in the package, matched by name alone: a field that shares its name
+    # with a live one (``kind``, ``name``, ...) passes however dead it is,
+    # so this is a floor, not a proof
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    loads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}.{cls.name}.{item.target.id}"
+              for module, tree in trees.items() for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for item in cls.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+              and item.target.id not in loads]
+    assert not unread, f"dataclass fields no module of the package reads: {unread}"
+
+
 def _knobs(tree: ast.Module):
     """(function name, parameter, positional index or None) for every
     defaulted parameter of a public function or public method."""

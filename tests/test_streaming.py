@@ -47,7 +47,7 @@ def test_wp_residual_holds_log_u_and_r_bb(ref_256, families_256, kind):
 
 @pytest.mark.parametrize("kind", [SPR, SKE])
 def test_sections_route_holds_its_log_density(ref_256, families_256, kind):
-    # smooth_log, which it returns, plus a few row blocks: 1.26 (ske) and
+    # smooth_log, which it forms, plus a few row blocks: 1.26 (ske) and
     # 1.32 (spr) fields; exp(smooth_log) formed in full for the fiber
     # integrals made it 2.02
     sfs = SectionFamilySpec.canonical(ref_256.consts)

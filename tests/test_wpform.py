@@ -24,7 +24,7 @@ def canonical(ref):
 
 def test_family_density_model_a(ref_a, section_density):
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
-    dens = section_density(fam, ref_a.grid)
+    dens = section_density(ref_a, fam)
     expect = (1.0 - ref_a.grid.nodes_b[None, :])**4
     assert np.abs(dens - expect).max() < 1e-14
     assert fam.ric_defect < 1e-13
@@ -47,11 +47,14 @@ def test_family_weight_follows_the_fiber_family(ref_b, spr_b, ske_b):
     plain = volume_family_from_sections(ref_b, canonical(ref_b))
     spr = volume_family_from_sections(ref_b, canonical(ref_b), spr_b)
     ske = volume_family_from_sections(ref_b, canonical(ref_b), ske_b)
-    assert np.array_equal(spr.smooth_log, plain.smooth_log)
+    assert np.array_equal(spr.smooth_log_norm, plain.smooth_log_norm)
     assert spr.ric_defect == plain.ric_defect
     lam = float(ref_b.consts.lam)
-    assert np.allclose(ske.smooth_log, plain.smooth_log - lam * ske_b.rho,
-                       rtol=0.0, atol=1e-12)
+    for fam, rho in ((plain, 0.0), (ske, ske_b.rho)):
+        smooth = np.exp(-lam * (ref_b.phi_L.smooth + rho))     # exp(smooth_log)
+        expect = np.log(TWO_PI * simpson_columns(ref_b.grid, smooth))
+        assert np.allclose(fam.smooth_log_norm, expect, rtol=0.0, atol=1e-12)
+    assert np.abs(ske.smooth_log_norm - plain.smooth_log_norm).max() > 1e-6
     assert ske.ric_defect < 50.0 * (1.0 / 64)**2
 
 
@@ -72,9 +75,13 @@ def test_wp_sections_closed_form_three_two(ref_a32):
 
 
 def test_wp_sections_lognorm_pole_structure(ref_a):
-    wp = wp_from_sections(ref_a, volume_family_from_sections(ref_a, canonical(ref_a)))
-    assert wp.log_norm[-1] == -np.inf          # canonical frame dies at x_b=1
-    assert np.isfinite(wp.log_norm[:-1]).all()
+    # log_norm = smooth_log_norm + pole_zero log x_b + pole_one log(1 - x_b):
+    # the canonical frame dies at x_b = 1 only
+    fam = volume_family_from_sections(ref_a, canonical(ref_a))
+    assert fam.pole_zero == 0.0
+    assert fam.pole_one > 0.0
+    assert np.isfinite(fam.smooth_log_norm).all()
+    wp = wp_from_sections(ref_a, fam)
     assert np.isfinite(wp.wp_fs).all()         # the form itself is regular
 
 
@@ -85,8 +92,10 @@ def test_wp_constant_family_rescale_invariance(ref_b):
     fam5 = volume_family_from_sections(ref_b, spec5)
     wp1 = wp_from_sections(ref_b, fam)
     wp5 = wp_from_sections(ref_b, fam5)
-    # the log integrals shift by the constant 2 log(5) / beta
-    shift = wp5.log_norm[:-1] - wp1.log_norm[:-1]
+    # the log integrals shift by the constant 2 log(5) / beta; the pole
+    # exponents do not move
+    assert (fam5.pole_zero, fam5.pole_one) == (fam.pole_zero, fam.pole_one)
+    shift = fam5.smooth_log_norm - fam.smooth_log_norm
     expect = 2.0 * math.log(5.0) / float(ref_b.consts.beta)
     assert np.abs(shift - expect).max() < 1e-12
     assert np.abs(wp5.wp_base - wp1.wp_base).max() < 1e-12
@@ -118,7 +127,7 @@ def test_wp_weight_constant_shift(ref_b):
     fam1 = volume_family_from_sections(ref_b, canonical(ref_b))
     fam2 = volume_family_from_sections(ref2, canonical(ref2))
     wp1, wp2 = wp_from_sections(ref_b, fam1), wp_from_sections(ref2, fam2)
-    shift = wp2.smooth_log_norm - wp1.smooth_log_norm
+    shift = fam2.smooth_log_norm - fam1.smooth_log_norm
     assert np.abs(shift + lam * 0.37).max() < 1e-12
     assert np.abs(wp2.wp_base - wp1.wp_base).max() < 1e-12
 
@@ -134,7 +143,7 @@ def test_wp_residual_model_a(ref_a, spr_a, section_density):
     assert wp.verticality_defect < 1e-10
     # fiber ratio of the two normalizations of the same fiber Ricci data
     g = ref_a.grid
-    mu = (TWO_PI * simpson_columns(g, section_density(fam, g))
+    mu = (TWO_PI * simpson_columns(g, section_density(ref_a, fam))
           / (TWO_PI * simpson_columns(g, spr_a.vertical_fs)))
     assert mu[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.isfinite(mu))
