@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (TWO_PI, _col_max, _col_range, _row_blocks, _simpson_of_rows,
-                       _simpson_rows, fiber_integral, integrate_total, lap,
+from .calculus import (TWO_PI, _carry_columns, _col_max, _col_range, _row_blocks,
+                       _simpson_of_rows, _simpson_rows, fiber_integral, lap,
                        lap_bands, simpson, simpson2d)
 from .errors import PositivityError
 from .fiberwise import SKE, SPR, FiberFamilySolution
-from .grids import BASE
-from .model import ReferenceGeometry, checked_volume
+from .grids import BASE, Grid
+from .model import ReferenceGeometry, _checked_range
 from .solvers import BandedMatrix, newton_semilinear
 from .wpform import WPResult
 
@@ -31,22 +31,42 @@ VARIANT_BPRIME = "Bprime"
 # push-forward and the fiber-averaged density
 # ---------------------------------------------------------------------------
 
-def pushforward_adjoint_defect(ref: ReferenceGeometry, rho: np.ndarray) -> float:
-    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V, V of density
-    ``rho``, over the monomial test functions psi(x_b) = 1, x_b, x_b^2."""
-    grid = ref.grid
-    push = fiber_integral(grid, rho)
+# the monomial test functions psi(x_b) = 1, x_b, x_b^2 of the adjoint check
+_ADJOINT_POWERS = (0, 1, 2)
+
+
+def _adjoint_rows(grid: Grid, rows: np.ndarray, block: np.ndarray, lo: int) -> None:
+    """Write, for each test function psi_p = x_b^p, the base-weighted sums
+    of the fiber rows of psi_p * ``block``, the rows from ``lo`` on of a
+    volume density, to ``rows[p]``."""
+    for p in _ADJOINT_POWERS:
+        rows[p, lo:lo + block.shape[0]] = _simpson_rows(
+            grid, block * (grid.nodes_b**p)[None, :])
+
+
+def _adjoint_defect(grid: Grid, push: np.ndarray, rows: np.ndarray) -> float:
+    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V over the
+    test functions of ``_adjoint_rows``, from the push-forward of V and the
+    row sums that ``_adjoint_rows`` wrote for all fiber rows of V."""
     worst = 0.0
-    for p in (0, 1, 2):
-        psi = grid.nodes_b**p
-        lhs = simpson(grid, BASE, psi * push)
-        # simpson2d of rho * psi, whose fiber rows are summed block by block
-        rows = np.empty(grid.n_fiber + 1)
-        for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
-            rows[lo:hi] = _simpson_rows(grid, rho[lo:hi] * psi[None, :])
-        rhs = TWO_PI * _simpson_of_rows(grid, rows)
+    for p in _ADJOINT_POWERS:
+        lhs = simpson(grid, BASE, grid.nodes_b**p * push)
+        rhs = TWO_PI * _simpson_of_rows(grid, rows[p])
         worst = float(np.max([worst, abs(lhs - rhs) / max(abs(rhs), 1e-30)]))
     return worst
+
+
+def pushforward_adjoint_defect(ref: ReferenceGeometry, rho: np.ndarray) -> float:
+    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V, V of density
+    ``rho``, over the monomial test functions psi(x_b) = 1, x_b, x_b^2.
+
+    ``fiber_integral`` contracts the fiber axis first and the row sums the
+    base axis, so the check compares two summation orders."""
+    grid = ref.grid
+    rows = np.empty((len(_ADJOINT_POWERS), grid.n_fiber + 1))
+    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
+        _adjoint_rows(grid, rows, rho[lo:hi], lo)
+    return _adjoint_defect(grid, fiber_integral(grid, rho), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -61,24 +81,59 @@ class GprimeReport:
     lp_norms: dict
     normalization_defect: float
     adjoint_defect: float
-    volume: np.ndarray       # density of the total-space volume pushed forward
+    volume_scale: float      # s of Omega' = s e^{-lambda rho} Omega (ske)
 
 
-def make_omega_prime(ref: ReferenceGeometry,
-                     ske: FiberFamilySolution) -> np.ndarray:
-    """Density of the twisted volume form e^{-lambda rho} * Omega for the
-    Einstein family, rescaled so the push-forward carries unit mean against
-    eta (the free multiplicative constant of the construction).  Raises
-    PositivityError unless it is finite and positive."""
-    if ske.kind != SKE:
-        raise ValueError("omega-prime needs the fiberwise Einstein family")
-    lam = float(ref.consts.lam)
-    rho = -lam * ske.rho                 # the density, formed in one array
-    np.exp(rho, out=rho)
-    np.multiply(ref.Omega, rho, out=rho)
+def _twisted_rows(ref: ReferenceGeometry, rho: np.ndarray, lo: int,
+                  hi: int) -> np.ndarray:
+    """Rows [lo, hi) of e^{-lambda rho} Omega."""
+    rows = -float(ref.consts.lam) * rho[lo:hi]
+    np.exp(rows, out=rows)
+    np.multiply(ref.Omega[lo:hi], rows, out=rows)
+    return rows
+
+
+def _volume_rows(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
+                 scale: float, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the volume that G' pushes forward: Omega' = scale
+    e^{-lambda rho} Omega for the Einstein family, Omega itself otherwise."""
+    if fiber_sol.kind != SKE:
+        return ref.Omega[lo:hi]
+    rows = _twisted_rows(ref, fiber_sol.rho, lo, hi)
+    rows *= scale
+    return rows
+
+
+def _twisted_pushforward(ref: ReferenceGeometry, ske: FiberFamilySolution):
+    """The scale s, the push-forward and the adjoint defect of the twisted
+    volume Omega' = s e^{-lambda rho} Omega of the Einstein family, with s
+    set so the push-forward carries unit mean against eta (the free
+    multiplicative constant of the construction).
+
+    Omega' is never held: one pass sums the fiber rows of e^{-lambda rho}
+    Omega against the base weights, as ``integrate_total`` does, to fix s,
+    and a second forms Omega' block by block for its fiber integrals, its
+    adjoint row sums and its extremes.  Raises PositivityError unless
+    Omega' is finite and positive.
+    """
+    grid = ref.grid
+    blocks = list(_row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
+    rows = np.empty(grid.n_fiber + 1)
+    for lo, hi in blocks:
+        rows[lo:hi] = _simpson_rows(grid, _twisted_rows(ref, ske.rho, lo, hi))
     target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
-    rho *= target_mass / integrate_total(ref.grid, rho)
-    return checked_volume(rho, "twisted volume form")
+    scale = target_mass / (TWO_PI**2 * _simpson_of_rows(grid, rows))
+
+    sums = low = high = None
+    adjoint = np.empty((len(_ADJOINT_POWERS), grid.n_fiber + 1))
+    for lo, hi in blocks:
+        block = _volume_rows(ref, ske, scale, lo, hi)
+        low, high = _col_range(low, high, block)
+        sums = _carry_columns(grid, sums, block, lo)
+        _adjoint_rows(grid, adjoint, block, lo)
+    _checked_range(float(low.min()), float(high.max()), "twisted volume form")
+    push = TWO_PI * (sums / (3.0 * grid.n_fiber))    # fiber_integral of Omega'
+    return scale, push, _adjoint_defect(grid, push, adjoint)
 
 
 def compute_gprime(ref: ReferenceGeometry,
@@ -87,15 +142,19 @@ def compute_gprime(ref: ReferenceGeometry,
     """G' = f_* Omega / (V eta) as a base profile with its L^p diagnostics.
 
     The fiber family picks the volume: the Einstein family pushes forward
-    its twisted volume Omega' (``make_omega_prime``); the prescribed-Ricci
-    family, or no family, pushes forward Omega.  The report's ``variant``
-    is the kind of the family used.
+    its twisted volume Omega' (``_twisted_pushforward``), formed row block
+    by row block; the prescribed-Ricci family, or no family, pushes
+    forward Omega.  The report's ``variant`` is the kind of the family
+    used.
     """
     variant = SPR if fiber_sol is None else fiber_sol.kind
-    vol = make_omega_prime(ref, fiber_sol) if variant == SKE else ref.Omega
-
     grid = ref.grid
-    push = fiber_integral(grid, vol)
+    if variant == SKE:
+        scale, push, adjoint = _twisted_pushforward(ref, fiber_sol)
+    else:
+        scale = 1.0
+        push = fiber_integral(grid, ref.Omega)
+        adjoint = pushforward_adjoint_defect(ref, ref.Omega)
     gprime = push / (ref.V * ref.eta_fs)
     if np.any(gprime <= 0.0):
         raise PositivityError("push-forward density lost positivity; "
@@ -108,8 +167,7 @@ def compute_gprime(ref: ReferenceGeometry,
     return GprimeReport(variant=variant, gprime=gprime,
                         delta_lower=float(gprime.min()), lp_norms=lp,
                         normalization_defect=float(defect),
-                        adjoint_defect=pushforward_adjoint_defect(ref, vol),
-                        volume=vol)
+                        adjoint_defect=adjoint, volume_scale=scale)
 
 
 @dataclass(eq=False)
@@ -122,14 +180,16 @@ def check_g_descends(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
                      gprime: GprimeReport) -> GDescendsReport:
     """Fiber constancy of G = Omega / (2 omega_family ^ pullback(eta)) and
     agreement with the pulled-back base profile; Omega is the volume that
-    ``gprime`` pushed forward."""
+    ``gprime`` pushed forward, re-formed row block by row block from this
+    family with the scale ``gprime`` fixed."""
     if gprime.variant != fiber_sol.kind:
         raise ValueError(f"G' of the {gprime.variant} family cannot audit "
                          f"the {fiber_sol.kind} family")
     # G in row blocks, reduced to per-column extremes as it is formed
     hi = lo = gap = None
     for a, b in _row_blocks(0, ref.grid.n_fiber + 1, ref.grid.n_base + 1):
-        G = gprime.volume[a:b] / (2.0 * ref.eta_fs * fiber_sol.vertical_fs[a:b])
+        vol = _volume_rows(ref, fiber_sol, gprime.volume_scale, a, b)
+        G = vol / (2.0 * ref.eta_fs * fiber_sol.vertical_fs[a:b])
         lo, hi = _col_range(lo, hi, G)
         gap = _col_max(gap, np.abs(G - gprime.gprime[None, :]))
     osc = float((hi - lo).max())

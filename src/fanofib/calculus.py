@@ -71,14 +71,18 @@ def _d1_rows(v: np.ndarray, lo: int, hi: int, h: float, start: int = 0,
     return out
 
 
-def _d2_rows(v: np.ndarray, lo: int, hi: int, h: float) -> np.ndarray:
+def _d2_rows(v: np.ndarray, lo: int, hi: int, h: float, start: int = 0,
+             n: int | None = None) -> np.ndarray:
     """Rows [lo, hi) of the second-order second derivative along axis 0,
-    one-sided at the two end rows."""
-    n = v.shape[0] - 1
-    out = np.empty_like(v[lo:hi])
+    one-sided at the two end rows, of a field with rows 0..n of which
+    ``v`` holds rows ``start`` on (all of them by default)."""
+    if n is None:
+        n = v.shape[0] - 1
+    out = np.empty_like(v[:hi - lo])
     i, j = max(lo, 1), min(hi, n)        # the interior rows of the block
     if i < j:
         mid = out[i - lo:j - lo]
+        i, j = i - start, j - start      # the same rows of v
         np.multiply(2.0, v[i:j], out=mid)
         np.subtract(v[i + 1:j + 1], mid, out=mid)
         mid += v[i - 1:j - 1]
@@ -97,34 +101,51 @@ def _column(a: np.ndarray, lo: int, hi: int, ndim: int) -> np.ndarray:
 
 
 def _lap_rows(v: np.ndarray, lo: int, hi: int, g: np.ndarray, gp: np.ndarray,
-              h: float) -> np.ndarray:
-    """Rows [lo, hi) of ``g * diff2 + gp * diff1`` along axis 0."""
-    out = _d2_rows(v, lo, hi, h)
+              h: float, start: int = 0, n: int | None = None) -> np.ndarray:
+    """Rows [lo, hi) of ``g * diff2 + gp * diff1`` along axis 0, of a field
+    with rows 0..n of which ``v`` holds rows ``start`` on."""
+    out = _d2_rows(v, lo, hi, h, start, n)
     out *= _column(g, lo, hi, v.ndim)
-    d1 = _d1_rows(v, lo, hi, h)
+    d1 = _d1_rows(v, lo, hi, h, start, n)
     d1 *= _column(gp, lo, hi, v.ndim)
     out += d1
     return out
 
 
-def _lap_fiber(grid: Grid, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the fiber-axis L of a 2D field."""
-    return _lap_rows(v, lo, hi, grid.g_f, grid.gp_f, grid.h(FIBER))
+def _lap_halo(lo: int, hi: int, n: int) -> tuple[int, int]:
+    """The rows [s, e) that rows [lo, hi) of ``_lap_fiber`` and ``_dfdb``
+    read along axis 0 of a field with rows 0..n: a stage that forms the
+    field itself forms these rows for each block (cf. ``_audit_halo``)."""
+    s = 0 if lo < 1 else min(lo - 1, n - 3)
+    e = n + 1 if hi > n else max(hi + 1, 4)
+    return s, e
 
 
-def _lap_base(grid: Grid, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the base-axis L of a 2D field."""
-    t = v[lo:hi].T
+def _lap_fiber(grid: Grid, v: np.ndarray, lo: int, hi: int,
+               start: int = 0) -> np.ndarray:
+    """Rows [lo, hi) of the fiber-axis L of a 2D field of which ``v``
+    holds rows ``start`` on."""
+    return _lap_rows(v, lo, hi, grid.g_f, grid.gp_f, grid.h(FIBER), start,
+                     grid.n_fiber)
+
+
+def _lap_base(grid: Grid, v: np.ndarray, lo: int, hi: int,
+              start: int = 0) -> np.ndarray:
+    """Rows [lo, hi) of the base-axis L of a 2D field of which ``v`` holds
+    rows ``start`` on."""
+    t = v[lo - start:hi - start].T
     return _lap_rows(t, 0, t.shape[0], grid.g_b, grid.gp_b, grid.h(BASE)).T
 
 
-def _dfdb(grid: Grid, v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _dfdb(grid: Grid, v: np.ndarray, lo: int, hi: int,
+          start: int = 0) -> np.ndarray:
     """Rows [lo, hi) of D_f D_b v, the mixed log-frame coefficient of
-    i ddbar v; D_b runs on the rows that D_f reads."""
-    n = v.shape[0] - 1
+    i ddbar v, for a field of which ``v`` holds rows ``start`` on; D_b
+    runs on the rows that D_f reads."""
+    n = grid.n_fiber
     s = max(0, min(lo - 1, n - 2))
     e = min(n + 1, max(hi + 1, 3))
-    t = v[s:e].T
+    t = v[s - start:e - start].T
     db = _d1_rows(t, 0, t.shape[0], grid.h(BASE))
     db *= grid.g_b[:, None]
     out = _d1_rows(db.T, lo, hi, grid.h(FIBER), s, n)

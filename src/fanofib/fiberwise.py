@@ -48,13 +48,24 @@ class FiberFamilySolution:
 
 
 def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
-    """Mean-zero fiber potentials with ddbar_fiber(rho) = (u - m0) FS-wise;
-    the source is formed in one array, row block by row block."""
+    """Mean-zero fiber potentials with ddbar_fiber(rho) = (u - m0) FS-wise.
+
+    The source is formed in one array, row block by row block, and the
+    solve writes the potentials into it.  u and m0 are O(1) while their
+    difference may be O(h^2) next to a pole, so each column's
+    compatibility gate is scaled by sup|g u| + sup|g m0|, the size of the
+    terms whose roundoff the integral carries, taken in the same pass.
+    """
     grid = ref.grid
+    g = grid.g_f[:, None]
     rhs = np.empty_like(u)
+    size_u = size_m0 = None
     for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
-        np.subtract(u[lo:hi], ref.vertical_rows(lo, hi), out=rhs[lo:hi])
-    return solve_poisson_1d(grid, FIBER, rhs)
+        m0 = ref.vertical_rows(lo, hi)
+        np.subtract(u[lo:hi], m0, out=rhs[lo:hi])
+        size_u = _col_max(size_u, np.abs(g[lo:hi] * u[lo:hi]))
+        size_m0 = _col_max(size_m0, np.abs(m0 * g[lo:hi], out=m0))
+    return solve_poisson_1d(grid, FIBER, rhs, out=rhs, scale=size_u + size_m0)
 
 
 def _volume_defect(ref: ReferenceGeometry, u: np.ndarray) -> float:
@@ -76,16 +87,21 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
     c = float(ref.spec.c)
     w = ref.warp
 
-    # source of the linear fiber problem; the FS parts cancel exactly
-    rhs_fs = -lam * w.eps * w.D2P_fs[:, None] * w.Q[None, :]
-    v = solve_poisson_1d(grid, FIBER, rhs_fs)
+    # source of the linear fiber problem; the FS parts cancel exactly.  It
+    # is rank one, so the solve writes v into it and the residual check
+    # forms again the rows it reads
+    def source(lo, hi):
+        return -lam * w.eps * w.D2P_fs[lo:hi, None] * w.Q[None, :]
+
+    rows = grid.n_fiber + 1
+    v = source(0, rows)
+    v = solve_poisson_1d(grid, FIBER, v, out=v)
 
     # discrete forward residual of the linear solve, per row block
     worst = None
-    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
-        worst = _col_max(worst, np.abs(_lap_fiber(grid, v, lo, hi) - rhs_fs[lo:hi]))
+    for lo, hi in _row_blocks(0, rows, grid.n_base + 1):
+        worst = _col_max(worst, np.abs(_lap_fiber(grid, v, lo, hi) - source(lo, hi)))
     residual = float(worst.max())
-    del rhs_fs          # not read again
 
     # u = C(b) e^v, formed in the array that held v
     u = np.exp(v, out=v)
@@ -245,18 +261,23 @@ def verify_fiber_family(ref: ReferenceGeometry,
     rows = np.empty(n + 1)
     for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
         s, e = _audit_halo(lo, hi, n)
-        ric_fs = 2.0 - _audit_rows(np.log(u[s:e]), lo, hi, g, gp, weights, s, n)
-        if sol.kind == SPR:
-            target = lam * ref.vertical_rows(lo, hi)
-        else:
-            target = lam * u[lo:hi]
+        ric_fs = _audit_rows(np.log(u[s:e]), lo, hi, g, gp, weights, s, n)
+        np.subtract(2.0, ric_fs, out=ric_fs)
+        ric_fs -= lam * (ref.vertical_rows(lo, hi) if sol.kind == SPR else u[lo:hi])
+        forward = _col_max(forward, np.abs(ric_fs, out=ric_fs))
+        del ric_fs
+        if sol.kind == SKE:
             # weight of the Einstein Hermitian metric: phi_L + rho,
             # fiberwise curvature must reproduce the fiber metric
-            curv = ref.vertical_rows(lo, hi) + _audit_rows(rho, lo, hi, g, gp, weights)
-            curv_gap = _col_max(curv_gap, np.abs(curv - u[lo:hi]))
-            rows[lo:hi] = _simpson_rows(grid, np.exp(-2.0 * lam * rho[lo:hi])
-                                        * ref.Omega[lo:hi])
-        forward = _col_max(forward, np.abs(ric_fs - target))
+            curv = _audit_rows(rho, lo, hi, g, gp, weights)
+            curv += ref.vertical_rows(lo, hi)
+            curv -= u[lo:hi]
+            curv_gap = _col_max(curv_gap, np.abs(curv, out=curv))
+            del curv
+            weight = -2.0 * lam * rho[lo:hi]
+            np.exp(weight, out=weight)
+            weight *= ref.Omega[lo:hi]
+            rows[lo:hi] = _simpson_rows(grid, weight)
 
     weight_forward = exp_l2 = None
     if sol.kind == SKE:

@@ -179,12 +179,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def checked_volume(rho: np.ndarray, what: str) -> np.ndarray:
-    """``rho`` if finite and positive at every node, else PositivityError."""
-    lo, hi = float(rho.min()), float(rho.max())
+def _checked_range(lo: float, hi: float, what: str) -> None:
+    """PositivityError unless a density whose least and greatest nodal
+    values are ``lo`` and ``hi`` is finite and positive (a NaN fails)."""
     if not (lo > 0.0 and hi < math.inf):
         raise PositivityError(f"{what}: density not finite and positive "
                               f"(min {lo:.3e}, max {hi:.3e})", worst=lo)
+
+
+def checked_volume(rho: np.ndarray, what: str) -> np.ndarray:
+    """``rho`` if finite and positive at every node, else PositivityError."""
+    _checked_range(float(rho.min()), float(rho.max()), what)
     return rho
 
 

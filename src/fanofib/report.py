@@ -109,7 +109,12 @@ def emit_report(report: Report, out_dir) -> list[Path]:
             rows = np.column_stack([np.asarray(columns[k]) for k in names])
             lines = [",".join(names)]
             # tolist() yields Python floats, whose repr is the shortest
-            # round-trip string
+            # round-trip string.  repr is the floor of this writer: for the
+            # 2049 x 9 profile of a 64x2048 run it takes 30.6 of the 31.5 ms
+            # the rows take to format (2-vCPU Xeon, CPython 3.11, numpy
+            # 2.4; another run on such a host read 16.0 of 17.4 ms).  Both
+            # byte-identical alternatives were slower: a memo of the strings
+            # by bit pattern 35.4 ms, joining ``astype(str)`` rows 40.8 ms
             lines += [",".join(map(repr, row)) for row in rows.tolist()]
             fname.write_text("\n".join(lines) + "\n")
             paths.append(fname)

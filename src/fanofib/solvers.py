@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import TWO_PI, _row_blocks, lap_bands
+from .calculus import TWO_PI, _col_max, _row_blocks, lap_bands
 from .errors import ContractViolation, NonConvergence, SolvabilityError
 from .grids import Grid
 
@@ -171,54 +171,88 @@ def _weighted_row_sum(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
-                     tol_factor: float = 1e-8):
+                     tol_factor: float = 1e-8, *, out: np.ndarray | None = None,
+                     scale: np.ndarray | None = None):
     """Solve (x(1-x) d_x)^2 u = x(1-x) rhs_fs with mean-zero gauge,
     int u dx = 0.
 
     ``rhs_fs`` holds the FS-relative density of the source form; columns
     of a 2D argument are independent problems.  The compatibility integral
-    of every column must vanish to ``tol_factor * sup|rhs|``, with
-    rhs = x(1-x) rhs_fs the log-frame coefficient of the source.  The
-    result solves the bordered system [[L, 1], [w, 0]] [u, mu] =
-    [rhs_fs, 0]: the border multiplier mu absorbs the O(h^2) discrete
-    incompatibility.
+    of every column must vanish to ``tol_factor * scale``.  The scale
+    defaults to sup|rhs|, with rhs = x(1-x) rhs_fs the log-frame
+    coefficient of the source; a caller whose source is a difference of
+    larger terms passes their size per column instead, since the integral
+    carries the roundoff of those terms; it must be non-finite in every
+    column whose source is.  The result solves the bordered system
+    [[L, 1], [w, 0]] [u, mu] = [rhs_fs, 0]: the border multiplier mu
+    absorbs the O(h^2) discrete incompatibility.
 
-    In flux form (``poisson_system``) the solve is closed: one cumulative
-    sum of the source gives the fluxes F_i - F_0 + i mu, the end rows give
-    (F_0, mu), a second cumulative sum of F_i / conductance_i gives u up
-    to a constant, and the Simpson weights fix the constant.
+    The solution is written to ``out``, a float array of the source's
+    shape, as a numpy ufunc writes it.  ``out`` may be the source array
+    itself, which hands the source over: the solve then holds nothing
+    beside it but a few rows and one row block.  Without ``out`` a new
+    array is returned and the source is left untouched.
+
+    In flux form (``poisson_system``) the solve is closed: one running sum
+    of the source gives the fluxes F_i - F_0 + i mu, the end rows give
+    (F_0, mu), a second running sum of F_i / conductance_i gives u up to a
+    constant, and the Simpson weights fix the constant.  Both sums run
+    in row blocks, carried from block to block in row order.
     """
     rfs = np.asarray(rhs_fs, dtype=float)
-    squeeze = rfs.ndim == 1
-    if squeeze:
-        rfs = rfs[:, None]
-    # sup|rhs| per column, in the array that later holds the solution; a
-    # non-finite rhs makes its column's max non-finite
-    out = rfs * grid.g(axis_name)[:, None]
-    scale = np.abs(out, out=out).max(axis=0)
+    if out is None:
+        out = rfs.copy()
+    elif out is not rfs:
+        np.copyto(out, rfs)
+    # the source and the solution, as (n+1, columns); the source is read
+    # only before the first running sum, which overwrites it if it is out
+    src = rfs if rfs.ndim == 2 else rfs[:, None]
+    work = out if out.ndim == 2 else out[:, None]
+    n = grid.n(axis_name)
+    width = work.shape[1]
+    if scale is None:
+        # sup|rhs| per column, one row block at a time; a non-finite rhs
+        # makes its column's max non-finite
+        g = grid.g(axis_name)
+        for lo, hi in _row_blocks(0, n + 1, width):
+            scale = _col_max(scale, np.abs(src[lo:hi] * g[lo:hi, None]))
     if not np.all(np.isfinite(scale)):
         raise ValueError("solve_poisson_1d: non-finite right-hand side")
 
-    n = grid.n(axis_name)
     weights = grid.simpson(axis_name) / (3.0 * n)
-    defects = TWO_PI * np.einsum("i,ij->j", weights, rfs)
+    defects = TWO_PI * np.einsum("i,ij->j", weights, src)
     bad = np.abs(defects) > tol_factor * np.maximum(scale, 1e-30)
     if np.any(bad):
         j = int(np.argmax(np.abs(defects)))
         raise SolvabilityError(
             f"incompatible source: defect integral {defects[j]:.3e} "
-            f"exceeds {tol_factor:.1e} * ||rhs||", float(defects[j]))
+            f"exceeds {tol_factor:.1e} * scale {float(np.ravel(scale)[j]):.3e}",
+            float(defects[j]))
 
     system = poisson_system(grid, axis_name)
-    out[:2] = 0.0
-    np.cumsum(rfs[1:n], axis=0, out=out[2:])      # out[i + 1] = r_1 + ... + r_i
-    ends = (rfs[0], rfs[1], rfs[n - 1], rfs[n], out[n])
+    # the running sums r_1 + ... + r_i, in place in rows 1 .. n-1; the end
+    # rows keep the source rows the end system reads, r_{n-1} aside
+    r_last = work[n - 1].copy()
+    total = None
+    for lo, hi in _row_blocks(1, n, width):
+        part = work[lo:hi]
+        if total is not None:
+            part[0] += total
+        np.add.accumulate(part, axis=0, out=part)
+        total = part[-1]
+    ends = (work[0], work[1], r_last, work[n], work[n - 1])
     f0, mu = sum(k[:, None] * e for k, e in zip(system.end_solve.T, ends))
+    # row i + 1 takes the running sum up to r_i, so that row i + 1 of the
+    # solution forms where its flux F_i is; bottom block first, so that no
+    # row is overwritten before it moves
+    for lo, hi in reversed(list(_row_blocks(1, n, width))):
+        work[lo + 1:hi + 1] = work[lo:hi]
+    work[:2] = 0.0
     # in row blocks, from u_0 = 0: the fluxes, the differences u_{i+1} - u_i
     # and their running sum, carried from block to block in row order
     total = None
-    for lo, hi in _row_blocks(0, n, rfs.shape[1]):
-        part = out[lo + 1:hi + 1]
+    for lo, hi in _row_blocks(0, n, width):
+        part = work[lo + 1:hi + 1]
         part += f0
         part += np.multiply.outer(system.mu_flux[lo:hi], mu)
         part /= system.conductance[lo:hi, None]
@@ -226,8 +260,8 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
             part[0] += total
         np.add.accumulate(part, axis=0, out=part)
         total = part[-1]
-    out -= _weighted_row_sum(weights, out)        # Simpson gauge
-    return out[:, 0] if squeeze else out
+    work -= _weighted_row_sum(weights, work)        # Simpson gauge
+    return out
 
 
 @dataclass(eq=False)

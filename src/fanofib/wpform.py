@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calculus import (TWO_PI, _carry_columns, _col_max, _col_range, _dfdb,
-                       _lap_base, _lap_fiber, _row_blocks, lap)
+                       _lap_base, _lap_fiber, _lap_halo, _row_blocks, lap)
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, FIBER
@@ -128,27 +128,30 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
 
     lam = float(consts.lam)
     grid = ref.grid
+    n = grid.n_fiber
     beta = float(sfs.beta)
-    # smooth_log = 2/beta log f_scale - lam * (smooth part of the weight),
-    # formed in one array
+    log_scale = (2.0 / beta) * math.log(sfs.f_scale)
     ske_u = fiber.vertical_fs if fiber is not None and fiber.kind == SKE else None
-    if ske_u is not None:
-        smooth_log = ref.phi_L.smooth + fiber.rho
-        smooth_log *= lam
-    else:
-        smooth_log = lam * ref.phi_L.smooth
-    np.subtract((2.0 / beta) * math.log(sfs.f_scale), smooth_log, out=smooth_log)
     pole_zero = sfs.f_power / beta
     pole_one = float(consts.lam * ref.spec.a) - pole_zero
 
-    # forward check of the defining fiber Ricci prescription, and the fiber
-    # integrals of exp(smooth_log), per row block
+    # smooth_log = 2/beta log f_scale - lam * (smooth part of the weight) on
+    # the rows each block's stencil reads; per row block, the forward check
+    # of the defining fiber Ricci prescription and the fiber integrals of
+    # exp(smooth_log)
     worst = sums = None
-    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
-        ric_fs = 2.0 - _lap_fiber(grid, smooth_log, lo, hi)
+    for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
+        s, e = _lap_halo(lo, hi, n)
+        if ske_u is not None:
+            smooth_log = ref.phi_L.smooth[s:e] + fiber.rho[s:e]
+            smooth_log *= lam
+        else:
+            smooth_log = lam * ref.phi_L.smooth[s:e]
+        np.subtract(log_scale, smooth_log, out=smooth_log)
+        ric_fs = 2.0 - _lap_fiber(grid, smooth_log, lo, hi, s)
         target = ref.vertical_rows(lo, hi) if ske_u is None else ske_u[lo:hi]
         worst = _col_max(worst, np.abs(ric_fs - lam * target))
-        sums = _carry_columns(grid, sums, np.exp(smooth_log[lo:hi]), lo)
+        sums = _carry_columns(grid, sums, np.exp(smooth_log[lo - s:hi - s]), lo)
     ric_defect = float(worst.max())
 
     integrals = TWO_PI * (sums / (3.0 * grid.n_fiber))
@@ -191,7 +194,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     a number, raises PullbackStructureError.  The extremes of r are kept
     in ``WPResult.residual`` for the volume identities.  r is formed in
     row blocks and reduced per column as it is formed, its fiber average
-    included; only log u is held whole.
+    included; log u is taken on the rows each block reads.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -204,17 +207,21 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     if fiber_sol.kind not in (SPR, SKE):
         raise ValueError(f"unknown fiber family kind {fiber_sol.kind!r}")
 
-    log_u = np.log(fiber_sol.vertical_fs)
+    n = grid.n_fiber
+    u = fiber_sol.vertical_fs
     w = ref.warp
     rho = fiber_sol.rho if fiber_sol.kind == SKE else None   # the twist's potential
 
     # r in row blocks, one channel at a time: the ff and fb channels are
     # reduced to per-column maxima as they are formed, and the FS-relative
-    # r_bb to its per-column extremes and its running fiber sums.  The
-    # twist form is lambda*omega: the reference form for the prescribed-
-    # Ricci family, the family form itself for the Einstein one.
+    # r_bb to its per-column extremes and its running fiber sums.  log u is
+    # taken on the rows each block's stencils read.  The twist form is
+    # lambda*omega: the reference form for the prescribed-Ricci family, the
+    # family form itself for the Einstein one.
     ff = fb = ffb = bb_lo = bb_hi = bb_sums = None
-    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
+    for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
+        s, e = _lap_halo(lo, hi, n)
+        log_u = np.log(u[s:e])
         # vertical channel: twist_ff - (2 - L_f log u), times g_f
         if rho is None:
             abs_ff = lam * ref.vertical_rows(lo, hi)
@@ -222,7 +229,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
             abs_ff = _lap_fiber(grid, rho, lo, hi)
             np.add(ref.vertical_rows(lo, hi), abs_ff, out=abs_ff)
             abs_ff *= lam
-        abs_ff -= 2.0 - _lap_fiber(grid, log_u, lo, hi)
+        abs_ff -= 2.0 - _lap_fiber(grid, log_u, lo, hi, s)
         abs_ff *= grid.g_f[lo:hi, None]
         ff = _col_max(ff, np.abs(abs_ff, out=abs_ff))
 
@@ -232,7 +239,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
         if rho is not None:
             abs_fb += _dfdb(grid, rho, lo, hi)
         abs_fb *= lam
-        abs_fb += _dfdb(grid, log_u, lo, hi)
+        abs_fb += _dfdb(grid, log_u, lo, hi, s)
         fb = _col_max(fb, np.abs(abs_fb, out=abs_fb))
         abs_ff += abs_fb
         ffb = _col_max(ffb, abs_ff)
@@ -244,10 +251,10 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
         block *= lam
         if rho is not None:
             block += lam * _lap_base(grid, rho, lo, hi)
-        block += _lap_base(grid, log_u, lo, hi)
+        block += _lap_base(grid, log_u, lo, hi, s)
         bb_lo, bb_hi = _col_range(bb_lo, bb_hi, block * grid.g_b[None, :])
         bb_sums = _carry_columns(grid, bb_sums, block, lo)
-        del block               # before the next block's temporaries
+        del block, log_u        # before the next block's temporaries
 
     # max over the field of |r_ff| + |r_fb| + the fiber spread of r_bb:
     # rounding is monotone, so adding the spread to each column's maximum

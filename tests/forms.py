@@ -6,7 +6,8 @@ volume form is its density relative to the product FS volume.
 
 import numpy as np
 
-from fanofib.calculus import ddbar_invariant
+from fanofib.calculus import TWO_PI, ddbar_invariant, integrate_total
+from fanofib.model import checked_volume
 
 FF, BB, FB = 0, 1, 2
 
@@ -65,3 +66,18 @@ def ric_weight_residual(ref) -> float:
 def ric_volume(grid, rho):
     """Ricci form of a volume form: 2(FS_f + FS_b) - i ddbar log(density)."""
     return fs_form(grid, 2.0, 2.0) - ddbar_invariant(grid, np.log(rho))
+
+
+def make_omega_prime(ref, ske):
+    """The density of the twisted volume form e^{-lambda rho} Omega of the
+    Einstein family in full, rescaled so its push-forward carries unit mean
+    against eta: the whole-field expression that ``basespace.compute_gprime``
+    forms row block by row block.  PositivityError unless it is finite and
+    positive."""
+    lam = float(ref.consts.lam)
+    rho = -lam * ske.rho
+    np.exp(rho, out=rho)
+    np.multiply(ref.Omega, rho, out=rho)
+    target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
+    rho *= target_mass / integrate_total(ref.grid, rho)
+    return checked_volume(rho, "twisted volume form")

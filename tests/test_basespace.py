@@ -7,7 +7,7 @@ import pytest
 from fanofib import basespace, calculus, pipeline
 from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                compute_gprime, integrated_ma_defect,
-                               make_omega_prime, pushforward_adjoint_defect,
+                               pushforward_adjoint_defect,
                                solve_base_ma, twisted_ke_residual,
                                volume_identity_residual, wpl_fs_residual)
 from fanofib.calculus import TWO_PI, ddbar_invariant, fiber_integral
@@ -17,7 +17,7 @@ from fanofib.model import ModelSpec, build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 from conftest import peak_fields
-from forms import field_shape, fs_form, omega0, ric_volume
+from forms import field_shape, fs_form, make_omega_prime, omega0, ric_volume
 
 
 def wp_of(ref):
@@ -82,14 +82,32 @@ def test_omega_prime_defining_relation(ref_b, ske_b):
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
+@pytest.mark.parametrize("block", [None, 1, 333])
+def test_streamed_omega_prime_matches_the_whole_field_oracle(ref_c, ske_c, block,
+                                                             monkeypatch):
+    # G' forms Omega' row block by row block and check_g_descends re-forms
+    # the rows it reads; every number equals the whole-field expression's
+    if block is not None:
+        monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
+    grid = ref_c.grid
+    vol = make_omega_prime(ref_c, ske_c)
+    gp = compute_gprime(ref_c, ske_c)
+    assert np.array_equal(gp.gprime, fiber_integral(grid, vol) / (ref_c.V * ref_c.eta_fs))
+    assert gp.adjoint_defect == pushforward_adjoint_defect(ref_c, vol)
+    G = vol / (2.0 * ref_c.eta_fs * ske_c.vertical_fs)
+    rep = check_g_descends(ref_c, ske_c, gp)
+    assert rep.vertical_oscillation == float((G.max(axis=0) - G.min(axis=0)).max())
+    assert rep.pullback_defect == float(np.abs(G - gp.gprime[None, :]).max())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_omega_prime_rejects_a_bad_family_column(ref_c, ske_c, bad):
     # a NaN or infinite column of the Einstein potential makes the twisted
-    # volume NaN or zero there: a positivity failure where it is built
+    # volume NaN or zero there: a positivity failure where it is formed
     rho = ske_c.rho.copy()
     rho[:, ref_c.grid.n_base // 2] = bad
     with pytest.raises(PositivityError, match="twisted volume form"):
-        make_omega_prime(ref_c, dataclasses.replace(ske_c, rho=rho))
+        compute_gprime(ref_c, dataclasses.replace(ske_c, rho=rho))
 
 
 def test_g_descends_model_a(ref_a, spr_a):

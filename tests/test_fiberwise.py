@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fanofib import fiberwise
 from fanofib.calculus import TWO_PI, fs_ratio, lap, lap_bands, lap_matrix, simpson_columns
-from fanofib.errors import ContractViolation
+from fanofib.errors import ContractViolation, SolvabilityError
 from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
 from fanofib.grids import FIBER
 from fanofib.model import ModelSpec, build_reference
@@ -22,6 +22,14 @@ def test_spr_model_a_is_reference(ref_a, spr_a):
     assert np.abs(spr_a.vertical_fs - 1.0).max() == 0.0
     assert spr_a.residual_sup == 0.0
     assert spr_a.volume_defect == 0.0
+
+
+def test_recovery_gate_sees_a_real_incompatibility(ref_c, spr_c):
+    # u off its class volume by 1e-6: u - m0 integrates to 2 pi 1e-6 c per
+    # column, 2.5e-5 of the gate's scale sup|g u| + sup|g m0| = c/2
+    u = spr_c.vertical_fs * (1.0 + 1e-6)
+    with pytest.raises(SolvabilityError):
+        fiberwise._recover_potential(ref_c, u)
 
 
 def test_spr_model_b_forward_residual(ref_b, spr_b):

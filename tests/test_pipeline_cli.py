@@ -99,6 +99,21 @@ def test_cli_grid_and_tol_override_the_file(tmp_path):
     assert [float(r["tolerance"]) for r in forward] == [1.0]
 
 
+def test_cli_runs_the_skew_bump_warp_at_256(tmp_path):
+    # next to the pole Q = x_b^2 (1 - x_b) is O(h^2), so the fiber
+    # potentials' source u - m0 is 2.5e-7 on base column 1 while its
+    # compatibility integral carries 7.5e-15 of the O(1) terms' roundoff:
+    # 3.0e-8 of sup|g (u - m0)|, which failed the gate and the run with
+    # exit 2, and 2.0e-14 of sup|g u| + sup|g m0|, the gate's scale now
+    cfg = write_cfg(tmp_path, MODEL_B + "warp_shape = skew_bump\n"
+                    "grids = 256x256\npipeline = both\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"]
+    assert {r["pipeline"] for r in report["records"]} == {"spr", "ske"}
+
+
 _KEYS = ("a", "c", "warp_amplitude", "warp_shape", "grids", "n_fiber",
          "n_base", "pipeline", "checks", "newton_tol", "residual_tol",
          "quadrature_tol", "h2_constant", "eps_lp", "out")

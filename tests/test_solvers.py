@@ -116,6 +116,81 @@ def test_poisson_stacked_columns_match_single():
     assert np.array_equal(U, solve_poisson_1d(g, FIBER, fs))
 
 
+@pytest.mark.parametrize("block", [None, 1, 333])
+@pytest.mark.parametrize("axis_name", [FIBER, BASE])
+def test_poisson_solve_that_hands_over_its_source_equals_the_plain_one(
+        axis_name, block, monkeypatch):
+    # the in-place solve runs every element through the same operations in
+    # the same order; a solve that keeps its source leaves it untouched
+    if block is not None:
+        monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
+    g = Grid(256, 32)
+    rng = np.random.default_rng(7)
+    w = g.simpson(axis_name) / (3.0 * g.n(axis_name))
+    fs = rng.standard_normal((g.n(axis_name) + 1, 5))
+    fs -= np.einsum("i,ij->j", w, fs)[None, :]
+    for source in (fs, fs[:, 2].copy()):
+        kept = source.copy()
+        plain = solve_poisson_1d(g, axis_name, source)
+        assert np.array_equal(source, kept)
+        other = np.empty_like(source)
+        assert solve_poisson_1d(g, axis_name, source, out=other) is other
+        assert np.array_equal(source, kept)
+        assert solve_poisson_1d(g, axis_name, source, out=source) is source
+        assert np.array_equal(source, plain) and np.array_equal(other, plain)
+        assert np.array_equal(np.signbit(source), np.signbit(plain))
+
+
+def test_poisson_solve_that_hands_over_its_source_holds_row_blocks():
+    # a saved row and a few row blocks beside the source: 0.04 fields; the
+    # solve that keeps its source holds its result beside it (1.04)
+    g = Grid(1024, 1024)
+    w = g.simpson_f / (3.0 * g.n_fiber)
+    fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
+    fs -= np.einsum("i,ij->j", w, fs)[None, :]
+
+    def in_place(grid, axis_name, source):
+        solve_poisson_1d(grid, axis_name, source, out=source)
+
+    assert peak_fields(in_place, g, FIBER, fs) <= 0.1
+
+
+def _difference_of_unit_fields(grid, delta):
+    """Columns a - b of two O(1) fields a = 1 + delta cos(2 pi x + k) and
+    b = 1, and the size sup|g a| + sup|g b| of the terms that cancel."""
+    x, g = grid.nodes_f, grid.g_f[:, None]
+    a = np.column_stack([1.0 + delta * np.cos(2.0 * np.pi * x + k) for k in range(4)])
+    b = np.ones_like(a)
+    return a - b, np.abs(g * a).max(axis=0) + np.abs(g * b).max(axis=0)
+
+
+def test_poisson_gate_scaled_by_cancelling_terms_passes_a_small_difference():
+    # the roundoff of 1 + delta cos(...) is 1e-16 of the unit terms; against
+    # sup|rhs| = 2.5e-10 it reads as a defect of 1e-7 relative, which the
+    # unscaled gate rejects: the skew_bump recovery next to the poles
+    g = Grid(256, 16)
+    rhs, size = _difference_of_unit_fields(g, 1e-9)
+    with pytest.raises(SolvabilityError):
+        solve_poisson_1d(g, FIBER, rhs)
+    u = solve_poisson_1d(g, FIBER, rhs, scale=size)
+    assert np.array_equal(u, _poisson_whole(g, FIBER, rhs))
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-2])
+def test_poisson_gate_scaled_by_cancelling_terms_sees_a_real_incompatibility(delta):
+    # a constant of 1e-6 of the cancelling terms' size integrates to
+    # 2 pi 1e-6 of it, far above the gate's 1e-8
+    g = Grid(256, 16)
+    rhs, size = _difference_of_unit_fields(g, delta)
+    rhs[:, 1] += 1e-6 * size[1]
+    with pytest.raises(SolvabilityError, match=r"1.0e-08 \* scale"):
+        solve_poisson_1d(g, FIBER, rhs, scale=size)
+    # a term that is not finite makes its column's scale not finite
+    size[2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_poisson_1d(g, FIBER, rhs, scale=size)
+
+
 # ---------------------------------------------------------------------------
 # banded solves against dense oracles
 # ---------------------------------------------------------------------------
@@ -209,10 +284,9 @@ def test_lap_interior_rows_are_in_flux_form(n, axis_name):
 
 
 def test_poisson_solve_holds_one_field_and_row_blocks():
-    # the compatibility gate forms |rhs| in the array that then holds the
-    # result, and every other temporary is one row block: the peak reads
-    # 1.04 fields; an elimination that keeps the right-hand side and a
-    # multiplier column beside the result reads 4.02
+    # the result, a copy of the source solved in place, and row blocks: the
+    # peak reads 1.04 fields; an elimination that keeps the right-hand side
+    # and a multiplier column beside the result reads 4.02
     g = Grid(1024, 1024)
     w = g.simpson_f / (3.0 * g.n_fiber)
     fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
