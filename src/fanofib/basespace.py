@@ -56,19 +56,6 @@ def _adjoint_defect(grid: Grid, push: np.ndarray, rows: np.ndarray) -> float:
     return worst
 
 
-def pushforward_adjoint_defect(ref: ReferenceGeometry, rho: np.ndarray) -> float:
-    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V, V of density
-    ``rho``, over the monomial test functions psi(x_b) = 1, x_b, x_b^2.
-
-    ``fiber_integral`` contracts the fiber axis first and the row sums the
-    base axis, so the check compares two summation orders."""
-    grid = ref.grid
-    rows = np.empty((len(_ADJOINT_POWERS), grid.n_fiber + 1))
-    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
-        _adjoint_rows(grid, rows, rho[lo:hi], lo)
-    return _adjoint_defect(grid, fiber_integral(grid, rho), rows)
-
-
 # ---------------------------------------------------------------------------
 # G' and its descent from the total space
 # ---------------------------------------------------------------------------
@@ -81,7 +68,7 @@ class GprimeReport:
     lp_norms: dict
     normalization_defect: float
     adjoint_defect: float
-    volume_scale: float      # s of Omega' = s e^{-lambda rho} Omega (ske)
+    volume_scale: float      # s of Omega' = s e^{-lambda rho} Omega (ske), else 1
 
 
 def _twisted_rows(ref: ReferenceGeometry, rho: np.ndarray, lo: int,
@@ -93,46 +80,50 @@ def _twisted_rows(ref: ReferenceGeometry, rho: np.ndarray, lo: int,
     return rows
 
 
-def _volume_rows(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
+def _volume_rows(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution | None,
                  scale: float, lo: int, hi: int) -> np.ndarray:
     """Rows [lo, hi) of the volume that G' pushes forward: Omega' = scale
-    e^{-lambda rho} Omega for the Einstein family, Omega itself otherwise."""
-    if fiber_sol.kind != SKE:
+    e^{-lambda rho} Omega for the Einstein family, Omega itself for the
+    prescribed-Ricci family or no family."""
+    if fiber_sol is None or fiber_sol.kind != SKE:
         return ref.Omega[lo:hi]
     rows = _twisted_rows(ref, fiber_sol.rho, lo, hi)
     rows *= scale
     return rows
 
 
-def _twisted_pushforward(ref: ReferenceGeometry, ske: FiberFamilySolution):
-    """The scale s, the push-forward and the adjoint defect of the twisted
-    volume Omega' = s e^{-lambda rho} Omega of the Einstein family, with s
-    set so the push-forward carries unit mean against eta (the free
+def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution | None):
+    """The scale s, the push-forward and the adjoint defect of the volume
+    of ``_volume_rows``; s = 1 unless the Einstein family sets it so the
+    push-forward of Omega' carries unit mean against eta (the free
     multiplicative constant of the construction).
 
-    Omega' is never held: one pass sums the fiber rows of e^{-lambda rho}
-    Omega against the base weights, as ``integrate_total`` does, to fix s,
-    and a second forms Omega' block by block for its fiber integrals, its
-    adjoint row sums and its extremes.  Raises PositivityError unless
-    Omega' is finite and positive.
+    The volume is never held: the Einstein family's first pass sums the
+    fiber rows of e^{-lambda rho} Omega against the base weights, as
+    ``integrate_total`` does, to fix s; one pass forms the volume block by
+    block for its fiber integrals (fiber axis first), its adjoint row
+    sums (base axis first) and its extremes.  Raises PositivityError
+    unless the volume is finite and positive.
     """
     grid = ref.grid
     blocks = list(_row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
-    rows = np.empty(grid.n_fiber + 1)
-    for lo, hi in blocks:
-        rows[lo:hi] = _simpson_rows(grid, _twisted_rows(ref, ske.rho, lo, hi))
-    target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
-    scale = target_mass / (TWO_PI**2 * _simpson_of_rows(grid, rows))
+    scale = 1.0
+    if fiber_sol is not None and fiber_sol.kind == SKE:
+        rows = np.empty(grid.n_fiber + 1)
+        for lo, hi in blocks:
+            rows[lo:hi] = _simpson_rows(grid, _twisted_rows(ref, fiber_sol.rho, lo, hi))
+        target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
+        scale = target_mass / (TWO_PI**2 * _simpson_of_rows(grid, rows))
 
     sums = low = high = None
     adjoint = np.empty((len(_ADJOINT_POWERS), grid.n_fiber + 1))
     for lo, hi in blocks:
-        block = _volume_rows(ref, ske, scale, lo, hi)
+        block = _volume_rows(ref, fiber_sol, scale, lo, hi)
         low, high = _col_range(low, high, block)
         sums = _carry_columns(grid, sums, block, lo)
         _adjoint_rows(grid, adjoint, block, lo)
     _checked_range(float(low.min()), float(high.max()), "twisted volume form")
-    push = TWO_PI * (sums / (3.0 * grid.n_fiber))    # fiber_integral of Omega'
+    push = TWO_PI * (sums / (3.0 * grid.n_fiber))    # fiber_integral of the volume
     return scale, push, _adjoint_defect(grid, push, adjoint)
 
 
@@ -142,19 +133,14 @@ def compute_gprime(ref: ReferenceGeometry,
     """G' = f_* Omega / (V eta) as a base profile with its L^p diagnostics.
 
     The fiber family picks the volume: the Einstein family pushes forward
-    its twisted volume Omega' (``_twisted_pushforward``), formed row block
-    by row block; the prescribed-Ricci family, or no family, pushes
-    forward Omega.  The report's ``variant`` is the kind of the family
-    used.
+    its twisted volume Omega', the prescribed-Ricci family, or no family,
+    pushes forward Omega; both are streamed over row blocks
+    (``_pushforward``).  The report's ``variant`` is the kind of the
+    family used.
     """
     variant = SPR if fiber_sol is None else fiber_sol.kind
     grid = ref.grid
-    if variant == SKE:
-        scale, push, adjoint = _twisted_pushforward(ref, fiber_sol)
-    else:
-        scale = 1.0
-        push = fiber_integral(grid, ref.Omega)
-        adjoint = pushforward_adjoint_defect(ref, ref.Omega)
+    scale, push, adjoint = _pushforward(ref, fiber_sol)
     gprime = push / (ref.V * ref.eta_fs)
     if np.any(gprime <= 0.0):
         raise PositivityError("push-forward density lost positivity; "

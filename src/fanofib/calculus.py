@@ -282,9 +282,9 @@ def simpson2d(grid: Grid, values) -> float:
     Each fiber row is reduced against the base weights by ``einsum``
     (a fixed summation order, no BLAS call, no n^2 temporary); the n_f+1
     fiber-weighted row sums are then added by compensated summation.
-    ``fiber_integral`` contracts the fiber axis first, and
-    ``basespace.pushforward_adjoint_defect`` compares the two orders, so
-    this one must not be written through ``simpson_columns``: the same
+    ``fiber_integral`` contracts the fiber axis first, and the adjoint
+    check of G' (``basespace._adjoint_defect``) compares the two orders,
+    so this one must not be written through ``simpson_columns``: the same
     order on both sides would make that comparison vacuous.
     """
     v = np.asarray(values, dtype=float)

@@ -88,7 +88,8 @@ def main(argv=None) -> int:
             return 2
         print(console_table(report))
         if report.orders:
-            print("\nconvergence orders (log2 residual ratio per refinement):")
+            print("\nconvergence orders (log residual ratio / log refinement "
+                  "factor; nan where the axes refine unequally):")
             for name in sorted(report.orders):
                 orders = ", ".join(f"{o:.2f}" for o in report.orders[name])
                 print(f"  {name:<44} {orders}")

@@ -1,4 +1,4 @@
-"""Exact class arithmetic and the numerical class-decomposition checks.
+"""Exact class pairings and the numerical class-decomposition checks.
 
 Classes live in the basis ([FS_base], [FS_fiber]) with rational
 coefficients; pairing against the fiber cycle reads off 2*pi times the
@@ -22,16 +22,6 @@ class CohomClass:
 
     base: Fraction
     fiber: Fraction = Fraction(0)
-
-    def __add__(self, other: "CohomClass") -> "CohomClass":
-        return CohomClass(self.base + other.base, self.fiber + other.fiber)
-
-    def __sub__(self, other: "CohomClass") -> "CohomClass":
-        return CohomClass(self.base - other.base, self.fiber - other.fiber)
-
-    def __rmul__(self, s) -> "CohomClass":
-        s = Fraction(s)
-        return CohomClass(s * self.base, s * self.fiber)
 
     def pair_fiber(self) -> Fraction:
         """Pairing with a fiber of the projection, in units of 2*pi."""

@@ -68,10 +68,20 @@ def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
     return solve_poisson_1d(grid, FIBER, rhs, out=rhs, scale=size_u + size_m0)
 
 
-def _volume_defect(ref: ReferenceGeometry, u: np.ndarray) -> float:
+def _family(ref: ReferenceGeometry, kind: str, u: np.ndarray, residual: float,
+            what: str) -> FiberFamilySolution:
+    """The family of fiber metrics u, each column scaled in place to the
+    class volume c: a discrete solve keeps it only to truncation, and the
+    forward audit carries that O(h^2) gap.  ``what`` names the metric in
+    the positivity check."""
     c = float(ref.spec.c)
+    u *= (c / simpson_columns(ref.grid, u))[None, :]
+    checked_volume(u, what)
+    rho = _recover_potential(ref, u)
     vols = simpson_columns(ref.grid, u)
-    return float(np.abs(vols - c).max() / c)
+    return FiberFamilySolution(kind=kind, rho=rho, vertical_fs=u,
+                               residual_sup=residual,
+                               volume_defect=float(np.abs(vols - c).max() / c))
 
 
 def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
@@ -84,7 +94,6 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
-    c = float(ref.spec.c)
     w = ref.warp
 
     # source of the linear fiber problem; the FS parts cancel exactly.  It
@@ -104,14 +113,8 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
     residual = float(worst.max())
 
     # u = C(b) e^v, formed in the array that held v
-    u = np.exp(v, out=v)
-    u *= (c / simpson_columns(grid, u))[None, :]
-    checked_volume(u, "prescribed-Ricci fiber metric")
-
-    rho = _recover_potential(ref, u)
-    return FiberFamilySolution(kind=SPR, rho=rho, vertical_fs=u,
-                               residual_sup=residual,
-                               volume_defect=_volume_defect(ref, u))
+    return _family(ref, SPR, np.exp(v, out=v), residual,
+                   "prescribed-Ricci fiber metric")
 
 
 @dataclass(eq=False)
@@ -209,16 +212,8 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution
     del L             # the dense Laplacian, before the recovery
 
     v = np.repeat(v0[:, None], grid.n_base + 1, axis=1)
-    u = np.exp(v, out=v)
-    # the discrete Einstein solve preserves the class volume only to
-    # truncation; enforce it exactly and let the forward audit carry the
-    # O(h^2) discrepancy
-    u *= (c / simpson_columns(grid, u))[None, :]
-    checked_volume(u, "Einstein fiber metric")
-    rho = _recover_potential(ref, u)
-    return FiberFamilySolution(kind=SKE, rho=rho, vertical_fs=u,
-                               residual_sup=result.trace[-1],
-                               volume_defect=_volume_defect(ref, u))
+    return _family(ref, SKE, np.exp(v, out=v), result.trace[-1],
+                   "Einstein fiber metric")
 
 
 @dataclass(eq=False)

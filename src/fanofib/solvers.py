@@ -221,12 +221,14 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
 
     weights = grid.simpson(axis_name) / (3.0 * n)
     defects = TWO_PI * np.einsum("i,ij->j", weights, src)
-    bad = np.abs(defects) > tol_factor * np.maximum(scale, 1e-30)
+    size = np.broadcast_to(np.maximum(scale, 1e-30), defects.shape)
+    bad = np.abs(defects) > tol_factor * size
     if np.any(bad):
-        j = int(np.argmax(np.abs(defects)))
+        # the failing column whose defect is largest against its own scale
+        j = int(np.argmax(np.where(bad, np.abs(defects) / size, -np.inf)))
         raise SolvabilityError(
-            f"incompatible source: defect integral {defects[j]:.3e} "
-            f"exceeds {tol_factor:.1e} * scale {float(np.ravel(scale)[j]):.3e}",
+            f"incompatible source: column {j} defect integral {defects[j]:.3e} "
+            f"exceeds {tol_factor:.1e} * scale {size[j]:.3e}",
             float(defects[j]))
 
     system = poisson_system(grid, axis_name)

@@ -110,19 +110,15 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     the reference vertical density.
 
     The fiber-pole exponent 2 - lambda*c cancels exactly (that is the
-    degeneration identity), so the density is bounded on every fiber; an
-    imbalance means the section exponents are inconsistent with the
-    model and is rejected.
+    degeneration identity, which ``derive_constants`` asserts), so the
+    density is bounded on every fiber; section exponents whose ratio is
+    not lambda are inconsistent with the model and are rejected.
     """
     consts = ref.consts
     if Fraction(sfs.alpha, sfs.beta) != consts.lam:
         raise FanofibError(
             f"section exponents {sfs.alpha}/{sfs.beta} inconsistent with the "
             f"degeneration ratio {consts.lam}")
-    fiber_exponent = 2 - consts.lam * ref.spec.c
-    if fiber_exponent != 0:
-        raise FanofibError("unbounded fiber-pole behavior in the section "
-                           "volume family")
     if sfs.f_scale <= 0.0:
         raise ValueError("f_scale must be positive")
 

@@ -6,7 +6,9 @@ volume form is its density relative to the product FS volume.
 
 import numpy as np
 
-from fanofib.calculus import TWO_PI, ddbar_invariant, integrate_total
+from fanofib.calculus import (TWO_PI, ddbar_invariant, fiber_integral, integrate_total,
+                              simpson, simpson2d)
+from fanofib.grids import BASE
 from fanofib.model import checked_volume
 
 FF, BB, FB = 0, 1, 2
@@ -81,3 +83,20 @@ def make_omega_prime(ref, ske):
     target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
     rho *= target_mass / integrate_total(ref.grid, rho)
     return checked_volume(rho, "twisted volume form")
+
+
+def pushforward_adjoint_defect(ref, rho):
+    """Worst relative defect of int_B psi f_*V = int_X (f^*psi) V, V of
+    density ``rho``, over psi(x_b) = 1, x_b, x_b^2, from the whole field:
+    ``fiber_integral`` contracts the fiber axis first and ``simpson2d``
+    the base axis, the two orders that ``basespace.compute_gprime``
+    compares row block by row block."""
+    grid = ref.grid
+    push = fiber_integral(grid, rho)
+    worst = 0.0
+    for p in (0, 1, 2):
+        psi = grid.nodes_b**p
+        lhs = simpson(grid, BASE, psi * push)
+        rhs = TWO_PI * simpson2d(grid, rho * psi[None, :])
+        worst = float(np.max([worst, abs(lhs - rhs) / max(abs(rhs), 1e-30)]))
+    return worst

@@ -7,7 +7,6 @@ import pytest
 from fanofib import basespace, calculus, pipeline
 from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                compute_gprime, integrated_ma_defect,
-                               pushforward_adjoint_defect,
                                solve_base_ma, twisted_ke_residual,
                                volume_identity_residual, wpl_fs_residual)
 from fanofib.calculus import TWO_PI, ddbar_invariant, fiber_integral
@@ -17,7 +16,8 @@ from fanofib.model import ModelSpec, build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 from conftest import peak_fields
-from forms import field_shape, fs_form, make_omega_prime, omega0, ric_volume
+from forms import (field_shape, fs_form, make_omega_prime, omega0,
+                   pushforward_adjoint_defect, ric_volume)
 
 
 def wp_of(ref):
@@ -36,6 +36,7 @@ def test_pushforward_model_a(ref_a):
 
 def test_pushforward_adjoint_identity(ref_b):
     assert pushforward_adjoint_defect(ref_b, ref_b.Omega) < 1e-12
+    assert compute_gprime(ref_b).adjoint_defect < 1e-12
 
 
 def test_pushforward_of_section_family(ref_a, section_density):
@@ -82,20 +83,27 @@ def test_omega_prime_defining_relation(ref_b, ske_b):
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
-@pytest.mark.parametrize("block", [None, 1, 333])
-def test_streamed_omega_prime_matches_the_whole_field_oracle(ref_c, ske_c, block,
-                                                             monkeypatch):
-    # G' forms Omega' row block by row block and check_g_descends re-forms
-    # the rows it reads; every number equals the whole-field expression's
+# the Einstein cases keep the bare block as their id
+@pytest.mark.parametrize("kind, block", [
+    pytest.param(kind, block, id=str(block) if kind == "ske" else f"{kind}-{block}")
+    for kind in ("ske", "spr", None) for block in (None, 1, 333)])
+def test_streamed_omega_prime_matches_the_whole_field_oracle(ref_c, kind, block,
+                                                             request, monkeypatch):
+    # G' forms its volume (Omega' for the Einstein family, Omega otherwise)
+    # row block by row block and check_g_descends re-forms the rows it
+    # reads; every number equals the whole-field expression's
+    fiber = None if kind is None else request.getfixturevalue(f"{kind}_c")
     if block is not None:
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
     grid = ref_c.grid
-    vol = make_omega_prime(ref_c, ske_c)
-    gp = compute_gprime(ref_c, ske_c)
+    vol = make_omega_prime(ref_c, fiber) if kind == "ske" else ref_c.Omega
+    gp = compute_gprime(ref_c, fiber)
     assert np.array_equal(gp.gprime, fiber_integral(grid, vol) / (ref_c.V * ref_c.eta_fs))
     assert gp.adjoint_defect == pushforward_adjoint_defect(ref_c, vol)
-    G = vol / (2.0 * ref_c.eta_fs * ske_c.vertical_fs)
-    rep = check_g_descends(ref_c, ske_c, gp)
+    if fiber is None:
+        return
+    G = vol / (2.0 * ref_c.eta_fs * fiber.vertical_fs)
+    rep = check_g_descends(ref_c, fiber, gp)
     assert rep.vertical_oscillation == float((G.max(axis=0) - G.min(axis=0)).max())
     assert rep.pullback_defect == float(np.abs(G - gp.gprime[None, :]).max())
 

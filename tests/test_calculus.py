@@ -352,19 +352,24 @@ def test_carried_column_sums_propagate_a_nan():
     assert np.array_equal(np.delete(out, 7), np.delete(calculus.simpson_columns(g, v), 7))
 
 
-def test_pushforward_adjoint_defect_sees_a_perturbed_fiber_integral(ref_c, monkeypatch):
-    # fiber_integral contracts the fiber axis first and simpson2d the base
-    # axis; the adjoint check compares the two and must detect a bad column
-    assert basespace.pushforward_adjoint_defect(ref_c, ref_c.Omega) < 1e-14
-    real = basespace.fiber_integral
+def test_pushforward_adjoint_defect_sees_a_perturbed_fiber_integral(ref_c, spr_c, ske_c,
+                                                                    monkeypatch):
+    # G' carries the fiber integrals of its volume through the row blocks
+    # (fiber axis first) and takes the adjoint row sums base axis first;
+    # the adjoint check compares the two and must detect a column whose
+    # carried sums are off by 1e-3, for either family's volume
+    for fiber in (spr_c, ske_c):
+        assert basespace.compute_gprime(ref_c, fiber).adjoint_defect < 1e-14
+    real = basespace._carry_columns
 
-    def bumped(grid, V):
-        out = real(grid, V)
-        out[grid.n_base // 2] *= 1.0 + 1e-3
-        return out
+    def bumped(grid, total, block, lo):
+        block = block.copy()
+        block[:, grid.n_base // 2] *= 1.0 + 1e-3
+        return real(grid, total, block, lo)
 
-    monkeypatch.setattr(basespace, "fiber_integral", bumped)
-    assert basespace.pushforward_adjoint_defect(ref_c, ref_c.Omega) > 1e-7
+    monkeypatch.setattr(basespace, "_carry_columns", bumped)
+    for fiber in (spr_c, ske_c):
+        assert basespace.compute_gprime(ref_c, fiber).adjoint_defect > 1e-7
 
 
 def test_boundary_vanishing_of_smooth_coefficients(ref_b):

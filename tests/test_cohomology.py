@@ -19,14 +19,6 @@ def wp_of(ref):
     return wp_from_sections(ref, fam)
 
 
-def test_class_arithmetic():
-    x = CohomClass(F(2), F(1))
-    y = 2 * x + CohomClass(F(1, 3))
-    assert y == CohomClass(F(13, 3), F(2))
-    assert y.pair_fiber() == F(2)
-    assert y.pair_base() == F(13, 3)
-
-
 def test_limit_class_is_semiample_direction():
     dc = derive_constants(ModelSpec.make(2, 1))
     assert dc.D_class == (dc.kappa, 0)

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -51,9 +52,22 @@ def test_parse_config_roundtrip():
 
 
 def test_load_config_file(tmp_path):
-    path = write_cfg(tmp_path, "a = 2\nc = 1\nn_fiber = 32\nn_base = 64\n")
-    cfg = load_config(path)
+    path = write_cfg(tmp_path, "a = 2\nc = 1\ngrids = 32x64\npipeline = spr\n")
+    cfg = load_config(path, {"pipeline": "ske"})
     assert cfg.grids == ((32, 64),)
+    assert cfg.pipeline == "ske"   # the overrides take precedence
+
+
+def test_config_keys_are_the_pipeline_config_fields():
+    # every key sets a field, and no other key is accepted: out, n_fiber
+    # and n_base are no fields, so they are rejected, not dropped
+    default = PipelineConfig()
+    mapping = default.as_mapping()
+    assert set(mapping) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    assert config_from_mapping(mapping) == default
+    for key in ("out", "n_fiber", "n_base"):
+        with pytest.raises(ConfigError, match=rf"unknown configuration keys \['{key}'\]"):
+            config_from_mapping({**mapping, key: "32"})
 
 
 def test_parse_config_rejects_garbage():
@@ -257,6 +271,28 @@ def test_refinement_orders_attached():
                                                "g_descends")} <= set(rep.orders)
 
 
+def test_orders_divide_by_the_log_of_the_refinement_factor():
+    # fiber_forward[spr] is second order: a 4x step reads 2, not the log2
+    # ratio of about 4, a coarsening step reads 2, not -2, and a step that
+    # refines the axes by different factors has no order
+    def fiber_forward(grids):
+        rep = run_pipeline(config_from_mapping({
+            "a": "2", "c": "1", "warp_amplitude": "0.2", "warp_shape": "fiber_cubic",
+            "grids": grids, "checks": "fiber", "pipeline": "spr"}))
+        residuals = [r.residual for r in rep.records if r.name == "fiber_forward"]
+        return residuals, rep.orders["fiber_forward[spr]"]
+
+    (r32, r128), (up,) = fiber_forward("32x32,128x128")
+    assert 1.9 < up < 2.1
+    assert up == math.log2(r32 / r128) / 2.0
+    _, (down,) = fiber_forward("128x128,32x32")
+    assert down == pytest.approx(up, rel=1e-12)
+    assert np.isnan(fiber_forward("32x32,64x128")[1][0])
+    # a halving step is the log2 ratio itself, bit for bit
+    (r32, r64), (half,) = fiber_forward("32x32,64x64")
+    assert half == math.log2(r32 / r64)
+
+
 def test_record_wall_times_partition_the_run(monkeypatch):
     real = pipeline.wp_from_residual
 
@@ -398,7 +434,7 @@ def test_cli_bad_model_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["a = 1/0", "a = abc", "a = 1e400",
-                                  "n_fiber = 64.5", "warp_amplitude = nan",
+                                  "eps_lp = 1/0", "warp_amplitude = nan",
                                   "warp_amplitude = inf", "newton_tol = nan"])
 def test_cli_rejects_malformed_number(tmp_path, capsys, line):
     cfg = write_cfg(tmp_path, model_with(line))
@@ -412,7 +448,8 @@ def test_cli_rejects_malformed_number(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("line, key", [
     ("grids = 48x64", "n_fiber=48"), ("grids = 0x0", "n_fiber=0"),
-    ("grids = 16x16,32x48", "n_base=48"), ("n_fiber = 48", "n_fiber=48"),
+    ("grids = 16x16,32x48", "n_base=48"),
+    ("n_fiber = 48", "unknown configuration keys ['n_fiber']"),
     ("h2_constant = -1", "h2_constant"), ("h2_constant = 0", "h2_constant"),
     ("grids = ", "grids"), ("warp_shape = nope", "warp_shape"),
     ("warp_amplitude = -0.1", "warp_amplitude"), ("c = 2", "a > c"),

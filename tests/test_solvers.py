@@ -5,7 +5,7 @@ import pytest
 
 from fanofib import calculus
 from fanofib.basespace import compute_gprime, solve_base_ma
-from fanofib.calculus import diff1, diff2, lap, lap_bands, lap_matrix, simpson
+from fanofib.calculus import TWO_PI, diff1, diff2, lap, lap_bands, lap_matrix, simpson
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.fiberwise import solve_ske
 from fanofib.grids import BASE, FIBER, Grid
@@ -189,6 +189,18 @@ def test_poisson_gate_scaled_by_cancelling_terms_sees_a_real_incompatibility(del
     size[2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         solve_poisson_1d(g, FIBER, rhs, scale=size)
+
+
+def test_poisson_gate_names_the_failing_column():
+    # column 0 passes (1e-10 against 1e-8 * 1), column 1 fails (1e-12
+    # against 1e-8 * 1e-6) although its defect is the smaller one
+    g = Grid(32, 32)
+    rhs = np.tile([1e-10, 1e-12], (33, 1)) / TWO_PI   # defect integrals 1e-10, 1e-12
+    with pytest.raises(SolvabilityError,
+                       match=r"column 1 defect integral 1\.000e-12 exceeds "
+                             r"1\.0e-08 \* scale 1\.000e-06") as err:
+        solve_poisson_1d(g, FIBER, rhs, scale=np.array([1.0, 1e-6]))
+    assert err.value.defect == pytest.approx(1e-12, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
