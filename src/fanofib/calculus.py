@@ -13,6 +13,7 @@ is wanted without a removable-singularity fill.
 from __future__ import annotations
 
 import math
+import mmap
 
 import numpy as np
 
@@ -249,16 +250,39 @@ def lap_bands(grid: Grid, axis_name: str) -> np.ndarray:
     return bands
 
 
+# numpy advises huge pages for every array of at least this many bytes
+_HUGE_PAGE_ADVICE_BYTES = 1 << 22
+
+
 def lap_matrix(grid: Grid, axis_name: str) -> np.ndarray:
     """Dense (n+1)^2 matrix of L, written in place from ``lap_bands``.
 
     The solvers and the Jacobian products work on the bands; the dense
     form serves only the residual of the fiberwise Einstein Newton (and a
     Newton step, when a fiber takes one) and tests.
+
+    numpy advises huge pages for every array of 4 MB or more, so on its
+    heap one band entry per row would fault in every 2 MB page.  A matrix
+    that large (n >= 1024) lies instead on a private anonymous mapping
+    advised against huge pages: a row then spans two or more 4 KB pages
+    and makes about one resident, 8.4 MB of the 33.6 MB at n = 2048, and
+    ``L @ v`` reads the rest from the kernel's shared zero page.  The
+    values, the BLAS call and its bits are those of an ``np.zeros``
+    matrix, and the mapping is unmapped when the array is freed.  A
+    smaller matrix stays an ``np.zeros`` array: its rows span at most
+    about one page, so a mapping would keep nearly every page resident
+    anyway.
     """
     bands = lap_bands(grid, axis_name)
     n = grid.n(axis_name)
-    A = np.zeros((n + 1, n + 1))
+    size = 8 * (n + 1) ** 2
+    if size < _HUGE_PAGE_ADVICE_BYTES:
+        A = np.zeros((n + 1, n + 1))
+    else:
+        pages = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            pages.madvise(mmap.MADV_NOHUGEPAGE)
+        A = np.frombuffer(pages, dtype=float).reshape(n + 1, n + 1)
     for k in range(-2, 3):
         i = np.arange(max(0, -k), n + 1 - max(0, k))
         A[i, i + k] = bands[2 + k, i]

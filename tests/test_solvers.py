@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,54 @@ def test_lap_matrix_matches_difference_assembly(shape):
         v = np.cos(3.0 * np.linspace(0.0, 1.0, g.n(axis_name) + 1))
         assert np.allclose(BandedMatrix(bands) @ v, L @ v, rtol=0.0,
                            atol=1e-13 * np.abs(L).max())
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_lap_matrix_product_is_bitwise_that_of_a_heap_copy(n):
+    # the Einstein residual's L @ v decides the start's convergence and
+    # with it the einstein_c_ne_1 outcome, so the matrix must give the BLAS
+    # product of an np.zeros matrix bit for bit, on a mapping (n >= 1024)
+    # as on numpy's heap
+    g = Grid(n, 16)
+    L = lap_matrix(g, FIBER)
+    heap = np.zeros((n + 1, n + 1))
+    heap[...] = L
+    rng = np.random.default_rng(n)
+    for v in (np.full(n + 1, math.log(2.0)), rng.standard_normal(n + 1)):
+        assert np.array_equal(L @ v, heap @ v)
+
+
+_RSS_ANON_PROBE = """
+from fanofib.calculus import lap_matrix
+from fanofib.grids import FIBER, Grid
+
+def rss_anon_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status
+                    if line.startswith("RssAnon:"))
+
+grid = Grid(2048, 64)
+before = rss_anon_kb()
+L = lap_matrix(grid, FIBER)
+print((rss_anon_kb() - before) / 1024.0)
+"""
+
+
+def test_lap_matrix_keeps_only_its_written_pages_resident():
+    # 2049^2 doubles span 33.6 MB; one 4 KB page per row is 8.4 MB.  On
+    # numpy's heap the matrix is advised huge pages and read 30.5 MB
+    try:
+        with open("/proc/self/status") as status:
+            if not any(line.startswith("RssAnon:") for line in status):
+                pytest.skip("no RssAnon in /proc/self/status")
+    except OSError:
+        pytest.skip("no /proc/self/status")
+    src = str(Path(calculus.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _RSS_ANON_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert float(out.stdout) <= 12.0
 
 
 def _bordered_oracle(grid, axis_name, rfs):

@@ -183,33 +183,64 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 SQUARE_ALLOCATORS = {"calculus.lap_matrix", "fiberwise._BorderedJacobian.solve"}
 
 
+def _is_np_call(node, names) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+            and getattr(node.func.value, "id", None) == "np")
+
+
+def _square_shape(call: ast.Call) -> bool:
+    """Whether ``call`` makes a 2D array whose two extents are textually
+    equal expressions: np.zeros, np.empty or np.ones of such a shape, or
+    an array over a buffer (np.frombuffer, as over a memory mapping)
+    reshaped to one."""
+    if _is_np_call(call, ("zeros", "empty", "ones")):
+        shape = (call.args[0] if call.args else
+                 next((kw.value for kw in call.keywords if kw.arg == "shape"),
+                      None))
+        dims = shape.elts if isinstance(shape, ast.Tuple) else ()
+    elif (isinstance(call.func, ast.Attribute) and call.func.attr == "reshape"
+          and _is_np_call(call.func.value, ("frombuffer",))):
+        dims = (call.args[0].elts if len(call.args) == 1
+                and isinstance(call.args[0], ast.Tuple) else call.args)
+    else:
+        return False
+    return len(dims) == 2 and ast.unparse(dims[0]) == ast.unparse(dims[1])
+
+
 def _square_allocations(tree: ast.Module, module: str):
-    """(qualified name of the enclosing def, line) of every np.zeros,
-    np.empty or np.ones call whose shape is a 2-tuple of two textually
-    equal expressions."""
+    """(qualified name of the enclosing def, line) of every call that
+    ``_square_shape`` flags."""
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif (isinstance(child, ast.Call)
-                  and isinstance(child.func, ast.Attribute)
-                  and child.func.attr in ("zeros", "empty", "ones")
-                  and getattr(child.func.value, "id", None) == "np"):
-                shape = (child.args[0] if child.args else
-                         next((kw.value for kw in child.keywords
-                               if kw.arg == "shape"), None))
-                if (isinstance(shape, ast.Tuple) and len(shape.elts) == 2
-                        and ast.unparse(shape.elts[0]) == ast.unparse(shape.elts[1])):
-                    yield inner, child.lineno
+            elif isinstance(child, ast.Call) and _square_shape(child):
+                yield inner, child.lineno
             yield from visit(child, inner)
 
     yield from visit(tree, module)
 
 
+@pytest.mark.parametrize("source, square", [
+    ("np.zeros((n + 1, n + 1))", True),
+    ("np.empty(shape=(m, m))", True),
+    ("np.frombuffer(pages, dtype=float).reshape(n + 1, n + 1)", True),
+    ("np.frombuffer(pages).reshape((n, n))", True),
+    ("np.zeros((n + 1, m + 1))", False),
+    ("np.frombuffer(pages).reshape(n, m)", False),
+    ("rows.reshape(n, n)", False),
+])
+def test_square_allocation_lint_sees_each_form(source, square):
+    found = list(_square_allocations(ast.parse(f"def f():\n    A = {source}\n"), "m"))
+    assert found == ([("m.f", 2)] if square else [])
+
+
 def test_dense_square_matrices_are_allocated_only_where_allowed():
-    # an (n+1)^2 array at n = 2048 takes 33.6 MB, more than every field of
-    # a 2048x64 run together: the banded operators need none
+    # an (n+1)^2 array at n = 2048 spans 33.6 MB, more than every field of
+    # a 2048x64 run together; lap_matrix's mapping keeps 8.4 MB of it
+    # resident, still twice those fields.  The banded operators need none
     found = [(scope, f"{path.name}:{line}") for path in SOURCES
              for scope, line in _square_allocations(ast.parse(path.read_text()),
                                                     path.stem)]

@@ -28,9 +28,12 @@ from conftest import _field_bytes, peak_fields
 @pytest.mark.parametrize("solve", [solve_spr, solve_ske], ids=["spr", "ske"])
 def test_fiber_solve_holds_its_outputs_and_three_fields(ref_256, solve):
     # u and rho, the Poisson recovery's source, which the solve overwrites
-    # with rho, and row blocks; for the Einstein family first the dense
-    # Newton matrices, freed before the recovery: 2.27 (spr) and 2.29 (ske)
-    # fields.  A recovery that kept its source beside the solution read 3.14
+    # with rho, and row blocks: 2.27 (spr) and 2.29 (ske) fields, set by
+    # the recovery.  The Einstein family's dense L is freed before it; here
+    # it is an np.zeros array that tracemalloc counts (1.05 fields), but
+    # from n = 1024 on it lies on a mapping that tracemalloc does not see,
+    # and test_solvers bounds its resident pages instead.
+    # A recovery that kept its source beside the solution read 3.14
     assert peak_fields(solve, ref_256) <= 4.5
 
 
