@@ -81,10 +81,12 @@ def main(argv=None) -> int:
         try:
             report = run_pipeline(cfg)
         except PipelineStageError as exc:
-            if args.out:
-                emit_report(exc.report, args.out)
+            # printed first, so that a failed emission of the partial
+            # report adds its own line instead of hiding the stage error
             print(console_table(exc.report), file=sys.stderr)
             print(f"error at stage {exc.stage}: {exc.original}", file=sys.stderr)
+            if args.out:
+                emit_report(exc.report, args.out)
             return 2
         print(console_table(report))
         if report.orders:

@@ -15,24 +15,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .calculus import (TWO_PI, _row_blocks, _simpson_of_rows, _simpson_rows,
                        integrate_total)
 from .errors import ConfigError, FanofibError, ModelOrientationError, PositivityError
 from .grids import Grid
 
-# Moment-coordinate weight x(1-x) as a polynomial; warp factors are kept
+# Polynomials are coefficient arrays, highest degree first, evaluated by
+# ``np.polyval``.  Moment-coordinate weight x(1-x); warp factors are kept
 # at degree <= 3 so that every class integral below is Simpson-exact.
-_G = Polynomial([0.0, 1.0, -1.0])
+_G = np.array([-1.0, 1.0, 0.0])
 
-WARP_SHAPES: dict[str, tuple[Polynomial, Polynomial]] = {
+WARP_SHAPES: dict[str, tuple[np.ndarray, np.ndarray]] = {
     # unit-amplitude separable bumps psi_w/eps = P(x_f) * Q(x_b)
-    "product_bump": (Polynomial([0.0, 1.0, -1.0]), Polynomial([0.0, 1.0, -1.0])),
-    "skew_bump": (Polynomial([0.0, 1.0, -1.0]), Polynomial([0.0, 0.0, 1.0, -1.0])),
+    "product_bump": (np.array([-1.0, 1.0, 0.0]), np.array([-1.0, 1.0, 0.0])),
+    "skew_bump": (np.array([-1.0, 1.0, 0.0]), np.array([-1.0, 1.0, 0.0, 0.0])),
     # cubic fiber factor: the fiber solves are then not polynomial-exact,
     # which gives refinement studies genuine truncation content
-    "fiber_cubic": (Polynomial([0.0, 0.0, 1.0, -1.0]), Polynomial([0.0, 1.0, -1.0])),
+    "fiber_cubic": (np.array([-1.0, 1.0, 0.0, 0.0]), np.array([-1.0, 1.0, 0.0])),
 }
 
 
@@ -160,17 +160,17 @@ class WarpData:
 
 
 def _warp_data(grid: Grid, spec: ModelSpec) -> WarpData:
-    P_poly, Q_poly = WARP_SHAPES[spec.warp_shape]
+    P, Q = WARP_SHAPES[spec.warp_shape]
     xf, xb = grid.nodes_f, grid.nodes_b
-    DP_poly = _G * P_poly.deriv()
-    DQ_poly = _G * Q_poly.deriv()
+    dP, dQ = np.polyder(P), np.polyder(Q)
+    DP, DQ = np.polymul(_G, dP), np.polymul(_G, dQ)
     return WarpData(
         eps=spec.warp_amplitude,
-        P=P_poly(xf), Q=Q_poly(xb),
-        DP=DP_poly(xf), DQ=DQ_poly(xb),
-        D2P_fs=DP_poly.deriv()(xf), D2Q_fs=DQ_poly.deriv()(xb),
-        DP_half=np.sqrt(_G(xf)) * P_poly.deriv()(xf),
-        DQ_half=np.sqrt(_G(xb)) * Q_poly.deriv()(xb),
+        P=np.polyval(P, xf), Q=np.polyval(Q, xb),
+        DP=np.polyval(DP, xf), DQ=np.polyval(DQ, xb),
+        D2P_fs=np.polyval(np.polyder(DP), xf), D2Q_fs=np.polyval(np.polyder(DQ), xb),
+        DP_half=np.sqrt(np.polyval(_G, xf)) * np.polyval(dP, xf),
+        DQ_half=np.sqrt(np.polyval(_G, xb)) * np.polyval(dQ, xb),
     )
 
 

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from fanofib import calculus, model
 from fanofib.calculus import ddbar_invariant, integrate_total
 from fanofib.errors import ConfigError, ModelOrientationError, PositivityError
+from fanofib.grids import Grid
 from fanofib.model import ModelSpec, build_reference, derive_constants
 from conftest import peak_fields
 from forms import (base_fs, chi, fs_form, omega0, ric_volume, ric_weight_residual,
@@ -78,6 +80,45 @@ def test_constants_invariants_random(pa, pc, qa, qc):
     assert dc.D_class[0] == dc.kappa
     # the class decomposition of the semi-ample direction
     assert dc.eT * a - 2 * (1 - dc.eT) == dc.kappa
+
+
+# ---------------------------------------------------------------------------
+# warp profiles
+# ---------------------------------------------------------------------------
+
+# oracle: the warp library as numpy.polynomial.Polynomial objects (lowest
+# degree first), with the profiles formed by Polynomial arithmetic
+_ORACLE_G = Polynomial([0.0, 1.0, -1.0])
+_ORACLE_SHAPES = {
+    "product_bump": ([0.0, 1.0, -1.0], [0.0, 1.0, -1.0]),
+    "skew_bump": ([0.0, 1.0, -1.0], [0.0, 0.0, 1.0, -1.0]),
+    "fiber_cubic": ([0.0, 0.0, 1.0, -1.0], [0.0, 1.0, -1.0]),
+}
+
+
+def _oracle_profiles(poly: Polynomial, x: np.ndarray) -> dict:
+    """WarpData field name, with {} for the factor's letter -> the profile
+    of the warp factor ``poly`` at the nodes ``x``."""
+    D = _ORACLE_G * poly.deriv()
+    return {"{}": poly(x), "D{}": D(x), "D2{}_fs": D.deriv()(x),
+            "D{}_half": np.sqrt(_ORACLE_G(x)) * poly.deriv()(x)}
+
+
+@pytest.mark.parametrize("shape", sorted(model.WARP_SHAPES))
+def test_warp_profiles_match_the_polynomial_oracle_bit_for_bit(shape):
+    P, Q = (Polynomial(c) for c in _ORACLE_SHAPES[shape])
+    differ = []
+    for n in (16 * 2**k for k in range(9)):    # 16 ... 4096
+        grid = Grid(n, n)
+        w = model._warp_data(grid, ModelSpec.make(2, 1, 0.2, shape, n, n))
+        for name, poly, x in (("P", P, grid.nodes_f), ("Q", Q, grid.nodes_b)):
+            for template, want in _oracle_profiles(poly, x).items():
+                field = template.format(name)
+                got = getattr(w, field)
+                if not (np.array_equal(got, want)
+                        and np.array_equal(np.signbit(got), np.signbit(want))):
+                    differ.append(f"{field}@{n}")
+    assert not differ, f"profiles differ from the oracle: {differ}"
 
 
 # ---------------------------------------------------------------------------

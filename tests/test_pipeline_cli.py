@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fanofib import pipeline
 from fanofib.cli import main
-from fanofib.errors import ConfigError
+from fanofib.errors import ConfigError, NonConvergence
 from fanofib.fiberwise import SPR
 from fanofib.pipeline import (ALL_CHECKS, PipelineConfig, PipelineStageError,
                               config_from_mapping, load_config, parse_config,
@@ -521,3 +521,24 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert [p.name for p in f1] == [p.name for p in f2]
     for p1, p2 in zip(f1, f2):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cli_keeps_the_stage_error_when_emitting_the_partial_report_fails(
+        tmp_path, capsys, monkeypatch):
+    def raising(*args, **kwargs):
+        raise NonConvergence("injected", [])
+
+    monkeypatch.setattr(pipeline, "solve_base_ma", raising)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")    # a regular file, so no directory can go under it
+    cfg = write_cfg(tmp_path, MODEL_A)
+    code = main(["run", "--config", cfg, "--grid", "32x32",
+                 "--out", str(blocker / "out")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert err[0].startswith("check ")
+    stage = [i for i, line in enumerate(err)
+             if line == "error at stage grid (32, 32) / spr: injected"]
+    emission = [i for i, line in enumerate(err)
+                if line.startswith("error: report emission failed")]
+    assert len(stage) == 1 and len(emission) == 1 and stage[0] < emission[0]
