@@ -65,7 +65,7 @@ def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
         np.subtract(u[lo:hi], m0, out=rhs[lo:hi])
         size_u = _col_max(size_u, np.abs(g[lo:hi] * u[lo:hi]))
         size_m0 = _col_max(size_m0, np.abs(m0 * g[lo:hi], out=m0))
-    return solve_poisson_1d(grid, FIBER, rhs, out=rhs, scale=size_u + size_m0)
+    return solve_poisson_1d(grid, FIBER, rhs, scale=size_u + size_m0)
 
 
 def _family(ref: ReferenceGeometry, kind: str, u: np.ndarray, residual: float,
@@ -103,8 +103,7 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
         return -lam * w.eps * w.D2P_fs[lo:hi, None] * w.Q[None, :]
 
     rows = grid.n_fiber + 1
-    v = source(0, rows)
-    v = solve_poisson_1d(grid, FIBER, v, out=v)
+    v = solve_poisson_1d(grid, FIBER, source(0, rows))
 
     # discrete forward residual of the linear solve, per row block
     worst = None

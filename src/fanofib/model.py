@@ -119,11 +119,8 @@ def derive_constants(spec: ModelSpec) -> DerivedConstants:
     assert Fraction(1, 1) / one_minus == lam + 1
 
     d_base = eT * a - 2 * one_minus
-    d_fiber = eT * c - 2 * one_minus
-    if d_fiber != 0:
-        raise FanofibError("degenerate-direction component of the semi-ample "
-                           "class must vanish exactly")
-    assert d_base == kappa
+    d_fiber = eT * c - 2 * one_minus    # identically 0 for eT = 2/(c+2)
+    assert d_fiber == 0 and d_base == kappa
 
     return DerivedConstants(eT=eT, T=math.log(float(1 / eT)), lam=lam,
                             kappa=kappa, k=k, kprime=kprime, alpha=alpha,

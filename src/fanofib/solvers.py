@@ -11,7 +11,8 @@ row of L is a difference of two fluxes a_{i+1/2} (u_{i+1} - u_i) / h^2
 (``poisson_system``), and the bordered system [[L, 1], [w, 0]] has a
 closed form: one cumulative sum of the source gives the fluxes, a 2x2
 system shared by all columns fixes the first flux and the border
-multiplier, and a second cumulative sum gives the solution.  Each column
+multiplier, and a second cumulative sum gives the solution, written into
+the source array: the solve holds one row block beside it.  Each column
 sees the same IEEE operations in the same order whatever is stacked
 beside it, so every run is bit-deterministic and a stacked solve equals
 the single ones exactly.
@@ -175,16 +176,19 @@ def _weighted_row_sum(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("i,ij->j", weights, v)
 
 
-def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
-                     tol_factor: float = 1e-8, *, out: np.ndarray | None = None,
+# each column's compatibility integral must vanish to this much of its scale
+_COMPATIBILITY_TOL = 1e-8
+
+
+def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
                      scale: np.ndarray | None = None):
     """Solve (x(1-x) d_x)^2 u = x(1-x) rhs_fs with mean-zero gauge,
     int u dx = 0.
 
     ``rhs_fs`` holds the FS-relative density of the source form; columns
     of a 2D argument are independent problems.  The compatibility integral
-    of every column must vanish to ``tol_factor * scale``.  The scale
-    defaults to sup|rhs|, with rhs = x(1-x) rhs_fs the log-frame
+    of every column must vanish to ``_COMPATIBILITY_TOL * scale``.  The
+    scale defaults to sup|rhs|, with rhs = x(1-x) rhs_fs the log-frame
     coefficient of the source; a caller whose source is a difference of
     larger terms passes their size per column instead, since the integral
     carries the roundoff of those terms; it must be non-finite in every
@@ -192,11 +196,9 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
     [[L, 1], [w, 0]] [u, mu] = [rhs_fs, 0]: the border multiplier mu
     absorbs the O(h^2) discrete incompatibility.
 
-    The solution is written to ``out``, a float array of the source's
-    shape, as a numpy ufunc writes it.  ``out`` may be the source array
-    itself, which hands the source over: the solve then holds nothing
-    beside it but a few rows and one row block.  Without ``out`` a new
-    array is returned and the source is left untouched.
+    The solution is written into the source, as a float array, and that
+    array is returned: the solve holds nothing beside it but a few rows
+    and one row block.  A caller that needs its source again passes a copy.
 
     In flux form (``poisson_system``) the solve is closed: one running sum
     of the source gives the fluxes F_i - F_0 + i mu, the end rows give
@@ -204,14 +206,9 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
     constant, and the Simpson weights fix the constant.  Both sums run
     in row blocks, carried from block to block in row order.
     """
-    rfs = np.asarray(rhs_fs, dtype=float)
-    if out is None:
-        out = rfs.copy()
-    elif out is not rfs:
-        np.copyto(out, rfs)
-    # the source and the solution, as (n+1, columns); the source is read
-    # only before the first running sum, which overwrites it if it is out
-    src = rfs if rfs.ndim == 2 else rfs[:, None]
+    out = np.asarray(rhs_fs, dtype=float)
+    # the source, then the solution, as (n+1, columns); the source is read
+    # only before the first running sum overwrites it
     work = out if out.ndim == 2 else out[:, None]
     n = grid.n(axis_name)
     width = work.shape[1]
@@ -220,20 +217,20 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs,
         # makes its column's max non-finite
         g = grid.g(axis_name)
         for lo, hi in _row_blocks(0, n + 1, width):
-            scale = _col_max(scale, np.abs(src[lo:hi] * g[lo:hi, None]))
+            scale = _col_max(scale, np.abs(work[lo:hi] * g[lo:hi, None]))
     if not np.all(np.isfinite(scale)):
         raise ValueError("solve_poisson_1d: non-finite right-hand side")
 
     weights = grid.simpson(axis_name) / (3.0 * n)
-    defects = TWO_PI * np.einsum("i,ij->j", weights, src)
+    defects = TWO_PI * np.einsum("i,ij->j", weights, work)
     size = np.broadcast_to(np.maximum(scale, 1e-30), defects.shape)
-    bad = np.abs(defects) > tol_factor * size
+    bad = np.abs(defects) > _COMPATIBILITY_TOL * size
     if np.any(bad):
         # the failing column whose defect is largest against its own scale
         j = int(np.argmax(np.where(bad, np.abs(defects) / size, -np.inf)))
         raise SolvabilityError(
             f"incompatible source: column {j} defect integral {defects[j]:.3e} "
-            f"exceeds {tol_factor:.1e} * scale {size[j]:.3e}",
+            f"exceeds {_COMPATIBILITY_TOL:.1e} * scale {size[j]:.3e}",
             float(defects[j]))
 
     system = poisson_system(grid, axis_name)

@@ -59,8 +59,10 @@ def test_poisson_second_order_on_transcendental_source():
         rhs_fs = (-g.g_f * np.pi**2 * np.cos(np.pi * x)
                   - g.gp_f * np.pi * np.sin(np.pi * x))
         # the exact integral vanishes but its Simpson value is only O(h^4)
-        # with a pi^6-sized constant; loosen the compatibility gate
-        u = solve_poisson_1d(g, FIBER, rhs_fs, tol_factor=1e-4)
+        # with a pi^6-sized constant; loosen the compatibility gate to
+        # 1e-4 sup|rhs|
+        u = solve_poisson_1d(g, FIBER, rhs_fs,
+                             scale=1e4 * np.abs(g.g_f * rhs_fs).max())
         expect = u_true - simpson(g, FIBER, u_true)
         errs.append(np.abs(u - expect).max())
     assert errs[1] < 5.0 * (1.0 / 64)**2
@@ -76,7 +78,7 @@ def test_poisson_forward_application_reproduces_rhs():
         x = g.nodes_b
         rhs_fs = np.cos(2.0 * np.pi * x) * 0.5
         rhs_fs -= simpson(g, BASE, rhs_fs)
-        u = solve_poisson_1d(g, BASE, rhs_fs)
+        u = solve_poisson_1d(g, BASE, rhs_fs.copy())
         L = lap_matrix(g, BASE)
         resids.append(np.abs(L @ u - rhs_fs).max())
     assert resids[1] < 5.0 * (1.0 / 64)**2
@@ -111,8 +113,8 @@ def test_poisson_stacked_columns_match_single():
     fs = np.column_stack([np.sin(2 * np.pi * x) * g.g_f,
                           2.0 * np.sin(2 * np.pi * x) * g.g_f])
     fs -= np.array([simpson(g, FIBER, fs[:, 0]), simpson(g, FIBER, fs[:, 1])])
-    U = solve_poisson_1d(g, FIBER, fs)
-    u0 = solve_poisson_1d(g, FIBER, fs[:, 0])
+    U = solve_poisson_1d(g, FIBER, fs.copy())
+    u0 = solve_poisson_1d(g, FIBER, fs[:, 0].copy())
     # every column runs the same operations in the same order, so a
     # stacked column equals its single solve exactly
     assert np.array_equal(U[:, 0], u0)
@@ -125,7 +127,7 @@ def test_poisson_stacked_columns_match_single():
 def test_poisson_solve_that_hands_over_its_source_equals_the_plain_one(
         axis_name, block, monkeypatch):
     # the in-place solve runs every element through the same operations in
-    # the same order; a solve that keeps its source leaves it untouched
+    # the same order as the whole-field expressions, down to signed zeros
     if block is not None:
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
     g = Grid(256, 32)
@@ -134,29 +136,22 @@ def test_poisson_solve_that_hands_over_its_source_equals_the_plain_one(
     fs = rng.standard_normal((g.n(axis_name) + 1, 5))
     fs -= np.einsum("i,ij->j", w, fs)[None, :]
     for source in (fs, fs[:, 2].copy()):
-        kept = source.copy()
-        plain = solve_poisson_1d(g, axis_name, source)
-        assert np.array_equal(source, kept)
-        other = np.empty_like(source)
-        assert solve_poisson_1d(g, axis_name, source, out=other) is other
-        assert np.array_equal(source, kept)
-        assert solve_poisson_1d(g, axis_name, source, out=source) is source
-        assert np.array_equal(source, plain) and np.array_equal(other, plain)
+        plain = _poisson_whole(g, axis_name, source)
+        assert solve_poisson_1d(g, axis_name, source) is source
+        assert np.array_equal(source, plain)
         assert np.array_equal(np.signbit(source), np.signbit(plain))
 
 
 def test_poisson_solve_that_hands_over_its_source_holds_row_blocks():
-    # a saved row and a few row blocks beside the source: 0.04 fields; the
-    # solve that keeps its source holds its result beside it (1.04)
+    # a saved row and a few row blocks beside the source: 0.04 fields; a
+    # solve that kept its source would hold its result beside it (1.04),
+    # and an elimination that keeps the right-hand side and a multiplier
+    # column beside the result reads 4.02
     g = Grid(1024, 1024)
     w = g.simpson_f / (3.0 * g.n_fiber)
     fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
     fs -= np.einsum("i,ij->j", w, fs)[None, :]
-
-    def in_place(grid, axis_name, source):
-        solve_poisson_1d(grid, axis_name, source, out=source)
-
-    assert peak_fields(in_place, g, FIBER, fs) <= 0.1
+    assert peak_fields(solve_poisson_1d, g, FIBER, fs) <= 0.1
 
 
 def _difference_of_unit_fields(grid, delta):
@@ -176,7 +171,7 @@ def test_poisson_gate_scaled_by_cancelling_terms_passes_a_small_difference():
     rhs, size = _difference_of_unit_fields(g, 1e-9)
     with pytest.raises(SolvabilityError):
         solve_poisson_1d(g, FIBER, rhs)
-    u = solve_poisson_1d(g, FIBER, rhs, scale=size)
+    u = solve_poisson_1d(g, FIBER, rhs.copy(), scale=size)
     assert np.array_equal(u, _poisson_whole(g, FIBER, rhs))
 
 
@@ -319,7 +314,9 @@ def test_poisson_matches_dense_bordered_solve(n, axis_name):
     w = 2.0 * np.pi
     cols.append(-gx * w**2 * np.cos(w * x) - gpx * w * np.sin(w * x))
     rfs = np.column_stack(cols)
-    u = solve_poisson_1d(g, axis_name, rfs, tol_factor=1e-3)
+    # a gate of 1e-3 sup|rhs| per column
+    u = solve_poisson_1d(g, axis_name, rfs.copy(),
+                         scale=1e5 * np.abs(gx[:, None] * rfs).max(axis=0))
     expect, mu = _bordered_oracle(g, axis_name, rfs)
     assert abs(mu[-1]) > 1.0 / n**2
     rel = np.abs(u - expect).max(axis=0) / np.abs(expect).max(axis=0)
@@ -345,17 +342,6 @@ def test_lap_interior_rows_are_in_flux_form(n, axis_name):
     assert np.all(np.abs(bands[1, 1:n] - below) <= ulp * below)
     assert np.all(np.abs(bands[3, 1:n] - above) <= ulp * above)
     assert np.all(np.abs(bands[2, 1:n] + below + above) <= ulp * (below + above))
-
-
-def test_poisson_solve_holds_one_field_and_row_blocks():
-    # the result, a copy of the source solved in place, and row blocks: the
-    # peak reads 1.04 fields; an elimination that keeps the right-hand side
-    # and a multiplier column beside the result reads 4.02
-    g = Grid(1024, 1024)
-    w = g.simpson_f / (3.0 * g.n_fiber)
-    fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
-    fs -= np.einsum("i,ij->j", w, fs)[None, :]
-    assert peak_fields(solve_poisson_1d, g, FIBER, fs) <= 2.0
 
 
 def _base_ma_data(n_base):
@@ -565,5 +551,5 @@ def test_blocked_poisson_gauge_is_bit_identical(shape, block, monkeypatch):
         fs = rng.standard_normal((g.n(axis_name) + 1, other + 1))
         fs -= np.einsum("i,ij->j", w, fs)[None, :]      # compatible columns
         for rhs in (fs, fs[:, 0]):
-            assert np.array_equal(solve_poisson_1d(g, axis_name, rhs),
+            assert np.array_equal(solve_poisson_1d(g, axis_name, rhs.copy()),
                                   _poisson_whole(g, axis_name, rhs)), axis_name

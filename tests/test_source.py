@@ -151,15 +151,24 @@ def _defaulted(func: ast.FunctionDef, bound: int):
             yield func.name, arg.arg, None
 
 
+# defaulted parameters that no program call passes and that stay: the
+# axis of diff1 and diff2, defs alive only because BENCHMARK.json names
+# them, and the argv of an entry point, passed by the interpreter's caller
+UNTURNED_KNOBS = {"diff1(axis)", "diff2(axis)", "main(argv)"}
+
+
 def test_every_defaulted_parameter_is_passed_somewhere():
     # a parameter that no call passes is a knob nobody turns: its default
     # is the only value the program has ever run with, so it belongs in
-    # the body as a constant.  A call is matched by the called name; one
-    # with *args or **kwargs counts as passing every parameter.
+    # the body as a constant.  Only the program counts as a caller: the
+    # package, the benchmark and the acceptance suite, whose calls are
+    # the frozen contract; a knob that only unit tests turn is API kept
+    # alive by its tests.  A call is matched by the called name; one with
+    # *args or **kwargs counts as passing every parameter.
     knobs = [knob for path in SOURCES
              for knob in _knobs(ast.parse(path.read_text()))]
     passed = set()
-    for path in sorted({*SOURCES, *(ROOT / "tests").glob("*.py"),
+    for path in sorted({*SOURCES, ROOT / "tests" / "test_acceptance.py",
                         *(ROOT / "perfbench").glob("*.py")}):
         for call in ast.walk(ast.parse(path.read_text())):
             if not isinstance(call, ast.Call):
@@ -173,9 +182,13 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 if func == name and (every_keyword or param in keywords or
                                      (index is not None and index < n_pos)):
                     passed.add((func, param))
-    unturned = sorted({f"{func}({param})" for func, param, _ in knobs
-                       if (func, param) not in passed})
-    assert not unturned, f"defaulted parameters no call passes: {unturned}"
+    unturned = {f"{func}({param})" for func, param, _ in knobs
+                if (func, param) not in passed}
+    assert unturned <= UNTURNED_KNOBS, (
+        f"defaulted parameters no call passes: {sorted(unturned - UNTURNED_KNOBS)}")
+    # an entry whose knob is gone or now passed leaves the allowlist
+    assert UNTURNED_KNOBS <= unturned, (
+        f"allowed unturned knobs that are not: {sorted(UNTURNED_KNOBS - unturned)}")
 
 
 # the functions that may allocate a dense square matrix: L itself, for the
