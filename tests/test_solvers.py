@@ -154,6 +154,21 @@ def test_poisson_solve_that_hands_over_its_source_holds_row_blocks():
     assert peak_fields(solve_poisson_1d, g, FIBER, fs) <= 0.1
 
 
+def test_poisson_solve_holds_one_field_and_row_blocks():
+    # a caller that keeps its source solves a copy in place: the copy and
+    # row blocks read 1.04 fields; an elimination that keeps the right-hand
+    # side and a multiplier column beside the result reads 4.02
+    g = Grid(1024, 1024)
+    w = g.simpson_f / (3.0 * g.n_fiber)
+    fs = np.cos(2.0 * np.pi * g.nodes_f)[:, None] * (1.0 + g.nodes_b)[None, :]
+    fs -= np.einsum("i,ij->j", w, fs)[None, :]
+
+    def keeping_source(grid, axis_name, source):
+        return solve_poisson_1d(grid, axis_name, source.copy())
+
+    assert 1.0 <= peak_fields(keeping_source, g, FIBER, fs) <= 2.0
+
+
 def _difference_of_unit_fields(grid, delta):
     """Columns a - b of two O(1) fields a = 1 + delta cos(2 pi x + k) and
     b = 1, and the size sup|g a| + sup|g b| of the terms that cancel."""
