@@ -20,11 +20,15 @@ from .errors import PositivityError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, Grid
 from .model import ReferenceGeometry, _checked_range
-from .solvers import BandedMatrix, newton_semilinear
+from .solvers import NEWTON_TOL, BandedMatrix, newton_semilinear
 from .wpform import WPResult
 
 VARIANT_B = "B"
 VARIANT_BPRIME = "Bprime"
+
+# the exponents of the L^p norms of G'; LP_EPS in (0, 1) keeps them apart
+LP_EPS = 0.1
+LP_EXPONENTS = (1.0, 1.0 + LP_EPS, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +132,7 @@ def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution | None):
 
 
 def compute_gprime(ref: ReferenceGeometry,
-                   fiber_sol: FiberFamilySolution | None = None,
-                   eps_lp: float = 0.1) -> GprimeReport:
+                   fiber_sol: FiberFamilySolution | None = None) -> GprimeReport:
     """G' = f_* Omega / (V eta) as a base profile with its L^p diagnostics.
 
     The fiber family picks the volume: the Einstein family pushes forward
@@ -146,7 +149,7 @@ def compute_gprime(ref: ReferenceGeometry,
         raise PositivityError("push-forward density lost positivity; "
                               "upstream data corrupted")
     lp = {}
-    for p in (1.0, 1.0 + eps_lp, 2.0):
+    for p in LP_EXPONENTS:
         lp[p] = float((TWO_PI * ref.eta_fs *
                        simpson(grid, BASE, gprime**p))**(1.0 / p))
     defect = abs(simpson(grid, BASE, gprime) - 1.0)
@@ -201,8 +204,8 @@ class BaseMetricSolution:
 
 
 def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
-                  variant: str = VARIANT_B, init: np.ndarray | float = 0.0,
-                  tol: float = 1e-11) -> BaseMetricSolution:
+                  variant: str = VARIANT_B,
+                  init: np.ndarray | float = 0.0) -> BaseMetricSolution:
     """Damped Newton for (ref_form + i ddbar rho) = G' e^rho ref_form.
 
     ``variant`` selects the reference form eta or eta/(1-e^{-T}); the
@@ -238,7 +241,7 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
 
     x0 = np.broadcast_to(np.asarray(init, dtype=float),
                          (grid.n_base + 1,)).astype(float)
-    result = newton_semilinear(residual, jacobian, x0, tol=tol, max_iter=60)
+    result = newton_semilinear(residual, jacobian, x0, tol=NEWTON_TOL, max_iter=60)
     rho = result.x
     dens = khat + lap(grid, rho, BASE)
     margin = float(dens.min())

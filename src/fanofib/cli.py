@@ -16,8 +16,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", action="append", default=None, metavar="NxM",
                    help="grid size, repeatable for refinement lists")
     p.add_argument("--out", default=None, help="output directory for artifacts")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the truncation-grade residual tolerance")
     p.add_argument("--pipeline", choices=["spr", "ske", "both"], default=None)
 
 
@@ -27,8 +25,6 @@ def _build_config(args, extra=None):
         mapping["grids"] = ",".join(args.grid)
     if args.pipeline:
         mapping["pipeline"] = args.pipeline
-    if args.tol is not None:
-        mapping["residual_tol"] = args.tol
     if extra:
         mapping.update(extra)
     return load_config(args.config, mapping)

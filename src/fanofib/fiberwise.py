@@ -30,7 +30,7 @@ from .calculus import (TWO_PI, _audit_halo, _audit_rows, _audit_weights, _col_ma
 from .errors import FanofibError
 from .grids import FIBER
 from .model import ReferenceGeometry, checked_volume
-from .solvers import BandedMatrix, newton_semilinear, solve_poisson_1d
+from .solvers import NEWTON_TOL, BandedMatrix, newton_semilinear, solve_poisson_1d
 
 SPR = "spr"
 SKE = "ske"
@@ -184,7 +184,7 @@ def _ske_single_fiber(L: np.ndarray, band: BandedMatrix, wk: np.ndarray,
     return result.x[:n], result
 
 
-def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution:
+def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
     """Fiberwise Einstein family: Ric(omega_b) = lambda * omega_b.
 
     Newton (at most 40 steps) runs on the log FS-density of fiber 0, from
@@ -216,7 +216,7 @@ def solve_ske(ref: ReferenceGeometry, tol: float = 1e-11) -> FiberFamilySolution
     # from the 1D profiles as ``ref.vertical_rows`` forms each column
     w = ref.warp
     v0, result = _ske_single_fiber(L, band, wk, lam,
-                                   np.log(c + w.eps * w.D2P_fs * w.Q[0]), tol, 40)
+                                   np.log(c + w.eps * w.D2P_fs * w.Q[0]), NEWTON_TOL, 40)
     del L             # the dense Laplacian, before the recovery
 
     v = np.repeat(v0[:, None], grid.n_base + 1, axis=1)

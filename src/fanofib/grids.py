@@ -17,6 +17,8 @@ FIBER = "fiber"
 BASE = "base"
 
 _BASE_RES = 16
+TRUNCATION_FLOOR = 1e-8
+TRUNCATION_CONSTANT = 50.0
 
 
 def _validate_resolution(n: int, name: str) -> None:
@@ -50,6 +52,12 @@ class Grid:
 
     def h(self, axis: str) -> float:
         return 1.0 / self.n(axis)
+
+    def truncation_tol(self, scale: float) -> float:
+        """max(1e-8, 50 (h_f^2 + h_b^2) scale): the tolerance of a
+        truncation-grade residual whose terms are of size ``scale``."""
+        h2 = self.h(FIBER)**2 + self.h(BASE)**2
+        return max(TRUNCATION_FLOOR, TRUNCATION_CONSTANT * h2 * scale)
 
     def g(self, axis: str) -> np.ndarray:
         """Degeneracy weight x(1-x) of the compactified derivative."""

@@ -13,19 +13,21 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from . import cohomology
-from .basespace import (VARIANT_B, VARIANT_BPRIME, compute_gprime,
+from .basespace import (LP_EPS, VARIANT_B, VARIANT_BPRIME, compute_gprime,
                         check_g_descends, integrated_ma_defect, solve_base_ma,
                         twisted_ke_residual, volume_identity_residual,
                         wpl_fs_residual)
 from .errors import ConfigError, FanofibError
 from .fiberwise import SKE, SPR, solve_spr, solve_ske, verify_fiber_family
-from .grids import Grid
+from .grids import TRUNCATION_CONSTANT, TRUNCATION_FLOOR, Grid
 from .model import ModelSpec, ReferenceGeometry, build_reference, derive_constants
 from .report import CheckRecord, Report, provenance
+from .solvers import NEWTON_TOL
 from .wpform import (SectionFamilySpec, volume_family_from_sections,
                      wp_from_residual, wp_from_sections)
 
@@ -35,6 +37,7 @@ PIPELINES = {"spr": (SPR,), "ske": (SKE,), "both": (SPR, SKE)}
 
 _EXACT = "exact"
 _TRUNC = "trunc"
+EXACT_TOL = 1e-10       # the tolerance of an exact-grade residual, at roundoff
 
 
 @dataclass(frozen=True)
@@ -46,26 +49,22 @@ class PipelineConfig:
     grids: tuple = ((64, 64),)
     pipeline: str = "both"
     checks: tuple = ALL_CHECKS
-    newton_tol: float = 1e-11
-    residual_tol: float = 1e-8
-    quadrature_tol: float = 1e-10
-    h2_constant: float = 50.0
-    eps_lp: float = 0.1
 
     def model_spec(self, grid: tuple[int, int]) -> ModelSpec:
         return ModelSpec.make(self.a, self.c, self.warp_amplitude,
                               self.warp_shape, grid[0], grid[1])
 
     def as_mapping(self) -> dict:
+        """The fields, and the fixed gates under the keys they had as
+        fields, so that a run's ``config_sha256`` keeps its value."""
         return {"a": str(self.a), "c": str(self.c),
                 "warp_amplitude": self.warp_amplitude,
                 "warp_shape": self.warp_shape,
                 "grids": ["x".join(map(str, g)) for g in self.grids],
                 "pipeline": self.pipeline, "checks": list(self.checks),
-                "newton_tol": self.newton_tol,
-                "residual_tol": self.residual_tol,
-                "quadrature_tol": self.quadrature_tol,
-                "h2_constant": self.h2_constant, "eps_lp": self.eps_lp}
+                "newton_tol": NEWTON_TOL, "residual_tol": TRUNCATION_FLOOR,
+                "quadrature_tol": EXACT_TOL,
+                "h2_constant": TRUNCATION_CONSTANT, "eps_lp": LP_EPS}
 
 
 def parse_config(text: str) -> dict:
@@ -124,10 +123,9 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
         if key in m:
             kw[key] = _number(key, m.pop(key), lambda raw: Fraction(str(raw)),
                               "a finite rational")
-    for key in ("warp_amplitude", "newton_tol", "residual_tol",
-                "quadrature_tol", "h2_constant", "eps_lp"):
-        if key in m:
-            kw[key] = _number(key, m.pop(key), float, "a finite number")
+    if "warp_amplitude" in m:
+        kw["warp_amplitude"] = _number("warp_amplitude", m.pop("warp_amplitude"),
+                                       float, "a finite number")
     if "warp_shape" in m:
         kw["warp_shape"] = str(m.pop("warp_shape"))
     if "grids" in m:
@@ -151,13 +149,6 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
             Grid(nf, nb)
         except ValueError as exc:
             raise ConfigError(f"grid {nf}x{nb}: {exc}") from exc
-    for tol in (cfg.newton_tol, cfg.residual_tol, cfg.quadrature_tol):
-        if tol <= 0:
-            raise ConfigError("tolerances must be positive")
-    if cfg.h2_constant <= 0:
-        raise ConfigError(f"h2_constant = {cfg.h2_constant!r} must be positive")
-    if not 0 < cfg.eps_lp < 1:   # keeps the L^1, L^(1+eps_lp), L^2 norms apart
-        raise ConfigError(f"eps_lp = {cfg.eps_lp!r} must lie in (0, 1)")
     # the model: warp shape and amplitude, a > c > 0, class denominators
     try:
         derive_constants(cfg.model_spec(cfg.grids[0]))
@@ -171,8 +162,11 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     with the entries of ``overrides`` taking precedence."""
     mapping = {}
     if path is not None:
-        with open(path) as fh:
-            mapping = parse_config(fh.read())
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
+        mapping = parse_config(text)
     mapping.update(overrides or {})
     return config_from_mapping(mapping)
 
@@ -189,13 +183,6 @@ class PipelineStageError(FanofibError):
         self.stage = stage
         self.original = original
         self.report = report
-
-
-def _tolerance(cfg: PipelineConfig, grid: Grid, grade: str) -> float:
-    if grade == _EXACT:
-        return cfg.quadrature_tol
-    h2 = grid.h("fiber")**2 + grid.h("base")**2
-    return max(cfg.residual_tol, cfg.h2_constant * h2)
 
 
 def run_pipeline(config: PipelineConfig) -> Report:
@@ -252,9 +239,10 @@ class _Laps:
         return elapsed
 
 
-def _record(report: Report, cfg: PipelineConfig, grid: Grid, kind: str,
-            name: str, residual: float, grade: str, laps: _Laps, **values):
-    tol = _tolerance(cfg, grid, grade)
+def _record(report: Report, grid: Grid, kind: str, name: str,
+            residual: float, grade: str, laps: _Laps, **values):
+    # fixed gates: no configuration key or flag changes them
+    tol = EXACT_TOL if grade == _EXACT else grid.truncation_tol(1.0)
     report.records.append(CheckRecord(
         name=name, pipeline=kind, grid=(grid.n_fiber, grid.n_base),
         residual=float(residual), tolerance=tol,
@@ -266,7 +254,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
               report: Report, laps: _Laps) -> None:
     grid = ref.grid
 
-    fiber = solve_spr(ref) if kind == SPR else solve_ske(ref, tol=cfg.newton_tol)
+    fiber = solve_spr(ref) if kind == SPR else solve_ske(ref)
 
     if "fiber" in cfg.checks:
         audit = verify_fiber_family(ref, fiber)
@@ -276,9 +264,9 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
         if audit.weight_forward_sup is not None:
             values["weight_forward"] = audit.weight_forward_sup
             values["exp_l2"] = audit.exp_l2_diagnostic
-        _record(report, cfg, grid, kind, "fiber_solver", fiber.residual_sup,
+        _record(report, grid, kind, "fiber_solver", fiber.residual_sup,
                 _EXACT, laps, **values)
-        _record(report, cfg, grid, kind, "fiber_forward",
+        _record(report, grid, kind, "fiber_forward",
                 audit.forward_residual_sup, _TRUNC, laps)
 
     family = volume_family_from_sections(
@@ -289,30 +277,30 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
     if "wp_routes" in cfg.checks:
         diff = float(np.abs(wp_sections.wp_base -
                             wp_residual.wp_base).max())
-        _record(report, cfg, grid, kind, "wp_routes", diff, _TRUNC, laps,
+        _record(report, grid, kind, "wp_routes", diff, _TRUNC, laps,
                 verticality_defect=wp_residual.verticality_defect,
                 ric_defect=family.ric_defect,
                 wp_fs_min=float(wp_sections.wp_fs.min()))
 
-    gprime = compute_gprime(ref, fiber, eps_lp=cfg.eps_lp)
+    gprime = compute_gprime(ref, fiber)
     if "gprime" in cfg.checks:
         gp = gprime
         descend = check_g_descends(ref, fiber, gp)
-        _record(report, cfg, grid, kind, "gprime", gp.normalization_defect,
+        _record(report, grid, kind, "gprime", gp.normalization_defect,
                 _EXACT, laps, delta_lower=gp.delta_lower,
                 adjoint_defect=gp.adjoint_defect,
                 **{f"lp_{p:g}": v for p, v in gp.lp_norms.items()})
-        _record(report, cfg, grid, kind, "g_descends",
+        _record(report, grid, kind, "g_descends",
                 float(np.max([descend.vertical_oscillation,
                               descend.pullback_defect])),
                 _TRUNC, laps, vertical_oscillation=descend.vertical_oscillation,
                 pullback_defect=descend.pullback_defect)
 
-    sol_b = solve_base_ma(ref, gprime, VARIANT_B, tol=cfg.newton_tol)
-    sol_bp = solve_base_ma(ref, gprime, VARIANT_BPRIME, tol=cfg.newton_tol)
+    sol_b = solve_base_ma(ref, gprime, VARIANT_B)
+    sol_bp = solve_base_ma(ref, gprime, VARIANT_BPRIME)
     if "base_ma" in cfg.checks:
         for sol in (sol_b, sol_bp):
-            _record(report, cfg, grid, kind, f"base_ma[{sol.variant}]",
+            _record(report, grid, kind, f"base_ma[{sol.variant}]",
                     sol.forward_residual, _EXACT, laps,
                     positivity_margin=sol.positivity_margin,
                     zeroth_order_min=sol.zeroth_order_min,
@@ -324,27 +312,27 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
     if "twisted_ke" in cfg.checks:
         for sol in (sol_b, sol_bp):
             rep_r = twisted_ke_residual(ref, sol, wp_residual)
-            _record(report, cfg, grid, kind, rep_r.name, rep_r.relative,
+            _record(report, grid, kind, rep_r.name, rep_r.relative,
                     _TRUNC, laps, residual_sections=tke[sol.variant].residual_sup,
                     residual_routes=rep_r.residual_sup, scale=rep_r.scale)
 
     if "wpl_fs" in cfg.checks and kind == SPR:
         rep = wpl_fs_residual(ref, wp_sections)
         rep_r = wpl_fs_residual(ref, wp_residual)
-        _record(report, cfg, grid, kind, rep_r.name, rep_r.relative,
+        _record(report, grid, kind, rep_r.name, rep_r.relative,
                 _TRUNC, laps, residual_sections=rep.residual_sup,
                 residual_routes=rep_r.residual_sup)
 
     if "volume_identities" in cfg.checks:
         for rep in volume_identity_residual(ref, fiber, wp_residual,
                                             [sol_b, sol_bp]):
-            _record(report, cfg, grid, kind, rep.name, rep.relative, _TRUNC,
+            _record(report, grid, kind, rep.name, rep.relative, _TRUNC,
                     laps, **rep.extra)
 
     if "cohomology" in cfg.checks:
         base = cohomology.check_base_identity(ref, wp_sections)
         fiber_rep, total = cohomology.check_total_identity(ref, wp_sections)
-        _record(report, cfg, grid, kind, "cohomology",
+        _record(report, grid, kind, "cohomology",
                 float(np.max([base.relative, total.relative])), _TRUNC, laps,
                 base_measured=base.measured, base_expected=base.expected,
                 total_base_defect=total.defect,

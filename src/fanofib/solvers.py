@@ -268,6 +268,10 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
     return out
 
 
+# the residual sup-norm at which the fiber and base Newton solves stop
+NEWTON_TOL = 1e-11
+
+
 @dataclass(eq=False)
 class NewtonResult:
     x: np.ndarray

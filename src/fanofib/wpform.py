@@ -26,7 +26,7 @@ from .calculus import (TWO_PI, _carry_columns, _col_max, _col_range, _dfdb,
                        _lap_base, _lap_fiber, _lap_halo, _row_blocks, lap)
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
-from .grids import BASE, FIBER
+from .grids import BASE
 from .model import ReferenceGeometry
 
 
@@ -186,8 +186,8 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     checked to be a positive base density, and no computation reads it.
     The base-base component is fiber-averaged and the vertical components
     plus the fiber oscillation are reported as the verticality defect; a
-    defect above max(1e-8, 50 h^2 max(1, sup|r_bb|)), or one that is not
-    a number, raises PullbackStructureError.  The extremes of r are kept
+    defect above ``grid.truncation_tol(max(1, sup|r_bb|))``, or one that is
+    not a number, raises PullbackStructureError.  The extremes of r are kept
     in ``WPResult.residual`` for the volume identities.  r is formed in
     row blocks and reduced per column as it is formed, its fiber average
     included; log u is taken on the rows each block reads.
@@ -257,8 +257,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     # gives the full-field value bit for bit
     defect = float((ffb + (bb_hi - bb_lo)).max())
     r_bb_sup = float(np.maximum(np.abs(bb_lo), np.abs(bb_hi)).max())
-    h2 = grid.h(FIBER)**2 + grid.h(BASE)**2
-    defect_tol = max(1e-8, 50.0 * h2 * max(1.0, r_bb_sup))
+    defect_tol = grid.truncation_tol(max(1.0, r_bb_sup))
     if not defect <= defect_tol:
         raise PullbackStructureError(
             f"reconstructed form is not a pullback: defect {defect:.3e} "

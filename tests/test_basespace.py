@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fanofib import basespace, calculus, pipeline
+from fanofib import basespace, calculus
 from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                compute_gprime, integrated_ma_defect,
                                solve_base_ma, twisted_ke_residual,
@@ -298,8 +298,7 @@ def test_volume_identity_gate_fails_on_a_perturbed_fiber_column(
         ref_c, spr_c, ske_c, kind, variant, which):
     fiber = spr_c if kind == "spr" else ske_c
     sol = solve_base_ma(ref_c, compute_gprime(ref_c, fiber), variant)
-    tol = pipeline._tolerance(pipeline.PipelineConfig(), ref_c.grid,
-                              pipeline._TRUNC)
+    tol = ref_c.grid.truncation_tol(1.0)
     rep, = volume_identity_residual(ref_c, fiber, wp_from_residual(ref_c, fiber),
                                     [sol])
     assert rep.name == f"volume_identity[{which}]"
@@ -420,8 +419,7 @@ def test_volume_identities_reject_a_foreign_form(ref_c, spr_c, ske_c):
 
 @pytest.mark.parametrize("field", ["vertical_fs", "dens_fs"])
 def test_volume_identity_never_passes_a_nan(ref_c, spr_c, ske_c, field):
-    tol = pipeline._tolerance(pipeline.PipelineConfig(), ref_c.grid,
-                              pipeline._TRUNC)
+    tol = ref_c.grid.truncation_tol(1.0)
     j = ref_c.grid.n_base // 2
     for fiber in (spr_c, ske_c):
         gp = compute_gprime(ref_c, fiber)

@@ -14,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanofib import pipeline
+from fanofib.basespace import LP_EPS
 from fanofib.cli import main
 from fanofib.errors import ConfigError, NonConvergence
 from fanofib.fiberwise import SPR
-from fanofib.pipeline import (ALL_CHECKS, PipelineConfig, PipelineStageError,
-                              config_from_mapping, load_config, parse_config,
-                              run_pipeline)
+from fanofib.grids import TRUNCATION_CONSTANT, TRUNCATION_FLOOR
+from fanofib.pipeline import (ALL_CHECKS, EXACT_TOL, PipelineConfig,
+                              PipelineStageError, config_from_mapping,
+                              load_config, parse_config, run_pipeline)
 from fanofib.report import emit_report
+from fanofib.solvers import NEWTON_TOL
 
 MODEL_A = "a = 2\nc = 1\nwarp_amplitude = 0\n"
 MODEL_B = "a = 2\nc = 1\nwarp_amplitude = 0.2\n"
@@ -58,16 +61,46 @@ def test_load_config_file(tmp_path):
     assert cfg.pipeline == "ske"   # the overrides take precedence
 
 
+FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
+# the fixed gates, which the provenance digest keeps under their former keys
+GATES = {"newton_tol": NEWTON_TOL, "residual_tol": TRUNCATION_FLOOR,
+         "quadrature_tol": EXACT_TOL, "h2_constant": TRUNCATION_CONSTANT,
+         "eps_lp": LP_EPS}
+
+
+def fields_of(cfg):
+    return {key: value for key, value in cfg.as_mapping().items() if key in FIELDS}
+
+
 def test_config_keys_are_the_pipeline_config_fields():
     # every key sets a field, and no other key is accepted: out, n_fiber
     # and n_base are no fields, so they are rejected, not dropped
     default = PipelineConfig()
-    mapping = default.as_mapping()
-    assert set(mapping) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    mapping = fields_of(default)
+    assert set(mapping) == set(FIELDS)
     assert config_from_mapping(mapping) == default
     for key in ("out", "n_fiber", "n_base"):
         with pytest.raises(ConfigError, match=rf"unknown configuration keys \['{key}'\]"):
             config_from_mapping({**mapping, key: "32"})
+
+
+def test_config_digest_keys_are_the_fields_and_the_fixed_gates():
+    # as_mapping, which config_sha256 hashes, adds the fixed gates under
+    # their former keys; none of them is accepted as input
+    mapping = PipelineConfig().as_mapping()
+    assert set(mapping) == set(FIELDS) | set(GATES)
+    assert {key: mapping[key] for key in GATES} == GATES
+    for key in GATES:
+        with pytest.raises(ConfigError, match=rf"unknown configuration keys \['{key}'\]"):
+            config_from_mapping({**fields_of(PipelineConfig()), key: mapping[key]})
+
+
+def test_readme_config_example_sets_exactly_the_config_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n# model.cfg\n", 1)[1].split("```", 1)[0]
+    mapping = parse_config(block)
+    assert set(mapping) == set(FIELDS)
+    config_from_mapping(mapping)
 
 
 def test_parse_config_rejects_garbage():
@@ -101,16 +134,13 @@ def test_cli_rejects_a_repeated_key(tmp_path, capsys):
     assert "'a'" in err and "line 1" in err and "line 3" in err
 
 
-def test_cli_grid_and_tol_override_the_file(tmp_path):
-    cfg = write_cfg(tmp_path, MODEL_A + "grids = 32x32\nresidual_tol = 1e-6\n"
+def test_cli_grid_overrides_the_file(tmp_path):
+    cfg = write_cfg(tmp_path, MODEL_A + "grids = 32x32\n"
                     "checks = fiber\npipeline = spr\n")
     out = tmp_path / "out"
-    main(["run", "--config", cfg, "--grid", "16x16", "--tol", "1.0",
-          "--out", str(out)])
+    main(["run", "--config", cfg, "--grid", "16x16", "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
     assert report["grids"] == [[16, 16]]
-    forward = [r for r in report["records"] if r["name"] == "fiber_forward"]
-    assert [float(r["tolerance"]) for r in forward] == [1.0]
 
 
 def test_cli_runs_the_skew_bump_warp_at_256(tmp_path):
@@ -152,7 +182,7 @@ def test_any_mapping_builds_a_config_or_raises_config_error(mapping):
     except ConfigError:
         return
     assert isinstance(cfg, PipelineConfig)
-    assert config_from_mapping(cfg.as_mapping()) == cfg
+    assert config_from_mapping(fields_of(cfg)) == cfg
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,11 +212,6 @@ def test_cli_exits_2_with_one_line_on_any_rejected_config(lines):
     assert code == 2
     assert err.getvalue().startswith("error: ")
     assert err.getvalue().count("\n") == 1
-
-
-def test_config_tolerances_positive():
-    with pytest.raises(ConfigError):
-        config_from_mapping({"newton_tol": "-1"})
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +444,30 @@ def test_cli_check_single(tmp_path, capsys):
     assert "gprime" in out and "twisted" not in out
 
 
+@pytest.mark.parametrize("argv", [["run"], ["refine", "--grid", "32x32"],
+                                  ["check", "fiber"]])
+def test_cli_has_no_tolerance_flag(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, MODEL_A)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--config", cfg, "--grid", "16x16", "--tol", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "model.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"a = 2\nc = 1\nwarp_shape = \xff\n")
+    code = main(["run", "--config", str(path), "--grid", "16x16"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot read configuration file {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_refine_requires_grids(tmp_path):
     cfg = write_cfg(tmp_path, MODEL_A)
     with pytest.raises(SystemExit):
@@ -434,8 +483,7 @@ def test_cli_bad_model_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["a = 1/0", "a = abc", "a = 1e400",
-                                  "eps_lp = 1/0", "warp_amplitude = nan",
-                                  "warp_amplitude = inf", "newton_tol = nan"])
+                                  "warp_amplitude = nan", "warp_amplitude = inf"])
 def test_cli_rejects_malformed_number(tmp_path, capsys, line):
     cfg = write_cfg(tmp_path, model_with(line))
     code = main(["run", "--config", cfg, "--grid", "16x16"])
@@ -450,10 +498,14 @@ def test_cli_rejects_malformed_number(tmp_path, capsys, line):
     ("grids = 48x64", "n_fiber=48"), ("grids = 0x0", "n_fiber=0"),
     ("grids = 16x16,32x48", "n_base=48"),
     ("n_fiber = 48", "unknown configuration keys ['n_fiber']"),
-    ("h2_constant = -1", "h2_constant"), ("h2_constant = 0", "h2_constant"),
     ("grids = ", "grids"), ("warp_shape = nope", "warp_shape"),
     ("warp_amplitude = -0.1", "warp_amplitude"), ("c = 2", "a > c"),
-    ("eps_lp = -1", "eps_lp")])
+    # the gates are fixed: a key that would loosen one is no key
+    ("newton_tol = 1", "unknown configuration keys ['newton_tol']"),
+    ("residual_tol = 1", "unknown configuration keys ['residual_tol']"),
+    ("quadrature_tol = 1", "unknown configuration keys ['quadrature_tol']"),
+    ("h2_constant = 1e9", "unknown configuration keys ['h2_constant']"),
+    ("eps_lp = 0.5", "unknown configuration keys ['eps_lp']")])
 def test_cli_rejects_invalid_setting(tmp_path, capsys, line, key):
     # rejected while the configuration is parsed, before any grid is built
     cfg = write_cfg(tmp_path, model_with(line))
@@ -490,8 +542,8 @@ def test_cli_non_finite_einstein_potential_exits_2_at_the_fiber_audit(
     # WP stage reads the potential
     real_solve, real_wp = pipeline.solve_ske, pipeline.wp_from_residual
 
-    def nan_column(ref, tol):
-        sol = real_solve(ref, tol=tol)
+    def nan_column(ref):
+        sol = real_solve(ref)
         rho = sol.rho.copy()
         rho[:, ref.grid.n_base // 2] = np.nan
         return dataclasses.replace(sol, rho=rho)
