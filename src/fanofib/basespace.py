@@ -20,7 +20,7 @@ from .errors import PositivityError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, Grid
 from .model import ReferenceGeometry, _checked_range
-from .solvers import NEWTON_TOL, BandedMatrix, newton_semilinear
+from .solvers import BandedMatrix, newton_semilinear
 from .wpform import WPResult
 
 VARIANT_B = "B"
@@ -84,19 +84,19 @@ def _twisted_rows(ref: ReferenceGeometry, rho: np.ndarray, lo: int,
     return rows
 
 
-def _volume_rows(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution | None,
+def _volume_rows(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
                  scale: float, lo: int, hi: int) -> np.ndarray:
     """Rows [lo, hi) of the volume that G' pushes forward: Omega' = scale
     e^{-lambda rho} Omega for the Einstein family, Omega itself for the
-    prescribed-Ricci family or no family."""
-    if fiber_sol is None or fiber_sol.kind != SKE:
+    prescribed-Ricci family."""
+    if fiber_sol.kind != SKE:
         return ref.Omega[lo:hi]
     rows = _twisted_rows(ref, fiber_sol.rho, lo, hi)
     rows *= scale
     return rows
 
 
-def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution | None):
+def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution):
     """The scale s, the push-forward and the adjoint defect of the volume
     of ``_volume_rows``; s = 1 unless the Einstein family sets it so the
     push-forward of Omega' carries unit mean against eta (the free
@@ -112,7 +112,7 @@ def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution | None):
     grid = ref.grid
     blocks = list(_row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
     scale = 1.0
-    if fiber_sol is not None and fiber_sol.kind == SKE:
+    if fiber_sol.kind == SKE:
         rows = np.empty(grid.n_fiber + 1)
         for lo, hi in blocks:
             rows[lo:hi] = _simpson_rows(grid, _twisted_rows(ref, fiber_sol.rho, lo, hi))
@@ -132,16 +132,14 @@ def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution | None):
 
 
 def compute_gprime(ref: ReferenceGeometry,
-                   fiber_sol: FiberFamilySolution | None = None) -> GprimeReport:
+                   fiber_sol: FiberFamilySolution) -> GprimeReport:
     """G' = f_* Omega / (V eta) as a base profile with its L^p diagnostics.
 
     The fiber family picks the volume: the Einstein family pushes forward
-    its twisted volume Omega', the prescribed-Ricci family, or no family,
-    pushes forward Omega; both are streamed over row blocks
-    (``_pushforward``).  The report's ``variant`` is the kind of the
-    family used.
+    its twisted volume Omega', the prescribed-Ricci family pushes forward
+    Omega itself; both are streamed over row blocks (``_pushforward``).
+    The report's ``variant`` is the kind of the family.
     """
-    variant = SPR if fiber_sol is None else fiber_sol.kind
     grid = ref.grid
     scale, push, adjoint = _pushforward(ref, fiber_sol)
     gprime = push / (ref.V * ref.eta_fs)
@@ -153,7 +151,7 @@ def compute_gprime(ref: ReferenceGeometry,
         lp[p] = float((TWO_PI * ref.eta_fs *
                        simpson(grid, BASE, gprime**p))**(1.0 / p))
     defect = abs(simpson(grid, BASE, gprime) - 1.0)
-    return GprimeReport(variant=variant, gprime=gprime,
+    return GprimeReport(variant=fiber_sol.kind, gprime=gprime,
                         delta_lower=float(gprime.min()), lp_norms=lp,
                         normalization_defect=float(defect),
                         adjoint_defect=adjoint, volume_scale=scale)
@@ -203,8 +201,7 @@ class BaseMetricSolution:
     trace: list
 
 
-def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
-                  variant: str = VARIANT_B,
+def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport, variant: str,
                   init: np.ndarray | float = 0.0) -> BaseMetricSolution:
     """Damped Newton for (ref_form + i ddbar rho) = G' e^rho ref_form.
 
@@ -241,7 +238,7 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport,
 
     x0 = np.broadcast_to(np.asarray(init, dtype=float),
                          (grid.n_base + 1,)).astype(float)
-    result = newton_semilinear(residual, jacobian, x0, tol=NEWTON_TOL, max_iter=60)
+    result = newton_semilinear(residual, jacobian, x0, max_iter=60)
     rho = result.x
     dens = khat + lap(grid, rho, BASE)
     margin = float(dens.min())

@@ -30,7 +30,7 @@ from .calculus import (TWO_PI, _audit_halo, _audit_rows, _audit_weights, _col_ma
 from .errors import FanofibError
 from .grids import FIBER
 from .model import ReferenceGeometry, checked_volume
-from .solvers import NEWTON_TOL, BandedMatrix, newton_semilinear, solve_poisson_1d
+from .solvers import BandedMatrix, newton_semilinear, solve_poisson_1d
 
 SPR = "spr"
 SKE = "ske"
@@ -159,7 +159,7 @@ class _BorderedJacobian:
 
 
 def _ske_single_fiber(L: np.ndarray, band: BandedMatrix, wk: np.ndarray,
-                      lam: float, v0: np.ndarray, tol: float, max_iter: int):
+                      lam: float, v0: np.ndarray):
     """Bordered Newton for 2 - L v - lam e^v = 0 with the orbit gauge
     <wk, v - v0> = 0; the border column spans the Moebius kernel.
 
@@ -178,9 +178,7 @@ def _ske_single_fiber(L: np.ndarray, band: BandedMatrix, wk: np.ndarray,
     def jacobian(wv):
         return _BorderedJacobian(L, band, lam * np.exp(wv[:n]), kvec, wk)
 
-    result = newton_semilinear(residual, jacobian,
-                               np.concatenate([v0, [0.0]]),
-                               tol=tol, max_iter=max_iter)
+    result = newton_semilinear(residual, jacobian, np.concatenate([v0, [0.0]]))
     return result.x[:n], result
 
 
@@ -216,7 +214,7 @@ def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
     # from the 1D profiles as ``ref.vertical_rows`` forms each column
     w = ref.warp
     v0, result = _ske_single_fiber(L, band, wk, lam,
-                                   np.log(c + w.eps * w.D2P_fs * w.Q[0]), NEWTON_TOL, 40)
+                                   np.log(c + w.eps * w.D2P_fs * w.Q[0]))
     del L             # the dense Laplacian, before the recovery
 
     v = np.repeat(v0[:, None], grid.n_base + 1, axis=1)

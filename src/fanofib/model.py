@@ -36,31 +36,16 @@ WARP_SHAPES: dict[str, tuple[np.ndarray, np.ndarray]] = {
 }
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    if isinstance(x, float):
-        if not x.is_integer():
-            raise ConfigError(f"class coefficient {x!r} is not an exact rational; "
-                              "write it as 'p/q'")
-        return Fraction(int(x))
-    raise ConfigError(f"cannot interpret {x!r} as a rational")
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Model parameters: class pair, warp potential, grid resolution."""
 
     a: Fraction
     c: Fraction
-    warp_amplitude: float = 0.0
-    warp_shape: str = "product_bump"
-    n_fiber: int = 64
-    n_base: int = 64
+    warp_amplitude: float
+    warp_shape: str
+    n_fiber: int
+    n_base: int
 
     @classmethod
     def make(cls, a, c, warp_amplitude=0.0, warp_shape="product_bump",
@@ -71,7 +56,7 @@ class ModelSpec:
         eps = float(warp_amplitude)
         if not (math.isfinite(eps) and eps >= 0.0):
             raise ConfigError(f"warp_amplitude must be finite and >= 0, got {eps!r}")
-        return cls(_as_fraction(a), _as_fraction(c), eps, warp_shape,
+        return cls(Fraction(a), Fraction(c), eps, warp_shape,
                    int(n_fiber), int(n_base))
 
 

@@ -144,6 +144,11 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
     if m:
         raise ConfigError(f"unknown configuration keys {sorted(map(str, m))}")
     cfg = PipelineConfig(**kw)
+    if cfg.pipeline == "ske" and set(cfg.checks) == {"wpl_fs"}:
+        # wpl_fs records for the prescribed-Ricci family alone (``_run_cell``),
+        # and a run that records nothing would pass on its empty list
+        raise ConfigError(f"checks {list(cfg.checks)} record nothing for "
+                          f"pipeline = {cfg.pipeline}")
     for nf, nb in cfg.grids:
         try:
             Grid(nf, nb)

@@ -300,17 +300,17 @@ def probe_jacobian(residual_fn, jacobian_fn, x0: np.ndarray) -> None:
             f"Jacobian probe failed: |FD - J d| = {err:.3e} vs scale {scale:.3e}")
 
 
-def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
-                      max_iter: int = 40, probe: bool = True) -> NewtonResult:
+def newton_semilinear(residual_fn, jacobian_fn, init, max_iter: int = 40,
+                      probe: bool = True) -> NewtonResult:
     """Damped Newton iteration with an optional Jacobian consistency probe.
 
     ``jacobian_fn`` returns a dense array, which LAPACK solves, or any
     operator with ``@`` (read by the probe) and ``solve(rhs)`` (one step),
     such as a ``BandedMatrix``.
 
-    Returns once the sup-norm of the residual drops below ``tol``; raises
-    NonConvergence (with the trace attached) on stagnation or iteration
-    exhaustion.
+    Returns once the sup-norm of the residual is at most ``NEWTON_TOL``,
+    the one tolerance of every Newton solve; raises NonConvergence (with
+    the trace attached) on stagnation or iteration exhaustion.
     """
     x = np.array(init, dtype=float)
     if probe:
@@ -319,7 +319,7 @@ def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
     norm = float(np.abs(res).max())
     trace = [norm]
     for it in range(max_iter):
-        if norm <= tol:
+        if norm <= NEWTON_TOL:
             return NewtonResult(x, trace, it)
         J = jacobian_fn(x)
         try:
@@ -339,7 +339,7 @@ def newton_semilinear(residual_fn, jacobian_fn, init, tol: float = 1e-10,
             raise NonConvergence(f"line search stalled at iteration {it}", trace)
         x, res, norm = x_try, res_try, norm_try
         trace.append(norm)
-    if norm <= tol:
+    if norm <= NEWTON_TOL:
         return NewtonResult(x, trace, max_iter)
     raise NonConvergence(f"no convergence in {max_iter} iterations "
                          f"(last residual {norm:.3e})", trace)

@@ -34,17 +34,14 @@ from .model import ReferenceGeometry
 class SectionFamilySpec:
     """Chart data of a non-vanishing holomorphic section family.
 
-    F(b, z) = f_scale * z_b**f_power on the standard chart; nonzero
-    ``f_power`` realizes the frame of the opposite chart, which is how
-    the gluing of the local definitions is exercised.  The Hermitian
-    weight is not part of the chart data: the fiber family handed to
-    ``volume_family_from_sections`` selects it.
+    F(b, z) = f_scale on the standard chart, a constant multiple of the
+    chart frame.  The Hermitian weight is not part of the chart data: the
+    fiber family handed to ``volume_family_from_sections`` selects it.
     """
 
     alpha: int
     beta: int
     f_scale: float = 1.0
-    f_power: int = 0
 
     @classmethod
     def canonical(cls, consts) -> "SectionFamilySpec":
@@ -55,14 +52,14 @@ class SectionFamilySpec:
 class SectionVolumeFamily:
     """Family of fiber volume densities relative to the fiber FS volume.
 
-    density(x_f, b) = exp(smooth_log) * x_b^pole_zero * (1-x_b)^pole_one,
-    with smooth_log = 2/beta log f_scale - lambda * (smooth part of the
-    Hermitian weight).  The base form reads only the fiber integrals of
-    the smooth part, so smooth_log itself is not kept.
+    density(x_f, b) = exp(smooth_log) * (1-x_b)^pole_one, with smooth_log
+    = 2/beta log f_scale - lambda * (smooth part of the Hermitian weight)
+    and pole_one = lambda a, the weight's log pole at x_b = 1.  The base
+    form reads only the fiber integrals of the smooth part, so smooth_log
+    itself is not kept.
     """
 
     smooth_log_norm: np.ndarray  # log 2*pi int exp(smooth_log) per fiber
-    pole_zero: float
     pole_one: float
     ric_defect: float            # forward check of the prescribed fiber Ricci
 
@@ -125,11 +122,9 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     lam = float(consts.lam)
     grid = ref.grid
     n = grid.n_fiber
-    beta = float(sfs.beta)
-    log_scale = (2.0 / beta) * math.log(sfs.f_scale)
+    log_scale = (2.0 / sfs.beta) * math.log(sfs.f_scale)
     ske_u = fiber.vertical_fs if fiber is not None and fiber.kind == SKE else None
-    pole_zero = sfs.f_power / beta
-    pole_one = float(consts.lam * ref.spec.a) - pole_zero
+    pole_one = float(consts.lam * ref.spec.a)
 
     # smooth_log = 2/beta log f_scale - lam * (smooth part of the weight) on
     # the rows each block's stencil reads; per row block, the forward check
@@ -155,21 +150,20 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
         raise FanofibError("non-positive fiber integral in the section family")
 
     return SectionVolumeFamily(smooth_log_norm=np.log(integrals),
-                               pole_zero=pole_zero, pole_one=pole_one,
-                               ric_defect=ric_defect)
+                               pole_one=pole_one, ric_defect=ric_defect)
 
 
 def wp_from_sections(ref: ReferenceGeometry,
                      family: SectionVolumeFamily) -> WPResult:
     """Differentiate the log fiber integrals of the section volume family.
 
-    The log fiber integrals are the smooth part plus the pole parts
-    pole_zero log x_b + pole_one log(1 - x_b), which contribute pole_zero
-    + pole_one to the FS-relative density in closed form; only the smooth
-    part is differentiated on the grid.
+    The log fiber integrals are the smooth part plus the pole part
+    pole_one log(1 - x_b), which contributes pole_one to the FS-relative
+    density in closed form; only the smooth part is differentiated on the
+    grid.
     """
     grid = ref.grid
-    wp_fs = family.pole_zero + family.pole_one - lap(grid, family.smooth_log_norm, BASE)
+    wp_fs = family.pole_one - lap(grid, family.smooth_log_norm, BASE)
     return WPResult(wp_base=grid.g_b * wp_fs, wp_fs=wp_fs, route="sections")
 
 

@@ -34,9 +34,9 @@ def test_pushforward_model_a(ref_a):
     assert np.allclose(push, 8.0 * math.pi / 3.0, rtol=1e-14)
 
 
-def test_pushforward_adjoint_identity(ref_b):
+def test_pushforward_adjoint_identity(ref_b, spr_b):
     assert pushforward_adjoint_defect(ref_b, ref_b.Omega) < 1e-12
-    assert compute_gprime(ref_b).adjoint_defect < 1e-12
+    assert compute_gprime(ref_b, spr_b).adjoint_defect < 1e-12
 
 
 def test_pushforward_of_section_family(ref_a, section_density):
@@ -48,7 +48,7 @@ def test_pushforward_of_section_family(ref_a, section_density):
 
 
 def test_gprime_model_a(ref_a, spr_a):
-    gp = compute_gprime(ref_a)
+    gp = compute_gprime(ref_a, spr_a)
     assert np.allclose(gp.gprime, 1.0, atol=1e-14)
     assert gp.normalization_defect < 1e-14
     assert gp.delta_lower == pytest.approx(1.0, abs=1e-14)
@@ -86,13 +86,14 @@ def test_omega_prime_defining_relation(ref_b, ske_b):
 # the Einstein cases keep the bare block as their id
 @pytest.mark.parametrize("kind, block", [
     pytest.param(kind, block, id=str(block) if kind == "ske" else f"{kind}-{block}")
-    for kind in ("ske", "spr", None) for block in (None, 1, 333)])
+    for kind in ("ske", "spr") for block in (None, 1, 333)])
 def test_streamed_omega_prime_matches_the_whole_field_oracle(ref_c, kind, block,
                                                              request, monkeypatch):
-    # G' forms its volume (Omega' for the Einstein family, Omega otherwise)
-    # row block by row block and check_g_descends re-forms the rows it
-    # reads; every number equals the whole-field expression's
-    fiber = None if kind is None else request.getfixturevalue(f"{kind}_c")
+    # G' forms its volume (Omega' for the Einstein family, Omega for the
+    # prescribed-Ricci one) row block by row block and check_g_descends
+    # re-forms the rows it reads; every number equals the whole-field
+    # expression's
+    fiber = request.getfixturevalue(f"{kind}_c")
     if block is not None:
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
     grid = ref_c.grid
@@ -100,8 +101,6 @@ def test_streamed_omega_prime_matches_the_whole_field_oracle(ref_c, kind, block,
     gp = compute_gprime(ref_c, fiber)
     assert np.array_equal(gp.gprime, fiber_integral(grid, vol) / (ref_c.V * ref_c.eta_fs))
     assert gp.adjoint_defect == pushforward_adjoint_defect(ref_c, vol)
-    if fiber is None:
-        return
     G = vol / (2.0 * ref_c.eta_fs * fiber.vertical_fs)
     rep = check_g_descends(ref_c, fiber, gp)
     assert rep.vertical_oscillation == float((G.max(axis=0) - G.min(axis=0)).max())
@@ -119,14 +118,14 @@ def test_omega_prime_rejects_a_bad_family_column(ref_c, ske_c, bad):
 
 
 def test_g_descends_model_a(ref_a, spr_a):
-    gp = compute_gprime(ref_a)
+    gp = compute_gprime(ref_a, spr_a)
     rep = check_g_descends(ref_a, spr_a, gp)
     assert rep.vertical_oscillation < 1e-12
     assert rep.pullback_defect < 1e-12
 
 
 def test_g_descends_gauge_shift_invariance(ref_b, spr_b):
-    gp = compute_gprime(ref_b)
+    gp = compute_gprime(ref_b, spr_b)
     r1 = check_g_descends(ref_b, spr_b, gp)
     beta = 0.4 * np.cos(np.pi * ref_b.grid.nodes_b)
     shifted = dataclasses.replace(spr_b, rho=spr_b.rho + beta[None, :])
@@ -151,7 +150,7 @@ def test_g_descends_order_cubic_model():
                                              warp_shape="fiber_cubic",
                                              n_fiber=n, n_base=n))
         spr = solve_spr(ref)
-        gp = compute_gprime(ref)
+        gp = compute_gprime(ref, spr)
         rep = check_g_descends(ref, spr, gp)
         oscs.append(rep.vertical_oscillation)
         pulls.append(rep.pullback_defect)
@@ -163,8 +162,8 @@ def test_g_descends_order_cubic_model():
 # base Monge-Ampere
 # ---------------------------------------------------------------------------
 
-def test_base_ma_model_a_trivial(ref_a):
-    gp = compute_gprime(ref_a)
+def test_base_ma_model_a_trivial(ref_a, spr_a):
+    gp = compute_gprime(ref_a, spr_a)
     sol = solve_base_ma(ref_a, gp, VARIANT_B)
     assert np.abs(sol.rho).max() == 0.0
     assert np.allclose(sol.dens_fs, float(ref_a.eta_fs), atol=1e-14)
@@ -175,7 +174,7 @@ def test_base_ma_model_a_trivial(ref_a):
 
 
 def test_base_ma_model_b(ref_b, spr_b):
-    gp = compute_gprime(ref_b)
+    gp = compute_gprime(ref_b, spr_b)
     sol = solve_base_ma(ref_b, gp, VARIANT_B)
     assert sol.forward_residual < 1e-11
     assert sol.positivity_margin > 0.0
@@ -186,16 +185,16 @@ def test_base_ma_model_b(ref_b, spr_b):
     assert any(b < 10.0 * a**2 for a, b in zip(tail, tail[1:]))
 
 
-def test_base_ma_uniqueness_probe(ref_b):
-    gp = compute_gprime(ref_b)
+def test_base_ma_uniqueness_probe(ref_b, spr_b):
+    gp = compute_gprime(ref_b, spr_b)
     sols = [solve_base_ma(ref_b, gp, VARIANT_B, init=i)
             for i in (0.0, 0.5, -0.5)]
     for other in sols[1:]:
         assert np.abs(other.rho - sols[0].rho).max() < 1e-9
 
 
-def test_base_ma_rejects_unknown_variant(ref_a):
-    gp = compute_gprime(ref_a)
+def test_base_ma_rejects_unknown_variant(ref_a, spr_a):
+    gp = compute_gprime(ref_a, spr_a)
     with pytest.raises(ValueError):
         solve_base_ma(ref_a, gp, "C")
 
@@ -205,7 +204,7 @@ def test_base_ma_rejects_unknown_variant(ref_a):
 # ---------------------------------------------------------------------------
 
 def test_twisted_ke_model_a(ref_a, spr_a):
-    gp = compute_gprime(ref_a)
+    gp = compute_gprime(ref_a, spr_a)
     wp = wp_of(ref_a)
     for variant in (VARIANT_B, VARIANT_BPRIME):
         sol = solve_base_ma(ref_a, gp, variant)
@@ -215,7 +214,7 @@ def test_twisted_ke_model_a(ref_a, spr_a):
 
 
 def test_twisted_ke_model_b_both_routes(ref_b, spr_b):
-    gp = compute_gprime(ref_b)
+    gp = compute_gprime(ref_b, spr_b)
     wp_s = wp_of(ref_b)
     wp_r = wp_from_residual(ref_b, spr_b)
     for variant in (VARIANT_B, VARIANT_BPRIME):
@@ -247,8 +246,8 @@ def test_omega_rescale_leaves_base_metric(ref_b, spr_b):
     import dataclasses
     scaled = dataclasses.replace(ref_b)
     scaled.Omega = 2.0 * ref_b.Omega
-    gp1 = compute_gprime(ref_b)
-    gp2 = compute_gprime(scaled)
+    gp1 = compute_gprime(ref_b, spr_b)
+    gp2 = compute_gprime(scaled, spr_b)
     assert np.abs(gp2.gprime - 2.0 * gp1.gprime).max() < 1e-12
     sol1 = solve_base_ma(ref_b, gp1, VARIANT_B)
     sol2 = solve_base_ma(scaled, gp2, VARIANT_B)
@@ -259,7 +258,7 @@ def test_omega_rescale_leaves_base_metric(ref_b, spr_b):
 
 @pytest.mark.parametrize("which", [1, 2])
 def test_volume_identities_model_a_spr(ref_a, spr_a, which):
-    gp = compute_gprime(ref_a)
+    gp = compute_gprime(ref_a, spr_a)
     variant = VARIANT_B if which == 1 else VARIANT_BPRIME
     sol = solve_base_ma(ref_a, gp, variant)
     rep, = volume_identity_residual(ref_a, spr_a, wp_from_residual(ref_a, spr_a),
@@ -281,7 +280,7 @@ def test_volume_identities_model_a_ske(ref_a, ske_a, which):
 
 
 def test_volume_identities_model_b_gaps_positive(ref_b, spr_b):
-    gp = compute_gprime(ref_b)
+    gp = compute_gprime(ref_b, spr_b)
     sol = solve_base_ma(ref_b, gp, VARIANT_B)
     rep, = volume_identity_residual(ref_b, spr_b, wp_from_residual(ref_b, spr_b),
                                     [sol])
@@ -464,7 +463,7 @@ def test_volume_identity_orders_cubic_model():
         assert orders[-1] > 1.8, (which, series)
 
 
-def test_gprime_positivity_guard(ref_a):
+def test_gprime_positivity_guard(ref_a, spr_a):
     broken = dataclasses.replace(ref_a, Omega=-1.0 * ref_a.Omega)
     with pytest.raises(PositivityError):
-        compute_gprime(broken)
+        compute_gprime(broken, spr_a)

@@ -118,7 +118,7 @@ def test_ske_family_smooth_along_base(ref_b, ske_b):
     assert bounds[1] < 2.0 * bounds[0] + 1e-6
 
 
-def _ske_every_fiber(ref, single, tol=1e-11, max_iter=40):
+def _ske_every_fiber(ref, single):
     """The warm-started Einstein family with a Newton solve on every fiber:
     fiber j > 0 starts at, and pins its orbit gauge to, fiber j - 1's
     solution."""
@@ -131,7 +131,7 @@ def _ske_every_fiber(ref, single, tol=1e-11, max_iter=40):
     residual = 0.0
     for j in range(grid.n_base + 1):
         v0 = v[:, j - 1] if j else v[:, 0]
-        v[:, j], result = single(L, band, wk, lam, v0, tol, max_iter)
+        v[:, j], result = single(L, band, wk, lam, v0)
         residual = max(residual, result.trace[-1])
     u = np.exp(v)
     u *= (float(ref.spec.c) / simpson_columns(grid, u))[None, :]
@@ -230,7 +230,7 @@ def _einstein_newton_inputs(n_fiber, monkeypatch):
 
     monkeypatch.setattr(fiberwise, "newton_semilinear", capture)
     fiberwise._ske_single_fiber(L, BandedMatrix(lap_bands(grid, FIBER)), wk,
-                                lam, v, 1e-11, 40)
+                                lam, v)
     (residual, jacobian), = captured
     n = v.size
     dense = np.zeros((n + 1, n + 1))

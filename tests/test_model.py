@@ -59,11 +59,6 @@ def test_constants_reject_wrong_orientation():
         derive_constants(ModelSpec.make(1, 2))
 
 
-def test_spec_rejects_non_rational():
-    with pytest.raises(ConfigError):
-        ModelSpec.make(2.5, 1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 40), st.integers(1, 40), st.integers(1, 8), st.integers(1, 8))
 def test_constants_invariants_random(pa, pc, qa, qc):
@@ -269,7 +264,7 @@ def test_spec_rejects_non_finite_warp_amplitude(amplitude):
 def test_reference_positivity_guard_rejects_nan():
     # a NaN eigenvalue is not positive; the spec bypasses make()
     with pytest.raises(PositivityError) as err:
-        build_reference(ModelSpec(F(2), F(1), math.nan))
+        build_reference(ModelSpec(F(2), F(1), math.nan, "product_bump", 64, 64))
     assert math.isnan(err.value.worst)
 
 

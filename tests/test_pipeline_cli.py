@@ -516,6 +516,31 @@ def test_cli_rejects_invalid_setting(tmp_path, capsys, line, key):
     assert key in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["run"], "checks = wpl_fs\npipeline = ske\n"),
+    (["run", "--pipeline", "ske"], "checks = wpl_fs, wpl_fs\n"),
+    (["check", "wpl_fs", "--pipeline", "ske"], "")],
+    ids=["config", "config-and-flag", "check-command"])
+def test_cli_rejects_checks_that_record_nothing_for_the_pipeline(
+        tmp_path, capsys, argv, text):
+    # wpl_fs records for the prescribed-Ricci family alone: on the Einstein
+    # pipeline the run would compute no check and pass on its empty list
+    cfg = write_cfg(tmp_path, model_with("c = 1") + text)
+    code = main(argv + ["--config", cfg, "--grid", "32x32"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: checks ['wpl_fs'")
+    assert captured.err.endswith("] record nothing for pipeline = ske\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_ske_pipeline_takes_any_checks_that_record_for_it():
+    for checks in ALL_CHECKS, ("wpl_fs", "fiber"):
+        cfg = config_from_mapping({"pipeline": "ske", "checks": ",".join(checks)})
+        assert cfg.checks == tuple(checks)
+
+
 def test_cli_non_finite_fiber_family_exits_2(tmp_path, capsys, monkeypatch):
     real = pipeline.solve_spr
 

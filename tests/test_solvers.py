@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from fanofib import calculus
-from fanofib.basespace import compute_gprime, solve_base_ma
+from fanofib.basespace import VARIANT_B, compute_gprime, solve_base_ma
 from fanofib.calculus import TWO_PI, diff1, diff2, lap, lap_bands, lap_matrix, simpson
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
-from fanofib.fiberwise import solve_ske
+from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.grids import BASE, FIBER, Grid
 from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import (BandedMatrix, newton_semilinear, poisson_system,
@@ -361,7 +361,7 @@ def test_lap_interior_rows_are_in_flux_form(n, axis_name):
 
 def _base_ma_data(n_base):
     ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", 16, n_base))
-    gp = compute_gprime(ref)
+    gp = compute_gprime(ref, solve_spr(ref))
     return ref, gp, float(ref.eta_fs)
 
 
@@ -387,7 +387,7 @@ def test_solves_on_2048_intervals_build_no_dense_matrix():
     field = 2049 * 17 * 8       # both grids have 2049 x 17 nodes
     assert peak_fields(solve_poisson_1d, g, FIBER, fs) < limit / field
     ref, gp, _ = _base_ma_data(2048)
-    assert peak_fields(solve_base_ma, ref, gp) < limit / field
+    assert peak_fields(solve_base_ma, ref, gp, VARIANT_B) < limit / field
 
 
 def test_einstein_solve_on_2048_intervals_holds_one_dense_matrix():
@@ -450,11 +450,20 @@ def test_newton_exact_root_at_init():
     assert result.trace == [0.0]
 
 
+@pytest.mark.parametrize("start, steps", [(2e-11, 1), (5e-12, 0)])
+def test_newton_stops_at_the_one_tolerance(start, steps):
+    # every Newton solve stops at NEWTON_TOL = 1e-11: a start residual of
+    # 2e-11 takes a step (to the exact root), one of 5e-12 is converged
+    result = newton_semilinear(lambda x: x, lambda x: np.eye(1), np.array([start]))
+    assert result.iterations == steps
+    assert result.trace == [start, 0.0][:steps + 1]
+
+
 def test_newton_converges_quadratically():
     g = Grid(64, 64)
     w = 2.0 + np.sin(np.pi * g.nodes_f)
     residual, jacobian = _liouville_like(g, w)
-    result = newton_semilinear(residual, jacobian, 0.3 * np.ones(65), tol=1e-12)
+    result = newton_semilinear(residual, jacobian, 0.3 * np.ones(65))
     assert np.abs(residual(result.x)).max() < 1e-12
     # quadratic tail: once below 1e-3 the next step lands below ~square
     tail = [r for r in result.trace if 0 < r < 1e-3]
@@ -499,13 +508,13 @@ def test_newton_sends_a_dense_jacobian_to_lapack_and_an_operator_to_its_solve(
         return real(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting)
-    dense = newton_semilinear(residual, jacobian, 0.3 * np.ones(65), tol=1e-12)
+    dense = newton_semilinear(residual, jacobian, 0.3 * np.ones(65))
     assert dense.iterations > 0
     assert lapack == [np.ndarray] * dense.iterations
     # the same matrices behind an operator: every step is its own solve
     solves = []
     op = newton_semilinear(residual, lambda v: _SolvingOperator(jacobian(v), solves),
-                           0.3 * np.ones(65), tol=1e-12)
+                           0.3 * np.ones(65))
     assert len(solves) == dense.iterations
     assert len(lapack) == 2 * dense.iterations
     assert np.array_equal(op.x, dense.x)

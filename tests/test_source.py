@@ -8,6 +8,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "fanofib").glob("*.py"))
+# the program: the package, the benchmark and the acceptance suite, whose
+# calls are the frozen contract
+PROGRAM = sorted({*SOURCES, ROOT / "tests" / "test_acceptance.py",
+                  *(ROOT / "perfbench").glob("*.py")})
 # suffixes of the per-function metrics the benchmark's span tracer reports
 FUNCTION_METRICS = ("self_s", "calls", "total_s")
 
@@ -151,25 +155,12 @@ def _defaulted(func: ast.FunctionDef, bound: int):
             yield func.name, arg.arg, None
 
 
-# defaulted parameters that no program call passes and that stay: the
-# axis of diff1 and diff2, defs alive only because BENCHMARK.json names
-# them, and the argv of an entry point, passed by the interpreter's caller
-UNTURNED_KNOBS = {"diff1(axis)", "diff2(axis)", "main(argv)"}
-
-
-def test_every_defaulted_parameter_is_passed_somewhere():
-    # a parameter that no call passes is a knob nobody turns: its default
-    # is the only value the program has ever run with, so it belongs in
-    # the body as a constant.  Only the program counts as a caller: the
-    # package, the benchmark and the acceptance suite, whose calls are
-    # the frozen contract; a knob that only unit tests turn is API kept
-    # alive by its tests.  A call is matched by the called name; one with
-    # *args or **kwargs counts as passing every parameter.
-    knobs = [knob for path in SOURCES
-             for knob in _knobs(ast.parse(path.read_text()))]
+def _passed(knobs) -> set:
+    """The (name, parameter) pairs of ``knobs`` that some call of the
+    program passes.  A call is matched by the called name; one with *args
+    or **kwargs counts as passing every parameter."""
     passed = set()
-    for path in sorted({*SOURCES, ROOT / "tests" / "test_acceptance.py",
-                        *(ROOT / "perfbench").glob("*.py")}):
+    for path in PROGRAM:
         for call in ast.walk(ast.parse(path.read_text())):
             if not isinstance(call, ast.Call):
                 continue
@@ -182,6 +173,24 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 if func == name and (every_keyword or param in keywords or
                                      (index is not None and index < n_pos)):
                     passed.add((func, param))
+    return passed
+
+
+# defaulted parameters that no program call passes and that stay: the
+# axis of diff1 and diff2, defs alive only because BENCHMARK.json names
+# them, and the argv of an entry point, passed by the interpreter's caller
+UNTURNED_KNOBS = {"diff1(axis)", "diff2(axis)", "main(argv)"}
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a parameter that no call passes is a knob nobody turns: its default
+    # is the only value the program has ever run with, so it belongs in
+    # the body as a constant.  Only the program (``PROGRAM``) counts as a
+    # caller; a knob that only unit tests turn is API kept alive by its
+    # tests.
+    knobs = [knob for path in SOURCES
+             for knob in _knobs(ast.parse(path.read_text()))]
+    passed = _passed(knobs)
     unturned = {f"{func}({param})" for func, param, _ in knobs
                 if (func, param) not in passed}
     assert unturned <= UNTURNED_KNOBS, (
@@ -189,6 +198,45 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     # an entry whose knob is gone or now passed leaves the allowlist
     assert UNTURNED_KNOBS <= unturned, (
         f"allowed unturned knobs that are not: {sorted(UNTURNED_KNOBS - unturned)}")
+
+
+def _field_defaults(tree: ast.Module):
+    """(class name, field, positional index) for every field of a dataclass
+    whose default is a value; a ``field(...)`` default, such as the
+    accumulator ``field(default_factory=list)``, is not one."""
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            continue
+        fields = [item for item in cls.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        for index, item in enumerate(fields):
+            default = item.value
+            if default is not None and not (isinstance(default, ast.Call) and
+                                            getattr(default.func, "id", None) == "field"):
+                yield cls.name, item.target.id, index
+
+
+def test_every_defaulted_dataclass_field_is_set_somewhere():
+    # a field default is a knob too: a field that no construction and no
+    # assignment of the program sets holds its default in every run.  A
+    # construction is matched by the class's name, as a call is above, and
+    # a ``dataclasses.replace`` or attribute assignment by the field's name
+    # alone.  A factory's ``cls(...)`` is not matched: it passes the
+    # factory's own parameters, which the lint above reads, and leaves the
+    # field defaults to the constructions by name
+    knobs = [knob for path in SOURCES
+             for knob in _field_defaults(ast.parse(path.read_text()))]
+    passed = _passed(knobs)
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                passed |= {(cls, name) for cls, name, _ in knobs if name == node.attr}
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "replace":
+                keywords = {kw.arg for kw in node.keywords}
+                passed |= {(cls, name) for cls, name, _ in knobs if name in keywords}
+    unset = sorted(f"{cls}.{name}" for cls, name, _ in knobs
+                   if (cls, name) not in passed)
+    assert not unset, f"dataclass field defaults no program code overrides: {unset}"
 
 
 # the functions that may allocate a dense square matrix: L itself, for the

@@ -75,11 +75,10 @@ def test_wp_sections_closed_form_three_two(ref_a32):
 
 
 def test_wp_sections_lognorm_pole_structure(ref_a):
-    # log_norm = smooth_log_norm + pole_zero log x_b + pole_one log(1 - x_b):
-    # the canonical frame dies at x_b = 1 only
+    # log_norm = smooth_log_norm + pole_one log(1 - x_b): the canonical
+    # frame dies at x_b = 1 only, to the order lambda a of the weight's pole
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
-    assert fam.pole_zero == 0.0
-    assert fam.pole_one > 0.0
+    assert fam.pole_one == float(ref_a.consts.lam * ref_a.spec.a) > 0.0
     assert np.isfinite(fam.smooth_log_norm).all()
     wp = wp_from_sections(ref_a, fam)
     assert np.isfinite(wp.wp_fs).all()         # the form itself is regular
@@ -93,29 +92,12 @@ def test_wp_constant_family_rescale_invariance(ref_b):
     wp1 = wp_from_sections(ref_b, fam)
     wp5 = wp_from_sections(ref_b, fam5)
     # the log integrals shift by the constant 2 log(5) / beta; the pole
-    # exponents do not move
-    assert (fam5.pole_zero, fam5.pole_one) == (fam.pole_zero, fam.pole_one)
+    # exponent does not move
+    assert fam5.pole_one == fam.pole_one
     shift = fam5.smooth_log_norm - fam.smooth_log_norm
     expect = 2.0 * math.log(5.0) / float(ref_b.consts.beta)
     assert np.abs(shift - expect).max() < 1e-12
     assert np.abs(wp5.wp_base - wp1.wp_base).max() < 1e-12
-
-
-def test_wp_frame_change_invariance(ref_b):
-    # the opposite-chart frame F = z_b^M changes the weight by exact log
-    # poles whose invariant Hessian vanishes; the form must not move
-    deg = int(float(ref_b.consts.lam * ref_b.spec.a) * ref_b.consts.beta)
-    wp1 = wp_from_sections(ref_b, volume_family_from_sections(ref_b, canonical(ref_b)))
-    for power in (1, deg):
-        spec = SectionFamilySpec(alpha=ref_b.consts.alpha,
-                                 beta=ref_b.consts.beta, f_power=power)
-        wp2 = wp_from_sections(ref_b, volume_family_from_sections(ref_b, spec))
-        assert np.abs(wp2.wp_base - wp1.wp_base).max() < 1e-12
-    # the full-degree twist moves the log-norm pole to the other end
-    spec = SectionFamilySpec(alpha=ref_b.consts.alpha, beta=ref_b.consts.beta,
-                             f_power=deg)
-    fam = volume_family_from_sections(ref_b, spec)
-    assert fam.pole_one == pytest.approx(0.0, abs=1e-14)
 
 
 def test_wp_weight_constant_shift(ref_b):
