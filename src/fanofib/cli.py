@@ -7,8 +7,8 @@ import sys
 
 from .errors import FanofibError
 from .model import derive_constants
-from .pipeline import ALL_CHECKS, PipelineStageError, load_config, run_pipeline
-from .report import console_table, emit_report
+from .pipeline import ALL_CHECKS, PIPELINES, PipelineStageError, load_config, run_pipeline
+from .report import _num, console_table, emit_report
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -16,7 +16,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", action="append", default=None, metavar="NxM",
                    help="grid size, repeatable for refinement lists")
     p.add_argument("--out", default=None, help="output directory for artifacts")
-    p.add_argument("--pipeline", choices=["spr", "ske", "both"], default=None)
+    p.add_argument("--pipeline", choices=PIPELINES, default=None)
 
 
 def _build_config(args, extra=None):
@@ -60,14 +60,8 @@ def main(argv=None) -> int:
                          if v is not None}
             cfg = load_config(args.config, overrides)
             consts = derive_constants(cfg.model_spec(cfg.grids[0]))
-            for key in ("eT", "lam", "kappa"):
-                value = getattr(consts, key)
-                print(f"{key} = {value.numerator}/{value.denominator}")
-            print(f"T = {consts.T!r}")
-            for key in ("k", "kprime", "alpha", "beta", "p", "q", "r"):
-                print(f"{key} = {getattr(consts, key)}")
-            d0, d1 = consts.D_class
-            print(f"D_class = ({d0}, {d1})")
+            for key, value in consts.by_name().items():
+                print(f"{key} = {_num(value)}")
             return 0
 
         extra = {"checks": args.name} if args.command == "check" else None

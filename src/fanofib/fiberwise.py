@@ -233,9 +233,9 @@ class FiberVerifyReport:
 
     forward_residual_sup: float   # independent higher-order audit
     positivity_margin: float
-    weight_forward_sup: float | None = None   # fiberwise curvature of the
-                                              # Einstein Hermitian weight
-    exp_l2_diagnostic: float | None = None
+    weight_forward_sup: float | None   # fiberwise curvature of the Einstein
+                                       # Hermitian weight; None for spr
+    exp_l2_diagnostic: float | None
 
 
 def verify_fiber_family(ref: ReferenceGeometry,

@@ -77,6 +77,13 @@ class DerivedConstants:
     q: int
     r: int
 
+    def by_name(self) -> dict:
+        """The constants by their names in report.json and ``fanofib constants``."""
+        return {"eT": self.eT, "T": self.T, "lambda": self.lam,
+                "kappa": self.kappa, "k": self.k, "kprime": self.kprime,
+                "alpha": self.alpha, "beta": self.beta, "D_base": self.D_class[0],
+                "D_fiber": self.D_class[1], "p": self.p, "q": self.q, "r": self.r}
+
 
 def derive_constants(spec: ModelSpec) -> DerivedConstants:
     """Exact rational arithmetic throughout; see DerivedConstants."""

@@ -104,6 +104,15 @@ def _tokens(key: str, raw) -> list[str]:
     return [t for t in tokens if t]
 
 
+def _once(key: str, tokens: list[str], parse) -> tuple:
+    """``parse`` of each token; ConfigError if two give the same item."""
+    items = [parse(t) for t in tokens]
+    twice = [t for i, t in enumerate(tokens) if items[i] in items[:i]]
+    if twice:
+        raise ConfigError(f"{key} lists {twice[0]!r} twice")
+    return tuple(items)
+
+
 def _number(key: str, raw, parse, what: str):
     """``parse(raw)`` if that gives a finite number, else ConfigError."""
     try:
@@ -129,7 +138,7 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
     if "warp_shape" in m:
         kw["warp_shape"] = str(m.pop("warp_shape"))
     if "grids" in m:
-        kw["grids"] = tuple(_parse_grid(t) for t in _tokens("grids", m.pop("grids")))
+        kw["grids"] = _once("grids", _tokens("grids", m.pop("grids")), _parse_grid)
     if "pipeline" in m:
         p = str(m.pop("pipeline"))
         if p not in PIPELINES:
@@ -140,7 +149,7 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
         unknown = [n for n in names if n not in ALL_CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; available {ALL_CHECKS}")
-        kw["checks"] = tuple(names)
+        kw["checks"] = _once("checks", names, str)
     if m:
         raise ConfigError(f"unknown configuration keys {sorted(map(str, m))}")
     cfg = PipelineConfig(**kw)
@@ -168,7 +177,7 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
     mapping = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
         mapping = parse_config(text)
@@ -200,13 +209,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
     stage = "derive_constants"
     try:
         consts = derive_constants(config.model_spec(config.grids[0]))
-        report.constants = {"eT": consts.eT, "T": consts.T, "lambda": consts.lam,
-                            "kappa": consts.kappa, "k": consts.k,
-                            "kprime": consts.kprime, "alpha": consts.alpha,
-                            "beta": consts.beta,
-                            "D_base": consts.D_class[0],
-                            "D_fiber": consts.D_class[1],
-                            "p": consts.p, "q": consts.q, "r": consts.r}
+        report.constants = consts.by_name()
         for grid_pair in config.grids:
             stage = f"grid {grid_pair}"
             laps = _Laps()

@@ -28,8 +28,8 @@ class CheckRecord:
     tolerance: float
     passed: bool
     grade: str               # tolerance grade, in memory only like wall_time
-    values: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    values: dict
+    wall_time: float
 
 
 @dataclass(eq=False)
@@ -38,10 +38,10 @@ class Report:
     constants: dict
     grids: list
     checks: list
+    provenance: dict
     records: list = field(default_factory=list)
     orders: dict = field(default_factory=dict)
     profiles: dict = field(default_factory=dict)   # (pipeline, grid) -> columns
-    provenance: dict = field(default_factory=dict)
     error: dict | None = None
 
     @property

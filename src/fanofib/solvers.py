@@ -12,10 +12,8 @@ row of L is a difference of two fluxes a_{i+1/2} (u_{i+1} - u_i) / h^2
 closed form: one cumulative sum of the source gives the fluxes, a 2x2
 system shared by all columns fixes the first flux and the border
 multiplier, and a second cumulative sum gives the solution, written into
-the source array: the solve holds one row block beside it.  Each column
-sees the same IEEE operations in the same order whatever is stacked
-beside it, so every run is bit-deterministic and a stacked solve equals
-the single ones exactly.
+the source array: the solve holds one row block beside it.  The sums
+run in a fixed order, so every run is bit-deterministic.
 
 Newton takes a Jacobian that is either a dense array, solved by LAPACK,
 or any operator with ``@`` and ``solve``.  The base Monge-Ampere
@@ -32,7 +30,7 @@ configuration one is, and the line search rejects it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,18 +162,6 @@ def poisson_system(grid: Grid, axis_name: str) -> PoissonSystem:
                          np.linalg.inv(system) @ rhs_weights)
 
 
-def _weighted_row_sum(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] * v[i] for every column, adding the rows in order.
-
-    With several columns einsum runs the columns as its inner loop and adds
-    the rows one after another; a single column it would sum pairwise, so
-    that case runs the same sequence through accumulate.
-    """
-    if v.shape[1] == 1:
-        return np.add.accumulate(weights * v[:, 0])[-1:]
-    return np.einsum("i,ij->j", weights, v)
-
-
 # each column's compatibility integral must vanish to this much of its scale
 _COMPATIBILITY_TOL = 1e-8
 
@@ -185,16 +171,19 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
     """Solve (x(1-x) d_x)^2 u = x(1-x) rhs_fs with mean-zero gauge,
     int u dx = 0.
 
-    ``rhs_fs`` holds the FS-relative density of the source form; columns
-    of a 2D argument are independent problems.  The compatibility integral
-    of every column must vanish to ``_COMPATIBILITY_TOL * scale``.  The
-    scale defaults to sup|rhs|, with rhs = x(1-x) rhs_fs the log-frame
-    coefficient of the source; a caller whose source is a difference of
-    larger terms passes their size per column instead, since the integral
-    carries the roundoff of those terms; it must be non-finite in every
-    column whose source is.  The result solves the bordered system
-    [[L, 1], [w, 0]] [u, mu] = [rhs_fs, 0]: the border multiplier mu
-    absorbs the O(h^2) discrete incompatibility.
+    ``rhs_fs`` holds the FS-relative density of the source form, one
+    independent problem per column of a 2D array.  A single column, shape
+    (n+1, 1), is solved correctly, but its Simpson gauge (one einsum) may
+    add in another order than in a stack, so its last bits may differ.
+    The compatibility integral of every column must vanish to
+    ``_COMPATIBILITY_TOL * scale``.  The scale defaults to sup|rhs|, with
+    rhs = x(1-x) rhs_fs the log-frame coefficient of the source; a caller
+    whose source is a difference of larger terms passes their size per
+    column instead, since the integral carries the roundoff of those
+    terms; it must be non-finite in every column whose source is.  The
+    result solves the bordered system [[L, 1], [w, 0]] [u, mu] =
+    [rhs_fs, 0]: the border multiplier mu absorbs the O(h^2) discrete
+    incompatibility.
 
     The solution is written into the source, as a float array, and that
     array is returned: the solve holds nothing beside it but a few rows
@@ -206,10 +195,9 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
     constant, and the Simpson weights fix the constant.  Both sums run
     in row blocks, carried from block to block in row order.
     """
-    out = np.asarray(rhs_fs, dtype=float)
     # the source, then the solution, as (n+1, columns); the source is read
     # only before the first running sum overwrites it
-    work = out if out.ndim == 2 else out[:, None]
+    work = np.asarray(rhs_fs, dtype=float)
     n = grid.n(axis_name)
     width = work.shape[1]
     if scale is None:
@@ -264,8 +252,8 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
             part[0] += total
         np.add.accumulate(part, axis=0, out=part)
         total = part[-1]
-    work -= _weighted_row_sum(weights, work)        # Simpson gauge
-    return out
+    work -= np.einsum("i,ij->j", weights, work)        # Simpson gauge
+    return work
 
 
 # the residual sup-norm at which the fiber and base Newton solves stop
@@ -275,8 +263,8 @@ NEWTON_TOL = 1e-11
 @dataclass(eq=False)
 class NewtonResult:
     x: np.ndarray
-    trace: list = field(default_factory=list)
-    iterations: int = 0
+    trace: list
+    iterations: int
 
 
 def _probe_direction(n: int) -> np.ndarray:
@@ -309,8 +297,9 @@ def newton_semilinear(residual_fn, jacobian_fn, init, max_iter: int = 40,
     such as a ``BandedMatrix``.
 
     Returns once the sup-norm of the residual is at most ``NEWTON_TOL``,
-    the one tolerance of every Newton solve; raises NonConvergence (with
-    the trace attached) on stagnation or iteration exhaustion.
+    the one tolerance of every Newton solve, tested before each of at most
+    ``max_iter`` steps and after the last; raises NonConvergence (with the
+    trace attached) on stagnation or iteration exhaustion.
     """
     x = np.array(init, dtype=float)
     if probe:
@@ -318,9 +307,12 @@ def newton_semilinear(residual_fn, jacobian_fn, init, max_iter: int = 40,
     res = residual_fn(x)
     norm = float(np.abs(res).max())
     trace = [norm]
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         if norm <= NEWTON_TOL:
             return NewtonResult(x, trace, it)
+        if it == max_iter:
+            raise NonConvergence(f"no convergence in {max_iter} iterations "
+                                 f"(last residual {norm:.3e})", trace)
         J = jacobian_fn(x)
         try:
             step = (J.solve(-res) if hasattr(J, "solve")
@@ -339,7 +331,3 @@ def newton_semilinear(residual_fn, jacobian_fn, init, max_iter: int = 40,
             raise NonConvergence(f"line search stalled at iteration {it}", trace)
         x, res, norm = x_try, res_try, norm_try
         trace.append(norm)
-    if norm <= NEWTON_TOL:
-        return NewtonResult(x, trace, max_iter)
-    raise NonConvergence(f"no convergence in {max_iter} iterations "
-                         f"(last residual {norm:.3e})", trace)

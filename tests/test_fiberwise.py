@@ -226,7 +226,7 @@ def _einstein_newton_inputs(n_fiber, monkeypatch):
 
     def capture(residual, jacobian, init, **kwargs):
         captured.append((residual, jacobian))
-        return NewtonResult(np.array(init))
+        return NewtonResult(np.array(init), [], 0)
 
     monkeypatch.setattr(fiberwise, "newton_semilinear", capture)
     fiberwise._ske_single_fiber(L, BandedMatrix(lap_bands(grid, FIBER)), wk,

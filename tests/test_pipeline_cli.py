@@ -61,6 +61,15 @@ def test_load_config_file(tmp_path):
     assert cfg.pipeline == "ske"   # the overrides take precedence
 
 
+def test_load_config_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    # editors on Windows save UTF-8 with a BOM, which must not end up in
+    # the first key
+    text = MODEL_B + "grids = 32x32\n"
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(text.encode("utf-8-sig"))
+    assert load_config(bom) == load_config(write_cfg(tmp_path, text))
+
+
 FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 # the fixed gates, which the provenance digest keeps under their former keys
 GATES = {"newton_tol": NEWTON_TOL, "residual_tol": TRUNCATION_FLOOR,
@@ -132,6 +141,16 @@ def test_cli_rejects_a_repeated_key(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "'a'" in err and "line 1" in err and "line 3" in err
+
+
+def test_cli_rejects_a_repeated_grid_flag(tmp_path, capsys):
+    # a run would compute the cell twice; grids compare as parsed
+    cfg = write_cfg(tmp_path, MODEL_A)
+    code = main(["run", "--config", cfg, "--grid", "32x32", "--grid", "32X32"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: grids lists '32X32' twice\n"
 
 
 def test_cli_grid_overrides_the_file(tmp_path):
@@ -500,6 +519,8 @@ def test_cli_rejects_malformed_number(tmp_path, capsys, line):
     ("n_fiber = 48", "unknown configuration keys ['n_fiber']"),
     ("grids = ", "grids"), ("warp_shape = nope", "warp_shape"),
     ("warp_amplitude = -0.1", "warp_amplitude"), ("c = 2", "a > c"),
+    ("grids = 32x32, 64x64, 32X32", "grids lists '32X32' twice"),
+    ("checks = fiber, gprime, fiber", "checks lists 'fiber' twice"),
     # the gates are fixed: a key that would loosen one is no key
     ("newton_tol = 1", "unknown configuration keys ['newton_tol']"),
     ("residual_tol = 1", "unknown configuration keys ['residual_tol']"),
@@ -518,7 +539,7 @@ def test_cli_rejects_invalid_setting(tmp_path, capsys, line, key):
 
 @pytest.mark.parametrize("argv, text", [
     (["run"], "checks = wpl_fs\npipeline = ske\n"),
-    (["run", "--pipeline", "ske"], "checks = wpl_fs, wpl_fs\n"),
+    (["run", "--pipeline", "ske"], "checks = wpl_fs\n"),
     (["check", "wpl_fs", "--pipeline", "ske"], "")],
     ids=["config", "config-and-flag", "check-command"])
 def test_cli_rejects_checks_that_record_nothing_for_the_pipeline(

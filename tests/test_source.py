@@ -47,6 +47,25 @@ def test_imports_only_stdlib_and_numpy(path):
     assert not foreign, f"{path.name} imports {foreign}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    # a name imported at the top of a module and never read there is a
+    # dependency kept for nothing, such as a re-export that no module
+    # imports; ``from __future__`` imports are compiler directives
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert not imported - read, (
+        f"{path.name} imports names it never reads: {sorted(imported - read)}")
+
+
 def _benchmark_functions() -> dict[str, set[str]]:
     """layer -> the functions BENCHMARK.json names per-layer metrics of."""
     per_layer = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
@@ -200,20 +219,26 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         f"allowed unturned knobs that are not: {sorted(UNTURNED_KNOBS - unturned)}")
 
 
-def _field_defaults(tree: ast.Module):
-    """(class name, field, positional index) for every field of a dataclass
-    whose default is a value; a ``field(...)`` default, such as the
-    accumulator ``field(default_factory=list)``, is not one."""
+def _dataclass_fields(tree: ast.Module):
+    """(class name, field, positional index, default expression or None)
+    for every field of a dataclass."""
     for cls in tree.body:
         if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
             continue
         fields = [item for item in cls.body
                   if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
         for index, item in enumerate(fields):
-            default = item.value
-            if default is not None and not (isinstance(default, ast.Call) and
-                                            getattr(default.func, "id", None) == "field"):
-                yield cls.name, item.target.id, index
+            yield cls.name, item.target.id, index, item.value
+
+
+def _field_defaults(tree: ast.Module):
+    """(class name, field, positional index) for every field of a dataclass
+    whose default is a value; a ``field(...)`` default, such as the
+    accumulator ``field(default_factory=list)``, is not one."""
+    for cls, name, index, default in _dataclass_fields(tree):
+        if default is not None and not (isinstance(default, ast.Call) and
+                                        getattr(default.func, "id", None) == "field"):
+            yield cls, name, index
 
 
 def test_every_defaulted_dataclass_field_is_set_somewhere():
@@ -237,6 +262,41 @@ def test_every_defaulted_dataclass_field_is_set_somewhere():
     unset = sorted(f"{cls}.{name}" for cls, name, _ in knobs
                    if (cls, name) not in passed)
     assert not unset, f"dataclass field defaults no program code overrides: {unset}"
+
+
+def _constructions(tree: ast.Module):
+    """(class name, call) for every call that may construct a class: a call
+    by the class's name, or ``cls(...)`` inside the class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, call) for call in ast.walk(node)
+                        if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "cls")
+        elif isinstance(node, ast.Call):
+            yield getattr(node.func, "id", getattr(node.func, "attr", None)), node
+
+
+def test_every_dataclass_field_default_is_taken_somewhere():
+    # the converse of the lint above: a default, a value or a ``field(...)``,
+    # that every construction of the program overrides is a value no run
+    # has used, kept for the constructions of unit tests.  A construction
+    # with *args or **kwargs counts as taking every default
+    defaults = [(cls, name, index) for path in SOURCES
+                for cls, name, index, default
+                in _dataclass_fields(ast.parse(path.read_text()))
+                if default is not None]
+    taken = set()
+    for path in PROGRAM:
+        for cls, call in _constructions(ast.parse(path.read_text())):
+            every = (any(isinstance(arg, ast.Starred) for arg in call.args)
+                     or any(kw.arg is None for kw in call.keywords))
+            keywords = {kw.arg for kw in call.keywords}
+            taken |= {(c, name) for c, name, index in defaults if c == cls and
+                      (every or (index >= len(call.args) and name not in keywords))}
+    untaken = sorted(f"{cls}.{name}" for cls, name, _ in defaults
+                     if (cls, name) not in taken)
+    assert not untaken, (
+        f"dataclass field defaults no program construction takes: {untaken}")
 
 
 # the functions that may allocate a dense square matrix: L itself, for the
