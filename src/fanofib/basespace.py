@@ -26,10 +26,6 @@ from .wpform import WPResult
 VARIANT_B = "B"
 VARIANT_BPRIME = "Bprime"
 
-# the exponents of the L^p norms of G'; LP_EPS in (0, 1) keeps them apart
-LP_EPS = 0.1
-LP_EXPONENTS = (1.0, 1.0 + LP_EPS, 2.0)
-
 
 # ---------------------------------------------------------------------------
 # push-forward and the fiber-averaged density
@@ -69,7 +65,6 @@ class GprimeReport:
     variant: str
     gprime: np.ndarray
     delta_lower: float
-    lp_norms: dict
     normalization_defect: float
     adjoint_defect: float
     volume_scale: float      # s of Omega' = s e^{-lambda rho} Omega (ske), else 1
@@ -133,7 +128,8 @@ def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution):
 
 def compute_gprime(ref: ReferenceGeometry,
                    fiber_sol: FiberFamilySolution) -> GprimeReport:
-    """G' = f_* Omega / (V eta) as a base profile with its L^p diagnostics.
+    """G' = f_* Omega / (V eta) as a base profile, with the defects of its
+    unit mean and of the push-forward's adjoint identity, both exact.
 
     The fiber family picks the volume: the Einstein family pushes forward
     its twisted volume Omega', the prescribed-Ricci family pushes forward
@@ -146,13 +142,9 @@ def compute_gprime(ref: ReferenceGeometry,
     if np.any(gprime <= 0.0):
         raise PositivityError("push-forward density lost positivity; "
                               "upstream data corrupted")
-    lp = {}
-    for p in LP_EXPONENTS:
-        lp[p] = float((TWO_PI * ref.eta_fs *
-                       simpson(grid, BASE, gprime**p))**(1.0 / p))
     defect = abs(simpson(grid, BASE, gprime) - 1.0)
     return GprimeReport(variant=fiber_sol.kind, gprime=gprime,
-                        delta_lower=float(gprime.min()), lp_norms=lp,
+                        delta_lower=float(gprime.min()),
                         normalization_defect=float(defect),
                         adjoint_defect=adjoint, volume_scale=scale)
 

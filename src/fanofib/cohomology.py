@@ -24,7 +24,6 @@ _C1_P1 = Fraction(2)
 @dataclass(eq=False)
 class CohomReport:
     measured: float
-    expected: float
     defect: float
     relative: float
     exact_defect: Fraction | None = None
@@ -32,7 +31,7 @@ class CohomReport:
 
 def _compare(measured: float, expected: float) -> CohomReport:
     defect = abs(measured - expected)
-    return CohomReport(measured=measured, expected=expected, defect=defect,
+    return CohomReport(measured=measured, defect=defect,
                        relative=defect / abs(expected))
 
 
@@ -60,7 +59,6 @@ def check_total_identity(ref: ReferenceGeometry, wp: WPResult
     spec, consts = ref.spec, ref.consts
     fiber_defect = _C1_P1 - consts.lam * spec.c
     fiber = CohomReport(measured=float(TWO_PI * consts.lam * spec.c),
-                        expected=float(TWO_PI * _C1_P1),
                         defect=float(abs(fiber_defect)) * TWO_PI,
                         relative=float(abs(fiber_defect)) / 2.0,
                         exact_defect=fiber_defect)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (TWO_PI, _audit_halo, _audit_rows, _audit_weights, _col_max,
-                       _lap_fiber, _row_blocks, _simpson_of_rows, _simpson_rows,
-                       lap_bands, lap_matrix, simpson_columns)
+from .calculus import (_audit_halo, _audit_rows, _audit_weights, _col_max,
+                       _lap_fiber, _row_blocks, lap_bands, lap_matrix,
+                       simpson_columns)
 from .errors import FanofibError
 from .grids import FIBER
 from .model import ReferenceGeometry, checked_volume
@@ -228,14 +228,14 @@ class FiberVerifyReport:
 
     The solver residual and the volume defect are the family's own
     ``residual_sup`` and ``volume_defect``; the audit adds what the
-    solver does not measure.
+    solver does not measure.  ``fiber_forward`` gates the maximum of its
+    residuals and the section family's fiber Ricci check.
     """
 
     forward_residual_sup: float   # independent higher-order audit
     positivity_margin: float
     weight_forward_sup: float | None   # fiberwise curvature of the Einstein
                                        # Hermitian weight; None for spr
-    exp_l2_diagnostic: float | None
 
 
 def verify_fiber_family(ref: ReferenceGeometry,
@@ -244,11 +244,12 @@ def verify_fiber_family(ref: ReferenceGeometry,
 
     The forward residual is measured with an independent higher-order
     discretization, so it reflects the distance to the continuum solution
-    rather than the solver's own fixed point.  The audit runs in row
-    blocks: log u is taken on the rows each block's stencils read, and
-    every residual is reduced to per-column maxima as it is formed.  A
-    fiber potential, Einstein weight residual or exp_l2 diagnostic that is
-    not finite raises FanofibError: the later stages would read it.
+    rather than the solver's own fixed point; for the Einstein family the
+    same stencil checks that the curvature of its weight phi_L + rho
+    reproduces the fiber metric.  The audit runs in row blocks, reducing
+    every residual to per-column maxima as it is formed.  A fiber
+    potential that is not finite raises FanofibError: the later stages
+    would read it; a non-finite residual fails its record.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -259,7 +260,6 @@ def verify_fiber_family(ref: ReferenceGeometry,
     g, gp = grid.g_f, grid.gp_f
     weights = _audit_weights(grid.h(FIBER))
     forward = curv_gap = None
-    rows = np.empty(n + 1)
     for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
         s, e = _audit_halo(lo, hi, n)
         ric_fs = _audit_rows(np.log(u[s:e]), lo, hi, g, gp, weights, s, n)
@@ -275,19 +275,6 @@ def verify_fiber_family(ref: ReferenceGeometry,
             curv -= u[lo:hi]
             curv_gap = _col_max(curv_gap, np.abs(curv, out=curv))
             del curv
-            weight = -2.0 * lam * rho[lo:hi]
-            np.exp(weight, out=weight)
-            weight *= ref.Omega[lo:hi]
-            rows[lo:hi] = _simpson_rows(grid, weight)
-
-    weight_forward = exp_l2 = None
-    if sol.kind == SKE:
-        weight_forward = float(curv_gap.max())
-        exp_l2 = float(np.sqrt(TWO_PI**2 * _simpson_of_rows(grid, rows)))
-        if not (math.isfinite(weight_forward) and math.isfinite(exp_l2)):
-            raise FanofibError(f"Einstein weight audit is not finite: weight "
-                               f"residual {weight_forward}, exp_l2 {exp_l2}")
-    return FiberVerifyReport(forward_residual_sup=float(forward.max()),
-                             positivity_margin=float(u.min()),
-                             weight_forward_sup=weight_forward,
-                             exp_l2_diagnostic=exp_l2)
+    return FiberVerifyReport(
+        forward_residual_sup=float(forward.max()), positivity_margin=float(u.min()),
+        weight_forward_sup=None if curv_gap is None else float(curv_gap.max()))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cohomology
-from .basespace import (LP_EPS, VARIANT_B, VARIANT_BPRIME, compute_gprime,
+from .basespace import (VARIANT_B, VARIANT_BPRIME, compute_gprime,
                         check_g_descends, integrated_ma_defect, solve_base_ma,
                         twisted_ke_residual, volume_identity_residual,
                         wpl_fs_residual)
@@ -56,7 +56,8 @@ class PipelineConfig:
 
     def as_mapping(self) -> dict:
         """The fields, and the fixed gates under the keys they had as
-        fields, so that a run's ``config_sha256`` keeps its value."""
+        fields (``eps_lp`` is no longer used), so that a run's
+        ``config_sha256`` keeps its value."""
         return {"a": str(self.a), "c": str(self.c),
                 "warp_amplitude": self.warp_amplitude,
                 "warp_shape": self.warp_shape,
@@ -64,7 +65,7 @@ class PipelineConfig:
                 "pipeline": self.pipeline, "checks": list(self.checks),
                 "newton_tol": NEWTON_TOL, "residual_tol": TRUNCATION_FLOOR,
                 "quadrature_tol": EXACT_TOL,
-                "h2_constant": TRUNCATION_CONSTANT, "eps_lp": LP_EPS}
+                "h2_constant": TRUNCATION_CONSTANT, "eps_lp": 0.1}
 
 
 def parse_config(text: str) -> dict:
@@ -263,22 +264,19 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
     grid = ref.grid
 
     fiber = solve_spr(ref) if kind == SPR else solve_ske(ref)
+    family = volume_family_from_sections(
+        ref, SectionFamilySpec.canonical(ref.consts), fiber)
 
     if "fiber" in cfg.checks:
         audit = verify_fiber_family(ref, fiber)
-        values = {"solver_residual": fiber.residual_sup,
-                  "volume_defect": fiber.volume_defect,
-                  "positivity_margin": audit.positivity_margin}
+        _record(report, grid, kind, "fiber_solver",
+                np.max([fiber.residual_sup, fiber.volume_defect]), _EXACT, laps,
+                positivity_margin=audit.positivity_margin)
+        forward = [audit.forward_residual_sup, family.ric_defect]
         if audit.weight_forward_sup is not None:
-            values["weight_forward"] = audit.weight_forward_sup
-            values["exp_l2"] = audit.exp_l2_diagnostic
-        _record(report, grid, kind, "fiber_solver", fiber.residual_sup,
-                _EXACT, laps, **values)
-        _record(report, grid, kind, "fiber_forward",
-                audit.forward_residual_sup, _TRUNC, laps)
+            forward.append(audit.weight_forward_sup)
+        _record(report, grid, kind, "fiber_forward", np.max(forward), _TRUNC, laps)
 
-    family = volume_family_from_sections(
-        ref, SectionFamilySpec.canonical(ref.consts), fiber)
     wp_sections = wp_from_sections(ref, family)
     wp_residual = wp_from_residual(ref, fiber)
 
@@ -286,18 +284,14 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
         diff = float(np.abs(wp_sections.wp_base -
                             wp_residual.wp_base).max())
         _record(report, grid, kind, "wp_routes", diff, _TRUNC, laps,
-                verticality_defect=wp_residual.verticality_defect,
-                ric_defect=family.ric_defect,
-                wp_fs_min=float(wp_sections.wp_fs.min()))
+                verticality_defect=wp_residual.verticality_defect)
 
     gprime = compute_gprime(ref, fiber)
     if "gprime" in cfg.checks:
-        gp = gprime
-        descend = check_g_descends(ref, fiber, gp)
-        _record(report, grid, kind, "gprime", gp.normalization_defect,
-                _EXACT, laps, delta_lower=gp.delta_lower,
-                adjoint_defect=gp.adjoint_defect,
-                **{f"lp_{p:g}": v for p, v in gp.lp_norms.items()})
+        descend = check_g_descends(ref, fiber, gprime)
+        _record(report, grid, kind, "gprime",
+                np.max([gprime.normalization_defect, gprime.adjoint_defect]),
+                _EXACT, laps, delta_lower=gprime.delta_lower)
         _record(report, grid, kind, "g_descends",
                 float(np.max([descend.vertical_oscillation,
                               descend.pullback_defect])),
@@ -309,11 +303,11 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
     if "base_ma" in cfg.checks:
         for sol in (sol_b, sol_bp):
             _record(report, grid, kind, f"base_ma[{sol.variant}]",
-                    sol.forward_residual, _EXACT, laps,
+                    np.max([sol.forward_residual,
+                            integrated_ma_defect(ref, gprime, sol)]), _EXACT, laps,
                     positivity_margin=sol.positivity_margin,
                     zeroth_order_min=sol.zeroth_order_min,
-                    iterations=sol.iterations,
-                    integrated_defect=integrated_ma_defect(ref, gprime, sol))
+                    iterations=sol.iterations)
 
     tke = {sol.variant: twisted_ke_residual(ref, sol, wp_sections)
            for sol in (sol_b, sol_bp)}
@@ -322,14 +316,13 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
             rep_r = twisted_ke_residual(ref, sol, wp_residual)
             _record(report, grid, kind, rep_r.name, rep_r.relative,
                     _TRUNC, laps, residual_sections=tke[sol.variant].residual_sup,
-                    residual_routes=rep_r.residual_sup, scale=rep_r.scale)
+                    scale=rep_r.scale)
 
     if "wpl_fs" in cfg.checks and kind == SPR:
         rep = wpl_fs_residual(ref, wp_sections)
         rep_r = wpl_fs_residual(ref, wp_residual)
         _record(report, grid, kind, rep_r.name, rep_r.relative,
-                _TRUNC, laps, residual_sections=rep.residual_sup,
-                residual_routes=rep_r.residual_sup)
+                _TRUNC, laps, residual_sections=rep.residual_sup)
 
     if "volume_identities" in cfg.checks:
         for rep in volume_identity_residual(ref, fiber, wp_residual,
@@ -341,9 +334,8 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
         base = cohomology.check_base_identity(ref, wp_sections)
         fiber_rep, total = cohomology.check_total_identity(ref, wp_sections)
         _record(report, grid, kind, "cohomology",
-                float(np.max([base.relative, total.relative])), _TRUNC, laps,
-                base_measured=base.measured, base_expected=base.expected,
-                total_base_defect=total.defect,
+                np.max([base.relative, total.relative, fiber_rep.relative]), _TRUNC,
+                laps, total_base_defect=total.defect,
                 fiber_defect_exact=float(fiber_rep.exact_defect))
 
     report.profiles[(kind, (grid.n_fiber, grid.n_base))] = {

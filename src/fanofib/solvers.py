@@ -172,7 +172,8 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
     int u dx = 0.
 
     ``rhs_fs`` holds the FS-relative density of the source form, one
-    independent problem per column of a 2D array.  A single column, shape
+    independent problem per column of a 2D array of shape (n+1, columns);
+    any other shape raises ValueError.  A single column, shape
     (n+1, 1), is solved correctly, but its Simpson gauge (one einsum) may
     add in another order than in a stack, so its last bits may differ.
     The compatibility integral of every column must vanish to
@@ -199,6 +200,9 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
     # only before the first running sum overwrites it
     work = np.asarray(rhs_fs, dtype=float)
     n = grid.n(axis_name)
+    if work.ndim != 2 or work.shape[0] != n + 1:
+        raise ValueError(f"solve_poisson_1d: source of shape {work.shape}, "
+                         f"expected ({n + 1}, columns)")
     width = work.shape[1]
     if scale is None:
         # sup|rhs| per column, one row block at a time; a non-finite rhs

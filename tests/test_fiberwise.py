@@ -91,7 +91,6 @@ def test_ske_model_b(ref_b, ske_b):
     assert ske_b.volume_defect < 1e-10
     assert np.abs(ske_b.rho).max() > 1e-4          # nontrivial potential
     assert audit.weight_forward_sup is not None
-    assert audit.exp_l2_diagnostic > 0.0
 
 
 def test_ske_weight_forward_order():

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanofib import pipeline
-from fanofib.basespace import LP_EPS
 from fanofib.cli import main
 from fanofib.errors import ConfigError, NonConvergence
 from fanofib.fiberwise import SPR
@@ -74,7 +73,7 @@ FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 # the fixed gates, which the provenance digest keeps under their former keys
 GATES = {"newton_tol": NEWTON_TOL, "residual_tol": TRUNCATION_FLOOR,
          "quadrature_tol": EXACT_TOL, "h2_constant": TRUNCATION_CONSTANT,
-         "eps_lp": LP_EPS}
+         "eps_lp": 0.1}
 
 
 def fields_of(cfg):
@@ -337,6 +336,87 @@ def test_orders_divide_by_the_log_of_the_refinement_factor():
     assert half == math.log2(r32 / r64)
 
 
+def _replacing(name, field):
+    """A patch under which ``pipeline.<name>`` returns its result with
+    ``field`` replaced by the value."""
+    def patch(monkeypatch, value):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *args: dataclasses.replace(
+            real(*args), **{field: value}))
+    return patch
+
+
+def _integrated_ma_defect(monkeypatch, value):
+    monkeypatch.setattr(pipeline, "integrated_ma_defect", lambda *args: value)
+
+
+def _fiber_pairing(monkeypatch, value):
+    real = pipeline.cohomology.check_total_identity
+
+    def off(ref, wp):
+        fiber, base = real(ref, wp)
+        return dataclasses.replace(fiber, relative=value), base
+
+    monkeypatch.setattr(pipeline.cohomology, "check_total_identity", off)
+
+
+# one case per quantity folded into a record's residual, (check, pipeline,
+# record, value, patch): the producer reports 1e-6 to an exact-grade
+# record, 1.0 to a truncation-grade one, and the record must read that
+# value and fail
+FOLDS = {
+    "volume_defect": ("fiber", "spr", "fiber_solver", 1e-6,
+                      _replacing("solve_spr", "volume_defect")),
+    "weight_forward_sup": ("fiber", "ske", "fiber_forward", 1.0,
+                           _replacing("verify_fiber_family", "weight_forward_sup")),
+    "ric_defect": ("fiber", "spr", "fiber_forward", 1.0,
+                   _replacing("volume_family_from_sections", "ric_defect")),
+    "adjoint_defect": ("gprime", "spr", "gprime", 1e-6,
+                       _replacing("compute_gprime", "adjoint_defect")),
+    "integrated_ma_defect": ("base_ma", "spr", "base_ma", 1e-6, _integrated_ma_defect),
+    "fiber_pairing": ("cohomology", "spr", "cohomology", 1.0, _fiber_pairing),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(FOLDS))
+def test_a_folded_quantity_fails_its_record(monkeypatch, quantity):
+    check, kind, name, value, patch = FOLDS[quantity]
+    patch(monkeypatch, value)
+    rep = run_pipeline(config_from_mapping(
+        {"a": "2", "c": "1", "warp_amplitude": "0.2", "warp_shape": "fiber_cubic",
+         "grids": "32x32", "pipeline": kind, "checks": check}))
+    hit = [r for r in rep.records if r.name.split("[")[0] == name]
+    assert hit and all(r.residual == value and not r.passed for r in hit)
+
+
+def _values_classes() -> dict:
+    """The README's table of ``values`` keys: key -> list of (records, class)."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| `values` key | records | class |", 1)[1]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        key, records, cls = (cell.strip() for cell in line.strip("|").split("|")[:3])
+        rows.setdefault(key.strip("`"), []).append(
+            ({r.strip().strip("`") for r in records.split(",")}, cls))
+    return rows
+
+
+def test_every_values_key_has_one_class_in_the_readme():
+    classes = {"witness", "telemetry", "component", "gap", "pending"}
+    rows = _values_classes()
+    assert all(len(entries) == 1 and entries[0][1] in classes
+               for entries in rows.values()), rows
+    table = {(record, key) for key, ((records, _),) in rows.items()
+             for record in records}
+    rep = run_pipeline(config_from_mapping(
+        {"a": "2", "c": "1", "warp_amplitude": "0.2", "warp_shape": "fiber_cubic",
+         "grids": "32x32", "pipeline": "both"}))
+    emitted = {(r.name.split("[")[0], key) for r in rep.records for key in r.values}
+    assert emitted == table
+
+
 def test_record_wall_times_partition_the_run(monkeypatch):
     real = pipeline.wp_from_residual
 
@@ -406,6 +486,8 @@ def test_emit_and_golden_structure(tmp_path, model_a_report):
     got = {(r["name"], r["pipeline"]): r["passed"] for r in payload["records"]}
     expect = {(r["name"], r["pipeline"]): r["passed"] for r in golden["records"]}
     assert got == expect
+    assert ({(r["name"], r["pipeline"]): sorted(r["values"]) for r in payload["records"]}
+            == {(r["name"], r["pipeline"]): sorted(r["values"]) for r in golden["records"]})
     assert sorted(payload) == sorted(golden)
 
 

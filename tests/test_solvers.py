@@ -107,6 +107,12 @@ def test_poisson_rejects_a_non_finite_source(row, value):
             solve_poisson_1d(g, FIBER, fs[:, 1:2])
 
 
+@pytest.mark.parametrize("shape", [(33,), (32, 1), (33, 1, 1)])
+def test_poisson_rejects_a_source_not_of_shape_n_plus_1_by_columns(shape):
+    with pytest.raises(ValueError, match=r"expected \(33, columns\)"):
+        solve_poisson_1d(Grid(32, 32), FIBER, np.zeros(shape))
+
+
 def test_poisson_stacked_columns_match_single():
     g = Grid(32, 32)
     x = g.nodes_f
