@@ -263,42 +263,41 @@ def integrated_ma_defect(ref: ReferenceGeometry, gprime: GprimeReport,
 class ResidualReport:
     name: str
     residual_sup: float
-    scale: float
-    relative: float
+    relative: float          # residual_sup over the equation's scale
     extra: dict
     field: np.ndarray | None = None   # the residual on the base grid
 
 
 def twisted_ke_residual(ref: ReferenceGeometry, sol: BaseMetricSolution,
                         wp: WPResult) -> ResidualReport:
-    """Sup-norm of Ric(omega) + omega [+ lambda eta] - wp over the base."""
+    """Sup-norm of Ric(omega) + omega [+ lambda eta] - wp over the base: an
+    identity up to roundoff and the Newton tolerance on the sections route's
+    ``wp``; the residual route's field is this plus wp_sections - wp_residual."""
     grid = ref.grid
     g = grid.g_b
-    lam = float(ref.consts.lam)
-    kappa = float(ref.eta_fs)
     ric_fs = 2.0 - lap(grid, np.log(sol.dens_fs), BASE)
     res_fs = ric_fs + sol.dens_fs - wp.wp_fs
     if sol.variant == VARIANT_B:
-        res_fs = res_fs + lam * kappa
+        res_fs = res_fs + float(ref.consts.lam) * float(ref.eta_fs)
     res = g * res_fs
     scale = float(np.abs(g * sol.dens_fs).max())
     sup = float(np.abs(res).max())
     return ResidualReport(name=f"twisted_ke[{sol.variant}]", residual_sup=sup,
-                          scale=scale, relative=sup / scale, extra={}, field=res)
+                          relative=sup / scale, extra={}, field=res)
 
 
 def wpl_fs_residual(ref: ReferenceGeometry, wp: WPResult) -> ResidualReport:
-    """Residual of -Ric(f_* Omega) + wp = (lambda + 1) eta on the base."""
+    """Residual of -Ric(f_* Omega) + wp = (lambda + 1) eta on the base; like
+    ``twisted_ke_residual`` an identity up to roundoff on the sections route."""
     grid = ref.grid
     g = grid.g_b
     lam_plus = float(ref.consts.lam + 1)
-    push = fiber_integral(grid, ref.Omega)
-    ric_fs = 2.0 - lap(grid, np.log(push), BASE)
+    ric_fs = 2.0 - lap(grid, np.log(fiber_integral(grid, ref.Omega)), BASE)
     res = g * (-ric_fs + wp.wp_fs - lam_plus * ref.eta_fs)
     scale = float(np.abs(g * lam_plus * ref.eta_fs).max())
     sup = float(np.abs(res).max())
-    return ResidualReport(name="wpl_fs", residual_sup=sup, scale=scale,
-                          relative=sup / scale, extra={})
+    return ResidualReport(name="wpl_fs", residual_sup=sup, relative=sup / scale,
+                          extra={})
 
 
 def _sup_about(lo: np.ndarray, hi: np.ndarray, centre) -> float:
@@ -386,6 +385,6 @@ def volume_identity_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolut
                 "gap_difference": _sup_about(f_lo - offset, f_hi - offset, 0.0)}
         which = _VOLUME_IDENTITY[fiber_sol.kind, sol.variant]
         reports.append(ResidualReport(
-            name=f"volume_identity[{which}]", residual_sup=sup, scale=scale,
+            name=f"volume_identity[{which}]", residual_sup=sup,
             relative=sup / scale, extra=gaps))
     return reports

@@ -312,17 +312,12 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
     tke = {sol.variant: twisted_ke_residual(ref, sol, wp_sections)
            for sol in (sol_b, sol_bp)}
     if "twisted_ke" in cfg.checks:
-        for sol in (sol_b, sol_bp):
-            rep_r = twisted_ke_residual(ref, sol, wp_residual)
-            _record(report, grid, kind, rep_r.name, rep_r.relative,
-                    _TRUNC, laps, residual_sections=tke[sol.variant].residual_sup,
-                    scale=rep_r.scale)
+        for rep in tke.values():
+            _record(report, grid, kind, rep.name, rep.relative, _TRUNC, laps)
 
     if "wpl_fs" in cfg.checks and kind == SPR:
         rep = wpl_fs_residual(ref, wp_sections)
-        rep_r = wpl_fs_residual(ref, wp_residual)
-        _record(report, grid, kind, rep_r.name, rep_r.relative,
-                _TRUNC, laps, residual_sections=rep.residual_sup)
+        _record(report, grid, kind, rep.name, rep.relative, _TRUNC, laps)
 
     if "volume_identities" in cfg.checks:
         for rep in volume_identity_residual(ref, fiber, wp_residual,
