@@ -190,7 +190,6 @@ class BaseMetricSolution:
     positivity_margin: float
     zeroth_order_min: float  # monotonicity witness of the Newton linearization
     iterations: int
-    trace: list
 
 
 def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport, variant: str,
@@ -241,8 +240,7 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport, variant: str,
                               forward_residual=float(np.abs(residual(rho)).max()),
                               positivity_margin=margin,
                               zeroth_order_min=float(zeroth_min[0]),
-                              iterations=result.iterations,
-                              trace=result.trace)
+                              iterations=result.iterations)
 
 
 def integrated_ma_defect(ref: ReferenceGeometry, gprime: GprimeReport,

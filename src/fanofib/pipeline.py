@@ -17,17 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cohomology
+from . import __version__, cohomology
 from .basespace import (VARIANT_B, VARIANT_BPRIME, compute_gprime,
                         check_g_descends, integrated_ma_defect, solve_base_ma,
                         twisted_ke_residual, volume_identity_residual,
                         wpl_fs_residual)
 from .errors import ConfigError, FanofibError
 from .fiberwise import SKE, SPR, solve_spr, solve_ske, verify_fiber_family
-from .grids import TRUNCATION_CONSTANT, TRUNCATION_FLOOR, Grid
+from .grids import Grid
 from .model import ModelSpec, ReferenceGeometry, build_reference, derive_constants
-from .report import CheckRecord, Report, provenance
-from .solvers import NEWTON_TOL
+from .report import CheckRecord, Report
 from .wpform import (SectionFamilySpec, volume_family_from_sections,
                      wp_from_residual, wp_from_sections)
 
@@ -53,19 +52,6 @@ class PipelineConfig:
     def model_spec(self, grid: tuple[int, int]) -> ModelSpec:
         return ModelSpec.make(self.a, self.c, self.warp_amplitude,
                               self.warp_shape, grid[0], grid[1])
-
-    def as_mapping(self) -> dict:
-        """The fields, and the fixed gates under the keys they had as
-        fields (``eps_lp`` is no longer used), so that a run's
-        ``config_sha256`` keeps its value."""
-        return {"a": str(self.a), "c": str(self.c),
-                "warp_amplitude": self.warp_amplitude,
-                "warp_shape": self.warp_shape,
-                "grids": ["x".join(map(str, g)) for g in self.grids],
-                "pipeline": self.pipeline, "checks": list(self.checks),
-                "newton_tol": NEWTON_TOL, "residual_tol": TRUNCATION_FLOOR,
-                "quadrature_tol": EXACT_TOL,
-                "h2_constant": TRUNCATION_CONSTANT, "eps_lp": 0.1}
 
 
 def parse_config(text: str) -> dict:
@@ -205,8 +191,8 @@ def run_pipeline(config: PipelineConfig) -> Report:
                            "warp_amplitude": config.warp_amplitude,
                            "warp_shape": config.warp_shape},
                     constants={}, grids=list(config.grids),
-                    checks=list(config.checks),
-                    provenance=provenance(config.as_mapping()))
+                    checks=list(config.checks), pipeline=config.pipeline,
+                    provenance={"code_version": __version__})
     stage = "derive_constants"
     try:
         consts = derive_constants(config.model_spec(config.grids[0]))

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .errors import FanofibError
 
 
@@ -38,6 +37,7 @@ class Report:
     constants: dict
     grids: list
     checks: list
+    pipeline: str
     provenance: dict
     records: list = field(default_factory=list)
     orders: dict = field(default_factory=dict)
@@ -58,65 +58,6 @@ def _num(x):
     return repr(float(x))
 
 
-# SHA-256 (FIPS 180-4, sections 4.2.2 and 5.3.3): the first 32 bits of the
-# fractional parts of the cube roots of the first 64 primes, and of the
-# square roots of the first 8.  The digest is computed here rather than by
-# ``hashlib``, whose import loads OpenSSL: 3.5 MB more resident memory in
-# every run (CPython 3.11 on Linux x86-64) for one hash of a few hundred
-# bytes.
-_K = (
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-)
-_H0 = (
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c,
-    0x1f83d9ab, 0x5be0cd19,
-)
-_M32 = 0xffffffff
-
-
-def _rotr(x: int, n: int) -> int:
-    return (x >> n | x << (32 - n)) & _M32
-
-
-def _sha256_hex(data: bytes) -> str:
-    """SHA-256 of ``data`` as 64 lowercase hex digits."""
-    n = len(data)
-    # pad with 0x80, zeros up to 56 mod 64 bytes, and the 64-bit bit length
-    msg = data + b"\x80" + bytes((55 - n) % 64) + (8 * n).to_bytes(8, "big")
-    H = list(_H0)
-    for i in range(0, len(msg), 64):
-        w = [int.from_bytes(msg[j:j + 4], "big") for j in range(i, i + 64, 4)]
-        for t in range(16, 64):
-            s0 = _rotr(w[t - 15], 7) ^ _rotr(w[t - 15], 18) ^ w[t - 15] >> 3
-            s1 = _rotr(w[t - 2], 17) ^ _rotr(w[t - 2], 19) ^ w[t - 2] >> 10
-            w.append((w[t - 16] + s0 + w[t - 7] + s1) & _M32)
-        a, b, c, d, e, f, g, h = H
-        for k, wt in zip(_K, w):
-            t1 = (h + (_rotr(e, 6) ^ _rotr(e, 11) ^ _rotr(e, 25))
-                  + (e & f ^ ~e & g) + k + wt)
-            t2 = (_rotr(a, 2) ^ _rotr(a, 13) ^ _rotr(a, 22)) + (a & b ^ a & c ^ b & c)
-            a, b, c, d, e, f, g, h = (t1 + t2) & _M32, a, b, c, (d + t1) & _M32, e, f, g
-        H = [(x + y) & _M32 for x, y in zip(H, (a, b, c, d, e, f, g, h))]
-    return "".join(f"{x:08x}" for x in H)
-
-
-def config_digest(mapping: dict) -> str:
-    canon = json.dumps({k: _num(v) if not isinstance(v, (list, tuple, dict))
-                        else v for k, v in sorted(mapping.items())},
-                       sort_keys=True, default=str)
-    return _sha256_hex(canon.encode())
-
-
 def report_payload(report: Report) -> dict:
     records = []
     for r in report.records:
@@ -134,6 +75,7 @@ def report_payload(report: Report) -> dict:
         "constants": {k: _num(v) for k, v in report.constants.items()},
         "grids": [list(g) for g in report.grids],
         "checks": list(report.checks),
+        "pipeline": report.pipeline,
         "records": records,
         "orders": {k: [_num(v) for v in vs] for k, vs in sorted(report.orders.items())},
         "provenance": dict(report.provenance),
@@ -185,7 +127,3 @@ def console_table(report: Report) -> str:
                      f"{r.tolerance:>10.1e} {r.wall_time:>7.2f}s  {status}")
     return "\n".join(lines)
 
-
-def provenance(config_mapping: dict) -> dict:
-    return {"config_sha256": config_digest(config_mapping),
-            "code_version": __version__}

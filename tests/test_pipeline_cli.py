@@ -17,12 +17,10 @@ from fanofib import pipeline
 from fanofib.cli import main
 from fanofib.errors import ConfigError, NonConvergence
 from fanofib.fiberwise import SPR
-from fanofib.grids import TRUNCATION_CONSTANT, TRUNCATION_FLOOR
-from fanofib.pipeline import (ALL_CHECKS, EXACT_TOL, PipelineConfig,
+from fanofib.pipeline import (ALL_CHECKS, PipelineConfig,
                               PipelineStageError, config_from_mapping,
                               load_config, parse_config, run_pipeline)
 from fanofib.report import emit_report
-from fanofib.solvers import NEWTON_TOL
 
 MODEL_A = "a = 2\nc = 1\nwarp_amplitude = 0\n"
 MODEL_B = "a = 2\nc = 1\nwarp_amplitude = 0.2\n"
@@ -70,14 +68,14 @@ def test_load_config_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
 
 
 FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
-# the fixed gates, which the provenance digest keeps under their former keys
-GATES = {"newton_tol": NEWTON_TOL, "residual_tol": TRUNCATION_FLOOR,
-         "quadrature_tol": EXACT_TOL, "h2_constant": TRUNCATION_CONSTANT,
-         "eps_lp": 0.1}
 
 
 def fields_of(cfg):
-    return {key: value for key, value in cfg.as_mapping().items() if key in FIELDS}
+    """The seven fields of ``cfg`` as ``config_from_mapping`` reads them."""
+    return {"a": str(cfg.a), "c": str(cfg.c),
+            "warp_amplitude": cfg.warp_amplitude, "warp_shape": cfg.warp_shape,
+            "grids": ["x".join(map(str, g)) for g in cfg.grids],
+            "pipeline": cfg.pipeline, "checks": list(cfg.checks)}
 
 
 def test_config_keys_are_the_pipeline_config_fields():
@@ -90,17 +88,6 @@ def test_config_keys_are_the_pipeline_config_fields():
     for key in ("out", "n_fiber", "n_base"):
         with pytest.raises(ConfigError, match=rf"unknown configuration keys \['{key}'\]"):
             config_from_mapping({**mapping, key: "32"})
-
-
-def test_config_digest_keys_are_the_fields_and_the_fixed_gates():
-    # as_mapping, which config_sha256 hashes, adds the fixed gates under
-    # their former keys; none of them is accepted as input
-    mapping = PipelineConfig().as_mapping()
-    assert set(mapping) == set(FIELDS) | set(GATES)
-    assert {key: mapping[key] for key in GATES} == GATES
-    for key in GATES:
-        with pytest.raises(ConfigError, match=rf"unknown configuration keys \['{key}'\]"):
-            config_from_mapping({**fields_of(PipelineConfig()), key: mapping[key]})
 
 
 def test_readme_config_example_sets_exactly_the_config_fields():
@@ -514,6 +501,21 @@ def test_emit_and_golden_structure(tmp_path, model_a_report):
     assert ({(r["name"], r["pipeline"]): sorted(r["values"]) for r in payload["records"]}
             == {(r["name"], r["pipeline"]): sorted(r["values"]) for r in golden["records"]})
     assert sorted(payload) == sorted(golden)
+
+
+@pytest.mark.parametrize("kind", ["spr", "ske", "both"])
+def test_report_names_its_configuration(tmp_path, kind):
+    # report.json names every PipelineConfig field, so the run's
+    # configuration reads back from it
+    cfg = config_from_mapping({"a": "5/2", "c": "3/2", "warp_amplitude": "0.2",
+                               "warp_shape": "fiber_cubic", "grids": "32x32",
+                               "pipeline": kind, "checks": "fiber,gprime"})
+    emit_report(run_pipeline(cfg), tmp_path)
+    payload = json.loads((tmp_path / "report.json").read_text())
+    mapping = {**payload["model"],
+               "grids": ["x".join(map(str, g)) for g in payload["grids"]],
+               "checks": payload["checks"], "pipeline": payload["pipeline"]}
+    assert config_from_mapping(mapping) == cfg
 
 
 def test_emission_is_byte_deterministic(tmp_path):

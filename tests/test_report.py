@@ -1,42 +1,11 @@
-"""The configuration digest, checked against hashlib, and what a run loads."""
+"""What a run loads."""
 
-import hashlib
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from fanofib import report
-from fanofib.pipeline import config_from_mapping
-from fanofib.report import config_digest
-
-
-def test_sha256_matches_hashlib_at_every_length_up_to_130():
-    # one padded block up to 55 bytes, two from 56 to 119, three from 120;
-    # 63/64/65 put the 0x80 byte at, and past, the end of a block
-    wrong = []
-    for n in range(131):
-        data = bytes((7 * i + n) % 256 for i in range(n))
-        if report._sha256_hex(data) != hashlib.sha256(data).hexdigest():
-            wrong.append(n)
-    assert not wrong, f"digest differs from hashlib at lengths {wrong}"
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.binary(max_size=1024))
-def test_sha256_matches_hashlib_on_any_bytes(data):
-    assert report._sha256_hex(data) == hashlib.sha256(data).hexdigest()
-
-
-def test_config_digest_reproduces_the_golden_file():
-    golden = json.loads(
-        (Path(__file__).parent / "data" / "model_a_golden.json").read_text())
-    cfg = config_from_mapping({"a": "2", "c": "1", "grids": "32x32"})
-    assert config_digest(cfg.as_mapping()) == golden["provenance"]["config_sha256"]
 
 
 _FOOTPRINT_PROBE = """
