@@ -186,6 +186,7 @@ class BaseMetricSolution:
     rho: np.ndarray
     dens_fs: np.ndarray      # FS-relative density of the solved base metric
     khat: float              # density of the reference form in the equation
+    gprime: np.ndarray       # the G' profile of the equation
     forward_residual: float
     positivity_margin: float
     zeroth_order_min: float  # monotonicity witness of the Newton linearization
@@ -237,6 +238,7 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport, variant: str,
         raise PositivityError(f"base metric lost positivity (margin {margin:.3e})",
                               worst=margin)
     return BaseMetricSolution(variant=variant, rho=rho, dens_fs=dens, khat=khat,
+                              gprime=G,
                               forward_residual=float(np.abs(residual(rho)).max()),
                               positivity_margin=margin,
                               zeroth_order_min=float(zeroth_min[0]),
@@ -341,10 +343,24 @@ def volume_identity_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolut
     ``wp`` must be the residual route's result for this family; R's
     vertical sup and the base-column extremes of R_bb follow from its
     summary of r in O(n_base).  A variant changes only base profiles in
-    the base-base entry, so it costs O(n_base) as well.  The deviation
-    gaps of the fiber potential and the pulled-back base potential are
-    reported; the exponential factor disappears exactly when the matching
-    gap vanishes.
+    the base-base entry, so it costs O(n_base) as well.
+
+    The left side is c g_b dens_B, c = 1 for B and 1-eT for B', and
+    L_b rho_B = dens_B - khat.  L_b log dens_B would difference dens_B a
+    second time, and that roundoff grows like h^-4.  So log dens_B and the
+    left side's density are both read from the base equation's right side
+    khat G' e^{rho_B}.  Since (1-eT)(1 + lam) = 1, the L_b rho_B terms of
+    the two sides cancel, and the residual is the spread of R_bb about
+
+        centre = g_b (c khat - (1-eT) L_b log G') - c g_b (dens_B - khat G' e^{rho_B}):
+
+    a family profile from G', the same for both variants (c khat = kappa),
+    less the solved omega_B's pointwise defect in its own equation, which
+    is where the base solution enters.  Taken exactly, the identity applies
+    L_b to the log of that defect instead; both vanish exactly when the
+    base equation holds.  The deviation gaps of the fiber potential and
+    the pulled-back base potential are reported; the exponential factor
+    disappears exactly when the matching gap vanishes.
     """
     summary = wp.residual
     if wp.route != "residual" or summary is None:
@@ -355,7 +371,6 @@ def volume_identity_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolut
                          f"serve the {fiber_sol.kind} family")
     grid = ref.grid
     one_minus = float(1 - ref.consts.eT)
-    lam = float(ref.consts.lam)
     shared_sup = one_minus * float(np.max([summary.ff_sup, summary.fb_sup]))
     two_fs_b = 2.0 * grid.g_b
     r_lo = one_minus * (summary.bb_lo - two_fs_b)
@@ -367,15 +382,13 @@ def volume_identity_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolut
 
     reports = []
     for sol in base_sols:
-        b = np.log(sol.dens_fs)
-        lhs = grid.g_b * sol.dens_fs
-        if sol.variant == VARIANT_B:
-            b = b + lam * sol.rho
-        else:
-            lhs = one_minus * lhs
-        shift = one_minus * grid.g_b * lap(grid, b, BASE)   # rhs_bb - R_bb
-        sup = float(np.max([shared_sup, _sup_about(r_lo, r_hi, lhs - shift)]))
-        scale = float(np.max([shared_sup, 1e-30, _sup_about(r_lo, r_hi, -shift)]))
+        c = 1.0 if sol.variant == VARIANT_B else one_minus
+        defect = sol.dens_fs - sol.khat * sol.gprime * np.exp(sol.rho)
+        centre = grid.g_b * (c * (sol.khat - defect)
+                             - one_minus * lap(grid, np.log(sol.gprime), BASE))
+        lhs = c * grid.g_b * sol.dens_fs    # rhs_bb = R_bb + lhs - centre
+        sup = float(np.max([shared_sup, _sup_about(r_lo, r_hi, centre)]))
+        scale = float(np.max([shared_sup, 1e-30, _sup_about(r_lo, r_hi, centre - lhs)]))
         b_mean = simpson(grid, BASE, sol.rho)
         offset = sol.rho + (f_mean - b_mean)   # rho_f - offset has mean 0
         gaps = {"gap_fiber_potential": gap_fiber,

@@ -388,34 +388,13 @@ def fs_ratio(grid: Grid, coeff: np.ndarray) -> np.ndarray:
 # high-order audit stencils (independent forward-application oracle)
 # ---------------------------------------------------------------------------
 
-def fd_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
-    """Fornberg weights for derivatives 0..m at z from nodes x."""
-    n = len(x)
-    c = np.zeros((n, m + 1))
-    c1, c4 = 1.0, x[0] - z
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2, c5, c4 = 1.0, c4, x[i] - z
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c
-
-
-def _stencil_weights(deriv: int) -> np.ndarray:
-    """Row k: five-point weights of d^deriv at node k of the unit nodes 0..4."""
-    nodes = np.arange(5.0)
-    return np.array([fd_weights(float(k), nodes, deriv)[:, deriv]
-                     for k in range(5)])
+# Row k of block d - 1: the weights of d^d/dx^d at node k from the unit
+# nodes 0..4, exact on quartics; integers over 12, each rounded once.
+_FIVE_POINT = np.array([
+    [[-25, 48, -36, 16, -3], [-3, -10, 18, -6, 1], [1, -8, 0, 8, -1],
+     [-1, 6, -18, 10, 3], [3, -16, 36, -48, 25]],
+    [[35, -104, 114, -56, 11], [11, -20, 6, 4, -1], [-1, 16, -30, 16, -1],
+     [-1, 4, 6, -20, 11], [11, -56, 114, -104, 35]]]) / 12.0
 
 
 def _five_point_rows(v: np.ndarray, lo: int, hi: int, w: np.ndarray,
@@ -458,7 +437,7 @@ def _audit_rows(v: np.ndarray, lo: int, hi: int, g: np.ndarray, gp: np.ndarray,
 
 def _audit_weights(h: float) -> tuple:
     """The five-point weights of d/dx and d^2/dx^2 at spacing h."""
-    return _stencil_weights(1) / h, _stencil_weights(2) / h**2
+    return _FIVE_POINT[0] / h, _FIVE_POINT[1] / h**2
 
 
 def _audit_halo(lo: int, hi: int, n: int) -> tuple[int, int]:
@@ -472,8 +451,8 @@ def _audit_halo(lo: int, hi: int, n: int) -> tuple[int, int]:
 def audit_lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
     """L(psi) through an independent higher-order discretization.
 
-    Both derivatives use five-point fourth-order Fornberg stencils on the
-    uniform nodes: the centred stencil on every interior node, and at
+    Both derivatives use the exact five-point weights (``_FIVE_POINT``) on
+    the uniform nodes: the centred stencil on every interior node, and at
     the two outermost nodes of each end the one-sided stencils over the
     first or last five nodes.  The weights are scaled by 1/h and 1/h^2
     before they are applied.  The audit shares no stencil with ``lap``,

@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant, fd_weights,
+from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant,
                               fiber_integral, fs_ratio, integrate_total, lap,
                               simpson, simpson2d)
 from fanofib import basespace, calculus
@@ -199,13 +200,45 @@ def test_ric_volume_matches_ddbar_oracle():
     assert np.abs(R[FF] - audit).max() < 1.0 * (1.0 / 64)**2
 
 
+def exact_five_point(k, deriv):
+    """The weights w_j of d^deriv/dx^deriv at node k from the nodes
+    j = 0..4, exact: the 5x5 system sum_j w_j (j - k)^p = p! [p == deriv],
+    p = 0..4 (exactness on polynomials of degree 4), by Gauss-Jordan
+    elimination in Fractions."""
+    rows = [[Fraction(j - k) ** p for j in range(5)]
+            + [Fraction(math.factorial(p) if p == deriv else 0)] for p in range(5)]
+    for c in range(5):
+        pivot = next(r for r in range(c, 5) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [a / rows[c][c] for a in rows[c]]
+        for r in range(5):
+            if r != c:
+                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
+    return [row[5] for row in rows]
+
+
+def exact_table(deriv):
+    """Row k: ``exact_five_point(k, deriv)``, each weight rounded once."""
+    return np.array([[float(w) for w in exact_five_point(k, deriv)]
+                     for k in range(5)])
+
+
+def test_audit_weights_are_the_exact_weights_rounded_once():
+    w1, w2 = calculus._audit_weights(1.0)
+    assert np.array_equal(w1, exact_table(1))
+    assert np.array_equal(w2, exact_table(2))
+    # the centred stencils: d/dx antisymmetric, d^2/dx^2 symmetric, bit for bit
+    assert np.array_equal(w1[2], -w1[2][::-1])
+    assert np.array_equal(w2[2], w2[2][::-1])
+
+
 def dense_audit_matrix(n_nodes, deriv, h):
-    # row i: five-point Fornberg weights on the window nearest node i
+    # row i: the exact five-point weights on the window nearest node i
     M = np.zeros((n_nodes, n_nodes))
+    table = exact_table(deriv)
     for i in range(n_nodes):
         j0 = min(max(i - 2, 0), n_nodes - 5)
-        xs = np.arange(j0, j0 + 5, dtype=float)
-        M[i, j0:j0 + 5] = fd_weights(float(i), xs, deriv)[:, deriv]
+        M[i, j0:j0 + 5] = table[i - j0]
     return M / h**deriv
 
 
@@ -445,9 +478,7 @@ def _five_point_whole(v, w):
 def _audit_lap_whole(grid, v, axis_name):
     h = grid.h(axis_name)
     g, gp, ax = _axis_whole(grid, axis_name, v.ndim)
-    nodes = np.arange(5.0)
-    w1, w2 = (np.array([fd_weights(float(k), nodes, d)[:, d] for k in range(5)])
-              for d in (1, 2))
+    w1, w2 = exact_table(1), exact_table(2)
     along = np.moveaxis(v, ax, 0)
     d1 = np.moveaxis(_five_point_whole(along, w1 / h), 0, ax)
     d2 = np.moveaxis(_five_point_whole(along, w2 / h**2), 0, ax)

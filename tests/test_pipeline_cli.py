@@ -17,7 +17,7 @@ from fanofib import pipeline
 from fanofib.cli import main
 from fanofib.errors import ConfigError, NonConvergence
 from fanofib.fiberwise import SPR
-from fanofib.pipeline import (ALL_CHECKS, PipelineConfig,
+from fanofib.pipeline import (ALL_CHECKS, EXACT_TOL, PipelineConfig,
                               PipelineStageError, config_from_mapping,
                               load_config, parse_config, run_pipeline)
 from fanofib.report import emit_report
@@ -487,20 +487,87 @@ def test_both_families_share_one_reference_per_grid(monkeypatch):
 # emission and determinism
 # ---------------------------------------------------------------------------
 
+GOLDEN = Path(__file__).parent / "data" / "model_a_golden.json"
+EPS = np.finfo(float).eps
+# The roundoff floor of the 32^2 golden run.  A residual there is a stencil
+# or quadrature sum of O(1) terms, each at most 1/h^2: about 8 roundings of
+# that size.  Model A is the product, so every residual in the file sits
+# at or below it, and is compared by this absolute bound.
+GOLDEN_ABS = 8.0 * EPS * 32**2
+# A number above the floor (a constant, a tolerance, a margin) is a chain
+# of a few rounded operations on exact inputs, each within eps/2 relative:
+# at most 4 eps relative.
+GOLDEN_REL = 4.0 * EPS
+
+
+def _leaves(node, path=()):
+    """(path, leaf) for every leaf of a JSON tree; an empty container is a
+    leaf, so a record's empty ``values`` is compared too."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path, node
+
+
+def _number(leaf):
+    """A leaf as a float, or None for text (fractions such as "2/3" compare
+    as text, which is exact) and for booleans."""
+    if isinstance(leaf, bool):
+        return None
+    try:
+        return float(leaf)
+    except (TypeError, ValueError):
+        return None
+
+
+def assert_matches_golden(payload):
+    golden = json.loads(GOLDEN.read_text())
+    got, want = dict(_leaves(payload)), dict(_leaves(golden))
+    assert got.keys() == want.keys()
+    for path, expect in want.items():
+        value, number = got[path], _number(expect)
+        record = golden["records"][path[1]] if path[0] == "records" else None
+        where = (record["name"], record["pipeline"], *path[2:]) if record else path
+        if number is None:
+            assert value == expect, where
+            continue
+        if (record and path[2] == "residual"
+                and float(record["tolerance"]) == EXACT_TOL):
+            assert abs(float(value)) <= EXACT_TOL, where
+        bound = GOLDEN_ABS if abs(number) <= GOLDEN_ABS else GOLDEN_REL * abs(number)
+        assert abs(float(value) - number) <= bound, (where, value)
+
+
 def test_emit_and_golden_structure(tmp_path, model_a_report):
-    paths = emit_report(model_a_report, tmp_path)
-    jpath = [p for p in paths if p.suffix == ".json"][0]
-    payload = json.loads(jpath.read_text())
-    golden = json.loads(
-        (Path(__file__).parent / "data" / "model_a_golden.json").read_text())
-    assert payload["constants"] == golden["constants"]
+    emit_report(model_a_report, tmp_path)
+    payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["passed"] is True
-    got = {(r["name"], r["pipeline"]): r["passed"] for r in payload["records"]}
-    expect = {(r["name"], r["pipeline"]): r["passed"] for r in golden["records"]}
-    assert got == expect
-    assert ({(r["name"], r["pipeline"]): sorted(r["values"]) for r in payload["records"]}
-            == {(r["name"], r["pipeline"]): sorted(r["values"]) for r in golden["records"]})
-    assert sorted(payload) == sorted(golden)
+    assert_matches_golden(payload)
+
+
+@pytest.mark.parametrize("producer, bend, where", [
+    # a residual at the floor (3.3e-16) moved by 1e-9: 1e-8 of its
+    # tolerance, so no pass flag moves, and 550 times GOLDEN_ABS
+    ("twisted_ke_residual",
+     lambda rep: dataclasses.replace(rep, relative=rep.relative + 1e-9),
+     r"'twisted_ke\[B\]', 'spr', 'residual'"),
+    # a number above the floor (0.667) bent by 1e-6 relative
+    ("solve_base_ma",
+     lambda sol: dataclasses.replace(
+         sol, positivity_margin=sol.positivity_margin * (1.0 + 1e-6)),
+     r"'base_ma\[B\]', 'spr', 'values', 'positivity_margin'")])
+def test_golden_check_fails_a_bent_number(tmp_path, monkeypatch, producer,
+                                          bend, where):
+    real = getattr(pipeline, producer)
+    monkeypatch.setattr(pipeline, producer, lambda *args: bend(real(*args)))
+    emit_report(run_pipeline(config_from_mapping(
+        {"a": "2", "c": "1", "grids": "32x32"})), tmp_path)
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["passed"] is True
+    with pytest.raises(AssertionError, match=where):
+        assert_matches_golden(payload)
 
 
 @pytest.mark.parametrize("kind", ["spr", "ske", "both"])
