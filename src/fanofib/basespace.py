@@ -239,7 +239,7 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport, variant: str,
                               worst=margin)
     return BaseMetricSolution(variant=variant, rho=rho, dens_fs=dens, khat=khat,
                               gprime=G,
-                              forward_residual=float(np.abs(residual(rho)).max()),
+                              forward_residual=result.trace[-1],
                               positivity_margin=margin,
                               zeroth_order_min=float(zeroth_min[0]),
                               iterations=result.iterations)

@@ -33,7 +33,9 @@ TWO_PI = 2.0 * math.pi
 # of a 2D field a kernel runs on the transposed view of a row block.  Each
 # element sees the IEEE operations of the whole-field expression in the
 # same order, so the blocking changes no bit; only the temporaries shrink
-# to one block.
+# to one block.  The solvers' three-point L and the five-point audit share
+# the halo rule (``_halo``), L's combination (``_l_rows``) and the blocking
+# (``_along``).
 
 # Row-blocked kernels take at most this many elements per block, so that a
 # block and its temporaries stay in cache.  A wide field gets few rows per
@@ -49,6 +51,18 @@ def _row_blocks(start: int, stop: int, width: int):
     """Consecutive [lo, hi) row ranges covering [start, stop)."""
     step = max(1, min(_BLOCK_ELEMS // max(width, 1), (stop - start) // _MIN_BLOCKS))
     return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
+
+
+def _halo(lo: int, hi: int, n: int, reach: int) -> tuple[int, int]:
+    """The rows [s, e) that rows [lo, hi) of a stencil family of ``reach``
+    read along axis 0 of a field with rows 0..n: ``reach`` rows beyond the
+    block, and at an end the reach + 3 rows of its one-sided stencils.  A
+    stage that forms the field itself forms these rows for each block."""
+    return (max(0, min(lo - reach, n - reach - 2)),
+            min(n + 1, max(hi + reach, reach + 3)))
+
+
+_LAP_REACH = 1      # the rows ``_d1_rows`` and ``_d2_rows`` read beyond a row
 
 
 def _d1_rows(v: np.ndarray, lo: int, hi: int, h: float, start: int = 0,
@@ -95,31 +109,23 @@ def _d2_rows(v: np.ndarray, lo: int, hi: int, h: float, start: int = 0,
     return out
 
 
-def _column(a: np.ndarray, lo: int, hi: int, ndim: int) -> np.ndarray:
-    """Entries [lo, hi) of a per-row profile, shaped to scale rows of an
-    ``ndim``-dimensional block."""
-    return a[lo:hi].reshape((-1,) + (1,) * (ndim - 1))
+def _l_rows(d2: np.ndarray, d1: np.ndarray, g: np.ndarray, gp: np.ndarray,
+            lo: int, hi: int) -> np.ndarray:
+    """``g * d2 + gp * d1`` on rows [lo, hi), in place in ``d2`` and ``d1``:
+    L = g d2 + g' d1 from the derivative rows of either stencil family."""
+    shape = (-1,) + (1,) * (d2.ndim - 1)     # a profile entry scales a row
+    d2 *= g[lo:hi].reshape(shape)
+    d1 *= gp[lo:hi].reshape(shape)
+    d2 += d1
+    return d2
 
 
 def _lap_rows(v: np.ndarray, lo: int, hi: int, g: np.ndarray, gp: np.ndarray,
               h: float, start: int = 0, n: int | None = None) -> np.ndarray:
     """Rows [lo, hi) of ``g * diff2 + gp * diff1`` along axis 0, of a field
     with rows 0..n of which ``v`` holds rows ``start`` on."""
-    out = _d2_rows(v, lo, hi, h, start, n)
-    out *= _column(g, lo, hi, v.ndim)
-    d1 = _d1_rows(v, lo, hi, h, start, n)
-    d1 *= _column(gp, lo, hi, v.ndim)
-    out += d1
-    return out
-
-
-def _lap_halo(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """The rows [s, e) that rows [lo, hi) of ``_lap_fiber`` and ``_dfdb``
-    read along axis 0 of a field with rows 0..n: a stage that forms the
-    field itself forms these rows for each block (cf. ``_audit_halo``)."""
-    s = 0 if lo < 1 else min(lo - 1, n - 3)
-    e = n + 1 if hi > n else max(hi + 1, 4)
-    return s, e
+    return _l_rows(_d2_rows(v, lo, hi, h, start, n), _d1_rows(v, lo, hi, h, start, n),
+                   g, gp, lo, hi)
 
 
 def _lap_fiber(grid: Grid, v: np.ndarray, lo: int, hi: int,
@@ -144,8 +150,7 @@ def _dfdb(grid: Grid, v: np.ndarray, lo: int, hi: int,
     i ddbar v, for a field of which ``v`` holds rows ``start`` on; D_b
     runs on the rows that D_f reads."""
     n = grid.n_fiber
-    s = max(0, min(lo - 1, n - 2))
-    e = min(n + 1, max(hi + 1, 3))
+    s, e = _halo(lo, hi, n, _LAP_REACH)
     t = v[s - start:e - start].T
     db = _d1_rows(t, 0, t.shape[0], grid.h(BASE))
     db *= grid.g_b[:, None]
@@ -171,11 +176,21 @@ def _col_range(lo: np.ndarray | None, hi: np.ndarray | None,
     return lo, _col_max(hi, block)
 
 
-def _blocks(grid: Grid, kernel, v: np.ndarray) -> np.ndarray:
-    """A row kernel's whole result on a 2D field, block by block."""
+def _along(grid: Grid, rows, psi, axis_name: str) -> np.ndarray:
+    """The whole result of the L-row kernel ``rows`` (``_lap_rows``,
+    ``_audit_rows``) along one axis: a profile at once, a 2D field in row
+    blocks, along the base axis on the transposed view of each block."""
+    v = np.asarray(psi, dtype=float)
+    g, gp, h = grid.g(axis_name), grid.gp(axis_name), grid.h(axis_name)
+    if v.ndim == 1:
+        return rows(v, 0, v.shape[0], g, gp, h)
     out = np.empty_like(v)
     for lo, hi in _row_blocks(0, v.shape[0], v.shape[1]):
-        out[lo:hi] = kernel(grid, v, lo, hi)
+        if axis_name == FIBER:
+            out[lo:hi] = rows(v, lo, hi, g, gp, h)
+        else:
+            t = v[lo:hi].T
+            out[lo:hi] = rows(t, 0, t.shape[0], g, gp, h).T
     return out
 
 
@@ -192,15 +207,8 @@ def diff2(a: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
 
 
 def lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
-    """FS-relative ddbar density along one axis: g psi'' + g' psi'.
-
-    A 2D field is done in row blocks (``_lap_fiber``, ``_lap_base``).
-    """
-    v = np.asarray(psi, dtype=float)
-    if v.ndim == 2:
-        return _blocks(grid, _lap_fiber if axis_name == FIBER else _lap_base, v)
-    return _lap_rows(v, 0, v.shape[0], grid.g(axis_name), grid.gp(axis_name),
-                     grid.h(axis_name))
+    """FS-relative ddbar density along one axis: g psi'' + g' psi'."""
+    return _along(grid, _lap_rows, psi, axis_name)
 
 
 def ddbar_invariant(grid: Grid, psi) -> np.ndarray:
@@ -218,7 +226,8 @@ def ddbar_invariant(grid: Grid, psi) -> np.ndarray:
         raise ValueError("ddbar_invariant: non-finite potential")
     return np.stack((grid.g_f[:, None] * lap(grid, v, FIBER),
                      grid.g_b[None, :] * lap(grid, v, BASE),
-                     _blocks(grid, _dfdb, v)))
+                     np.concatenate([_dfdb(grid, v, lo, hi) for lo, hi in
+                                     _row_blocks(0, v.shape[0], v.shape[1])])))
 
 
 def lap_bands(grid: Grid, axis_name: str) -> np.ndarray:
@@ -397,6 +406,9 @@ _FIVE_POINT = np.array([
      [-1, 4, 6, -20, 11], [11, -56, 114, -104, 35]]]) / 12.0
 
 
+_AUDIT_REACH = 2    # the rows ``_five_point_rows`` reads beyond a row
+
+
 def _five_point_rows(v: np.ndarray, lo: int, hi: int, w: np.ndarray,
                      start: int, n: int) -> np.ndarray:
     """Rows [lo, hi) of the stencils ``w`` applied along axis 0 of a field
@@ -420,32 +432,15 @@ def _five_point_rows(v: np.ndarray, lo: int, hi: int, w: np.ndarray,
 
 
 def _audit_rows(v: np.ndarray, lo: int, hi: int, g: np.ndarray, gp: np.ndarray,
-                weights: tuple, start: int = 0, n: int | None = None) -> np.ndarray:
+                h: float, start: int = 0, n: int | None = None) -> np.ndarray:
     """Rows [lo, hi) of ``audit_lap`` along axis 0 of a field with rows
-    0..n, of which ``v`` holds rows ``start`` on (all of them by default);
-    ``weights`` are ``_audit_weights``."""
+    0..n, of which ``v`` holds rows ``start`` on (all of them by default),
+    with the weights of ``_FIVE_POINT`` scaled by 1/h and 1/h^2."""
     if n is None:
         n = v.shape[0] - 1
-    w1, w2 = weights
-    out = _five_point_rows(v, lo, hi, w2, start, n)
-    out *= _column(g, lo, hi, v.ndim)
-    d1 = _five_point_rows(v, lo, hi, w1, start, n)
-    d1 *= _column(gp, lo, hi, v.ndim)
-    out += d1
-    return out
-
-
-def _audit_weights(h: float) -> tuple:
-    """The five-point weights of d/dx and d^2/dx^2 at spacing h."""
-    return _FIVE_POINT[0] / h, _FIVE_POINT[1] / h**2
-
-
-def _audit_halo(lo: int, hi: int, n: int) -> tuple[int, int]:
-    """The rows [s, e) that rows [lo, hi) of ``audit_lap`` read along axis 0
-    of a field with rows 0..n."""
-    s = 0 if lo < 2 else min(lo - 2, n - 4)
-    e = n + 1 if hi > n - 1 else max(hi + 2, 5)
-    return s, e
+    return _l_rows(_five_point_rows(v, lo, hi, _FIVE_POINT[1] / h**2, start, n),
+                   _five_point_rows(v, lo, hi, _FIVE_POINT[0] / h, start, n),
+                   g, gp, lo, hi)
 
 
 def audit_lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
@@ -458,19 +453,7 @@ def audit_lap(grid: Grid, psi, axis_name: str) -> np.ndarray:
     before they are applied.  The audit shares no stencil with ``lap``,
     whose second-order three-point differences define the solvers' fixed
     points, so its residual measures the distance to the continuum
-    solution and not to the solver's own discrete equation.  A 2D field
-    is done in row blocks (``_audit_rows``).
+    solution and not to the solver's own discrete equation; it shares
+    only the blocking (``_along``) and the combination ``_l_rows``.
     """
-    v = np.asarray(psi, dtype=float)
-    g, gp, h = grid.g(axis_name), grid.gp(axis_name), grid.h(axis_name)
-    weights = _audit_weights(h)
-    if v.ndim == 1:
-        return _audit_rows(v, 0, v.shape[0], g, gp, weights)
-    out = np.empty_like(v)
-    for lo, hi in _row_blocks(0, v.shape[0], v.shape[1]):
-        if axis_name == FIBER:
-            out[lo:hi] = _audit_rows(v, lo, hi, g, gp, weights)
-        else:
-            t = v[lo:hi].T
-            out[lo:hi] = _audit_rows(t, 0, t.shape[0], g, gp, weights).T
-    return out
+    return _along(grid, _audit_rows, psi, axis_name)

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (_audit_halo, _audit_rows, _audit_weights, _col_max,
-                       _lap_fiber, _row_blocks, lap_bands, lap_matrix,
-                       simpson_columns)
+from .calculus import (_AUDIT_REACH, _audit_rows, _col_max, _halo, _lap_fiber,
+                       _row_blocks, lap_bands, lap_matrix, simpson_columns)
 from .errors import FanofibError
 from .grids import FIBER
 from .model import ReferenceGeometry, checked_volume
@@ -257,12 +256,11 @@ def verify_fiber_family(ref: ReferenceGeometry,
     if not (math.isfinite(float(rho.min())) and math.isfinite(float(rho.max()))):
         raise FanofibError(f"{sol.kind} fiber potential is not finite")
     n = grid.n_fiber
-    g, gp = grid.g_f, grid.gp_f
-    weights = _audit_weights(grid.h(FIBER))
+    g, gp, h = grid.g_f, grid.gp_f, grid.h(FIBER)
     forward = curv_gap = None
     for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
-        s, e = _audit_halo(lo, hi, n)
-        ric_fs = _audit_rows(np.log(u[s:e]), lo, hi, g, gp, weights, s, n)
+        s, e = _halo(lo, hi, n, _AUDIT_REACH)
+        ric_fs = _audit_rows(np.log(u[s:e]), lo, hi, g, gp, h, s, n)
         np.subtract(2.0, ric_fs, out=ric_fs)
         ric_fs -= lam * (ref.vertical_rows(lo, hi) if sol.kind == SPR else u[lo:hi])
         forward = _col_max(forward, np.abs(ric_fs, out=ric_fs))
@@ -270,7 +268,7 @@ def verify_fiber_family(ref: ReferenceGeometry,
         if sol.kind == SKE:
             # weight of the Einstein Hermitian metric: phi_L + rho,
             # fiberwise curvature must reproduce the fiber metric
-            curv = _audit_rows(rho, lo, hi, g, gp, weights)
+            curv = _audit_rows(rho, lo, hi, g, gp, h)
             curv += ref.vertical_rows(lo, hi)
             curv -= u[lo:hi]
             curv_gap = _col_max(curv_gap, np.abs(curv, out=curv))

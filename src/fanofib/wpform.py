@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import (TWO_PI, _carry_columns, _col_max, _col_range, _dfdb,
-                       _lap_base, _lap_fiber, _lap_halo, _row_blocks, lap)
+from .calculus import (TWO_PI, _LAP_REACH, _carry_columns, _col_max, _col_range,
+                       _dfdb, _halo, _lap_base, _lap_fiber, _row_blocks, lap)
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE
@@ -132,7 +132,7 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     # exp(smooth_log)
     worst = sums = None
     for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
-        s, e = _lap_halo(lo, hi, n)
+        s, e = _halo(lo, hi, n, _LAP_REACH)
         if ske_u is not None:
             smooth_log = ref.phi_L.smooth[s:e] + fiber.rho[s:e]
             smooth_log *= lam
@@ -210,7 +210,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     # family form itself for the Einstein one.
     ff = fb = ffb = bb_lo = bb_hi = bb_sums = None
     for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
-        s, e = _lap_halo(lo, hi, n)
+        s, e = _halo(lo, hi, n, _LAP_REACH)
         log_u = np.log(u[s:e])
         # vertical channel: twist_ff - (2 - L_f log u), times g_f
         if rho is None:

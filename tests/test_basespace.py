@@ -9,9 +9,10 @@ from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                compute_gprime, integrated_ma_defect,
                                solve_base_ma, twisted_ke_residual,
                                volume_identity_residual, wpl_fs_residual)
-from fanofib.calculus import TWO_PI, ddbar_invariant, fiber_integral
+from fanofib.calculus import TWO_PI, ddbar_invariant, fiber_integral, lap
 from fanofib.errors import PositivityError, PullbackStructureError
 from fanofib.fiberwise import solve_ske, solve_spr
+from fanofib.grids import BASE
 from fanofib.model import ModelSpec, build_reference
 from fanofib.pipeline import config_from_mapping, run_pipeline
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
@@ -188,6 +189,29 @@ def test_base_ma_model_b(ref_b, spr_b, monkeypatch):
     [result] = results
     tail = [r for r in result.trace if 0.0 < r < 1e-2]
     assert any(b < 10.0 * a**2 for a, b in zip(tail, tail[1:]))
+
+
+@pytest.mark.parametrize("variant", [VARIANT_B, VARIANT_BPRIME])
+def test_base_ma_reports_newtons_last_residual(ref_b, spr_b, variant, monkeypatch):
+    # the reported residual is Newton's last trace entry, which is the
+    # residual closure at the returned potential: a fresh evaluation of the
+    # equation there has the same bits
+    real, results = basespace.newton_semilinear, []
+
+    def recorded(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(basespace, "newton_semilinear", recorded)
+    gp = compute_gprime(ref_b, spr_b)
+    sol = solve_base_ma(ref_b, gp, variant)
+    [result] = results
+    assert sol.forward_residual == result.trace[-1]
+    lam_plus = float(ref_b.consts.lam + 1)
+    khat = float(ref_b.eta_fs) * (lam_plus if variant == VARIANT_BPRIME else 1.0)
+    fresh = khat + lap(ref_b.grid, sol.rho, BASE) - khat * gp.gprime * np.exp(sol.rho)
+    assert sol.forward_residual == float(np.abs(fresh).max())
+    assert 0.0 < sol.forward_residual < 1e-11
 
 
 def test_base_ma_uniqueness_probe(ref_b, spr_b):

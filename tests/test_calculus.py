@@ -224,7 +224,7 @@ def exact_table(deriv):
 
 
 def test_audit_weights_are_the_exact_weights_rounded_once():
-    w1, w2 = calculus._audit_weights(1.0)
+    w1, w2 = calculus._FIVE_POINT
     assert np.array_equal(w1, exact_table(1))
     assert np.array_equal(w2, exact_table(2))
     # the centred stencils: d/dx antisymmetric, d^2/dx^2 symmetric, bit for bit
@@ -485,6 +485,18 @@ def _audit_lap_whole(grid, v, axis_name):
     return g * d2 + gp * d1
 
 
+def assert_halo(s, e, lo, hi, n, reach):
+    """[s, e) lies in the rows 0..n and holds ``reach`` rows beyond [lo, hi);
+    a block that holds a one-sided end row holds that end's whole window
+    of reach + 3 rows."""
+    where = (lo, hi, n, reach)
+    assert 0 <= s <= max(0, lo - reach) and min(n + 1, hi + reach) <= e <= n + 1, where
+    if lo < reach:
+        assert s == 0 and e >= reach + 3, where
+    if hi > n + 1 - reach:
+        assert e == n + 1 and s <= n + 1 - (reach + 3), where
+
+
 BLOCK_GRIDS = [(16, 16), (32, 256), (256, 32), (2048, 64), (1024, 1024)]
 
 
@@ -537,21 +549,32 @@ def test_block_kernels_looped_equal_the_whole_field_expressions(shape, blocking,
     def looped(kernel):
         return np.concatenate([kernel(g, v, lo, hi) for lo, hi in blocks])
 
-    assert np.array_equal(looped(calculus._lap_fiber), _lap_whole(g, v, FIBER))
-    assert np.array_equal(looped(calculus._lap_base), _lap_whole(g, v, BASE))
-    assert np.array_equal(looped(calculus._dfdb), _dfdb_whole(g, v))
-    weights = calculus._audit_weights(g.h(FIBER))
+    def slabbed(kernel, reach):
+        # each block from its halo slab v[s:e] alone, with start = s, as a
+        # streamed stage reads a field that it forms block by block
+        parts = []
+        for lo, hi in blocks:
+            s, e = calculus._halo(lo, hi, n, reach)
+            assert_halo(s, e, lo, hi, n, reach)
+            parts.append(kernel(g, v[s:e], lo, hi, s))
+        return np.concatenate(parts)
+
+    # the three-point kernels, also from reach-1 slabs, as wp_from_residual
+    # reads log u and volume_family_from_sections reads smooth_log
+    for kernel, whole in ((calculus._lap_fiber, _lap_whole(g, v, FIBER)),
+                          (calculus._lap_base, _lap_whole(g, v, BASE)),
+                          (calculus._dfdb, _dfdb_whole(g, v))):
+        assert np.array_equal(looped(kernel), whole), kernel.__name__
+        assert np.array_equal(slabbed(kernel, calculus._LAP_REACH), whole), kernel.__name__
+
+    # the audit, also from reach-2 slabs, as the fiber audit reads log u
+    def audit_rows(grid, slab, lo, hi, start=0):
+        return calculus._audit_rows(slab, lo, hi, grid.g_f, grid.gp_f, grid.h(FIBER),
+                                    start, n)
+
     audit = _audit_lap_whole(g, v, FIBER)
-    assert np.array_equal(np.concatenate(
-        [calculus._audit_rows(v, lo, hi, g.g_f, g.gp_f, weights)
-         for lo, hi in blocks]), audit)
-    # the audit from halo slices, as the fiber audit reads log u
-    parts = []
-    for lo, hi in blocks:
-        s, e = calculus._audit_halo(lo, hi, n)
-        parts.append(calculus._audit_rows(v[s:e], lo, hi, g.g_f, g.gp_f,
-                                          weights, s, n))
-    assert np.array_equal(np.concatenate(parts), audit)
+    assert np.array_equal(looped(audit_rows), audit)
+    assert np.array_equal(slabbed(audit_rows, calculus._AUDIT_REACH), audit)
     # simpson2d's base-weighted row sums, block by block
     rows = np.concatenate([calculus._simpson_rows(g, v[lo:hi]) for lo, hi in blocks])
     assert np.array_equal(rows, np.einsum("ij,j->i", v, g.simpson_b))

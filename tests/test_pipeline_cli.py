@@ -488,6 +488,11 @@ def test_both_families_share_one_reference_per_grid(monkeypatch):
 # ---------------------------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "data" / "model_a_golden.json"
+# a = 2, c = 1, fiber_cubic with eps = 0.2 on 32^2, both families, all
+# checks: the truncation records read 6.7e-8 to 2.6e-4
+WARPED_GOLDEN = Path(__file__).parent / "data" / "fiber_cubic_golden.json"
+WARPED = {"a": "2", "c": "1", "warp_amplitude": "0.2",
+          "warp_shape": "fiber_cubic", "grids": "32x32"}
 EPS = np.finfo(float).eps
 # The roundoff floor of the 32^2 golden run.  A residual there is a stencil
 # or quadrature sum of O(1) terms, each at most 1/h^2: about 8 roundings of
@@ -522,8 +527,19 @@ def _number(leaf):
         return None
 
 
-def assert_matches_golden(payload):
-    golden = json.loads(GOLDEN.read_text())
+def _model_a_bound(number):
+    return GOLDEN_ABS if abs(number) <= GOLDEN_ABS else GOLDEN_REL * abs(number)
+
+
+def _warped_bound(number):
+    # the warped run's residuals hold truncation content above the floor:
+    # a reordering at roundoff moves one by at most GOLDEN_ABS, a move of
+    # that content by more
+    return max(GOLDEN_ABS, GOLDEN_REL * abs(number))
+
+
+def assert_matches_golden(payload, golden_file=GOLDEN, bound=_model_a_bound):
+    golden = json.loads(golden_file.read_text())
     got, want = dict(_leaves(payload)), dict(_leaves(golden))
     assert got.keys() == want.keys()
     for path, expect in want.items():
@@ -536,8 +552,7 @@ def assert_matches_golden(payload):
         if (record and path[2] == "residual"
                 and float(record["tolerance"]) == EXACT_TOL):
             assert abs(float(value)) <= EXACT_TOL, where
-        bound = GOLDEN_ABS if abs(number) <= GOLDEN_ABS else GOLDEN_REL * abs(number)
-        assert abs(float(value) - number) <= bound, (where, value)
+        assert abs(float(value) - number) <= bound(number), (where, value)
 
 
 def test_emit_and_golden_structure(tmp_path, model_a_report):
@@ -568,6 +583,35 @@ def test_golden_check_fails_a_bent_number(tmp_path, monkeypatch, producer,
     assert payload["passed"] is True
     with pytest.raises(AssertionError, match=where):
         assert_matches_golden(payload)
+
+
+def _warped_payload(tmp_path):
+    emit_report(run_pipeline(config_from_mapping(WARPED)), tmp_path)
+    return json.loads((tmp_path / "report.json").read_text())
+
+
+def test_warped_run_matches_its_golden_report(tmp_path):
+    payload = _warped_payload(tmp_path)
+    assert payload["passed"] is True
+    assert_matches_golden(payload, WARPED_GOLDEN, _warped_bound)
+
+
+def test_warped_golden_check_fails_a_bent_truncation_residual(tmp_path, monkeypatch):
+    # fiber_forward[spr] (2.6e-4) bent by 1e-6 relative, 140 times GOLDEN_ABS
+    real = pipeline.verify_fiber_family
+
+    def bent(ref, sol):
+        audit = real(ref, sol)
+        if sol.kind != SPR:
+            return audit
+        return dataclasses.replace(
+            audit, forward_residual_sup=audit.forward_residual_sup * (1.0 + 1e-6))
+
+    monkeypatch.setattr(pipeline, "verify_fiber_family", bent)
+    payload = _warped_payload(tmp_path)
+    assert payload["passed"] is True
+    with pytest.raises(AssertionError, match=r"'fiber_forward', 'spr', 'residual'"):
+        assert_matches_golden(payload, WARPED_GOLDEN, _warped_bound)
 
 
 @pytest.mark.parametrize("kind", ["spr", "ske", "both"])

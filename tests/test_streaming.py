@@ -73,18 +73,13 @@ RUN_512 = PipelineConfig(warp_amplitude=0.2, warp_shape="fiber_cubic",
                          grids=((512, 512),), pipeline="both")
 
 
-def test_run_peak_is_at_most_six_fields():
+def test_run_peak_is_at_most_four_and_a_half_fields():
     # the reference's two fields (Omega and the warp potential) and the
     # family's two are live through a cell; the largest stage adds about
     # 0.4 of row blocks (4.42 in all; 5.36 with the Poisson recovery's
     # source, log u, smooth_log and Omega' held whole, 8.5 with omega0's
     # densities and r_bb held whole too, 17.1 with every residual channel
     # formed in full)
-    assert peak_fields(run_pipeline, RUN_512) <= 6.0
-
-
-def test_run_peak_is_at_most_four_and_a_half_fields():
-    # measured 4.42: the reference and the family, and row blocks
     assert peak_fields(run_pipeline, RUN_512) <= 4.5
 
 
