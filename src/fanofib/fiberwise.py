@@ -10,7 +10,8 @@ class (volume 2*pi*c):
   Liouville-type problem whose solutions form a Moebius orbit; the
   orbit coordinate is pinned by a bordered Newton gauge.  One fiber is
   solved and its solution fills every column: the fiber equation does
-  not depend on the base point, so the family is constant along the base.
+  not depend on the base point, so the family is constant along the base,
+  and its metric is kept as that one column, broadcast along the base.
 
 Fiber potentials carry the mean-zero gauge per fiber; the per-fiber
 constant never enters wedges against pulled-back base forms, so every
@@ -41,7 +42,10 @@ class FiberFamilySolution:
 
     kind: str
     rho: np.ndarray            # (nf+1, nb+1), mean-zero per fiber
-    vertical_fs: np.ndarray    # FS-relative vertical metric density, > 0
+    # FS-relative vertical metric density, > 0, (nf+1, nb+1).  The Einstein
+    # family's is one read-only column broadcast along the base (base
+    # stride 0); a consumer that sees stride 0 computes on that column
+    vertical_fs: np.ndarray
     residual_sup: float        # solver residual (discrete system)
     volume_defect: float       # relative defect of the per-fiber volume
 
@@ -194,6 +198,11 @@ def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
     family is therefore constant along the base; only a gauge profile
     along the base, a Moebius dilation per fiber, would make it vary.
 
+    The family is formed, scaled, volume-checked and recovered on the
+    full array, so every column is column 0 bit for bit; ``vertical_fs``
+    then keeps a copy of column 0 alone, read-only, broadcast along the
+    base (``np.broadcast_to``), and the full array is freed.
+
     The Jacobian is applied by bands and assembled densely only for a
     Newton step.  The residual keeps the dense product L @ v: its roundoff
     floor decides whether the start is already converged, and with it the
@@ -217,8 +226,10 @@ def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
     del L             # the dense Laplacian, before the recovery
 
     v = np.repeat(v0[:, None], grid.n_base + 1, axis=1)
-    return _family(ref, SKE, np.exp(v, out=v), result.trace[-1],
-                   "Einstein fiber metric")
+    sol = _family(ref, SKE, np.exp(v, out=v), result.trace[-1],
+                  "Einstein fiber metric")
+    sol.vertical_fs = np.broadcast_to(v[:, :1].copy(), v.shape)
+    return sol
 
 
 @dataclass(eq=False)
@@ -246,13 +257,17 @@ def verify_fiber_family(ref: ReferenceGeometry,
     rather than the solver's own fixed point; for the Einstein family the
     same stencil checks that the curvature of its weight phi_L + rho
     reproduces the fiber metric.  The audit runs in row blocks, reducing
-    every residual to per-column maxima as it is formed.  A fiber
-    potential that is not finite raises FanofibError: the later stages
-    would read it; a non-finite residual fails its record.
+    every residual to per-column maxima as it is formed.  A family
+    broadcast along the base (base stride 0, as ``solve_ske`` returns it)
+    has its metric audited, and its positivity checked, on its one
+    column.  A fiber potential that is not finite raises FanofibError: the
+    later stages would read it; a non-finite residual fails its record.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
     u, rho = sol.vertical_fs, sol.rho
+    if u.strides[1] == 0:
+        u = u[:, :1]
     if not (math.isfinite(float(rho.min())) and math.isfinite(float(rho.max()))):
         raise FanofibError(f"{sol.kind} fiber potential is not finite")
     n = grid.n_fiber
@@ -262,9 +277,12 @@ def verify_fiber_family(ref: ReferenceGeometry,
         s, e = _halo(lo, hi, n, _AUDIT_REACH)
         ric_fs = _audit_rows(np.log(u[s:e]), lo, hi, g, gp, h, s, n)
         np.subtract(2.0, ric_fs, out=ric_fs)
-        ric_fs -= lam * (ref.vertical_rows(lo, hi) if sol.kind == SPR else u[lo:hi])
-        forward = _col_max(forward, np.abs(ric_fs, out=ric_fs))
-        del ric_fs
+        # the gap in the target's array: it has the shape of both when
+        # one of them is a single column
+        gap = lam * (ref.vertical_rows(lo, hi) if sol.kind == SPR else u[lo:hi])
+        np.subtract(ric_fs, gap, out=gap)
+        forward = _col_max(forward, np.abs(gap, out=gap))
+        del ric_fs, gap
         if sol.kind == SKE:
             # weight of the Einstein Hermitian metric: phi_L + rho,
             # fiberwise curvature must reproduce the fiber metric

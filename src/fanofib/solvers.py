@@ -97,20 +97,29 @@ class BandedMatrix:
         y = r.tolist()
         y[0] = y[0] - f0 * y[1]
         y[n] = y[n] - fn * y[n - 1]
-        # Thomas sweep: forward elimination, then back substitution
-        ratio = [0.0] * (n + 1)
-        pivot = diag[0]
-        for i in range(n + 1):
-            if i:
-                pivot = diag[i] - sub[i] * ratio[i - 1]
-                y[i] = y[i] - sub[i] * y[i - 1]
-            if pivot == 0.0 or not math.isfinite(pivot):
-                raise np.linalg.LinAlgError(f"zero or non-finite pivot in row {i}")
-            ratio[i] = sup[i] / pivot
-            y[i] = y[i] / pivot
-        for i in range(n - 1, -1, -1):
-            y[i] = y[i] - ratio[i] * y[i + 1]
-        return np.asarray(y)
+        # Thomas sweep: forward elimination, then back substitution.  Row 0
+        # has no subdiagonal entry; a +0 there leaves its pivot and its
+        # right side exactly as they are, whatever their sign
+        sub[0] = 0.0
+        ratios, zs = [], []
+        ratio = z = 0.0
+        inf = math.inf
+        for a, d, c, f in zip(sub, diag, sup, y):
+            pivot = d - a * ratio
+            if not (-inf < pivot < inf and pivot != 0.0):      # NaN fails too
+                raise np.linalg.LinAlgError(
+                    f"zero or non-finite pivot in row {len(ratios)}")
+            ratio = c / pivot
+            z = (f - a * z) / pivot
+            ratios.append(ratio)
+            zs.append(z)
+        x = zs.pop()
+        out = [x]
+        for ratio, z in zip(reversed(ratios[:-1]), reversed(zs)):
+            x = z - ratio * x
+            out.append(x)
+        out.reverse()
+        return np.asarray(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +175,23 @@ def poisson_system(grid: Grid, axis_name: str) -> PoissonSystem:
 _COMPATIBILITY_TOL = 1e-8
 
 
+def _running_sum(part: np.ndarray) -> None:
+    """``np.add.accumulate(part, axis=0, out=part)``, bit for bit.
+
+    numpy accumulates along axis 0 of a C-ordered block one strided column
+    at a time, so a block wider than tall is summed one row at a time
+    instead: row i + row i-1 is the accumulate's row i-1 + row i, and IEEE
+    addition commutes.  A block taller than wide keeps the accumulate,
+    which is faster there.
+    """
+    rows, cols = part.shape
+    if rows < cols:
+        for i in range(1, rows):
+            part[i] += part[i - 1]
+    else:
+        np.add.accumulate(part, axis=0, out=part)
+
+
 def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
                      scale: np.ndarray | None = None):
     """Solve (x(1-x) d_x)^2 u = x(1-x) rhs_fs with mean-zero gauge,
@@ -194,7 +220,9 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
     of the source gives the fluxes F_i - F_0 + i mu, the end rows give
     (F_0, mu), a second running sum of F_i / conductance_i gives u up to a
     constant, and the Simpson weights fix the constant.  Both sums run
-    in row blocks, carried from block to block in row order.
+    in row blocks, carried from block to block in row order; a block wider
+    than tall is summed one row at a time (``_running_sum``), bit for bit
+    the accumulate that a taller block takes.
     """
     # the source, then the solution, as (n+1, columns); the source is read
     # only before the first running sum overwrites it
@@ -234,7 +262,7 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
         part = work[lo:hi]
         if total is not None:
             part[0] += total
-        np.add.accumulate(part, axis=0, out=part)
+        _running_sum(part)
         total = part[-1]
     ends = (work[0], work[1], r_last, work[n], work[n - 1])
     f0, mu = sum(k[:, None] * e for k, e in zip(system.end_solve.T, ends))
@@ -254,7 +282,7 @@ def solve_poisson_1d(grid: Grid, axis_name: str, rhs_fs, *,
         part /= system.conductance[lo:hi, None]
         if total is not None:
             part[0] += total
-        np.add.accumulate(part, axis=0, out=part)
+        _running_sum(part)
         total = part[-1]
     work -= np.einsum("i,ij->j", weights, work)        # Simpson gauge
     return work

@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .calculus import (TWO_PI, _LAP_REACH, _carry_columns, _col_max, _col_range,
-                       _dfdb, _halo, _lap_base, _lap_fiber, _row_blocks, lap)
+                       _dfdb, _halo, _lap_base, _lap_fiber, _lap_rows, _row_blocks,
+                       lap)
 from .errors import FanofibError, PullbackStructureError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE
@@ -185,6 +186,13 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     in ``WPResult.residual`` for the volume identities.  r is formed in
     row blocks and reduced per column as it is formed, its fiber average
     included; log u is taken on the rows each block reads.
+
+    A family broadcast along the base (base stride 0, as ``solve_ske``
+    returns it) has log u and L_f log u taken on its one column and
+    broadcast, with the bits of the full field: its D_f D_b log u is +-0
+    (D_b of a row constant along the base is 0 inside, and g_b = 0 at both
+    ends), which the absolute value of the mixed channel erases, and its
+    L_b log u is +0 inside, leaving the two one-sided end rows.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -199,6 +207,13 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 
     n = grid.n_fiber
     u = fiber_sol.vertical_fs
+    column = u.strides[1] == 0
+    if column:
+        u = u[:, :1]
+        # L_b's end rows are those of four copies of the column, placed
+        # at base nodes 0, 1, n_b - 1 and n_b
+        ends = [0, 1, grid.n_base - 1, grid.n_base]
+        g_ends, gp_ends = grid.g_b[ends], grid.gp_b[ends]
     w = ref.warp
     rho = fiber_sol.rho if fiber_sol.kind == SKE else None   # the twist's potential
 
@@ -229,7 +244,8 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
         if rho is not None:
             abs_fb += _dfdb(grid, rho, lo, hi)
         abs_fb *= lam
-        abs_fb += _dfdb(grid, log_u, lo, hi, s)
+        if not column:
+            abs_fb += _dfdb(grid, log_u, lo, hi, s)
         fb = _col_max(fb, np.abs(abs_fb, out=abs_fb))
         abs_ff += abs_fb
         ffb = _col_max(ffb, abs_ff)
@@ -241,7 +257,15 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
         block *= lam
         if rho is not None:
             block += lam * _lap_base(grid, rho, lo, hi)
-        block += _lap_base(grid, log_u, lo, hi, s)
+        if column:
+            # adding L_b log u's +0 inside would change no entry: the twist
+            # is positive, so none is -0
+            t = np.broadcast_to(log_u[lo - s:hi - s].T, (4, hi - lo))
+            lb = _lap_rows(t, 0, 4, g_ends, gp_ends, grid.h(BASE))
+            block[:, 0] += lb[0]
+            block[:, -1] += lb[-1]
+        else:
+            block += _lap_base(grid, log_u, lo, hi, s)
         bb_lo, bb_hi = _col_range(bb_lo, bb_hi, block * grid.g_b[None, :])
         bb_sums = _carry_columns(grid, bb_sums, block, lo)
         del block, log_u        # before the next block's temporaries

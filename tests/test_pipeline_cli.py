@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -839,6 +840,33 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert [p.name for p in f1] == [p.name for p in f2]
     for p1, p2 in zip(f1, f2):
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("a, c", [(2, 1), (3, 2)])
+def test_einstein_column_family_emits_the_bytes_of_the_full_family(a, c, tmp_path,
+                                                                   monkeypatch):
+    # solve_ske keeps its metric as one column broadcast along the base, and
+    # every stage reads the same bits from it as from the full field; at
+    # c = 2, log u = log 2 gives the base-axis end rows a roundoff
+    config = PipelineConfig(a=Fraction(a), c=Fraction(c), warp_amplitude=0.2,
+                            warp_shape="fiber_cubic", grids=((32, 256),),
+                            pipeline="both")
+    emit_report(run_pipeline(config), tmp_path / "column")
+    real = pipeline.solve_ske
+
+    def materialized(ref):
+        sol = real(ref)
+        assert sol.vertical_fs.strides[1] == 0
+        return dataclasses.replace(sol, vertical_fs=np.array(sol.vertical_fs))
+
+    monkeypatch.setattr(pipeline, "solve_ske", materialized)
+    emit_report(run_pipeline(config), tmp_path / "full")
+    names = sorted(p.name for p in (tmp_path / "column").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "full").iterdir())
+    assert len(names) == 3
+    for name in names:
+        assert ((tmp_path / "column" / name).read_bytes()
+                == (tmp_path / "full" / name).read_bytes()), name
 
 
 def test_cli_keeps_the_stage_error_when_emitting_the_partial_report_fails(

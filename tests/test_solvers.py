@@ -418,6 +418,54 @@ def test_banded_solve_takes_one_right_hand_side():
         BandedMatrix(bands).solve(np.ones((17, 2)))
 
 
+def _indexed_banded_solve(bands, rhs):
+    """``BandedMatrix.solve`` with the Thomas sweep written by row index,
+    the reference that the sweep over the zipped bands must match."""
+    b = bands
+    n = b.shape[1] - 1
+    sub, diag, sup = (row.tolist() for row in b[1:4])
+    f0 = float(b[4, 0]) / sup[1] if b[4, 0] else 0.0
+    fn = float(b[0, n]) / sub[n - 1] if b[0, n] else 0.0
+    diag[0] -= f0 * sub[1]
+    sup[0] -= f0 * diag[1]
+    sub[n] -= fn * diag[n - 1]
+    diag[n] -= fn * sup[n - 1]
+    y = np.asarray(rhs, dtype=float).tolist()
+    y[0] = y[0] - f0 * y[1]
+    y[n] = y[n] - fn * y[n - 1]
+    ratio = [0.0] * (n + 1)
+    pivot = diag[0]
+    for i in range(n + 1):
+        if i:
+            pivot = diag[i] - sub[i] * ratio[i - 1]
+            y[i] = y[i] - sub[i] * y[i - 1]
+        ratio[i] = sup[i] / pivot
+        y[i] = y[i] / pivot
+    for i in range(n - 1, -1, -1):
+        y[i] = y[i] - ratio[i] * y[i + 1]
+    return np.asarray(y)
+
+
+@pytest.mark.parametrize("n", [16, 64, 2048])
+@pytest.mark.parametrize("axis_name", [FIBER, BASE])
+def test_banded_sweep_is_the_indexed_sweep_bit_for_bit(n, axis_name):
+    # the base Monge-Ampere Jacobian's shape: L less a positive diagonal,
+    # and its negation, whose empty corner entries are -0; the right-hand
+    # sides include signed zeros at both ends
+    g = Grid(n, n)
+    rng = np.random.default_rng(n)
+    bands = lap_bands(g, axis_name)
+    bands[2] -= 1.0 + rng.random(n + 1)
+    rhs = rng.standard_normal(n + 1)
+    for b in (bands, -bands):
+        for r in (rhs, np.concatenate(([-0.0, 0.0], rhs[2:-2], [0.0, -0.0])),
+                  np.concatenate(([0.0, -0.0], rhs[2:-2], [-0.0, 0.0])),
+                  np.zeros(n + 1), -np.zeros(n + 1)):
+            got, want = BandedMatrix(b).solve(r), _indexed_banded_solve(b, r)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_banded_singular_system_is_nonconvergence():
     # L itself is singular (L 1 = 0): the sweep meets a zero pivot or a
     # non-finite one, and Newton reports it like a singular dense Jacobian
@@ -564,7 +612,8 @@ def _poisson_whole(grid, axis_name, rhs_fs):
 
 @pytest.mark.parametrize("block", [None, 1, 333])
 @pytest.mark.parametrize("shape", [(16, 16), (32, 256), (256, 32), (2048, 64),
-                                   (1024, 1024)], ids=lambda s: f"{s[0]}x{s[1]}")
+                                   (64, 2048), (1024, 1024)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
 def test_blocked_poisson_gauge_is_bit_identical(shape, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)

@@ -1,6 +1,7 @@
 """The stages that stream a fiber family over row blocks: what each holds
-at its peak, and that a NaN anywhere in its input reaches its result or
-its gate."""
+at its peak, that the Einstein family's one broadcast column gives them
+the bits of the full field, and that a NaN anywhere in their input
+reaches their result or their gate."""
 
 import dataclasses
 import inspect
@@ -12,9 +13,12 @@ import pytest
 
 from fanofib import calculus, fiberwise, pipeline
 from fanofib.basespace import check_g_descends, compute_gprime
+from fanofib.calculus import lap
 from fanofib.errors import FanofibError, PositivityError
 from fanofib.fiberwise import (SKE, SPR, solve_ske, solve_spr,
                                verify_fiber_family)
+from fanofib.grids import BASE
+from fanofib.model import ModelSpec, build_reference
 from fanofib.pipeline import PipelineConfig, run_pipeline
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual)
@@ -150,6 +154,46 @@ def test_no_stage_holds_more_than_half_a_field_beyond_reference_and_family(
 
 
 # ---------------------------------------------------------------------------
+# the Einstein family as its one column
+# ---------------------------------------------------------------------------
+
+
+def _leaves(result) -> dict:
+    """The numbers of a stage's result dataclass, nested ones flattened."""
+    out = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if dataclasses.is_dataclass(value):
+            out.update({f"{field.name}.{k}": v for k, v in _leaves(value).items()})
+        elif value is not None and not isinstance(value, str):
+            out[field.name] = np.asarray(value)
+    return out
+
+
+@pytest.mark.parametrize("a, c", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("shape", [(64, 256), (256, 64)], ids=["64x256", "256x64"])
+def test_einstein_column_gives_the_stages_the_bits_of_the_full_family(a, c, shape):
+    ref = build_reference(ModelSpec.make(a, c, 0.2, "fiber_cubic", *shape))
+    column = solve_ske(ref)
+    u = column.vertical_fs
+    assert u.shape == (shape[0] + 1, shape[1] + 1)
+    assert u.strides[1] == 0 and not u.flags.writeable
+    full = dataclasses.replace(column, vertical_fs=np.array(u))
+    # log u is 0 at c = 1; at c = 2 the base-axis end rows of L_b log u
+    # carry the roundoff of log 2 while every interior entry is 0
+    lb = lap(ref.grid, np.log(full.vertical_fs), BASE)
+    assert not lb[:, 1:-1].any()
+    assert lb[:, [0, -1]].any() == (c != 1)
+    for stage in (verify_fiber_family, wp_from_residual):
+        got, want = _leaves(stage(ref, column)), _leaves(stage(ref, full))
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), (stage.__name__, name)
+            assert np.array_equal(np.signbit(got[name]), np.signbit(want[name])), \
+                (stage.__name__, name)
+
+
+# ---------------------------------------------------------------------------
 # NaN reaches every streamed gate
 # ---------------------------------------------------------------------------
 
@@ -180,11 +224,17 @@ def _nan_or_gate(call, read) -> bool:
 
 @pytest.mark.parametrize("row", _rows(), ids=ROW_IDS)
 @pytest.mark.parametrize("kind, field", [(SPR, "vertical_fs"), (SKE, "vertical_fs"),
-                                         (SKE, "rho")])
+                                         (SKE, "rho"), (SKE, "vertical_fs column")])
 def test_one_nan_reaches_every_streamed_stage(ref_c, spr_c, ske_c, kind, field, row):
     good = spr_c if kind == SPR else ske_c
-    values = getattr(good, field).copy()
-    values[row, 7] = np.nan
+    if field == "vertical_fs column":
+        # the NaN in the one column that solve_ske broadcasts along the base
+        column = good.vertical_fs[:, :1].copy()
+        column[row] = np.nan
+        field, values = "vertical_fs", np.broadcast_to(column, good.vertical_fs.shape)
+    else:
+        values = getattr(good, field).copy()
+        values[row, 7] = np.nan
     bad = dataclasses.replace(good, **{field: values})
     stages = {
         "verify_fiber_family": (lambda: verify_fiber_family(ref_c, bad),
