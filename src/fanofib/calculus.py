@@ -13,7 +13,6 @@ is wanted without a removable-singularity fill.
 from __future__ import annotations
 
 import math
-import mmap
 
 import numpy as np
 
@@ -259,43 +258,59 @@ def lap_bands(grid: Grid, axis_name: str) -> np.ndarray:
     return bands
 
 
-# numpy advises huge pages for every array of at least this many bytes
-_HUGE_PAGE_ADVICE_BYTES = 1 << 22
+def _write_bands(out: np.ndarray, bands: np.ndarray, r0: int, c0: int) -> np.ndarray:
+    """The rows and columns from (r0, c0) of the matrix with diagonals
+    ``bands`` that ``out`` spans, written into its zeros."""
+    rows, cols = out.shape
+    for k in range(-2, 3):
+        i = np.arange(max(r0, c0 - k, 0), min(r0 + rows, c0 + cols - k))
+        out[i - r0, i + k - c0] = bands[2 + k, i]
+    return out
 
 
 def lap_matrix(grid: Grid, axis_name: str) -> np.ndarray:
-    """Dense (n+1)^2 matrix of L, written in place from ``lap_bands``.
-
-    The solvers and the Jacobian products work on the bands; the dense
-    form serves only the residual of the fiberwise Einstein Newton (and a
-    Newton step, when a fiber takes one) and tests.
-
-    numpy advises huge pages for every array of 4 MB or more, so on its
-    heap one band entry per row would fault in every 2 MB page.  A matrix
-    that large (n >= 1024) lies instead on a private anonymous mapping
-    advised against huge pages: a row then spans two or more 4 KB pages
-    and makes about one resident, 8.4 MB of the 33.6 MB at n = 2048, and
-    ``L @ v`` reads the rest from the kernel's shared zero page.  The
-    values, the BLAS call and its bits are those of an ``np.zeros``
-    matrix, and the mapping is unmapped when the array is freed.  A
-    smaller matrix stays an ``np.zeros`` array: its rows span at most
-    about one page, so a mapping would keep nearly every page resident
-    anyway.
-    """
-    bands = lap_bands(grid, axis_name)
+    """Dense (n+1)^2 matrix of L, written from ``lap_bands``: the tests'
+    dense reference.  No run builds it; the Einstein residual applies
+    ``lap_slabs``, which give the rows of ``lap_matrix(...) @ v`` bit for
+    bit."""
     n = grid.n(axis_name)
-    size = 8 * (n + 1) ** 2
-    if size < _HUGE_PAGE_ADVICE_BYTES:
-        A = np.zeros((n + 1, n + 1))
-    else:
-        pages = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        if hasattr(mmap, "MADV_NOHUGEPAGE"):
-            pages.madvise(mmap.MADV_NOHUGEPAGE)
-        A = np.frombuffer(pages, dtype=float).reshape(n + 1, n + 1)
-    for k in range(-2, 3):
-        i = np.arange(max(0, -k), n + 1 - max(0, k))
-        A[i, i + k] = bands[2 + k, i]
-    return A
+    return _write_bands(np.zeros((n + 1, n + 1)), lap_bands(grid, axis_name), 0, 0)
+
+
+# Rows per slab of ``lap_slabs``, and the alignment of its column windows.
+# OpenBLAS's dgemv takes each row of A @ v as its own dot product, whose lane
+# grouping depends only on the column offset from the call's first column,
+# modulo the kernel's period, and on the call's tail of columns.  A window
+# that starts on an aligned column, with the last one ending at column n,
+# so gives the rows of the dense product bit for bit up to n = 2048.  From
+# n = 4096 on, the dense call sums each row in blocks of 2048 columns, and a
+# row whose band crosses a block edge may differ in its last bit; a c != 1
+# Einstein solve, the only one whose outcome reads that roundoff, already
+# fails there (einstein_c_ne_1).
+_SLAB_ROWS = 64
+_SLAB_ALIGN = 64
+
+
+def lap_slabs(grid: Grid, axis_name: str) -> list:
+    """L by row slabs: (r0, c0, S), S the rows r0.. of L on the aligned
+    column window from c0 that holds their bands, the window of the last
+    rows running to column n.  3.1 MB at n = 2048, against 33.6 MB dense."""
+    bands, n, a = lap_bands(grid, axis_name), grid.n(axis_name), _SLAB_ALIGN
+    slabs = []
+    for r0 in range(0, n + 1, _SLAB_ROWS):
+        r1 = min(r0 + _SLAB_ROWS, n + 1)
+        c0, c1 = max(0, (r0 - 2) // a * a), -(-(r1 + 2) // a) * a
+        c1 = n + 1 if c1 > n + 1 - a else c1
+        slabs.append((r0, c0, _write_bands(np.zeros((r1 - r0, c1 - c0)), bands, r0, c0)))
+    return slabs
+
+
+def slab_product(slabs: list, v: np.ndarray) -> np.ndarray:
+    """L @ v from ``lap_slabs``, one BLAS dgemv per slab."""
+    out = np.empty_like(v)
+    for r0, c0, s in slabs:
+        out[r0:r0 + s.shape[0]] = s @ v[c0:c0 + s.shape[1]]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (_AUDIT_REACH, _audit_rows, _col_max, _halo, _lap_fiber,
-                       _row_blocks, lap_bands, lap_matrix, simpson_columns)
+                       _row_blocks, lap_bands, lap_slabs, simpson_columns,
+                       slab_product)
 from .errors import FanofibError
 from .grids import FIBER
 from .model import ReferenceGeometry, checked_volume
@@ -126,20 +127,16 @@ class _BorderedJacobian:
 
     ``J @ x`` applies it in O(n) through the bands of L, which is all the
     Jacobian probe reads.  ``solve`` runs only when the fiber takes a
-    Newton step: it assembles the dense matrix entry for entry as the
-    step has always been taken (-L, then the diagonal, then the border)
-    and hands it to LAPACK.  The step is not eliminated against the block
-    A = -L - lam diag(e^v): A is singular at the Einstein solution
+    Newton step: it assembles the dense matrix from the same entries as
+    the step has always been taken (-L slab by slab, then the diagonal,
+    then the border) and hands it to LAPACK.  That matrix is the one
+    (n+1)^2 array of an Einstein solve, and no fiber of the benchmark's
+    timed workloads makes it.  The step is not eliminated against the
+    block A = -L - lam diag(e^v): A is singular at the Einstein solution
     (L k = -2k and lam c = 2 give A k = 0 for u = c).
-
-    ``L`` is ``calculus.lap_matrix``'s matrix, of which from n = 1024 on
-    only the pages holding its bands are resident; the step's working
-    matrix is an ordinary heap array, resident in full, made only when
-    Newton computes a step, which no fiber of the benchmark's timed
-    workloads does.
     """
 
-    L: np.ndarray           # dense L, also read by the residual
+    slabs: list             # L by ``calculus.lap_slabs``, also read by the residual
     band: BandedMatrix      # the same L by its bands
     lam_ev: np.ndarray      # lam e^v
     kvec: np.ndarray        # border column, the Moebius kernel direction
@@ -154,32 +151,34 @@ class _BorderedJacobian:
         n = self.kvec.size
         diag = np.arange(n)
         work = np.zeros((n + 1, n + 1))
-        np.negative(self.L, out=work[:n, :n])
+        for r0, c0, s in self.slabs:
+            np.negative(s, out=work[r0:r0 + s.shape[0], c0:c0 + s.shape[1]])
         work[diag, diag] -= self.lam_ev
         work[:n, n] = self.kvec
         work[n, :n] = self.wk
         return np.linalg.solve(work, rhs)
 
 
-def _ske_single_fiber(L: np.ndarray, band: BandedMatrix, wk: np.ndarray,
+def _ske_single_fiber(slabs: list, band: BandedMatrix, wk: np.ndarray,
                       lam: float, v0: np.ndarray):
     """Bordered Newton for 2 - L v - lam e^v = 0 with the orbit gauge
     <wk, v - v0> = 0; the border column spans the Moebius kernel.
 
-    ``L`` is the dense fiber Laplacian and ``band`` the same matrix by its
-    bands; the Jacobian is a ``_BorderedJacobian``.
+    ``slabs`` is the fiber Laplacian by ``calculus.lap_slabs``, whose
+    product is the dense L @ v bit for bit, and ``band`` the same matrix
+    by its bands; the Jacobian is a ``_BorderedJacobian``.
     """
     n = v0.size
     kvec = 1.0 - 2.0 * np.linspace(0.0, 1.0, n)
 
     def residual(wv):
         v, mu = wv[:n], wv[n]
-        F = 2.0 - L @ v - lam * np.exp(v) + mu * kvec
+        F = 2.0 - slab_product(slabs, v) - lam * np.exp(v) + mu * kvec
         gauge = float(wk @ (v - v0))
         return np.concatenate([F, [gauge]])
 
     def jacobian(wv):
-        return _BorderedJacobian(L, band, lam * np.exp(wv[:n]), kvec, wk)
+        return _BorderedJacobian(slabs, band, lam * np.exp(wv[:n]), kvec, wk)
 
     result = newton_semilinear(residual, jacobian, np.concatenate([v0, [0.0]]))
     return result.x[:n], result
@@ -194,7 +193,7 @@ def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
     warm-start chain: a fiber's system depends on its index only through
     the start point, and every warp shape has Q(0) = 0, so fiber 0 starts
     at v = log c, which solves the discrete system (each row of L sums to
-    zero and lambda c = 2) up to the roundoff of the dense L @ v.  The
+    zero and lambda c = 2) up to the roundoff of L @ v.  The
     family is therefore constant along the base; only a gauge profile
     along the base, a Moebius dilation per fiber, would make it vary.
 
@@ -204,26 +203,26 @@ def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
     base (``np.broadcast_to``), and the full array is freed.
 
     The Jacobian is applied by bands and assembled densely only for a
-    Newton step.  The residual keeps the dense product L @ v: its roundoff
-    floor decides whether the start is already converged, and with it the
-    outcome of the a = 3, c = 2 solve on 512x64 that the benchmark
-    records as the known defect ``einstein_c_ne_1``, so the dense L stays
-    until a closed-form Einstein solve deletes it.  From n = 1024 on only
-    the pages its bands are written to are resident (``lap_matrix``),
-    about one 4 KB page per row: 8.4 MB of 33.6 MB at n = 2048.
+    Newton step.  The residual keeps the bits of the dense BLAS product
+    L @ v: its roundoff floor decides whether the start is already
+    converged, and with it the outcome of the a = 3, c = 2 solve on
+    512x64 that the benchmark records as the known defect
+    ``einstein_c_ne_1``.  It takes that product by ``lap_slabs``, built
+    once per solve, so no run builds the dense L; the closed-form
+    Einstein solve would delete the slabs with this Newton.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
     c = float(ref.spec.c)
-    L = lap_matrix(grid, FIBER)
+    slabs = lap_slabs(grid, FIBER)
     band = BandedMatrix(lap_bands(grid, FIBER))
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
     # fiber 0 starts at omega0's vertical density on base column 0, formed
     # from the 1D profiles as ``ref.vertical_rows`` forms each column
     w = ref.warp
-    v0, result = _ske_single_fiber(L, band, wk, lam,
+    v0, result = _ske_single_fiber(slabs, band, wk, lam,
                                    np.log(c + w.eps * w.D2P_fs * w.Q[0]))
-    del L             # the dense Laplacian, before the recovery
+    del slabs         # before the recovery
 
     v = np.repeat(v0[:, None], grid.n_base + 1, axis=1)
     sol = _family(ref, SKE, np.exp(v, out=v), result.trace[-1],

@@ -19,9 +19,9 @@ Newton takes a Jacobian that is either a dense array, solved by LAPACK,
 or any operator with ``@`` and ``solve``.  The base Monge-Ampere
 Jacobian is a ``BandedMatrix``, whose step is one O(n) elimination on
 the bands; the fiberwise Einstein Jacobian applies itself by bands and
-assembles its dense bordered matrix only to take a step.  Besides L
-itself (``calculus.lap_matrix``), that matrix is the one dense
-allocation of an Einstein solve, and it is made only when Newton
+assembles its dense bordered matrix only to take a step.  That matrix
+is the one dense allocation of an Einstein solve, whose residual applies
+L by row slabs (``calculus.lap_slabs``), and it is made only when Newton
 computes a step: on the benchmark's timed workloads the start is
 already converged and none is computed; on its 512x64 defect
 configuration one is, and the line search rejects it.

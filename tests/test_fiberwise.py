@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanofib import fiberwise
-from fanofib.calculus import TWO_PI, fs_ratio, lap, lap_bands, lap_matrix, simpson_columns
-from fanofib.errors import ContractViolation, SolvabilityError
+from fanofib import calculus, fiberwise, solvers
+from fanofib.calculus import (TWO_PI, fs_ratio, lap, lap_bands, lap_matrix, lap_slabs,
+                              simpson_columns)
+from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
 from fanofib.grids import FIBER
 from fanofib.model import ModelSpec, build_reference
@@ -123,14 +124,14 @@ def _ske_every_fiber(ref, single):
     solution."""
     grid = ref.grid
     lam = float(ref.consts.lam)
-    L = lap_matrix(grid, FIBER)
+    slabs = lap_slabs(grid, FIBER)
     band = BandedMatrix(lap_bands(grid, FIBER))
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
     v = np.log(vertical_fs(ref))
     residual = 0.0
     for j in range(grid.n_base + 1):
         v0 = v[:, j - 1] if j else v[:, 0]
-        v[:, j], result = single(L, band, wk, lam, v0)
+        v[:, j], result = single(slabs, band, wk, lam, v0)
         residual = max(residual, result.trace[-1])
     u = np.exp(v)
     u *= (float(ref.spec.c) / simpson_columns(grid, u))[None, :]
@@ -149,10 +150,10 @@ def _perturb_first_start(single):
     and the Newton result of every call it makes."""
     results = []
 
-    def wrapped(L, band, wk, lam, v0, *rest):
+    def wrapped(slabs, band, wk, lam, v0, *rest):
         if not results:
             v0 = v0 + 1e-3 * np.cos(np.pi * np.linspace(0.0, 1.0, v0.size))
-        v, result = single(L, band, wk, lam, v0, *rest)
+        v, result = single(slabs, band, wk, lam, v0, *rest)
         results.append(result)
         return v, result
 
@@ -214,7 +215,8 @@ def test_ske_iterating_first_fiber_is_broadcast(ref_c, monkeypatch):
 def _einstein_newton_inputs(n_fiber, monkeypatch):
     """The residual and Jacobian that one fiber's Newton receives, the
     point they are taken at (a nontrivial fiber plus 1e-3 cos(pi x), with
-    a nonzero border multiplier) and the dense bordered Jacobian there."""
+    a nonzero border multiplier), the dense bordered Jacobian there and
+    the dense L."""
     ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", n_fiber, 16))
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -228,20 +230,20 @@ def _einstein_newton_inputs(n_fiber, monkeypatch):
         return NewtonResult(np.array(init), [], 0)
 
     monkeypatch.setattr(fiberwise, "newton_semilinear", capture)
-    fiberwise._ske_single_fiber(L, BandedMatrix(lap_bands(grid, FIBER)), wk,
-                                lam, v)
+    fiberwise._ske_single_fiber(lap_slabs(grid, FIBER),
+                                BandedMatrix(lap_bands(grid, FIBER)), wk, lam, v)
     (residual, jacobian), = captured
     n = v.size
     dense = np.zeros((n + 1, n + 1))
     dense[:n, :n] = -L - np.diag(lam * np.exp(v))
     dense[:n, n] = 1.0 - 2.0 * np.linspace(0.0, 1.0, n)
     dense[n, :n] = wk
-    return residual, jacobian, np.concatenate([v, [0.37]]), dense
+    return residual, jacobian, np.concatenate([v, [0.37]]), dense, L
 
 
 @pytest.mark.parametrize("n_fiber", [64, 1024])
 def test_ske_jacobian_operator_is_the_dense_bordered_jacobian(n_fiber, monkeypatch):
-    residual, jacobian, x, dense = _einstein_newton_inputs(n_fiber, monkeypatch)
+    residual, jacobian, x, dense, _ = _einstein_newton_inputs(n_fiber, monkeypatch)
     J = jacobian(x)
     rng = np.random.default_rng(13)
     for y in (x, rng.standard_normal(x.size)):
@@ -258,6 +260,56 @@ def test_ske_jacobian_operator_is_the_dense_bordered_jacobian(n_fiber, monkeypat
                    dataclasses.replace(J, lam_ev=np.zeros_like(J.lam_ev))):
         with pytest.raises(ContractViolation):
             probe_jacobian(residual, lambda _: broken, x)
+
+
+@pytest.mark.parametrize("n_fiber", [64, 1024])
+def test_ske_residual_is_the_dense_formula_bit_for_bit(n_fiber, monkeypatch):
+    # the Newton residual applies L by slabs; off the start point, with a
+    # nonzero border multiplier and gauge, it is the dense formula bit for
+    # bit, so every Newton decision stays that of the dense L
+    residual, jacobian, x, _, L = _einstein_newton_inputs(n_fiber, monkeypatch)
+    n = x.size - 1
+    y = x + 1e-4 * np.sin(7.0 * np.arange(n + 1))
+    v, mu, J = y[:n], y[n], jacobian(y)
+    dense = np.concatenate([2.0 - L @ v - J.lam_ev + mu * J.kvec,
+                            [float(J.wk @ (v - x[:n]))]])
+    got = residual(y)
+    assert got[n] != 0.0 and np.any(got[:n] != 0.0)
+    assert np.array_equal(got, dense)
+    assert np.array_equal(np.signbit(got), np.signbit(dense))
+
+
+def _forbid_dense_lap(monkeypatch):
+    """Make every module's ``lap_matrix`` raise."""
+    def dense_lap(*args):
+        raise AssertionError("a run built the dense L")
+
+    for module in (calculus, fiberwise, solvers):
+        monkeypatch.setattr(module, "lap_matrix", dense_lap, raising=False)
+
+
+def test_ske_solves_without_the_dense_laplacian(monkeypatch):
+    _forbid_dense_lap(monkeypatch)
+    ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", 1024, 16))
+    assert solve_ske(ref).residual_sup <= 1e-11
+
+
+def test_ske_step_is_assembled_without_the_dense_laplacian(monkeypatch):
+    # the known defect einstein_c_ne_1: Newton takes a step, assembled from
+    # the slabs, and its line search stalls
+    _forbid_dense_lap(monkeypatch)
+    steps = []
+    real = fiberwise._BorderedJacobian.solve
+
+    def counting(self, rhs):
+        steps.append(1)
+        return real(self, rhs)
+
+    monkeypatch.setattr(fiberwise._BorderedJacobian, "solve", counting)
+    ref = build_reference(ModelSpec.make(3, 2, 0.0, n_fiber=512, n_base=64))
+    with pytest.raises(NonConvergence, match="line search stalled at iteration 0"):
+        solve_ske(ref)
+    assert steps
 
 
 def test_spr_two_gauges_same_metric(ref_b):

@@ -1,15 +1,12 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fanofib import calculus
 from fanofib.basespace import VARIANT_B, compute_gprime, solve_base_ma
-from fanofib.calculus import TWO_PI, diff1, diff2, lap, lap_bands, lap_matrix, simpson
+from fanofib.calculus import (TWO_PI, diff1, diff2, lap, lap_bands, lap_matrix, lap_slabs,
+                              simpson, slab_product)
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.grids import BASE, FIBER, Grid
@@ -249,52 +246,24 @@ def test_lap_matrix_matches_difference_assembly(shape):
                            atol=1e-13 * np.abs(L).max())
 
 
-@pytest.mark.parametrize("n", [512, 1024, 2048])
-def test_lap_matrix_product_is_bitwise_that_of_a_heap_copy(n):
+@pytest.mark.parametrize("n", [16 << k for k in range(8)])
+def test_slab_product_is_bitwise_the_dense_product(n):
     # the Einstein residual's L @ v decides the start's convergence and
-    # with it the einstein_c_ne_1 outcome, so the matrix must give the BLAS
-    # product of an np.zeros matrix bit for bit, on a mapping (n >= 1024)
-    # as on numpy's heap
+    # with it the einstein_c_ne_1 outcome, so the slabs must give the BLAS
+    # product of the dense matrix bit for bit, signs of zero included: on
+    # the constant starts log c of c = 3/2, 2, 5/2, on a smooth profile
+    # and on noise
     g = Grid(n, 16)
     L = lap_matrix(g, FIBER)
-    heap = np.zeros((n + 1, n + 1))
-    heap[...] = L
+    slabs = lap_slabs(g, FIBER)
+    assert sum(s.shape[0] for _, _, s in slabs) == n + 1
     rng = np.random.default_rng(n)
-    for v in (np.full(n + 1, math.log(2.0)), rng.standard_normal(n + 1)):
-        assert np.array_equal(L @ v, heap @ v)
-
-
-_RSS_ANON_PROBE = """
-from fanofib.calculus import lap_matrix
-from fanofib.grids import FIBER, Grid
-
-def rss_anon_kb():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status
-                    if line.startswith("RssAnon:"))
-
-grid = Grid(2048, 64)
-before = rss_anon_kb()
-L = lap_matrix(grid, FIBER)
-print((rss_anon_kb() - before) / 1024.0)
-"""
-
-
-def test_lap_matrix_keeps_only_its_written_pages_resident():
-    # 2049^2 doubles span 33.6 MB; one 4 KB page per row is 8.4 MB.  On
-    # numpy's heap the matrix is advised huge pages and read 30.5 MB
-    try:
-        with open("/proc/self/status") as status:
-            if not any(line.startswith("RssAnon:") for line in status):
-                pytest.skip("no RssAnon in /proc/self/status")
-    except OSError:
-        pytest.skip("no /proc/self/status")
-    src = str(Path(calculus.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _RSS_ANON_PROBE], env=env,
-                         capture_output=True, text=True, check=True, timeout=60)
-    assert float(out.stdout) <= 12.0
+    profile = np.log(2.0 + np.sin(3.0 * g.nodes_f) * g.nodes_f)
+    for v in (*(np.full(n + 1, math.log(c)) for c in (1.5, 2.0, 2.5)), profile,
+              rng.standard_normal(n + 1)):
+        dense, got = L @ v, slab_product(slabs, v)
+        assert np.array_equal(got, dense)
+        assert np.array_equal(np.signbit(got), np.signbit(dense))
 
 
 def _bordered_oracle(grid, axis_name, rfs):
