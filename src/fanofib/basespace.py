@@ -195,7 +195,7 @@ class BaseMetricSolution:
 
 def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport, variant: str,
                   init: np.ndarray | float = 0.0) -> BaseMetricSolution:
-    """Damped Newton for (ref_form + i ddbar rho) = G' e^rho ref_form.
+    """Newton for (ref_form + i ddbar rho) = G' e^rho ref_form.
 
     ``variant`` selects the reference form eta or eta/(1-e^{-T}); the
     linearization L - khat G' e^rho has a strictly negative-definite

@@ -6,12 +6,12 @@ class (volume 2*pi*c):
 * the prescribed-Ricci family, Ric = lambda * omega0 restricted to the
   fiber, which on curve fibers linearizes to a Poisson problem and is
   unique;
-* the fiberwise Einstein family, Ric = lambda * (metric itself), a
-  Liouville-type problem whose solutions form a Moebius orbit; the
-  orbit coordinate is pinned by a bordered Newton gauge.  One fiber is
-  solved and its solution fills every column: the fiber equation does
-  not depend on the base point, so the family is constant along the base,
-  and its metric is kept as that one column, broadcast along the base.
+* the fiberwise Einstein family, Ric = lambda * (metric itself), whose
+  metric on each fiber is the round one of the class volume.  The
+  discrete system is checked at that start without a Newton step, and
+  its one fiber fills every column: the fiber equation does not depend
+  on the base point, so the family is constant along the base, and its
+  metric is kept as that one column, broadcast along the base.
 
 Fiber potentials carry the mean-zero gauge per fiber; the per-fiber
 constant never enters wedges against pulled-back base forms, so every
@@ -120,111 +120,50 @@ def solve_spr(ref: ReferenceGeometry) -> FiberFamilySolution:
                    "prescribed-Ricci fiber metric")
 
 
-@dataclass(eq=False)
-class _BorderedJacobian:
-    """The Jacobian [[-L - lam diag(e^v), k], [w, 0]] of one fiber's
-    bordered Einstein system at v.
-
-    ``J @ x`` applies it in O(n) through the bands of L, which is all the
-    Jacobian probe reads.  ``solve`` runs only when the fiber takes a
-    Newton step: it assembles the dense matrix from the same entries as
-    the step has always been taken (-L slab by slab, then the diagonal,
-    then the border) and hands it to LAPACK.  That matrix is the one
-    (n+1)^2 array of an Einstein solve, and no fiber of the benchmark's
-    timed workloads makes it.  The step is not eliminated against the
-    block A = -L - lam diag(e^v): A is singular at the Einstein solution
-    (L k = -2k and lam c = 2 give A k = 0 for u = c).
-    """
-
-    slabs: list             # L by ``calculus.lap_slabs``, also read by the residual
-    band: BandedMatrix      # the same L by its bands
-    lam_ev: np.ndarray      # lam e^v
-    kvec: np.ndarray        # border column, the Moebius kernel direction
-    wk: np.ndarray          # border row, the orbit gauge weights
-
-    def __matmul__(self, x):
-        y, mu = x[:-1], x[-1]
-        return np.concatenate([-(self.band @ y) - self.lam_ev * y + mu * self.kvec,
-                               [self.wk @ y]])
-
-    def solve(self, rhs) -> np.ndarray:
-        n = self.kvec.size
-        diag = np.arange(n)
-        work = np.zeros((n + 1, n + 1))
-        for r0, c0, s in self.slabs:
-            np.negative(s, out=work[r0:r0 + s.shape[0], c0:c0 + s.shape[1]])
-        work[diag, diag] -= self.lam_ev
-        work[:n, n] = self.kvec
-        work[n, :n] = self.wk
-        return np.linalg.solve(work, rhs)
-
-
-def _ske_single_fiber(slabs: list, band: BandedMatrix, wk: np.ndarray,
-                      lam: float, v0: np.ndarray):
-    """Bordered Newton for 2 - L v - lam e^v = 0 with the orbit gauge
-    <wk, v - v0> = 0; the border column spans the Moebius kernel.
-
-    ``slabs`` is the fiber Laplacian by ``calculus.lap_slabs``, whose
-    product is the dense L @ v bit for bit, and ``band`` the same matrix
-    by its bands; the Jacobian is a ``_BorderedJacobian``.
-    """
-    n = v0.size
-    kvec = 1.0 - 2.0 * np.linspace(0.0, 1.0, n)
-
-    def residual(wv):
-        v, mu = wv[:n], wv[n]
-        F = 2.0 - slab_product(slabs, v) - lam * np.exp(v) + mu * kvec
-        gauge = float(wk @ (v - v0))
-        return np.concatenate([F, [gauge]])
-
-    def jacobian(wv):
-        return _BorderedJacobian(slabs, band, lam * np.exp(wv[:n]), kvec, wk)
-
-    result = newton_semilinear(residual, jacobian, np.concatenate([v0, [0.0]]))
-    return result.x[:n], result
-
-
 def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
     """Fiberwise Einstein family: Ric(omega_b) = lambda * omega_b.
 
-    Newton (at most 40 steps) runs on the log FS-density of fiber 0, from
-    the reference vertical metric on base column 0, with the orbit gauge
-    pinned there; its solution fills every column.  There is no
-    warm-start chain: a fiber's system depends on its index only through
-    the start point, and every warp shape has Q(0) = 0, so fiber 0 starts
-    at v = log c, which solves the discrete system (each row of L sums to
-    zero and lambda c = 2) up to the roundoff of L @ v.  The
-    family is therefore constant along the base; only a gauge profile
-    along the base, a Moebius dilation per fiber, would make it vary.
+    On a P^1 fiber of class volume c the Einstein metric is the round
+    one, u = c, since lambda c = 2.  Newton starts there, at v = log c;
+    the discrete system 2 - L v - lambda e^v = 0 holds there up to the
+    roundoff of L @ v, because each row of L sums to zero.  Newton takes
+    no step (``max_iter=0``): it probes the banded Jacobian
+    -L - lambda diag(e^v) against the residual, which on a c = 1
+    run is the one check of the slabs against the bands (L @ 0 = 0 shows
+    nothing), and raises NonConvergence unless the start's residual is at
+    most ``NEWTON_TOL``.  Every fiber shares the system and the start, so
+    the family is constant along the base.
+
+    The residual keeps the bits of the dense BLAS product L @ v: its
+    roundoff floor decides whether the start passes, and with it the
+    outcome of the a = 3, c = 2 solve on 512x64 that the benchmark records
+    as the known defect ``einstein_c_ne_1``.  It takes that product by
+    ``lap_slabs``, built once per solve, so no run builds the dense L.
 
     The family is formed, scaled, volume-checked and recovered on the
     full array, so every column is column 0 bit for bit; ``vertical_fs``
     then keeps a copy of column 0 alone, read-only, broadcast along the
     base (``np.broadcast_to``), and the full array is freed.
-
-    The Jacobian is applied by bands and assembled densely only for a
-    Newton step.  The residual keeps the bits of the dense BLAS product
-    L @ v: its roundoff floor decides whether the start is already
-    converged, and with it the outcome of the a = 3, c = 2 solve on
-    512x64 that the benchmark records as the known defect
-    ``einstein_c_ne_1``.  It takes that product by ``lap_slabs``, built
-    once per solve, so no run builds the dense L; the closed-form
-    Einstein solve would delete the slabs with this Newton.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
-    c = float(ref.spec.c)
     slabs = lap_slabs(grid, FIBER)
-    band = BandedMatrix(lap_bands(grid, FIBER))
-    wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
-    # fiber 0 starts at omega0's vertical density on base column 0, formed
-    # from the 1D profiles as ``ref.vertical_rows`` forms each column
-    w = ref.warp
-    v0, result = _ske_single_fiber(slabs, band, wk, lam,
-                                   np.log(c + w.eps * w.D2P_fs * w.Q[0]))
+    bands = lap_bands(grid, FIBER)
+
+    def residual(v):
+        return 2.0 - slab_product(slabs, v) - lam * np.exp(v)
+
+    def jacobian(v):
+        J = np.negative(bands)
+        J[2] -= lam * np.exp(v)
+        return BandedMatrix(J)
+
+    result = newton_semilinear(residual, jacobian,
+                               np.log(np.full(grid.n_fiber + 1, float(ref.spec.c))),
+                               max_iter=0)
     del slabs         # before the recovery
 
-    v = np.repeat(v0[:, None], grid.n_base + 1, axis=1)
+    v = np.repeat(result.x[:, None], grid.n_base + 1, axis=1)
     sol = _family(ref, SKE, np.exp(v, out=v), result.trace[-1],
                   "Einstein fiber metric")
     sol.vertical_fs = np.broadcast_to(v[:, :1].copy(), v.shape)

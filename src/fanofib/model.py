@@ -72,17 +72,17 @@ class DerivedConstants:
     kprime: int             # k' = k (1 - e^{-T})
     alpha: int
     beta: int
-    D_class: tuple[Fraction, Fraction]   # (base, fiber) components
-    p: int
-    q: int
-    r: int
 
     def by_name(self) -> dict:
-        """The constants by their names in report.json and ``fanofib constants``."""
+        """The constants by their names in report.json and ``fanofib constants``.
+
+        The class components (D_base, D_fiber) are (kappa, 0) and the
+        integral powers (p, q, r) are (k, alpha, beta), as
+        ``derive_constants`` asserts."""
         return {"eT": self.eT, "T": self.T, "lambda": self.lam,
                 "kappa": self.kappa, "k": self.k, "kprime": self.kprime,
-                "alpha": self.alpha, "beta": self.beta, "D_base": self.D_class[0],
-                "D_fiber": self.D_class[1], "p": self.p, "q": self.q, "r": self.r}
+                "alpha": self.alpha, "beta": self.beta, "D_base": self.kappa,
+                "D_fiber": Fraction(0), "p": self.k, "q": self.alpha, "r": self.beta}
 
 
 def derive_constants(spec: ModelSpec) -> DerivedConstants:
@@ -116,8 +116,7 @@ def derive_constants(spec: ModelSpec) -> DerivedConstants:
 
     return DerivedConstants(eT=eT, T=math.log(float(1 / eT)), lam=lam,
                             kappa=kappa, k=k, kprime=kprime, alpha=alpha,
-                            beta=beta, D_class=(d_base, d_fiber),
-                            p=k, q=alpha, r=beta)
+                            beta=beta)
 
 
 @dataclass(eq=False)

@@ -18,13 +18,9 @@ run in a fixed order, so every run is bit-deterministic.
 Newton takes a Jacobian that is either a dense array, solved by LAPACK,
 or any operator with ``@`` and ``solve``.  The base Monge-Ampere
 Jacobian is a ``BandedMatrix``, whose step is one O(n) elimination on
-the bands; the fiberwise Einstein Jacobian applies itself by bands and
-assembles its dense bordered matrix only to take a step.  That matrix
-is the one dense allocation of an Einstein solve, whose residual applies
-L by row slabs (``calculus.lap_slabs``), and it is made only when Newton
-computes a step: on the benchmark's timed workloads the start is
-already converged and none is computed; on its 512x64 defect
-configuration one is, and the line search rejects it.
+the bands.  The fiberwise Einstein solve takes no step (``max_iter=0``):
+Newton probes its banded Jacobian against the residual, which applies L
+by row slabs (``calculus.lap_slabs``), and tests the start's residual.
 """
 
 from __future__ import annotations
@@ -322,7 +318,7 @@ def probe_jacobian(residual_fn, jacobian_fn, x0: np.ndarray) -> None:
 
 def newton_semilinear(residual_fn, jacobian_fn, init, max_iter: int = 40,
                       probe: bool = True) -> NewtonResult:
-    """Damped Newton iteration with an optional Jacobian consistency probe.
+    """Newton iteration with an optional Jacobian consistency probe.
 
     ``jacobian_fn`` returns a dense array, which LAPACK solves, or any
     operator with ``@`` (read by the probe) and ``solve(rhs)`` (one step),
@@ -331,7 +327,9 @@ def newton_semilinear(residual_fn, jacobian_fn, init, max_iter: int = 40,
     Returns once the sup-norm of the residual is at most ``NEWTON_TOL``,
     the one tolerance of every Newton solve, tested before each of at most
     ``max_iter`` steps and after the last; raises NonConvergence (with the
-    trace attached) on stagnation or iteration exhaustion.
+    trace attached) on a singular Jacobian or iteration exhaustion.  Every
+    step is a full one: the base Monge-Ampere solve, the one caller that
+    steps, converges from every start its callers pass.
     """
     x = np.array(init, dtype=float)
     if probe:
@@ -351,15 +349,7 @@ def newton_semilinear(residual_fn, jacobian_fn, init, max_iter: int = 40,
                     else np.linalg.solve(J, -res))
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"singular Jacobian at iteration {it}", trace) from exc
-        t = 1.0
-        for _ in range(30):
-            x_try = x + t * step
-            res_try = residual_fn(x_try)
-            norm_try = float(np.abs(res_try).max())
-            if norm_try <= (1.0 - 1e-4 * t) * norm:
-                break
-            t *= 0.5
-        else:
-            raise NonConvergence(f"line search stalled at iteration {it}", trace)
-        x, res, norm = x_try, res_try, norm_try
+        x = x + step
+        res = residual_fn(x)
+        norm = float(np.abs(res).max())
         trace.append(norm)

@@ -185,7 +185,7 @@ def test_base_ma_model_b(ref_b, spr_b, monkeypatch):
     assert sol.positivity_margin > 0.0
     assert sol.zeroth_order_min > 0.0
     assert integrated_ma_defect(ref_b, gp, sol) < 1e-10
-    # quadratic tail of the damped Newton iteration
+    # quadratic tail of the Newton iteration
     [result] = results
     tail = [r for r in result.trace if 0.0 < r < 1e-2]
     assert any(b < 10.0 * a**2 for a, b in zip(tail, tail[1:]))

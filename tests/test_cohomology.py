@@ -23,7 +23,8 @@ def wp_of(ref):
 
 def test_limit_class_is_semiample_direction():
     dc = derive_constants(ModelSpec.make(2, 1))
-    assert dc.D_class == (dc.kappa, 0)
+    named = dc.by_name()
+    assert (named["D_base"], named["D_fiber"]) == (dc.kappa, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanofib import calculus, fiberwise, solvers
-from fanofib.calculus import (TWO_PI, fs_ratio, lap, lap_bands, lap_matrix, lap_slabs,
+from fanofib.calculus import (TWO_PI, fs_ratio, lap, lap_bands, lap_matrix,
                               simpson_columns)
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
@@ -118,55 +118,63 @@ def test_ske_family_smooth_along_base(ref_b, ske_b):
     assert bounds[1] < 2.0 * bounds[0] + 1e-6
 
 
-def _ske_every_fiber(ref, single):
-    """The warm-started Einstein family with a Newton solve on every fiber:
-    fiber j > 0 starts at, and pins its orbit gauge to, fiber j - 1's
-    solution."""
+def _bordered_newton(L, wk, lam, v0):
+    """Dense bordered Newton for 2 - L v - lam e^v = 0 on one fiber, with
+    the orbit gauge <wk, v - v0> = 0 and a border column along the Moebius
+    kernel direction: the oracle of the Einstein fiber solve, whose Newton
+    step the program does not take.  Returns v and the Newton result."""
+    n = v0.size
+    kvec = 1.0 - 2.0 * np.linspace(0.0, 1.0, n)
+
+    def residual(x):
+        v, mu = x[:n], x[n]
+        return np.concatenate([2.0 - L @ v - lam * np.exp(v) + mu * kvec,
+                               [float(wk @ (v - v0))]])
+
+    def jacobian(x):
+        J = np.zeros((n + 1, n + 1))
+        J[:n, :n] = -L - np.diag(lam * np.exp(x[:n]))
+        J[:n, n] = kvec
+        J[n, :n] = wk
+        return J
+
+    result = solvers.newton_semilinear(residual, jacobian, np.concatenate([v0, [0.0]]))
+    return result.x[:n], result
+
+
+def _ske_every_fiber(ref):
+    """The warm-started Einstein family with a bordered Newton solve on
+    every fiber: fiber j > 0 starts at, and pins its orbit gauge to, fiber
+    j - 1's solution."""
     grid = ref.grid
     lam = float(ref.consts.lam)
-    slabs = lap_slabs(grid, FIBER)
-    band = BandedMatrix(lap_bands(grid, FIBER))
+    L = lap_matrix(grid, FIBER)
     wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
     v = np.log(vertical_fs(ref))
-    residual = 0.0
+    residual, iterations = 0.0, 0
     for j in range(grid.n_base + 1):
         v0 = v[:, j - 1] if j else v[:, 0]
-        v[:, j], result = single(slabs, band, wk, lam, v0)
+        v[:, j], result = _bordered_newton(L, wk, lam, v0)
         residual = max(residual, result.trace[-1])
+        iterations += result.iterations
     u = np.exp(v)
     u *= (float(ref.spec.c) / simpson_columns(grid, u))[None, :]
-    return u, fiberwise._recover_potential(ref, u), residual
-
-
-def _assert_same_family(sol, oracle):
-    u, rho, residual = oracle
-    assert np.array_equal(sol.vertical_fs, u)
-    assert np.array_equal(sol.rho, rho)
-    assert sol.residual_sup == residual
-
-
-def _perturb_first_start(single):
-    """``single`` with the first fiber's start point moved off the solution,
-    and the Newton result of every call it makes."""
-    results = []
-
-    def wrapped(slabs, band, wk, lam, v0, *rest):
-        if not results:
-            v0 = v0 + 1e-3 * np.cos(np.pi * np.linspace(0.0, 1.0, v0.size))
-        v, result = single(slabs, band, wk, lam, v0, *rest)
-        results.append(result)
-        return v, result
-
-    return wrapped, results
+    return u, fiberwise._recover_potential(ref, u), residual, iterations
 
 
 @pytest.mark.parametrize("ref_name", ["ref_b", "ref_c", "ref_a32"])
 def test_ske_reuse_matches_a_solve_on_every_fiber(ref_name, request):
-    # at c = 2 the start v = log 2 leaves L @ v a nonzero roundoff residual,
-    # still below the Newton tolerance, which the broadcast must carry
+    # log c is the bordered Newton's fixed point on every fiber: each solve
+    # returns its start in 0 iterations.  At c = 2 the start v = log 2
+    # leaves L @ v a nonzero roundoff residual, still below the Newton
+    # tolerance, which the broadcast must carry
     ref = request.getfixturevalue(ref_name)
     sol = solve_ske(ref)
-    _assert_same_family(sol, _ske_every_fiber(ref, fiberwise._ske_single_fiber))
+    u, rho, residual, iterations = _ske_every_fiber(ref)
+    assert iterations == 0
+    assert np.array_equal(sol.vertical_fs, u)
+    assert np.array_equal(sol.rho, rho)
+    assert sol.residual_sup == residual
     if ref_name == "ref_a32":
         assert 0.0 < sol.residual_sup <= 1e-11
 
@@ -184,99 +192,95 @@ def test_ske_newton_runs_once_per_fixed_point(ref_c, monkeypatch):
     assert len(calls) == 1
 
 
-def test_ske_iterating_first_fiber_is_broadcast(ref_c, monkeypatch):
-    real, real_newton = fiberwise._ske_single_fiber, fiberwise.newton_semilinear
-    wrapped, results = _perturb_first_start(real)
-    calls = []
+def test_ske_takes_no_newton_step(ref_c, monkeypatch):
+    # a start moved off the solution is not iterated back: the solve
+    # raises at iteration 0, after one residual evaluation at the start
+    real = fiberwise.newton_semilinear
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real_newton(*args, **kwargs)
+    def off_start(residual, jacobian, init, **kwargs):
+        init = init + 1e-3 * np.cos(np.pi * np.linspace(0.0, 1.0, init.size))
+        return real(residual, jacobian, init, **kwargs)
 
-    monkeypatch.setattr(fiberwise, "_ske_single_fiber", wrapped)
-    monkeypatch.setattr(fiberwise, "newton_semilinear", counting)
-    sol = solve_ske(ref_c)
-    # the first fiber iterates, and its solution fills every column: a
-    # solve on every fiber starts the second at that solution and
-    # reproduces it (in 0 iterations), and so every later one
-    assert len(calls) == 1
-    assert len(results) == 1 and results[0].iterations > 0
-    oracle, oracle_results = _perturb_first_start(real)
-    u, rho, _ = _ske_every_fiber(ref_c, oracle)
-    assert np.array_equal(sol.vertical_fs, u)
-    assert np.array_equal(sol.rho, rho)
-    assert oracle_results[0].iterations > 0
-    assert not any(r.iterations for r in oracle_results[1:])
-    # the residual is the solved fiber's own; the oracle's restarts reset
-    # the border multiplier to 0 and read a different roundoff
-    assert sol.residual_sup == results[0].trace[-1] <= 1e-11
+    monkeypatch.setattr(fiberwise, "newton_semilinear", off_start)
+    with pytest.raises(NonConvergence, match="no convergence in 0 iterations") as exc:
+        solve_ske(ref_c)
+    assert len(exc.value.trace) == 1 and exc.value.trace[0] > solvers.NEWTON_TOL
 
 
-def _einstein_newton_inputs(n_fiber, monkeypatch):
-    """The residual and Jacobian that one fiber's Newton receives, the
-    point they are taken at (a nontrivial fiber plus 1e-3 cos(pi x), with
-    a nonzero border multiplier), the dense bordered Jacobian there and
-    the dense L."""
+def _with_einstein_newton_inputs(n_fiber, monkeypatch, check):
+    """Call ``check`` with the residual and Jacobian that the Einstein
+    Newton receives, while the solve holds them (it frees the slabs when
+    Newton returns), a point to take them at (a nontrivial fiber plus
+    1e-3 cos(pi x)), lambda and the grid."""
     ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", n_fiber, 16))
     grid = ref.grid
-    lam = float(ref.consts.lam)
-    L = lap_matrix(grid, FIBER)
-    wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
     v = np.log(vertical_fs(ref)[:, 5]) + 1e-3 * np.cos(np.pi * grid.nodes_f)
-    captured = []
+    checked = []
 
     def capture(residual, jacobian, init, **kwargs):
-        captured.append((residual, jacobian))
-        return NewtonResult(np.array(init), [], 0)
+        check(residual, jacobian, v, float(ref.consts.lam), grid)
+        checked.append(1)
+        return NewtonResult(np.array(init), [0.0], 0)
 
     monkeypatch.setattr(fiberwise, "newton_semilinear", capture)
-    fiberwise._ske_single_fiber(lap_slabs(grid, FIBER),
-                                BandedMatrix(lap_bands(grid, FIBER)), wk, lam, v)
-    (residual, jacobian), = captured
-    n = v.size
-    dense = np.zeros((n + 1, n + 1))
-    dense[:n, :n] = -L - np.diag(lam * np.exp(v))
-    dense[:n, n] = 1.0 - 2.0 * np.linspace(0.0, 1.0, n)
-    dense[n, :n] = wk
-    return residual, jacobian, np.concatenate([v, [0.37]]), dense, L
+    solve_ske(ref)
+    assert checked == [1]
 
 
 @pytest.mark.parametrize("n_fiber", [64, 1024])
-def test_ske_jacobian_operator_is_the_dense_bordered_jacobian(n_fiber, monkeypatch):
-    residual, jacobian, x, dense, _ = _einstein_newton_inputs(n_fiber, monkeypatch)
-    J = jacobian(x)
-    rng = np.random.default_rng(13)
-    for y in (x, rng.standard_normal(x.size)):
+def test_ske_jacobian_is_the_banded_linearization(n_fiber, monkeypatch):
+    def check(residual, jacobian, v, lam, grid):
+        J = jacobian(v)
+        expected = -lap_bands(grid, FIBER)
+        expected[2] -= lam * np.exp(v)
+        assert isinstance(J, BandedMatrix) and np.array_equal(J.bands, expected)
+        dense = -lap_matrix(grid, FIBER) - np.diag(lam * np.exp(v))
+        y = np.random.default_rng(13).standard_normal(v.size)
         # relative to |J| |y|, the scale of each entry's rounding: L's
-        # entries reach n^2/4 while L v is O(1) on a smooth v
+        # entries reach n^2/4
         err = np.abs(J @ y - dense @ y).max()
         assert err <= 1e-12 * (np.abs(dense) @ np.abs(y)).max()
-    r = rng.standard_normal(x.size)
-    assert np.array_equal(J.solve(r), np.linalg.solve(dense, r))
-    # the probe accepts the operator and catches a dropped border column or
-    # a dropped lam e^v diagonal
-    probe_jacobian(residual, jacobian, x)
-    for broken in (dataclasses.replace(J, kvec=np.zeros_like(J.kvec)),
-                   dataclasses.replace(J, lam_ev=np.zeros_like(J.lam_ev))):
+        # the probe accepts it and catches a dropped lam e^v diagonal
+        probe_jacobian(residual, jacobian, v)
+        dropped = BandedMatrix(-lap_bands(grid, FIBER))
         with pytest.raises(ContractViolation):
-            probe_jacobian(residual, lambda _: broken, x)
+            probe_jacobian(residual, lambda _: dropped, v)
+
+    _with_einstein_newton_inputs(n_fiber, monkeypatch, check)
+
+
+def test_ske_probe_catches_a_corrupted_slab(monkeypatch):
+    # at c = 1 the start v = 0 gives L @ v = 0 whatever the slabs hold, so
+    # the probe is the run's one check of the slabs against the bands: one
+    # diagonal entry off by 1e-6 of itself fails the solve
+    real = fiberwise.lap_slabs
+
+    def corrupted(grid, axis_name):
+        slabs = real(grid, axis_name)
+        r0, c0, s = slabs[len(slabs) // 2]
+        s[5, r0 + 5 - c0] *= 1.0 + 1e-6
+        return slabs
+
+    ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", 1024, 16))
+    assert solve_ske(ref).residual_sup == 0.0
+    monkeypatch.setattr(fiberwise, "lap_slabs", corrupted)
+    with pytest.raises(ContractViolation, match="Jacobian probe failed"):
+        solve_ske(ref)
 
 
 @pytest.mark.parametrize("n_fiber", [64, 1024])
 def test_ske_residual_is_the_dense_formula_bit_for_bit(n_fiber, monkeypatch):
-    # the Newton residual applies L by slabs; off the start point, with a
-    # nonzero border multiplier and gauge, it is the dense formula bit for
-    # bit, so every Newton decision stays that of the dense L
-    residual, jacobian, x, _, L = _einstein_newton_inputs(n_fiber, monkeypatch)
-    n = x.size - 1
-    y = x + 1e-4 * np.sin(7.0 * np.arange(n + 1))
-    v, mu, J = y[:n], y[n], jacobian(y)
-    dense = np.concatenate([2.0 - L @ v - J.lam_ev + mu * J.kvec,
-                            [float(J.wk @ (v - x[:n]))]])
-    got = residual(y)
-    assert got[n] != 0.0 and np.any(got[:n] != 0.0)
-    assert np.array_equal(got, dense)
-    assert np.array_equal(np.signbit(got), np.signbit(dense))
+    # the Newton residual applies L by slabs; off the start point it is the
+    # dense formula bit for bit, so the exit test stays that of the dense L
+    def check(residual, jacobian, v, lam, grid):
+        y = v + 1e-4 * np.sin(7.0 * np.arange(v.size))
+        dense = 2.0 - lap_matrix(grid, FIBER) @ y - lam * np.exp(y)
+        got = residual(y)
+        assert np.any(got != 0.0)
+        assert np.array_equal(got, dense)
+        assert np.array_equal(np.signbit(got), np.signbit(dense))
+
+    _with_einstein_newton_inputs(n_fiber, monkeypatch, check)
 
 
 def _forbid_dense_lap(monkeypatch):
@@ -294,22 +298,15 @@ def test_ske_solves_without_the_dense_laplacian(monkeypatch):
     assert solve_ske(ref).residual_sup <= 1e-11
 
 
-def test_ske_step_is_assembled_without_the_dense_laplacian(monkeypatch):
-    # the known defect einstein_c_ne_1: Newton takes a step, assembled from
-    # the slabs, and its line search stalls
+def test_ske_defect_raises_at_iteration_0_without_the_dense_laplacian(monkeypatch):
+    # the known defect einstein_c_ne_1: at a = 3, c = 2 on 512x64 the
+    # start's roundoff residual is above the Newton tolerance, and the
+    # solve, which takes no step, raises there
     _forbid_dense_lap(monkeypatch)
-    steps = []
-    real = fiberwise._BorderedJacobian.solve
-
-    def counting(self, rhs):
-        steps.append(1)
-        return real(self, rhs)
-
-    monkeypatch.setattr(fiberwise._BorderedJacobian, "solve", counting)
     ref = build_reference(ModelSpec.make(3, 2, 0.0, n_fiber=512, n_base=64))
-    with pytest.raises(NonConvergence, match="line search stalled at iteration 0"):
+    with pytest.raises(NonConvergence, match="no convergence in 0 iterations") as exc:
         solve_ske(ref)
-    assert steps
+    assert len(exc.value.trace) == 1 and exc.value.trace[0] > solvers.NEWTON_TOL
 
 
 def test_spr_two_gauges_same_metric(ref_b):

@@ -1,9 +1,10 @@
-"""Manufactured solutions for the two solvers.
+"""Manufactured solutions for the solvers.
 
-Each test solves for a closed-form solution on the 64 -> 256 ladder and
-asserts the second-order error constant and the convergence order: the
-flux-form Poisson solve on both axes, and the base Monge-Ampere Newton
-solve for both reference forms.  Unlike the run's residual checks, they
+Each test solves for a closed-form solution on the 64 -> 256 ladder (the
+Einstein family from 32) and asserts the second-order error constant and
+the convergence order: the flux-form Poisson solve on both axes, the base
+Monge-Ampere Newton solve for both reference forms, and the fiberwise
+Einstein family through its potential recovery.  Unlike the run's residual checks, they
 measure the distance to the exact solution, so an error in a weight that
 the solver's own discrete equation shares (g', the gauge) shows.
 """
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from fanofib.basespace import VARIANT_B, VARIANT_BPRIME, GprimeReport, solve_base_ma
+from fanofib.fiberwise import solve_ske
 from fanofib.grids import BASE, FIBER, Grid
 from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import solve_poisson_1d
@@ -67,3 +69,26 @@ def test_base_monge_ampere_converges_to_a_manufactured_solution(variant, bound):
         errs.append(float(np.abs(sol.rho - rho).max()))
         assert errs[-1] <= bound / n**2, (n, errs)
     assert min(_orders(errs)) >= 1.95, errs
+
+
+@pytest.mark.parametrize("a, c", [(2, 1), ("5/2", "3/2"), (3, 2)])
+def test_einstein_fiber_metric_is_the_round_one(a, c):
+    # on each P^1 fiber the Einstein metric of class volume c is c FS
+    ref = build_reference(ModelSpec.make(a, c, 0.2, "fiber_cubic", 64, 32))
+    assert np.all(solve_ske(ref).vertical_fs == float(ref.spec.c))
+
+
+def test_einstein_potential_converges_to_its_closed_form():
+    # u = c and omega0's fiber density c + eps (L P)(x_f) Q(x_b) give
+    # L rho = u - m0 = -eps Q L P, so rho* = -eps Q(x_b) (P(x_f) - int P)
+    # in the mean-zero gauge; fiber_cubic has P = x^2 - x^3 (int P = 1/12)
+    # and Q = x - x^2.  Measured on a = 2, c = 1, eps = 0.2: errors 1.70e-5,
+    # 5.03e-6, 1.37e-6, 3.60e-7 (0.017-0.024 h^2), orders 1.76, 1.87, 1.93
+    errs = []
+    for n in (32, *LADDER):
+        ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", n, n))
+        xf, xb = ref.grid.nodes_f, ref.grid.nodes_b
+        exact = -0.2 * np.outer(xf**2 - xf**3 - 1.0 / 12.0, xb - xb**2)
+        errs.append(float(np.abs(solve_ske(ref).rho - exact).max()))
+        assert errs[-1] <= 0.03 / n**2, (n, errs)
+    assert min(_orders(errs)[1:]) >= 1.85, errs

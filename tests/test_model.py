@@ -30,9 +30,10 @@ def test_constants_two_one():
     assert dc.T == pytest.approx(math.log(1.5), rel=1e-15)
     assert dc.lam == F(2)
     assert dc.kappa == F(2, 3)
-    assert dc.D_class == (F(2, 3), F(0))
+    named = dc.by_name()
+    assert (named["D_base"], named["D_fiber"]) == (F(2, 3), F(0))
     assert (dc.k, dc.kprime, dc.alpha, dc.beta) == (3, 1, 2, 1)
-    assert (dc.p, dc.q, dc.r) == (3, 2, 1)
+    assert (named["p"], named["q"], named["r"]) == (3, 2, 1)
 
 
 def test_constants_three_two():
@@ -71,8 +72,9 @@ def test_constants_invariants_random(pa, pc, qa, qc):
     assert F(1) / (1 - dc.eT) == dc.lam + 1
     assert dc.k * dc.eT == dc.alpha
     assert dc.kprime == dc.k - dc.alpha
-    assert dc.D_class[1] == 0
-    assert dc.D_class[0] == dc.kappa
+    named = dc.by_name()
+    assert named["D_fiber"] == 0
+    assert named["D_base"] == dc.kappa
     # the class decomposition of the semi-ample direction
     assert dc.eT * a - 2 * (1 - dc.eT) == dc.kappa
 

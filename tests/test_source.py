@@ -300,8 +300,8 @@ def test_every_dataclass_field_default_is_taken_somewhere():
 
 
 # the functions that may allocate a dense square matrix: L itself, the
-# tests' dense reference that no run builds, and the Einstein Newton step
-SQUARE_ALLOCATORS = {"calculus.lap_matrix", "fiberwise._BorderedJacobian.solve"}
+# tests' dense reference that no run builds
+SQUARE_ALLOCATORS = {"calculus.lap_matrix"}
 
 
 def _is_np_call(node, names) -> bool:

@@ -281,14 +281,13 @@ def test_one_nan_in_the_poisson_solution_fails_the_spr_solve(ref_c, monkeypatch,
 def test_a_nan_in_the_einstein_newton_solution_fails_the_ske_solve(ref_c, monkeypatch):
     # without the gate, the Poisson recovery would raise a ValueError and
     # end the run in a traceback instead of exit 2
-    real = fiberwise._ske_single_fiber
+    real = fiberwise.newton_semilinear
 
-    def with_nan(*args):
-        v, result = real(*args)
-        v = v.copy()
-        v[3] = np.nan
-        return v, result
+    def with_nan(*args, **kwargs):
+        result = real(*args, **kwargs)
+        result.x[3] = np.nan
+        return result
 
-    monkeypatch.setattr(fiberwise, "_ske_single_fiber", with_nan)
+    monkeypatch.setattr(fiberwise, "newton_semilinear", with_nan)
     with pytest.raises(FanofibError, match="not finite"):
         solve_ske(ref_c)

@@ -43,8 +43,9 @@ pipeline = both
 """
 # a warp so large that omega0 is not positive: a stage fails
 NOT_POSITIVE = "a = 2\nc = 1\nwarp_amplitude = 40\nwarp_shape = fiber_cubic\n"
-# the benchmark's known defect einstein_c_ne_1: the Einstein Newton takes a
-# step on 512x64, and its line search stalls
+# the benchmark's known defect einstein_c_ne_1: on 512x64 the Einstein
+# start's residual is above the Newton tolerance, and the solve, which takes
+# no step, raises
 DEFECT = "a = 3\nc = 2\nwarp_amplitude = 0\npipeline = ske\n"
 
 
