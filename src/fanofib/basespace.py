@@ -245,13 +245,12 @@ def solve_base_ma(ref: ReferenceGeometry, gprime: GprimeReport, variant: str,
                               iterations=result.iterations)
 
 
-def integrated_ma_defect(ref: ReferenceGeometry, gprime: GprimeReport,
-                         sol: BaseMetricSolution) -> float:
+def integrated_ma_defect(ref: ReferenceGeometry, sol: BaseMetricSolution) -> float:
     """Relative gap between int_B of the solved metric and of G' e^rho times
     the reference form; equals the integrated equation residual."""
     grid = ref.grid
     lhs = simpson(grid, BASE, sol.dens_fs)
-    rhs = simpson(grid, BASE, sol.khat * gprime.gprime * np.exp(sol.rho))
+    rhs = simpson(grid, BASE, sol.khat * sol.gprime * np.exp(sol.rho))
     return abs(lhs - rhs) / abs(rhs)
 
 

@@ -8,10 +8,10 @@ class (volume 2*pi*c):
   unique;
 * the fiberwise Einstein family, Ric = lambda * (metric itself), whose
   metric on each fiber is the round one of the class volume.  The
-  discrete system is checked at that start without a Newton step, and
-  its one fiber fills every column: the fiber equation does not depend
-  on the base point, so the family is constant along the base, and its
-  metric is kept as that one column, broadcast along the base.
+  discrete system is checked at that start without a Newton step.  The
+  fiber equation does not depend on the base point, so the family is
+  constant along the base, and its metric is one column, shape
+  (n_f+1, 1), which every reader broadcasts.
 
 Fiber potentials carry the mean-zero gauge per fiber; the per-fiber
 constant never enters wedges against pulled-back base forms, so every
@@ -43,9 +43,8 @@ class FiberFamilySolution:
 
     kind: str
     rho: np.ndarray            # (nf+1, nb+1), mean-zero per fiber
-    # FS-relative vertical metric density, > 0, (nf+1, nb+1).  The Einstein
-    # family's is one read-only column broadcast along the base (base
-    # stride 0); a consumer that sees stride 0 computes on that column
+    # FS-relative vertical metric density, > 0, (nf+1, nb+1); the Einstein
+    # family's is its one column, (nf+1, 1), which readers broadcast
     vertical_fs: np.ndarray
     residual_sup: float        # solver residual (discrete system)
     volume_defect: float       # relative defect of the per-fiber volume
@@ -54,15 +53,16 @@ class FiberFamilySolution:
 def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
     """Mean-zero fiber potentials with ddbar_fiber(rho) = (u - m0) FS-wise.
 
-    The source is formed in one array, row block by row block, and the
-    solve writes the potentials into it.  u and m0 are O(1) while their
-    difference may be O(h^2) next to a pole, so each column's
+    The source is formed in one array of the grid's shape, row block by
+    row block (m0 varies along the base even where u is one column), and
+    the solve writes the potentials into it.  u and m0 are O(1) while
+    their difference may be O(h^2) next to a pole, so each column's
     compatibility gate is scaled by sup|g u| + sup|g m0|, the size of the
     terms whose roundoff the integral carries, taken in the same pass.
     """
     grid = ref.grid
     g = grid.g_f[:, None]
-    rhs = np.empty_like(u)
+    rhs = np.empty((grid.n_fiber + 1, grid.n_base + 1))
     size_u = size_m0 = None
     for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
         m0 = ref.vertical_rows(lo, hi)
@@ -76,8 +76,9 @@ def _family(ref: ReferenceGeometry, kind: str, u: np.ndarray, residual: float,
             what: str) -> FiberFamilySolution:
     """The family of fiber metrics u, each column scaled in place to the
     class volume c: a discrete solve keeps it only to truncation, and the
-    forward audit carries that O(h^2) gap.  ``what`` names the metric in
-    the positivity check."""
+    forward audit carries that O(h^2) gap.  u is the grid's field or, for
+    a family constant along the base, its one column.  ``what`` names the
+    metric in the positivity check."""
     c = float(ref.spec.c)
     u *= (c / simpson_columns(ref.grid, u))[None, :]
     checked_volume(u, what)
@@ -140,10 +141,9 @@ def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
     as the known defect ``einstein_c_ne_1``.  It takes that product by
     ``lap_slabs``, built once per solve, so no run builds the dense L.
 
-    The family is formed, scaled, volume-checked and recovered on the
-    full array, so every column is column 0 bit for bit; ``vertical_fs``
-    then keeps a copy of column 0 alone, read-only, broadcast along the
-    base (``np.broadcast_to``), and the full array is freed.
+    The metric is formed, scaled and volume-checked on that one column,
+    and ``vertical_fs`` is the column, shape (n_f+1, 1); only the
+    potential, whose source varies along the base, is a grid field.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -163,11 +163,8 @@ def solve_ske(ref: ReferenceGeometry) -> FiberFamilySolution:
                                max_iter=0)
     del slabs         # before the recovery
 
-    v = np.repeat(result.x[:, None], grid.n_base + 1, axis=1)
-    sol = _family(ref, SKE, np.exp(v, out=v), result.trace[-1],
-                  "Einstein fiber metric")
-    sol.vertical_fs = np.broadcast_to(v[:, :1].copy(), v.shape)
-    return sol
+    return _family(ref, SKE, np.exp(result.x, out=result.x)[:, None],
+                   result.trace[-1], "Einstein fiber metric")
 
 
 @dataclass(eq=False)
@@ -195,17 +192,15 @@ def verify_fiber_family(ref: ReferenceGeometry,
     rather than the solver's own fixed point; for the Einstein family the
     same stencil checks that the curvature of its weight phi_L + rho
     reproduces the fiber metric.  The audit runs in row blocks, reducing
-    every residual to per-column maxima as it is formed.  A family
-    broadcast along the base (base stride 0, as ``solve_ske`` returns it)
-    has its metric audited, and its positivity checked, on its one
-    column.  A fiber potential that is not finite raises FanofibError: the
-    later stages would read it; a non-finite residual fails its record.
+    every residual to per-column maxima as it is formed.  A family whose
+    metric is one column (``solve_ske``) has it audited, and its
+    positivity checked, on that column.  A fiber potential that is not
+    finite raises FanofibError: the later stages would read it; a
+    non-finite residual fails its record.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
     u, rho = sol.vertical_fs, sol.rho
-    if u.strides[1] == 0:
-        u = u[:, :1]
     if not (math.isfinite(float(rho.min())) and math.isfinite(float(rho.max()))):
         raise FanofibError(f"{sol.kind} fiber potential is not finite")
     n = grid.n_fiber

@@ -290,7 +290,7 @@ def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
         for sol in (sol_b, sol_bp):
             _record(report, grid, kind, f"base_ma[{sol.variant}]",
                     np.max([sol.forward_residual,
-                            integrated_ma_defect(ref, gprime, sol)]), _EXACT, laps,
+                            integrated_ma_defect(ref, sol)]), _EXACT, laps,
                     positivity_margin=sol.positivity_margin,
                     zeroth_order_min=sol.zeroth_order_min,
                     iterations=sol.iterations)

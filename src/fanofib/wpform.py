@@ -187,12 +187,12 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
     row blocks and reduced per column as it is formed, its fiber average
     included; log u is taken on the rows each block reads.
 
-    A family broadcast along the base (base stride 0, as ``solve_ske``
-    returns it) has log u and L_f log u taken on its one column and
-    broadcast, with the bits of the full field: its D_f D_b log u is +-0
-    (D_b of a row constant along the base is 0 inside, and g_b = 0 at both
-    ends), which the absolute value of the mixed channel erases, and its
-    L_b log u is +0 inside, leaving the two one-sided end rows.
+    A family whose metric is one column (``solve_ske``) has log u and
+    L_f log u taken on that column and broadcast, with the bits of the
+    field it stands for: its D_f D_b log u is +-0 (D_b of a row constant
+    along the base is 0 inside, and g_b = 0 at both ends), which the
+    absolute value of the mixed channel erases, and its L_b log u is +0
+    inside, leaving the two one-sided end rows.
     """
     grid = ref.grid
     lam = float(ref.consts.lam)
@@ -207,9 +207,8 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 
     n = grid.n_fiber
     u = fiber_sol.vertical_fs
-    column = u.strides[1] == 0
+    column = u.shape[1] == 1
     if column:
-        u = u[:, :1]
         # L_b's end rows are those of four copies of the column, placed
         # at base nodes 0, 1, n_b - 1 and n_b
         ends = [0, 1, grid.n_base - 1, grid.n_base]

@@ -26,6 +26,14 @@ def field_shape(grid):
     return (grid.n_fiber + 1, grid.n_base + 1)
 
 
+def full_metric(grid, fiber_sol):
+    """A fiber family's vertical metric on every node of ``grid``, as a
+    new writable array: the Einstein family's one column repeated along
+    the base."""
+    u = fiber_sol.vertical_fs
+    return np.repeat(u, grid.n_base + 1, axis=1) if u.shape[1] == 1 else u.copy()
+
+
 def vertical_fs(ref):
     """omega0's FS-relative density on the fibers in full, from the row
     accessor the run reads it through."""

@@ -18,7 +18,7 @@ from fanofib.pipeline import config_from_mapping, run_pipeline
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 from conftest import peak_fields
-from forms import (field_shape, fs_form, make_omega_prime, omega0,
+from forms import (field_shape, fs_form, full_metric, make_omega_prime, omega0,
                    pushforward_adjoint_defect, ric_volume)
 
 
@@ -184,7 +184,7 @@ def test_base_ma_model_b(ref_b, spr_b, monkeypatch):
     assert sol.forward_residual < 1e-11
     assert sol.positivity_margin > 0.0
     assert sol.zeroth_order_min > 0.0
-    assert integrated_ma_defect(ref_b, gp, sol) < 1e-10
+    assert integrated_ma_defect(ref_b, sol) < 1e-10
     # quadratic tail of the Newton iteration
     [result] = results
     tail = [r for r in result.trace if 0.0 < r < 1e-2]
@@ -401,7 +401,7 @@ def test_volume_identity_gate_fails_on_a_perturbed_fiber_column(
                                     [sol])
     assert rep.name == f"volume_identity[{which}]"
     assert rep.relative <= tol          # 1.0e-5 against 2.4e-2 at 64^2
-    u = fiber.vertical_fs.copy()
+    u = full_metric(ref_c.grid, fiber)
     u[:, ref_c.grid.n_base // 2] *= 1.0 + 1e-3
     perturbed = dataclasses.replace(fiber, vertical_fs=u)
     bad, = volume_identity_residual(
@@ -549,7 +549,7 @@ def test_volume_identity_never_passes_a_nan(ref_c, spr_c, ske_c, field):
         gp = compute_gprime(ref_c, fiber)
         sols = [solve_base_ma(ref_c, gp, v) for v in (VARIANT_B, VARIANT_BPRIME)]
         if field == "vertical_fs":
-            u = fiber.vertical_fs.copy()
+            u = full_metric(ref_c.grid, fiber)
             u[:, j] = np.nan
             fiber = dataclasses.replace(fiber, vertical_fs=u)
         else:

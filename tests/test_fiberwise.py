@@ -14,7 +14,7 @@ from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
 from fanofib.grids import FIBER
 from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import BandedMatrix, NewtonResult, probe_jacobian
-from forms import BB, fs_form, vertical_fs
+from forms import BB, fs_form, full_metric, vertical_fs
 
 
 def test_spr_model_a_is_reference(ref_a, spr_a):
@@ -167,12 +167,13 @@ def test_ske_reuse_matches_a_solve_on_every_fiber(ref_name, request):
     # log c is the bordered Newton's fixed point on every fiber: each solve
     # returns its start in 0 iterations.  At c = 2 the start v = log 2
     # leaves L @ v a nonzero roundoff residual, still below the Newton
-    # tolerance, which the broadcast must carry
+    # tolerance, which the one column must carry
     ref = request.getfixturevalue(ref_name)
     sol = solve_ske(ref)
     u, rho, residual, iterations = _ske_every_fiber(ref)
     assert iterations == 0
-    assert np.array_equal(sol.vertical_fs, u)
+    assert sol.vertical_fs.shape == (ref.grid.n_fiber + 1, 1)
+    assert np.array_equal(full_metric(ref.grid, sol), u)
     assert np.array_equal(sol.rho, rho)
     assert sol.residual_sup == residual
     if ref_name == "ref_a32":

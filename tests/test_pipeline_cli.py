@@ -845,9 +845,9 @@ def test_cli_rerun_byte_identical(tmp_path):
 @pytest.mark.parametrize("a, c", [(2, 1), (3, 2)])
 def test_einstein_column_family_emits_the_bytes_of_the_full_family(a, c, tmp_path,
                                                                    monkeypatch):
-    # solve_ske keeps its metric as one column broadcast along the base, and
-    # every stage reads the same bits from it as from the full field; at
-    # c = 2, log u = log 2 gives the base-axis end rows a roundoff
+    # solve_ske's metric is one column, and every stage reads the same bits
+    # from it as from the field repeated along the base; at c = 2,
+    # log u = log 2 gives the base-axis end rows a roundoff
     config = PipelineConfig(a=Fraction(a), c=Fraction(c), warp_amplitude=0.2,
                             warp_shape="fiber_cubic", grids=((32, 256),),
                             pipeline="both")
@@ -856,8 +856,11 @@ def test_einstein_column_family_emits_the_bytes_of_the_full_family(a, c, tmp_pat
 
     def materialized(ref):
         sol = real(ref)
-        assert sol.vertical_fs.strides[1] == 0
-        return dataclasses.replace(sol, vertical_fs=np.array(sol.vertical_fs))
+        u = sol.vertical_fs
+        assert u.shape == (ref.grid.n_fiber + 1, 1)
+        full = np.repeat(u, ref.grid.n_base + 1, axis=1)
+        assert full.shape == (ref.grid.n_fiber + 1, ref.grid.n_base + 1)
+        return dataclasses.replace(sol, vertical_fs=full)
 
     monkeypatch.setattr(pipeline, "solve_ske", materialized)
     emit_report(run_pipeline(config), tmp_path / "full")

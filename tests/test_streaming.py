@@ -23,6 +23,7 @@ from fanofib.pipeline import PipelineConfig, run_pipeline
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual)
 from conftest import _field_bytes, peak_fields
+from forms import full_metric
 
 # ---------------------------------------------------------------------------
 # memory: peaks above the live set, in nodal fields, at 256^2
@@ -32,13 +33,21 @@ from conftest import _field_bytes, peak_fields
 @pytest.mark.parametrize("solve", [solve_spr, solve_ske], ids=["spr", "ske"])
 def test_fiber_solve_holds_its_outputs_and_three_fields(ref_256, solve):
     # u and rho, the Poisson recovery's source, which the solve overwrites
-    # with rho, and row blocks: 2.27 (spr) and 2.29 (ske) fields, set by
-    # the recovery.  The Einstein family's dense L is freed before it; here
-    # it is an np.zeros array that tracemalloc counts (1.05 fields), but
-    # from n = 1024 on it lies on a mapping that tracemalloc does not see,
-    # and test_solvers bounds its resident pages instead.
+    # with rho, and row blocks: 2.27 (spr) and 1.29 (ske) fields, set by
+    # the recovery; the Einstein metric is one column.
     # A recovery that kept its source beside the solution read 3.14
     assert peak_fields(solve, ref_256) <= 4.5
+
+
+@pytest.mark.parametrize("shape", [(256, 256), (64, 2048)], ids=["256x256", "64x2048"])
+def test_einstein_solve_holds_no_metric_field(ref_256, shape):
+    # rho, whose source varies along the base, is the one field; the metric
+    # is one column: 1.29 fields at both shapes, against 2.30 and 2.31 with
+    # the column repeated along the base.  On 2048x64 the slabs of L set
+    # the peak either way (3.18), so that shape is not bounded here
+    ref = ref_256 if shape == (256, 256) else build_reference(
+        ModelSpec.make(2, 1, 0.2, "fiber_cubic", *shape))
+    assert peak_fields(solve_ske, ref) <= 1.5
 
 
 @pytest.mark.parametrize("kind", [SPR, SKE])
@@ -176,9 +185,9 @@ def test_einstein_column_gives_the_stages_the_bits_of_the_full_family(a, c, shap
     ref = build_reference(ModelSpec.make(a, c, 0.2, "fiber_cubic", *shape))
     column = solve_ske(ref)
     u = column.vertical_fs
-    assert u.shape == (shape[0] + 1, shape[1] + 1)
-    assert u.strides[1] == 0 and not u.flags.writeable
-    full = dataclasses.replace(column, vertical_fs=np.array(u))
+    assert u.shape == (shape[0] + 1, 1)
+    full = dataclasses.replace(column, vertical_fs=np.repeat(u, shape[1] + 1, axis=1))
+    assert full.vertical_fs.shape == (shape[0] + 1, shape[1] + 1)
     # log u is 0 at c = 1; at c = 2 the base-axis end rows of L_b log u
     # carry the roundoff of log 2 while every interior entry is 0
     lb = lap(ref.grid, np.log(full.vertical_fs), BASE)
@@ -228,12 +237,13 @@ def _nan_or_gate(call, read) -> bool:
 def test_one_nan_reaches_every_streamed_stage(ref_c, spr_c, ske_c, kind, field, row):
     good = spr_c if kind == SPR else ske_c
     if field == "vertical_fs column":
-        # the NaN in the one column that solve_ske broadcasts along the base
-        column = good.vertical_fs[:, :1].copy()
-        column[row] = np.nan
-        field, values = "vertical_fs", np.broadcast_to(column, good.vertical_fs.shape)
+        # the NaN in the one column of solve_ske's metric
+        field, values = "vertical_fs", good.vertical_fs.copy()
+        values[row] = np.nan
     else:
-        values = getattr(good, field).copy()
+        # a NaN at one node of the field, the Einstein metric materialized
+        values = (full_metric(ref_c.grid, good) if field == "vertical_fs"
+                  else getattr(good, field).copy())
         values[row, 7] = np.nan
     bad = dataclasses.replace(good, **{field: values})
     stages = {

@@ -11,7 +11,7 @@ from fanofib.grids import BASE, FIBER
 from fanofib.model import ModelSpec, build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
-from forms import FB, base_fs, mixed_fb, omega0, vertical_fs
+from forms import FB, base_fs, full_metric, mixed_fb, omega0, vertical_fs
 
 
 def canonical(ref):
@@ -183,7 +183,7 @@ def _pullback_residual_whole(ref, fiber_sol):
     def dfdb(v):
         return grid.g_f[:, None] * diff1(grid.g_b[None, :] * diff1(v, hb, 1), hf, 0)
 
-    log_u = np.log(fiber_sol.vertical_fs)
+    log_u = np.log(full_metric(grid, fiber_sol))
     if fiber_sol.kind == "spr":
         twist_ff_fs = lam * vertical_fs(ref)
         twist_fb = lam * mixed_fb(ref)
