@@ -1,4 +1,4 @@
-"""Command-line interface: run, constants, refine, check."""
+"""Command-line interface: run, constants, refine."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import sys
 
 from .errors import FanofibError
 from .model import derive_constants
-from .pipeline import ALL_CHECKS, PIPELINES, PipelineStageError, load_config, run_pipeline
+from .pipeline import PIPELINES, PipelineStageError, load_config, run_pipeline
 from .report import _num, console_table, emit_report
 
 
@@ -19,14 +19,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pipeline", choices=PIPELINES, default=None)
 
 
-def _build_config(args, extra=None):
+def _build_config(args):
     mapping = {}
     if args.grid:
         mapping["grids"] = ",".join(args.grid)
     if args.pipeline:
         mapping["pipeline"] = args.pipeline
-    if extra:
-        mapping.update(extra)
     return load_config(args.config, mapping)
 
 
@@ -37,7 +35,7 @@ def main(argv=None) -> int:
                     "torus-symmetric model Fano fibrations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="full pipeline with all requested checks")
+    run_p = sub.add_parser("run", help="full pipeline, recording every check")
     _add_common(run_p)
 
     const_p = sub.add_parser("constants", help="print the exact derived constants")
@@ -47,10 +45,6 @@ def main(argv=None) -> int:
 
     refine_p = sub.add_parser("refine", help="convergence study over a grid list")
     _add_common(refine_p)
-
-    check_p = sub.add_parser("check", help="run a single named check")
-    check_p.add_argument("name", choices=ALL_CHECKS)
-    _add_common(check_p)
 
     args = parser.parse_args(argv)
 
@@ -64,8 +58,7 @@ def main(argv=None) -> int:
                 print(f"{key} = {_num(value)}")
             return 0
 
-        extra = {"checks": args.name} if args.command == "check" else None
-        cfg = _build_config(args, extra)
+        cfg = _build_config(args)
         if args.command == "refine" and len(cfg.grids) < 2:
             parser.error("refine needs at least two --grid arguments")
         try:

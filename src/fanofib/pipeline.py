@@ -2,9 +2,9 @@
 
 A run builds the reference geometry once per grid and walks, per
 fiber-family kind, through fiber solves, both base-form routes, the base
-Monge-Ampere solves, and the selected residual and identity checks;
-convergence orders are taken between consecutive grids that refine both
-axes by the same factor.
+Monge-Ampere solves, and every residual and identity check of
+``ALL_CHECKS``; convergence orders are taken between consecutive grids
+that refine both axes by the same factor.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .report import CheckRecord, Report
 from .wpform import (SectionFamilySpec, volume_family_from_sections,
                      wp_from_residual, wp_from_sections)
 
+# the check groups every run records, as report.json's ``checks`` lists them
 ALL_CHECKS = ("fiber", "wp_routes", "gprime", "base_ma", "twisted_ke",
               "wpl_fs", "volume_identities", "cohomology")
 PIPELINES = {"spr": (SPR,), "ske": (SKE,), "both": (SPR, SKE)}
@@ -47,7 +48,6 @@ class PipelineConfig:
     warp_shape: str = "product_bump"
     grids: tuple = ((64, 64),)
     pipeline: str = "both"
-    checks: tuple = ALL_CHECKS
 
     def model_spec(self, grid: tuple[int, int]) -> ModelSpec:
         return ModelSpec.make(self.a, self.c, self.warp_amplitude,
@@ -82,22 +82,19 @@ def _parse_grid(token: str) -> tuple[int, int]:
         raise ConfigError(f"bad grid {token!r}, expected NxM") from exc
 
 
-def _tokens(key: str, raw) -> list[str]:
-    """The non-empty items of a comma-separated string or of a list."""
+def _parse_grids(raw) -> tuple:
+    """The grids of the non-empty items of a comma-separated string or of a
+    list; ConfigError if two items give the same grid."""
     items = raw.split(",") if isinstance(raw, str) else raw
     tokens = [str(t).strip() for t in items] if isinstance(items, (list, tuple)) else []
     if not any(tokens):
-        raise ConfigError(f"{key} = {raw!r} is not a non-empty list")
-    return [t for t in tokens if t]
-
-
-def _once(key: str, tokens: list[str], parse) -> tuple:
-    """``parse`` of each token; ConfigError if two give the same item."""
-    items = [parse(t) for t in tokens]
-    twice = [t for i, t in enumerate(tokens) if items[i] in items[:i]]
+        raise ConfigError(f"grids = {raw!r} is not a non-empty list")
+    tokens = [t for t in tokens if t]
+    grids = [_parse_grid(t) for t in tokens]
+    twice = [t for i, t in enumerate(tokens) if grids[i] in grids[:i]]
     if twice:
-        raise ConfigError(f"{key} lists {twice[0]!r} twice")
-    return tuple(items)
+        raise ConfigError(f"grids lists {twice[0]!r} twice")
+    return tuple(grids)
 
 
 def _number(key: str, raw, parse, what: str):
@@ -125,26 +122,15 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
     if "warp_shape" in m:
         kw["warp_shape"] = str(m.pop("warp_shape"))
     if "grids" in m:
-        kw["grids"] = _once("grids", _tokens("grids", m.pop("grids")), _parse_grid)
+        kw["grids"] = _parse_grids(m.pop("grids"))
     if "pipeline" in m:
         p = str(m.pop("pipeline"))
         if p not in PIPELINES:
             raise ConfigError(f"pipeline must be one of {sorted(PIPELINES)}")
         kw["pipeline"] = p
-    if "checks" in m:
-        names = _tokens("checks", m.pop("checks"))
-        unknown = [n for n in names if n not in ALL_CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown checks {unknown}; available {ALL_CHECKS}")
-        kw["checks"] = _once("checks", names, str)
     if m:
         raise ConfigError(f"unknown configuration keys {sorted(map(str, m))}")
     cfg = PipelineConfig(**kw)
-    if cfg.pipeline == "ske" and set(cfg.checks) == {"wpl_fs"}:
-        # wpl_fs records for the prescribed-Ricci family alone (``_run_cell``),
-        # and a run that records nothing would pass on its empty list
-        raise ConfigError(f"checks {list(cfg.checks)} record nothing for "
-                          f"pipeline = {cfg.pipeline}")
     for nf, nb in cfg.grids:
         try:
             Grid(nf, nb)
@@ -158,8 +144,8 @@ def config_from_mapping(mapping: dict) -> PipelineConfig:
     return cfg
 
 
-def load_config(path=None, overrides=None) -> PipelineConfig:
-    """The configuration of a key = value file (if ``path`` is given)
+def load_config(path, overrides: dict) -> PipelineConfig:
+    """The configuration of a key = value file (if ``path`` is not None)
     with the entries of ``overrides`` taking precedence."""
     mapping = {}
     if path is not None:
@@ -168,7 +154,7 @@ def load_config(path=None, overrides=None) -> PipelineConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
         mapping = parse_config(text)
-    mapping.update(overrides or {})
+    mapping.update(overrides)
     return config_from_mapping(mapping)
 
 
@@ -191,7 +177,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
                            "warp_amplitude": config.warp_amplitude,
                            "warp_shape": config.warp_shape},
                     constants={}, grids=list(config.grids),
-                    checks=list(config.checks), pipeline=config.pipeline,
+                    checks=list(ALL_CHECKS), pipeline=config.pipeline,
                     provenance={"code_version": __version__})
     stage = "derive_constants"
     try:
@@ -203,7 +189,7 @@ def run_pipeline(config: PipelineConfig) -> Report:
             ref = build_reference(config.model_spec(grid_pair))
             for kind in PIPELINES[config.pipeline]:
                 stage = f"grid {grid_pair} / {kind}"
-                _run_cell(config, ref, kind, report, laps)
+                _run_cell(ref, kind, report, laps)
     except FanofibError as exc:
         report.error = {"stage": stage, "message": str(exc),
                         "type": type(exc).__name__}
@@ -245,79 +231,71 @@ def _record(report: Report, grid: Grid, kind: str, name: str,
         wall_time=laps.lap()))
 
 
-def _run_cell(cfg: PipelineConfig, ref: ReferenceGeometry, kind: str,
-              report: Report, laps: _Laps) -> None:
+def _run_cell(ref: ReferenceGeometry, kind: str, report: Report,
+              laps: _Laps) -> None:
     grid = ref.grid
 
     fiber = solve_spr(ref) if kind == SPR else solve_ske(ref)
     family = volume_family_from_sections(
         ref, SectionFamilySpec.canonical(ref.consts), fiber)
 
-    if "fiber" in cfg.checks:
-        audit = verify_fiber_family(ref, fiber)
-        _record(report, grid, kind, "fiber_solver",
-                np.max([fiber.residual_sup, fiber.volume_defect]), _EXACT, laps,
-                positivity_margin=audit.positivity_margin)
-        forward = [audit.forward_residual_sup, family.ric_defect]
-        if audit.weight_forward_sup is not None:
-            forward.append(audit.weight_forward_sup)
-        _record(report, grid, kind, "fiber_forward", np.max(forward), _TRUNC, laps)
+    audit = verify_fiber_family(ref, fiber)
+    _record(report, grid, kind, "fiber_solver",
+            np.max([fiber.residual_sup, fiber.volume_defect]), _EXACT, laps,
+            positivity_margin=audit.positivity_margin)
+    forward = [audit.forward_residual_sup, family.ric_defect]
+    if audit.weight_forward_sup is not None:
+        forward.append(audit.weight_forward_sup)
+    _record(report, grid, kind, "fiber_forward", np.max(forward), _TRUNC, laps)
 
     wp_sections = wp_from_sections(ref, family)
     wp_residual = wp_from_residual(ref, fiber)
 
-    if "wp_routes" in cfg.checks:
-        diff = float(np.abs(wp_sections.wp_base -
-                            wp_residual.wp_base).max())
-        _record(report, grid, kind, "wp_routes", diff, _TRUNC, laps,
-                verticality_defect=wp_residual.verticality_defect)
+    diff = float(np.abs(wp_sections.wp_base - wp_residual.wp_base).max())
+    _record(report, grid, kind, "wp_routes", diff, _TRUNC, laps,
+            verticality_defect=wp_residual.verticality_defect)
 
     gprime = compute_gprime(ref, fiber)
-    if "gprime" in cfg.checks:
-        descend = check_g_descends(ref, fiber, gprime)
-        _record(report, grid, kind, "gprime",
-                np.max([gprime.normalization_defect, gprime.adjoint_defect]),
-                _EXACT, laps, delta_lower=gprime.delta_lower)
-        _record(report, grid, kind, "g_descends",
-                float(np.max([descend.vertical_oscillation,
-                              descend.pullback_defect])),
-                _TRUNC, laps, vertical_oscillation=descend.vertical_oscillation,
-                pullback_defect=descend.pullback_defect)
+    descend = check_g_descends(ref, fiber, gprime)
+    _record(report, grid, kind, "gprime",
+            np.max([gprime.normalization_defect, gprime.adjoint_defect]),
+            _EXACT, laps, delta_lower=gprime.delta_lower)
+    _record(report, grid, kind, "g_descends",
+            float(np.max([descend.vertical_oscillation,
+                          descend.pullback_defect])),
+            _TRUNC, laps, vertical_oscillation=descend.vertical_oscillation,
+            pullback_defect=descend.pullback_defect)
 
     sol_b = solve_base_ma(ref, gprime, VARIANT_B)
     sol_bp = solve_base_ma(ref, gprime, VARIANT_BPRIME)
-    if "base_ma" in cfg.checks:
-        for sol in (sol_b, sol_bp):
-            _record(report, grid, kind, f"base_ma[{sol.variant}]",
-                    np.max([sol.forward_residual,
-                            integrated_ma_defect(ref, sol)]), _EXACT, laps,
-                    positivity_margin=sol.positivity_margin,
-                    zeroth_order_min=sol.zeroth_order_min,
-                    iterations=sol.iterations)
+    for sol in (sol_b, sol_bp):
+        _record(report, grid, kind, f"base_ma[{sol.variant}]",
+                np.max([sol.forward_residual,
+                        integrated_ma_defect(ref, sol)]), _EXACT, laps,
+                positivity_margin=sol.positivity_margin,
+                zeroth_order_min=sol.zeroth_order_min,
+                iterations=sol.iterations)
 
     tke = {sol.variant: twisted_ke_residual(ref, sol, wp_sections)
            for sol in (sol_b, sol_bp)}
-    if "twisted_ke" in cfg.checks:
-        for rep in tke.values():
-            _record(report, grid, kind, rep.name, rep.relative, _TRUNC, laps)
+    for rep in tke.values():
+        _record(report, grid, kind, rep.name, rep.relative, _TRUNC, laps)
 
-    if "wpl_fs" in cfg.checks and kind == SPR:
+    if kind == SPR:
         rep = wpl_fs_residual(ref, wp_sections)
         _record(report, grid, kind, rep.name, rep.relative, _TRUNC, laps)
 
-    if "volume_identities" in cfg.checks:
-        for rep in volume_identity_residual(ref, fiber, wp_residual,
-                                            [sol_b, sol_bp]):
-            _record(report, grid, kind, rep.name, rep.relative, _TRUNC,
-                    laps, **rep.extra)
+    for rep in volume_identity_residual(ref, fiber, wp_residual,
+                                        [sol_b, sol_bp]):
+        _record(report, grid, kind, rep.name, rep.relative, _TRUNC,
+                laps, **rep.extra)
 
-    if "cohomology" in cfg.checks:
-        base = cohomology.check_base_identity(ref, wp_sections)
-        fiber_rep, total = cohomology.check_total_identity(ref, wp_sections)
-        _record(report, grid, kind, "cohomology",
-                np.max([base.relative, total.relative, fiber_rep.relative]), _TRUNC,
-                laps, total_base_defect=total.defect,
-                fiber_defect_exact=float(fiber_rep.exact_defect))
+    base = cohomology.check_base_identity(ref, wp_sections)
+    fiber_rep, total = cohomology.check_total_identity(ref, wp_sections)
+    _record(report, grid, kind, "cohomology",
+            np.max([base.relative, total.relative, fiber_rep.relative]), _TRUNC,
+            laps, total_base_defect=total.defect,
+            fiber_defect_exact=float(fiber_rep.exact_defect))
 
     report.profiles[(kind, (grid.n_fiber, grid.n_base))] = {
         "x_b": grid.nodes_b,

@@ -109,16 +109,17 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
 
     The fiber-pole exponent 2 - lambda*c cancels exactly (that is the
     degeneration identity, which ``derive_constants`` asserts), so the
-    density is bounded on every fiber; section exponents whose ratio is
-    not lambda are inconsistent with the model and are rejected.
+    density is bounded on every fiber; section exponents that are not
+    positive with ratio lambda are inconsistent with the model and are
+    rejected, and so is an f_scale that is not positive and finite.
     """
     consts = ref.consts
-    if Fraction(sfs.alpha, sfs.beta) != consts.lam:
+    if sfs.beta <= 0 or Fraction(sfs.alpha, sfs.beta) != consts.lam:
         raise FanofibError(
             f"section exponents {sfs.alpha}/{sfs.beta} inconsistent with the "
-            f"degeneration ratio {consts.lam}")
-    if sfs.f_scale <= 0.0:
-        raise ValueError("f_scale must be positive")
+            f"degeneration ratio {consts.lam} over a positive beta")
+    if not 0.0 < sfs.f_scale < math.inf:
+        raise ValueError("f_scale must be positive and finite")
 
     lam = float(consts.lam)
     grid = ref.grid
@@ -178,7 +179,7 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
 
     is a pullback.  The theta terms cancel symbolically, before any
     discretisation, so r is assembled without theta: ``theta_fs`` is only
-    checked to be a positive base density, and no computation reads it.
+    checked to be a finite positive base density; no computation reads it.
     The base-base component is fiber-averaged and the vertical components
     plus the fiber oscillation are reported as the verticality defect; a
     defect above ``grid.truncation_tol(max(1, sup|r_bb|))``, or one that is
@@ -200,8 +201,8 @@ def wp_from_residual(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
         theta_fs = ref.eta_fs
     theta = np.broadcast_to(np.asarray(theta_fs, dtype=float),
                             (grid.n_base + 1,)).astype(float)
-    if np.any(theta <= 0.0):
-        raise ValueError("theta must be a base metric (positive density)")
+    if not np.all((0.0 < theta) & (theta < np.inf)):
+        raise ValueError("theta must be a base metric (finite positive density)")
     if fiber_sol.kind not in (SPR, SKE):
         raise ValueError(f"unknown fiber family kind {fiber_sol.kind!r}")
 

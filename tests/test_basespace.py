@@ -595,8 +595,7 @@ def test_volume_identities_keep_their_order_on_the_last_rung():
     # 1.8 is the benchmark's floor for them (ORDER_LOSS_FLOOR).
     cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": "0.2",
                                "warp_shape": "fiber_cubic",
-                               "grids": "512x512,1024x1024",
-                               "checks": "volume_identities"})
+                               "grids": "512x512,1024x1024"})
     orders = {k: v for k, v in run_pipeline(cfg).orders.items()
               if k.startswith("volume_identity")}
     assert len(orders) == 4

@@ -65,28 +65,29 @@ def test_load_config_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
     text = MODEL_B + "grids = 32x32\n"
     bom = tmp_path / "bom.cfg"
     bom.write_bytes(text.encode("utf-8-sig"))
-    assert load_config(bom) == load_config(write_cfg(tmp_path, text))
+    assert load_config(bom, {}) == load_config(write_cfg(tmp_path, text), {})
 
 
 FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 def fields_of(cfg):
-    """The seven fields of ``cfg`` as ``config_from_mapping`` reads them."""
+    """The six fields of ``cfg`` as ``config_from_mapping`` reads them."""
     return {"a": str(cfg.a), "c": str(cfg.c),
             "warp_amplitude": cfg.warp_amplitude, "warp_shape": cfg.warp_shape,
             "grids": ["x".join(map(str, g)) for g in cfg.grids],
-            "pipeline": cfg.pipeline, "checks": list(cfg.checks)}
+            "pipeline": cfg.pipeline}
 
 
 def test_config_keys_are_the_pipeline_config_fields():
-    # every key sets a field, and no other key is accepted: out, n_fiber
-    # and n_base are no fields, so they are rejected, not dropped
+    # every key sets a field, and no other key is accepted: out, n_fiber,
+    # n_base and checks are no fields, so they are rejected, not dropped
     default = PipelineConfig()
     mapping = fields_of(default)
     assert set(mapping) == set(FIELDS)
+    assert len(FIELDS) == 6
     assert config_from_mapping(mapping) == default
-    for key in ("out", "n_fiber", "n_base"):
+    for key in ("out", "n_fiber", "n_base", "checks"):
         with pytest.raises(ConfigError, match=rf"unknown configuration keys \['{key}'\]"):
             config_from_mapping({**mapping, key: "32"})
 
@@ -105,12 +106,9 @@ def test_parse_config_rejects_garbage():
     with pytest.raises(ConfigError):
         config_from_mapping({"nonsense": 1})
     with pytest.raises(ConfigError):
-        config_from_mapping({"checks": "fiber,unknown_check"})
-    with pytest.raises(ConfigError):
         config_from_mapping({"pipeline": "all"})
     for bad in ({"grids": [64]}, {"grids": []}, {"grids": " , "},
-                {"grids": 64}, {"checks": [1]}, {"checks": []},
-                {"checks": None}, {1: "a", "b": 2}):
+                {"grids": 64}, {1: "a", "b": 2}):
         with pytest.raises(ConfigError):
             config_from_mapping(bad)
 
@@ -141,8 +139,7 @@ def test_cli_rejects_a_repeated_grid_flag(tmp_path, capsys):
 
 
 def test_cli_grid_overrides_the_file(tmp_path):
-    cfg = write_cfg(tmp_path, MODEL_A + "grids = 32x32\n"
-                    "checks = fiber\npipeline = spr\n")
+    cfg = write_cfg(tmp_path, MODEL_A + "grids = 32x32\npipeline = spr\n")
     out = tmp_path / "out"
     main(["run", "--config", cfg, "--grid", "16x16", "--out", str(out)])
     report = json.loads((out / "report.json").read_text())
@@ -239,11 +236,18 @@ def test_pipeline_model_a_passes(model_a_report):
 
 
 def test_pipeline_records_have_all_requested_checks(model_a_report):
-    prefixes = {"volume_identities": "volume_identity"}
-    for check in ALL_CHECKS:
-        prefix = prefixes.get(check, check)
-        assert any(r.name.startswith(prefix)
-                   for r in model_a_report.records), check
+    # every run makes every record of ALL_CHECKS, in the order of the
+    # stages; wpl_fs records for the prescribed-Ricci family alone
+    def names(kind, identities):
+        return ["fiber_solver", "fiber_forward", "wp_routes", "gprime",
+                "g_descends", "base_ma[B]", "base_ma[Bprime]", "twisted_ke[B]",
+                "twisted_ke[Bprime]", *(["wpl_fs"] if kind == "spr" else []),
+                *(f"volume_identity[{i}]" for i in identities), "cohomology"]
+
+    assert model_a_report.checks == list(ALL_CHECKS)
+    for kind, identities in (("spr", (1, 2)), ("ske", (3, 4))):
+        got = [r.name for r in model_a_report.records if r.pipeline == kind]
+        assert got == names(kind, identities), kind
 
 
 def test_pipeline_model_a_values(model_a_report):
@@ -277,20 +281,12 @@ def test_pipeline_orientation_error_at_constants_stage():
     assert err.value.report.error["stage"] == "derive_constants"
 
 
-def test_partial_checks_subset():
-    cfg = config_from_mapping({"a": "2", "c": "1", "grids": "32x32",
-                               "checks": "wp_routes", "pipeline": "spr"})
-    rep = run_pipeline(cfg)
-    assert {r.name for r in rep.records} == {"wp_routes"}
-
-
 def test_refinement_orders_attached():
     # only truncation-grade series get orders: an exact-grade residual is
     # roundoff, so its log2 ratio is no order; the records themselves stay
     cfg = config_from_mapping({"a": "2", "c": "1", "warp_amplitude": "0.2",
                                "warp_shape": "fiber_cubic",
-                               "grids": "32x32,64x64", "pipeline": "both",
-                               "checks": "wp_routes,fiber,gprime,base_ma"})
+                               "grids": "32x32,64x64", "pipeline": "both"})
     rep = run_pipeline(cfg)
     assert "wp_routes[spr]" in rep.orders
     assert rep.orders["fiber_forward[spr]"][0] > 1.5
@@ -309,7 +305,7 @@ def test_orders_divide_by_the_log_of_the_refinement_factor():
     def fiber_forward(grids):
         rep = run_pipeline(config_from_mapping({
             "a": "2", "c": "1", "warp_amplitude": "0.2", "warp_shape": "fiber_cubic",
-            "grids": grids, "checks": "fiber", "pipeline": "spr"}))
+            "grids": grids, "pipeline": "spr"}))
         residuals = [r.residual for r in rep.records if r.name == "fiber_forward"]
         return residuals, rep.orders["fiber_forward[spr]"]
 
@@ -348,31 +344,30 @@ def _fiber_pairing(monkeypatch, value):
     monkeypatch.setattr(pipeline.cohomology, "check_total_identity", off)
 
 
-# one case per quantity folded into a record's residual, (check, pipeline,
-# record, value, patch): the producer reports 1e-6 to an exact-grade
-# record, 1.0 to a truncation-grade one, and the record must read that
-# value and fail
+# one case per quantity folded into a record's residual, (pipeline, record,
+# value, patch): the producer reports 1e-6 to an exact-grade record, 1.0 to
+# a truncation-grade one, and the record must read that value and fail
 FOLDS = {
-    "volume_defect": ("fiber", "spr", "fiber_solver", 1e-6,
+    "volume_defect": ("spr", "fiber_solver", 1e-6,
                       _replacing("solve_spr", "volume_defect")),
-    "weight_forward_sup": ("fiber", "ske", "fiber_forward", 1.0,
+    "weight_forward_sup": ("ske", "fiber_forward", 1.0,
                            _replacing("verify_fiber_family", "weight_forward_sup")),
-    "ric_defect": ("fiber", "spr", "fiber_forward", 1.0,
+    "ric_defect": ("spr", "fiber_forward", 1.0,
                    _replacing("volume_family_from_sections", "ric_defect")),
-    "adjoint_defect": ("gprime", "spr", "gprime", 1e-6,
+    "adjoint_defect": ("spr", "gprime", 1e-6,
                        _replacing("compute_gprime", "adjoint_defect")),
-    "integrated_ma_defect": ("base_ma", "spr", "base_ma", 1e-6, _integrated_ma_defect),
-    "fiber_pairing": ("cohomology", "spr", "cohomology", 1.0, _fiber_pairing),
+    "integrated_ma_defect": ("spr", "base_ma", 1e-6, _integrated_ma_defect),
+    "fiber_pairing": ("spr", "cohomology", 1.0, _fiber_pairing),
 }
 
 
 @pytest.mark.parametrize("quantity", sorted(FOLDS))
 def test_a_folded_quantity_fails_its_record(monkeypatch, quantity):
-    check, kind, name, value, patch = FOLDS[quantity]
+    kind, name, value, patch = FOLDS[quantity]
     patch(monkeypatch, value)
     rep = run_pipeline(config_from_mapping(
         {"a": "2", "c": "1", "warp_amplitude": "0.2", "warp_shape": "fiber_cubic",
-         "grids": "32x32", "pipeline": kind, "checks": check}))
+         "grids": "32x32", "pipeline": kind}))
     hit = [r for r in rep.records if r.name.split("[")[0] == name]
     assert hit and all(r.residual == value and not r.passed for r in hit)
 
@@ -394,8 +389,9 @@ def test_base_equation_records_see_a_bent_sections_form(monkeypatch, bend):
     monkeypatch.setattr(pipeline, "wp_from_sections", bent)
     rep = run_pipeline(config_from_mapping(
         {"a": "2", "c": "1", "warp_amplitude": "0.2", "warp_shape": "fiber_cubic",
-         "grids": "128x128", "pipeline": "both", "checks": "twisted_ke, wpl_fs"}))
-    outcome = {(r.name, r.pipeline): r.passed for r in rep.records}
+         "grids": "128x128", "pipeline": "both"}))
+    outcome = {(r.name, r.pipeline): r.passed for r in rep.records
+               if r.name.startswith(("twisted_ke", "wpl_fs"))}
     assert outcome == {(name, kind): not bend
                        for kind in ("spr", "ske")
                        for name in ("twisted_ke[B]", "twisted_ke[Bprime]")} | {
@@ -618,16 +614,17 @@ def test_warped_golden_check_fails_a_bent_truncation_residual(tmp_path, monkeypa
 @pytest.mark.parametrize("kind", ["spr", "ske", "both"])
 def test_report_names_its_configuration(tmp_path, kind):
     # report.json names every PipelineConfig field, so the run's
-    # configuration reads back from it
+    # configuration reads back from it; its checks are every check
     cfg = config_from_mapping({"a": "5/2", "c": "3/2", "warp_amplitude": "0.2",
                                "warp_shape": "fiber_cubic", "grids": "32x32",
-                               "pipeline": kind, "checks": "fiber,gprime"})
+                               "pipeline": kind})
     emit_report(run_pipeline(cfg), tmp_path)
     payload = json.loads((tmp_path / "report.json").read_text())
     mapping = {**payload["model"],
                "grids": ["x".join(map(str, g)) for g in payload["grids"]],
-               "checks": payload["checks"], "pipeline": payload["pipeline"]}
+               "pipeline": payload["pipeline"]}
     assert config_from_mapping(mapping) == cfg
+    assert payload["checks"] == list(ALL_CHECKS)
 
 
 def test_emission_is_byte_deterministic(tmp_path):
@@ -675,17 +672,7 @@ def test_cli_run_model_a(tmp_path, capsys):
     assert "pass" in out
 
 
-def test_cli_check_single(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, MODEL_B)
-    code = main(["check", "gprime", "--config", cfg, "--grid", "32x32",
-                 "--pipeline", "spr"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "gprime" in out and "twisted" not in out
-
-
-@pytest.mark.parametrize("argv", [["run"], ["refine", "--grid", "32x32"],
-                                  ["check", "fiber"]])
+@pytest.mark.parametrize("argv", [["run"], ["refine", "--grid", "32x32"]])
 def test_cli_has_no_tolerance_flag(tmp_path, capsys, argv):
     cfg = write_cfg(tmp_path, MODEL_A)
     with pytest.raises(SystemExit) as exit_:
@@ -741,7 +728,8 @@ def test_cli_rejects_malformed_number(tmp_path, capsys, line):
     ("grids = ", "grids"), ("warp_shape = nope", "warp_shape"),
     ("warp_amplitude = -0.1", "warp_amplitude"), ("c = 2", "a > c"),
     ("grids = 32x32, 64x64, 32X32", "grids lists '32X32' twice"),
-    ("checks = fiber, gprime, fiber", "checks lists 'fiber' twice"),
+    # every run makes every record: no key selects some of them
+    ("checks = fiber", "unknown configuration keys ['checks']"),
     # the gates are fixed: a key that would loosen one is no key
     ("newton_tol = 1", "unknown configuration keys ['newton_tol']"),
     ("residual_tol = 1", "unknown configuration keys ['residual_tol']"),
@@ -756,31 +744,6 @@ def test_cli_rejects_invalid_setting(tmp_path, capsys, line, key):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
-
-
-@pytest.mark.parametrize("argv, text", [
-    (["run"], "checks = wpl_fs\npipeline = ske\n"),
-    (["run", "--pipeline", "ske"], "checks = wpl_fs\n"),
-    (["check", "wpl_fs", "--pipeline", "ske"], "")],
-    ids=["config", "config-and-flag", "check-command"])
-def test_cli_rejects_checks_that_record_nothing_for_the_pipeline(
-        tmp_path, capsys, argv, text):
-    # wpl_fs records for the prescribed-Ricci family alone: on the Einstein
-    # pipeline the run would compute no check and pass on its empty list
-    cfg = write_cfg(tmp_path, model_with("c = 1") + text)
-    code = main(argv + ["--config", cfg, "--grid", "32x32"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: checks ['wpl_fs'")
-    assert captured.err.endswith("] record nothing for pipeline = ske\n")
-    assert captured.err.count("\n") == 1
-
-
-def test_ske_pipeline_takes_any_checks_that_record_for_it():
-    for checks in ALL_CHECKS, ("wpl_fs", "fiber"):
-        cfg = config_from_mapping({"pipeline": "ske", "checks": ",".join(checks)})
-        assert cfg.checks == tuple(checks)
 
 
 def test_cli_non_finite_fiber_family_exits_2(tmp_path, capsys, monkeypatch):

@@ -219,6 +219,34 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         f"allowed unturned knobs that are not: {sorted(UNTURNED_KNOBS - unturned)}")
 
 
+def test_every_parameter_default_is_taken_somewhere():
+    # the converse of the lint above, as for dataclass fields below: a
+    # default that every program call overrides is a value no run has used,
+    # kept for the calls of unit tests.  A call is matched by the called
+    # name, and one with *args or **kwargs counts as taking every default.
+    # The functions the benchmark traces are exempt
+    exempt = _benchmark_functions()
+    knobs = [knob for path in SOURCES
+             for knob in _knobs(ast.parse(path.read_text()))
+             if knob[0] not in exempt.get(path.stem, ())]
+    taken = set()
+    for path in PROGRAM:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            every = (any(isinstance(arg, ast.Starred) for arg in call.args)
+                     or any(kw.arg is None for kw in call.keywords))
+            keywords = {kw.arg for kw in call.keywords}
+            taken |= {(func, param) for func, param, index in knobs
+                      if func == name and (every or (
+                          (index is None or index >= len(call.args))
+                          and param not in keywords))}
+    untaken = sorted(f"{func}({param})" for func, param, _ in knobs
+                     if (func, param) not in taken)
+    assert not untaken, f"parameter defaults no program call takes: {untaken}"
+
+
 def _dataclass_fields(tree: ast.Module):
     """(class name, field, positional index, default expression or None)
     for every field of a dataclass."""

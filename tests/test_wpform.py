@@ -36,9 +36,16 @@ def test_family_ric_forward_check(ref_b):
 
 
 def test_family_rejects_inconsistent_exponents(ref_a):
-    bad = SectionFamilySpec(alpha=3, beta=1)
-    with pytest.raises(FanofibError, match="inconsistent"):
-        volume_family_from_sections(ref_a, bad)
+    # lambda = 2 here: a ratio of 3, no ratio at all (beta = 0) and the
+    # ratio of two negative exponents
+    for alpha, beta in ((3, 1), (2, 0), (-2, -1)):
+        with pytest.raises(FanofibError, match="inconsistent"):
+            volume_family_from_sections(ref_a, SectionFamilySpec(alpha, beta))
+    # NaN compares False with 0.0, so the check is written to fail it
+    for f_scale in (math.nan, math.inf, 0.0):
+        bad = dataclasses.replace(canonical(ref_a), f_scale=f_scale)
+        with pytest.raises(ValueError, match="f_scale"):
+            volume_family_from_sections(ref_a, bad)
 
 
 def test_family_weight_follows_the_fiber_family(ref_b, spr_b, ske_b):
@@ -139,8 +146,10 @@ def test_wp_residual_theta_independence(ref_b, spr_b):
 
 
 def test_wp_residual_rejects_bad_theta(ref_b, spr_b):
-    with pytest.raises(ValueError):
-        wp_from_residual(ref_b, spr_b, theta_fs=-1.0)
+    # NaN compares False with 0.0, so the check is written to fail it
+    for theta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="theta"):
+            wp_from_residual(ref_b, spr_b, theta_fs=theta)
 
 
 def test_wp_residual_flags_inconsistent_fiber_data(ref_b, spr_b):
