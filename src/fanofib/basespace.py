@@ -1,5 +1,6 @@
 """Push-forward, the base Monge-Ampere solves, and residual checks of the
-displayed base-space equations.
+displayed base-space equations.  G' and the descent of G are read from
+one streamed pass over the fiber family's volume.
 
 With a one-dimensional base the complex Monge-Ampere equation is
 semilinear in the potential; Newton iterations on the FS-relative
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (TWO_PI, _carry_columns, _col_max, _col_range, _row_blocks,
+from .calculus import (TWO_PI, _carry_columns, _col_range, _row_blocks,
                        _simpson_of_rows, _simpson_rows, fiber_integral, lap,
                        lap_bands, simpson, simpson2d)
 from .errors import PositivityError
@@ -62,12 +63,13 @@ def _adjoint_defect(grid: Grid, push: np.ndarray, rows: np.ndarray) -> float:
 
 @dataclass(eq=False)
 class GprimeReport:
-    variant: str
+    family: FiberFamilySolution   # the family whose volume was pushed forward
     gprime: np.ndarray
     delta_lower: float
     normalization_defect: float
     adjoint_defect: float
-    volume_scale: float      # s of Omega' = s e^{-lambda rho} Omega (ske), else 1
+    g_lo: np.ndarray         # per-column extremes of G = volume / (2 eta u)
+    g_hi: np.ndarray
 
 
 def _twisted_rows(ref: ReferenceGeometry, rho: np.ndarray, lo: int,
@@ -79,34 +81,26 @@ def _twisted_rows(ref: ReferenceGeometry, rho: np.ndarray, lo: int,
     return rows
 
 
-def _volume_rows(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
-                 scale: float, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the volume that G' pushes forward: Omega' = scale
-    e^{-lambda rho} Omega for the Einstein family, Omega itself for the
-    prescribed-Ricci family."""
-    if fiber_sol.kind != SKE:
-        return ref.Omega[lo:hi]
-    rows = _twisted_rows(ref, fiber_sol.rho, lo, hi)
-    rows *= scale
-    return rows
+def compute_gprime(ref: ReferenceGeometry,
+                   fiber_sol: FiberFamilySolution) -> GprimeReport:
+    """G' = f_* Omega / (V eta) as a base profile, with the defects of its
+    unit mean and of the push-forward's adjoint identity, both exact, and
+    the per-column extremes of G = Omega / (2 u eta) that
+    ``check_g_descends`` reads.
 
-
-def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution):
-    """The scale s, the push-forward and the adjoint defect of the volume
-    of ``_volume_rows``; s = 1 unless the Einstein family sets it so the
-    push-forward of Omega' carries unit mean against eta (the free
-    multiplicative constant of the construction).
-
-    The volume is never held: the Einstein family's first pass sums the
-    fiber rows of e^{-lambda rho} Omega against the base weights, as
+    The fiber family picks the volume: the Einstein family pushes forward
+    Omega' = s e^{-lambda rho} Omega, with s set so that the push-forward
+    carries unit mean against eta (the free multiplicative constant of the
+    construction), the prescribed-Ricci family Omega itself.  The volume
+    is never held: the Einstein family's first pass sums the fiber rows
+    of e^{-lambda rho} Omega against the base weights, as
     ``integrate_total`` does, to fix s; one pass forms the volume block by
-    block for its fiber integrals (fiber axis first), its adjoint row
-    sums (base axis first) and its extremes.  Raises PositivityError
-    unless the volume is finite and positive.
+    block for its fiber integrals (fiber axis first), its adjoint row sums
+    (base axis first), its extremes and those of G.  Raises
+    PositivityError unless the volume is finite and positive.
     """
     grid = ref.grid
     blocks = list(_row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
-    scale = 1.0
     if fiber_sol.kind == SKE:
         rows = np.empty(grid.n_fiber + 1)
         for lo, hi in blocks:
@@ -114,39 +108,31 @@ def _pushforward(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution):
         target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
         scale = target_mass / (TWO_PI**2 * _simpson_of_rows(grid, rows))
 
-    sums = low = high = None
+    sums = low = high = g_lo = g_hi = None
     adjoint = np.empty((len(_ADJOINT_POWERS), grid.n_fiber + 1))
     for lo, hi in blocks:
-        block = _volume_rows(ref, fiber_sol, scale, lo, hi)
+        if fiber_sol.kind == SKE:
+            block = _twisted_rows(ref, fiber_sol.rho, lo, hi)
+            block *= scale
+        else:
+            block = ref.Omega[lo:hi]
         low, high = _col_range(low, high, block)
         sums = _carry_columns(grid, sums, block, lo)
         _adjoint_rows(grid, adjoint, block, lo)
+        G = block / (2.0 * ref.eta_fs * fiber_sol.vertical_fs[lo:hi])
+        g_lo, g_hi = _col_range(g_lo, g_hi, G)
     _checked_range(float(low.min()), float(high.max()), "twisted volume form")
     push = TWO_PI * (sums / (3.0 * grid.n_fiber))    # fiber_integral of the volume
-    return scale, push, _adjoint_defect(grid, push, adjoint)
-
-
-def compute_gprime(ref: ReferenceGeometry,
-                   fiber_sol: FiberFamilySolution) -> GprimeReport:
-    """G' = f_* Omega / (V eta) as a base profile, with the defects of its
-    unit mean and of the push-forward's adjoint identity, both exact.
-
-    The fiber family picks the volume: the Einstein family pushes forward
-    its twisted volume Omega', the prescribed-Ricci family pushes forward
-    Omega itself; both are streamed over row blocks (``_pushforward``).
-    The report's ``variant`` is the kind of the family.
-    """
-    grid = ref.grid
-    scale, push, adjoint = _pushforward(ref, fiber_sol)
     gprime = push / (ref.V * ref.eta_fs)
     if np.any(gprime <= 0.0):
         raise PositivityError("push-forward density lost positivity; "
                               "upstream data corrupted")
     defect = abs(simpson(grid, BASE, gprime) - 1.0)
-    return GprimeReport(variant=fiber_sol.kind, gprime=gprime,
+    return GprimeReport(family=fiber_sol, gprime=gprime,
                         delta_lower=float(gprime.min()),
                         normalization_defect=float(defect),
-                        adjoint_defect=adjoint, volume_scale=scale)
+                        adjoint_defect=_adjoint_defect(grid, push, adjoint),
+                        g_lo=g_lo, g_hi=g_hi)
 
 
 @dataclass(eq=False)
@@ -158,22 +144,18 @@ class GDescendsReport:
 def check_g_descends(ref: ReferenceGeometry, fiber_sol: FiberFamilySolution,
                      gprime: GprimeReport) -> GDescendsReport:
     """Fiber constancy of G = Omega / (2 omega_family ^ pullback(eta)) and
-    agreement with the pulled-back base profile; Omega is the volume that
-    ``gprime`` pushed forward, re-formed row block by row block from this
-    family with the scale ``gprime`` fixed."""
-    if gprime.variant != fiber_sol.kind:
-        raise ValueError(f"G' of the {gprime.variant} family cannot audit "
-                         f"the {fiber_sol.kind} family")
-    # G in row blocks, reduced to per-column extremes as it is formed
-    hi = lo = gap = None
-    for a, b in _row_blocks(0, ref.grid.n_fiber + 1, ref.grid.n_base + 1):
-        vol = _volume_rows(ref, fiber_sol, gprime.volume_scale, a, b)
-        G = vol / (2.0 * ref.eta_fs * fiber_sol.vertical_fs[a:b])
-        lo, hi = _col_range(lo, hi, G)
-        gap = _col_max(gap, np.abs(G - gprime.gprime[None, :]))
-    osc = float((hi - lo).max())
-    pullback = float(gap.max())
-    return GDescendsReport(vertical_oscillation=osc, pullback_defect=pullback)
+    agreement with the pulled-back base profile, Omega the volume that
+    ``gprime`` pushed forward: both are read in O(n_base) from the
+    per-column extremes of G that ``compute_gprime`` took in its pass
+    (``_sup_about``: the full-field values bit for bit).  Raises
+    ValueError unless ``fiber_sol`` is the family ``gprime`` was formed
+    from."""
+    if fiber_sol is not gprime.family:
+        raise ValueError(f"G' was formed from another family than this "
+                         f"{fiber_sol.kind} one")
+    lo, hi = gprime.g_lo, gprime.g_hi
+    return GDescendsReport(vertical_oscillation=float((hi - lo).max()),
+                           pullback_defect=_sup_about(lo, hi, gprime.gprime))
 
 
 # ---------------------------------------------------------------------------

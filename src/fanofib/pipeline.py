@@ -208,7 +208,9 @@ class _Laps:
     work to the first.  Work computed before a record and reused later is
     charged to that record: wp_routes carries the family's pullback
     residual (``wp_from_residual``), which the volume identities reuse, so
-    their records carry only O(n_base) work beyond the gap diagnostics.
+    their records carry only O(n_base) work beyond the gap diagnostics;
+    gprime carries G's extremes, which G' takes in its pass over the
+    volume, so g_descends carries only O(n_base).
     """
 
     def __init__(self):

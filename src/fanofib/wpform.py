@@ -110,11 +110,12 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     The fiber-pole exponent 2 - lambda*c cancels exactly (that is the
     degeneration identity, which ``derive_constants`` asserts), so the
     density is bounded on every fiber; section exponents that are not
-    positive with ratio lambda are inconsistent with the model and are
-    rejected, and so is an f_scale that is not positive and finite.
+    integers, positive with ratio lambda, are inconsistent with the model
+    and are rejected, and so is an f_scale that is not positive and finite.
     """
     consts = ref.consts
-    if sfs.beta <= 0 or Fraction(sfs.alpha, sfs.beta) != consts.lam:
+    if (not isinstance(sfs.alpha, int) or not isinstance(sfs.beta, int)
+            or sfs.beta <= 0 or Fraction(sfs.alpha, sfs.beta) != consts.lam):
         raise FanofibError(
             f"section exponents {sfs.alpha}/{sfs.beta} inconsistent with the "
             f"degeneration ratio {consts.lam} over a positive beta")

@@ -88,9 +88,9 @@ def test_omega_prime_defining_relation(ref_b, ske_b):
 def test_streamed_omega_prime_matches_the_whole_field_oracle(ref_c, kind, block,
                                                              request, monkeypatch):
     # G' forms its volume (Omega' for the Einstein family, Omega for the
-    # prescribed-Ricci one) row block by row block and check_g_descends
-    # re-forms the rows it reads; every number equals the whole-field
-    # expression's
+    # prescribed-Ricci one) row block by row block and takes G's extremes
+    # in the same pass, which check_g_descends reads; every number equals
+    # the whole-field expression's
     fiber = request.getfixturevalue(f"{kind}_c")
     if block is not None:
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
@@ -123,20 +123,36 @@ def test_g_descends_model_a(ref_a, spr_a):
 
 
 def test_g_descends_gauge_shift_invariance(ref_b, spr_b):
+    # the descent comes from the pass of G', so each family gets its own G'
     gp = compute_gprime(ref_b, spr_b)
     r1 = check_g_descends(ref_b, spr_b, gp)
     beta = 0.4 * np.cos(np.pi * ref_b.grid.nodes_b)
     shifted = dataclasses.replace(spr_b, rho=spr_b.rho + beta[None, :])
-    r2 = check_g_descends(ref_b, shifted, gp)
+    r2 = check_g_descends(ref_b, shifted, compute_gprime(ref_b, shifted))
     assert r1.vertical_oscillation == r2.vertical_oscillation
     assert r1.pullback_defect == r2.pullback_defect
 
 
 def test_g_descends_rejects_mismatched_family(ref_b, spr_b, ske_b):
+    # another kind, and a family of the same kind that G' was not formed
+    # from, even with the same fields
     gp = compute_gprime(ref_b, ske_b)
     assert check_g_descends(ref_b, ske_b, gp).vertical_oscillation < 1e-2
-    with pytest.raises(ValueError):
-        check_g_descends(ref_b, spr_b, gp)
+    for other in (spr_b, dataclasses.replace(ske_b)):
+        with pytest.raises(ValueError, match="another family"):
+            check_g_descends(ref_b, other, gp)
+
+
+def test_g_descent_forms_no_volume_row(ref_c, ske_c, monkeypatch):
+    # one Einstein cell at 64^2: the scale pass and the volume pass form
+    # each row block of e^{-lambda rho} Omega once; the descent forms none
+    calls, real = [], basespace._twisted_rows
+    monkeypatch.setattr(basespace, "_twisted_rows", lambda ref, rho, lo, hi:
+                        calls.append((lo, hi)) or real(ref, rho, lo, hi))
+    check_g_descends(ref_c, ske_c, compute_gprime(ref_c, ske_c))
+    blocks = list(calculus._row_blocks(0, 65, 65))
+    assert len(blocks) > 1
+    assert len(calls) == 2 * len(blocks)
 
 
 def test_g_descends_order_cubic_model():

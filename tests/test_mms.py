@@ -62,9 +62,9 @@ def test_base_monge_ampere_converges_to_a_manufactured_solution(variant, bound):
         d1 = -0.05 * np.pi * np.sin(np.pi * x) + 0.06 * x**2
         d2 = -0.05 * np.pi**2 * np.cos(np.pi * x) + 0.12 * x
         gprime = (khat + x * (1.0 - x) * d2 + (1.0 - 2.0 * x) * d1) / (khat * np.exp(rho))
-        report = GprimeReport(variant="spr", gprime=gprime,
+        report = GprimeReport(family=None, gprime=gprime,
                               delta_lower=float(gprime.min()), normalization_defect=0.0,
-                              adjoint_defect=0.0, volume_scale=1.0)
+                              adjoint_defect=0.0, g_lo=gprime, g_hi=gprime)
         sol = solve_base_ma(ref, report, variant)
         errs.append(float(np.abs(sol.rho - rho).max()))
         assert errs[-1] <= bound / n**2, (n, errs)

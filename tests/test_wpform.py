@@ -36,9 +36,9 @@ def test_family_ric_forward_check(ref_b):
 
 
 def test_family_rejects_inconsistent_exponents(ref_a):
-    # lambda = 2 here: a ratio of 3, no ratio at all (beta = 0) and the
-    # ratio of two negative exponents
-    for alpha, beta in ((3, 1), (2, 0), (-2, -1)):
+    # lambda = 2 here: a ratio of 3, no ratio at all (beta = 0), the
+    # ratio of two negative exponents and an exponent that is no integer
+    for alpha, beta in ((3, 1), (2, 0), (-2, -1), (2.0, 1)):
         with pytest.raises(FanofibError, match="inconsistent"):
             volume_family_from_sections(ref_a, SectionFamilySpec(alpha, beta))
     # NaN compares False with 0.0, so the check is written to fail it
