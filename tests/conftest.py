@@ -1,6 +1,5 @@
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from fanofib.fiberwise import solve_ske, solve_spr
@@ -85,20 +84,6 @@ def ske_b(ref_b):
 @pytest.fixture(scope="session")
 def ske_c(ref_c):
     return solve_ske(ref_c)
-
-
-@pytest.fixture(scope="session")
-def section_density():
-    """The nodal density exp(smooth_log) (1 - x_b)^pole_one of a canonical
-    ``wpform.SectionVolumeFamily`` of ``ref`` with the weight h_L, rebuilt
-    from that weight: smooth_log = -lambda phi_L.smooth."""
-    def density(ref, fam):
-        xb = ref.grid.nodes_b[None, :]
-        out = np.exp(-float(ref.consts.lam) * ref.phi_L.smooth)
-        if fam.pole_one != 0.0:
-            out = out * np.power(1.0 - xb, fam.pole_one)
-        return out
-    return density
 
 
 @pytest.fixture(scope="session")

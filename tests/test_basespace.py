@@ -9,7 +9,7 @@ from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                compute_gprime, integrated_ma_defect,
                                solve_base_ma, twisted_ke_residual,
                                volume_identity_residual, wpl_fs_residual)
-from fanofib.calculus import TWO_PI, ddbar_invariant, fiber_integral, lap
+from fanofib.calculus import TWO_PI, fiber_integral, lap
 from fanofib.errors import PositivityError, PullbackStructureError
 from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.grids import BASE
@@ -18,8 +18,9 @@ from fanofib.pipeline import config_from_mapping, run_pipeline
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 from conftest import peak_fields
-from forms import (field_shape, fs_form, full_metric, make_omega_prime, omega0,
-                   pushforward_adjoint_defect, ric_volume)
+import reference
+from reference import (ddbar, fs_form, full_metric, omega0, omega_prime,
+                       pushforward_adjoint_defect, ric_volume, section_density)
 
 
 def wp_of(ref):
@@ -41,7 +42,7 @@ def test_pushforward_adjoint_identity(ref_b, spr_b):
     assert compute_gprime(ref_b, spr_b).adjoint_defect < 1e-12
 
 
-def test_pushforward_of_section_family(ref_a, section_density):
+def test_pushforward_of_section_family(ref_a):
     fam = volume_family_from_sections(
         ref_a, SectionFamilySpec.canonical(ref_a.consts))
     push = fiber_integral(ref_a.grid, section_density(ref_a, fam))
@@ -74,10 +75,9 @@ def test_omega_prime_defining_relation(ref_b, ske_b):
     # pullback(eta) = eT * family_form - (1 - eT) * Ric(Omega'), pointwise
     grid = ref_b.grid
     eT = float(ref_b.consts.eT)
-    omega_prime = make_omega_prime(ref_b, ske_b)
-    family_form = omega0(ref_b) + ddbar_invariant(grid, ske_b.rho)
+    family_form = omega0(ref_b) + ddbar(grid, ske_b.rho)
     lhs = fs_form(grid, 0.0, ref_b.eta_fs)
-    rhs = eT * family_form - (1.0 - eT) * ric_volume(grid, omega_prime)
+    rhs = eT * family_form - (1.0 - eT) * ric_volume(grid, omega_prime(ref_b, ske_b))
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -90,19 +90,16 @@ def test_streamed_omega_prime_matches_the_whole_field_oracle(ref_c, kind, block,
     # G' forms its volume (Omega' for the Einstein family, Omega for the
     # prescribed-Ricci one) row block by row block and takes G's extremes
     # in the same pass, which check_g_descends reads; every number equals
-    # the whole-field expression's
+    # the reference cell's
     fiber = request.getfixturevalue(f"{kind}_c")
     if block is not None:
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
-    grid = ref_c.grid
-    vol = make_omega_prime(ref_c, fiber) if kind == "ske" else ref_c.Omega
     gp = compute_gprime(ref_c, fiber)
-    assert np.array_equal(gp.gprime, fiber_integral(grid, vol) / (ref_c.V * ref_c.eta_fs))
-    assert gp.adjoint_defect == pushforward_adjoint_defect(ref_c, vol)
-    G = vol / (2.0 * ref_c.eta_fs * fiber.vertical_fs)
     rep = check_g_descends(ref_c, fiber, gp)
-    assert rep.vertical_oscillation == float((G.max(axis=0) - G.min(axis=0)).max())
-    assert rep.pullback_defect == float(np.abs(G - gp.gprime[None, :]).max())
+    gprime, adjoint, oscillation, pullback = reference.gprime(ref_c, fiber)
+    assert np.array_equal(gp.gprime, gprime)
+    assert gp.adjoint_defect == adjoint
+    assert (rep.vertical_oscillation, rep.pullback_defect) == (oscillation, pullback)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -452,29 +449,6 @@ def test_volume_identity_reads_the_base_solution(ref_c, spr_c, ske_c, kind,
     assert bad.relative > tol
 
 
-def _full_assembly(ref, fiber_sol, base_sol):
-    """Oracle: sup and scale of one volume identity assembled in full,
-    lhs - [eT (omega0 + i ddbar rho) - (1-eT) Ric(Vol)] with Vol the
-    twisted volume density, as the shared path computed it before."""
-    grid = ref.grid
-    eT, one_minus = float(ref.consts.eT), float(1 - ref.consts.eT)
-    lam = float(ref.consts.lam)
-    rho_b = np.broadcast_to(base_sol.rho[None, :], field_shape(grid))
-    exponent = np.zeros(field_shape(grid))
-    if fiber_sol.kind == "spr":
-        exponent = exponent - lam * fiber_sol.rho
-    if base_sol.variant == VARIANT_B:
-        exponent = exponent + lam * rho_b
-    vol = (np.exp(exponent) * 2.0 * fiber_sol.vertical_fs *
-           base_sol.dens_fs[None, :])
-    rhs = (eT * (omega0(ref) + ddbar_invariant(grid, fiber_sol.rho))
-           - one_minus * ric_volume(grid, vol))
-    lhs = fs_form(grid, 0.0, base_sol.dens_fs)
-    if base_sol.variant == VARIANT_BPRIME:
-        lhs = one_minus * lhs
-    return np.abs(lhs - rhs).max(), np.abs(rhs).max()
-
-
 @pytest.mark.parametrize("model", [
     dict(warp_amplitude=0.2),
     dict(warp_amplitude=0.2, warp_shape="fiber_cubic")])
@@ -506,7 +480,7 @@ def test_shared_volume_identity_path_matches_full_assembly(model, n):
                  + (1.0 + lam) * (np.abs(fiber.rho).max()
                                   + np.abs(sol.rho).max()))
             bound = 32.0 * eps * M / h**2
-            sup, scale = _full_assembly(ref, fiber, sol)
+            sup, scale = reference.volume_identity(ref, fiber, sol)
             assert abs(rep.residual_sup - sup) <= bound, (rep.name, sup, bound)
             assert abs(rep.residual_sup / rep.relative - scale) <= bound, (
                 rep.name, scale, bound)
@@ -520,19 +494,13 @@ def test_volume_identities_take_no_full_field_pass(monkeypatch):
                                          warp_shape="fiber_cubic",
                                          n_fiber=n, n_base=n))
     passes = []
-    real_ddbar, real_lap = calculus.ddbar_invariant, basespace.lap
-
-    def ddbar(grid, psi):
-        passes.append("ddbar_invariant")
-        return real_ddbar(grid, psi)
+    real_lap = basespace.lap
 
     def lap(grid, psi, axis_name):
         if np.ndim(psi) != 1:
             passes.append("lap 2D")
         return real_lap(grid, psi, axis_name)
 
-    monkeypatch.setattr(calculus, "ddbar_invariant", ddbar)
-    monkeypatch.setattr(basespace, "ddbar_invariant", ddbar, raising=False)
     monkeypatch.setattr(basespace, "lap", lap)
     for fiber in (solve_spr(ref), solve_ske(ref)):
         gp = compute_gprime(ref, fiber)

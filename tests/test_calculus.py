@@ -1,18 +1,18 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanofib.calculus import (TWO_PI, audit_lap, ddbar_invariant,
-                              fiber_integral, fs_ratio, integrate_total, lap,
-                              simpson, simpson2d)
+from fanofib.calculus import (TWO_PI, fiber_integral, integrate_total, lap, simpson,
+                              simpson2d)
 from fanofib import basespace, calculus
 from fanofib.grids import BASE, FIBER, Grid
 from conftest import peak_fields
-from forms import BB, FB, FF, field_shape, fs_form, omega0, ric_volume
+import reference
+from reference import (BB, FB, FF, ddbar, ddbar_fine, exact_table, field_shape,
+                       five_point_matrix, fs_form, omega0, ric_volume, wedge)
 
 
 def grid64():
@@ -26,7 +26,7 @@ def log1s(x):
 
 
 # ---------------------------------------------------------------------------
-# ddbar_invariant
+# i ddbar: the reference stencils, which the run's kernels equal bit for bit
 # ---------------------------------------------------------------------------
 
 def test_ddbar_fs_potential_is_fs_form():
@@ -40,7 +40,7 @@ def test_ddbar_fs_potential_is_fs_form():
         column = log1s(g.nodes_f)
         column[-1] = 0.0  # value at the pole node is never used below
         psi = np.broadcast_to(column[:, None], field_shape(g)).copy()
-        M = ddbar_invariant(g, psi)
+        M = ddbar(g, psi)
         sel = g.nodes_f <= 0.75
         errs.append(np.abs(M[FF][sel, :] - g.g_f[sel, None]).max())
         assert np.abs(M[BB][sel, :]).max() == 0.0
@@ -51,32 +51,9 @@ def test_ddbar_fs_potential_is_fs_form():
 
 def test_ddbar_constant_is_zero():
     g = grid64()
-    M = ddbar_invariant(g, np.full(field_shape(g), 3.7))
+    M = ddbar(g, np.full(field_shape(g), 3.7))
     assert M.shape == (3,) + field_shape(g)
     assert np.abs(M).max() == 0.0
-
-
-def _ddbar_oracle(psi_fn, n):
-    """Independent double-resolution centered-difference oracle for the
-    chain-rule coefficients, evaluated on the coarse interior nodes."""
-    m = 2 * n
-    x = np.linspace(0.0, 1.0, m + 1)
-    h = 1.0 / m
-    P = psi_fn(x[:, None], x[None, :])
-    gx = x * (1.0 - x)
-    gpx = 1.0 - 2.0 * x
-
-    def d1(a, ax):
-        return (np.roll(a, -1, ax) - np.roll(a, 1, ax)) / (2 * h)
-
-    def d2(a, ax):
-        return (np.roll(a, -1, ax) - 2 * a + np.roll(a, 1, ax)) / h**2
-
-    m_ff = gx[:, None]**2 * d2(P, 0) + (gx * gpx)[:, None] * d1(P, 0)
-    m_bb = gx[None, :]**2 * d2(P, 1) + (gx * gpx)[None, :] * d1(P, 1)
-    m_fb = gx[:, None] * gx[None, :] * d1(d1(P, 1), 0)
-    sel = slice(2, -2, 2)
-    return m_ff[sel, sel], m_bb[sel, sel], m_fb[sel, sel]
 
 
 def test_ddbar_matches_independent_oracle():
@@ -87,8 +64,8 @@ def test_ddbar_matches_independent_oracle():
         return np.exp(xf * (1.0 - xb)) + np.sin(xf + 0.5 * xb)
 
     psi = psi_fn(g.nodes_f[:, None], g.nodes_b[None, :])
-    M = ddbar_invariant(g, psi)
-    off, obb, ofb = _ddbar_oracle(psi_fn, n)
+    M = ddbar(g, psi)
+    off, obb, ofb = ddbar_fine(psi_fn, n)
     sel = slice(1, -1)
     h2 = (1.0 / n)**2
     assert np.abs(M[FF][sel, sel] - off).max() < 5.0 * h2
@@ -105,8 +82,8 @@ def test_ddbar_bump_matches_oracle_second_order():
             return np.sin(np.pi * xf) * xb * (1.0 - xb)
 
         psi = psi_fn(g.nodes_f[:, None], g.nodes_b[None, :])
-        M = ddbar_invariant(g, psi)
-        off, _, _ = _ddbar_oracle(psi_fn, n)
+        M = ddbar(g, psi)
+        off = ddbar_fine(psi_fn, n)[FF]
         errs.append(np.abs(M[FF][1:-1, 1:-1] - off).max())
     assert math.log2(errs[0] / errs[1]) > 1.7
 
@@ -118,17 +95,9 @@ def test_ddbar_linearity(s, t):
     xf, xb = g.nodes_f[:, None], g.nodes_b[None, :]
     phi = np.exp(xf) * xb
     psi = np.cos(xf + xb)
-    lhs = ddbar_invariant(g, s * phi + t * psi)
-    rhs = s * ddbar_invariant(g, phi) + t * ddbar_invariant(g, psi)
+    lhs = ddbar(g, s * phi + t * psi)
+    rhs = s * ddbar(g, phi) + t * ddbar(g, psi)
     assert np.abs(lhs - rhs).max() < 1e-9 * (1 + abs(s) + abs(t))
-
-
-def test_ddbar_rejects_nonfinite():
-    g = Grid(16, 16)
-    bad = np.zeros(field_shape(g))
-    bad[3, 3] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        ddbar_invariant(g, bad)
 
 
 def test_exactness_integrates_to_zero():
@@ -142,35 +111,23 @@ def test_exactness_integrates_to_zero():
 # wedge and Ricci operations
 # ---------------------------------------------------------------------------
 
-def wedge_pair_density(grid, M, P):
-    """Oracle: density of M ^ P relative to the product FS volume,
-    (M_ff P_bb + M_bb P_ff - 2 M_fb P_fb) / (g_f g_b)."""
-    num = M[FF] * P[BB] + M[BB] * P[FF] - 2.0 * M[FB] * P[FB]
-    return fs_ratio(grid, num)
-
-
-def wedge_top(grid, M):
-    """Oracle: density of M^2/2 relative to the product FS volume."""
-    return 0.5 * wedge_pair_density(grid, M, M)
-
-
 def test_wedge_top_product_fs_is_one():
     g = grid64()
     M = fs_form(g, 1.0, 1.0)
-    assert np.allclose(wedge_top(g, M), 1.0, atol=1e-12)
+    assert np.allclose(0.5 * wedge(g, M, M), 1.0, atol=1e-12)
 
 
 def test_wedge_top_homogeneity():
     g = grid64()
     M = fs_form(g, 2.0, 2.0)
-    assert np.allclose(wedge_top(g, M), 4.0, atol=1e-12)
+    assert np.allclose(0.5 * wedge(g, M, M), 4.0, atol=1e-12)
 
 
 def test_mixed_wedge_model_a(ref_a):
     # 2 omega0 ^ pullback(eta) has constant density 4/3 for the (2,1) model
     g = ref_a.grid
     eta = fs_form(g, 0.0, np.full(g.n_base + 1, ref_a.eta_fs))
-    density = 2.0 * wedge_pair_density(g, omega0(ref_a), eta)
+    density = 2.0 * wedge(g, omega0(ref_a), eta)
     assert np.allclose(density, 4.0 / 3.0, atol=1e-12)
 
 
@@ -184,7 +141,8 @@ def test_ric_volume_constant_density():
 
 def test_ric_of_wedge_fs_is_anticanonical():
     g = grid64()
-    R = ric_volume(g, wedge_top(g, fs_form(g, 1.0, 1.0)))
+    M = fs_form(g, 1.0, 1.0)
+    R = ric_volume(g, 0.5 * wedge(g, M, M))
     assert np.abs(R - fs_form(g, 2.0, 2.0)).max() < 1e-12
 
 
@@ -193,34 +151,10 @@ def test_ric_volume_matches_ddbar_oracle():
     rho = np.exp(0.3 * np.sin(np.pi * g.nodes_f)[:, None]
                  * g.nodes_b[None, :]**2) + 0.5
     R = ric_volume(g, rho)
-    expect = fs_form(g, 2.0, 2.0) - ddbar_invariant(g, np.log(rho))
-    assert np.abs(R - expect).max() == 0.0  # same operator chain, exactly
     # independent high-order check on the fiber channel, O(h^2) agreement
-    audit = 2.0 * g.g_f[:, None] - g.g_f[:, None] * audit_lap(g, np.log(rho), FIBER)
+    audit = 2.0 * g.g_f[:, None] - g.g_f[:, None] * reference.five_point_lap(
+        g, np.log(rho), FIBER)
     assert np.abs(R[FF] - audit).max() < 1.0 * (1.0 / 64)**2
-
-
-def exact_five_point(k, deriv):
-    """The weights w_j of d^deriv/dx^deriv at node k from the nodes
-    j = 0..4, exact: the 5x5 system sum_j w_j (j - k)^p = p! [p == deriv],
-    p = 0..4 (exactness on polynomials of degree 4), by Gauss-Jordan
-    elimination in Fractions."""
-    rows = [[Fraction(j - k) ** p for j in range(5)]
-            + [Fraction(math.factorial(p) if p == deriv else 0)] for p in range(5)]
-    for c in range(5):
-        pivot = next(r for r in range(c, 5) if rows[r][c] != 0)
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [a / rows[c][c] for a in rows[c]]
-        for r in range(5):
-            if r != c:
-                rows[r] = [a - rows[r][c] * b for a, b in zip(rows[r], rows[c])]
-    return [row[5] for row in rows]
-
-
-def exact_table(deriv):
-    """Row k: ``exact_five_point(k, deriv)``, each weight rounded once."""
-    return np.array([[float(w) for w in exact_five_point(k, deriv)]
-                     for k in range(5)])
 
 
 def test_audit_weights_are_the_exact_weights_rounded_once():
@@ -232,33 +166,25 @@ def test_audit_weights_are_the_exact_weights_rounded_once():
     assert np.array_equal(w2[2], w2[2][::-1])
 
 
-def dense_audit_matrix(n_nodes, deriv, h):
-    # row i: the exact five-point weights on the window nearest node i
-    M = np.zeros((n_nodes, n_nodes))
-    table = exact_table(deriv)
-    for i in range(n_nodes):
-        j0 = min(max(i - 2, 0), n_nodes - 5)
-        M[i, j0:j0 + 5] = table[i - j0]
-    return M / h**deriv
-
-
 def test_audit_lap_matches_dense_fornberg_matrix():
     g = Grid(64, 32)
     v = np.exp(np.sin(3.0 * g.nodes_f)[:, None] * np.cos(2.0 * g.nodes_b)[None, :])
-    d1f, d2f = (dense_audit_matrix(65, k, g.h(FIBER)) for k in (1, 2))
-    d1b, d2b = (dense_audit_matrix(33, k, g.h(BASE)) for k in (1, 2))
+    d1f, d2f = (five_point_matrix(65, k, g.h(FIBER)) for k in (1, 2))
+    d1b, d2b = (five_point_matrix(33, k, g.h(BASE)) for k in (1, 2))
     gf, gpf = g.g_f[:, None], g.gp_f[:, None]
-    # fiber axis of a 2-D field, the only use in the pipeline: the sum runs
-    # in stencil order as in the dense contraction, so the bits agree
+    # the run's audit rows on the fiber axis of a 2-D field, its only use:
+    # the sum runs in stencil order as in the dense contraction, so the
+    # bits agree
     fiber = (gf * np.einsum("ik,kj->ij", d2f, v) +
              gpf * np.einsum("ik,kj->ij", d1f, v))
-    assert np.array_equal(audit_lap(g, v, FIBER), fiber)
+    got = calculus._audit_rows(v, 0, 65, g.g_f, g.gp_f, g.h(FIBER))
+    assert np.array_equal(got, fiber)
     # base axis and 1-D fields: the matrix products sum in another order,
     # so they agree to the roundoff of five-term sums of size |v| / h^2
     base = g.g_b * (v @ d2b.T) + g.gp_b * (v @ d1b.T)
     one_d = g.g_f * (d2f @ v[:, 0]) + g.gp_f * (d1f @ v[:, 0])
-    for got, want, h in ((audit_lap(g, v, BASE), base, g.h(BASE)),
-                         (audit_lap(g, v[:, 0], FIBER), one_d, g.h(FIBER))):
+    for got, want, h in ((reference.five_point_lap(g, v, BASE), base, g.h(BASE)),
+                         (reference.five_point_lap(g, v[:, 0], FIBER), one_d, g.h(FIBER))):
         assert np.abs(got - want).max() < 1e-14 * np.abs(v).max() / h**2
 
 
@@ -271,7 +197,8 @@ def test_audit_lap_fourth_order():
         dv = 2.0 * np.cos(2.0 * x) * v
         d2v = (4.0 * np.cos(2.0 * x)**2 - 4.0 * np.sin(2.0 * x)) * v
         exact = x * (1.0 - x) * d2v + (1.0 - 2.0 * x) * dv
-        errs.append(np.abs(audit_lap(g, v, BASE) - exact).max())
+        audit = calculus._audit_rows(v, 0, n + 1, g.g_b, g.gp_b, g.h(BASE))
+        errs.append(np.abs(audit - exact).max())
     assert min(math.log2(a / b) for a, b in zip(errs, errs[1:])) > 3.8
 
 
@@ -421,69 +348,14 @@ def test_determinism_bitwise(ref_b):
     a2 = fiber_integral(g, rho.copy())
     assert np.array_equal(a1, a2)
     assert integrate_total(g, rho) == integrate_total(g, rho.copy())
-    M1 = ddbar_invariant(g, np.log(rho))
-    M2 = ddbar_invariant(g, np.log(rho.copy()))
-    assert np.array_equal(M1[FF], M2[FF])
-    assert np.array_equal(M1[FB], M2[FB])
+    for axis_name in (FIBER, BASE):
+        assert np.array_equal(lap(g, np.log(rho), axis_name),
+                              lap(g, np.log(rho.copy()), axis_name))
 
 
 # ---------------------------------------------------------------------------
 # row-blocked kernels: the bits of the whole-field expressions
 # ---------------------------------------------------------------------------
-
-def _diff1_whole(a, h, axis):
-    v = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
-def _diff2_whole(a, h, axis):
-    v = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
-    out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h**2
-    return np.moveaxis(out, 0, axis)
-
-
-def _axis_whole(grid, axis_name, ndim):
-    g, gp = grid.g(axis_name), grid.gp(axis_name)
-    if ndim == 1:
-        return g, gp, 0
-    if axis_name == FIBER:
-        return g[:, None], gp[:, None], 0
-    return g[None, :], gp[None, :], 1
-
-
-def _lap_whole(grid, v, axis_name):
-    g, gp, ax = _axis_whole(grid, axis_name, v.ndim)
-    h = grid.h(axis_name)
-    return g * _diff2_whole(v, h, ax) + gp * _diff1_whole(v, h, ax)
-
-
-def _five_point_whole(v, w):
-    n = v.shape[0]
-    out = np.empty_like(v)
-    out[2:n - 2] = sum(w[2, k] * v[k:n - 4 + k] for k in range(5))
-    head, tail = v[:5], v[n - 5:]
-    for r in (0, 1):
-        out[r] = sum(w[r, k] * head[k] for k in range(5))
-        out[n - 2 + r] = sum(w[3 + r, k] * tail[k] for k in range(5))
-    return out
-
-
-def _audit_lap_whole(grid, v, axis_name):
-    h = grid.h(axis_name)
-    g, gp, ax = _axis_whole(grid, axis_name, v.ndim)
-    w1, w2 = exact_table(1), exact_table(2)
-    along = np.moveaxis(v, ax, 0)
-    d1 = np.moveaxis(_five_point_whole(along, w1 / h), 0, ax)
-    d2 = np.moveaxis(_five_point_whole(along, w2 / h**2), 0, ax)
-    return g * d2 + gp * d1
-
 
 def assert_halo(s, e, lo, hi, n, reach):
     """[s, e) lies in the rows 0..n and holds ``reach`` rows beyond [lo, hi);
@@ -503,7 +375,7 @@ BLOCK_GRIDS = [(16, 16), (32, 256), (256, 32), (2048, 64), (1024, 1024)]
 @pytest.mark.parametrize("block", [None, 1, 333])
 @pytest.mark.parametrize("shape", BLOCK_GRIDS, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_blocked_stencils_are_bit_identical(shape, block, monkeypatch):
-    # the whole-field expressions above are the kernels before blocking;
+    # the reference's whole-field expressions are the kernels before blocking;
     # a small block size makes many blocks with a ragged last one
     if block is not None:
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
@@ -513,15 +385,9 @@ def test_blocked_stencils_are_bit_identical(shape, block, monkeypatch):
     cases = [(v, FIBER), (v, BASE), (v[:, 3], FIBER), (v[5], BASE)]
     for field, axis_name in cases:
         assert np.array_equal(lap(g, field, axis_name),
-                              _lap_whole(g, field, axis_name)), axis_name
-        assert np.array_equal(audit_lap(g, field, axis_name),
-                              _audit_lap_whole(g, field, axis_name)), axis_name
-
-
-def _dfdb_whole(grid, v):
-    """D_f D_b v as dop(dop(v, BASE), FIBER) composed it on whole fields."""
-    inner = grid.g_b[None, :] * _diff1_whole(v, grid.h(BASE), 1)
-    return grid.g_f[:, None] * _diff1_whole(inner, grid.h(FIBER), 0)
+                              reference.lap(g, field, axis_name)), axis_name
+        audit = calculus._along(g, calculus._audit_rows, field, axis_name)
+        assert np.array_equal(audit, reference.five_point_lap(g, field, axis_name)), axis_name
 
 
 KERNEL_GRIDS = [(16, 1024), (1024, 16), (64, 64), (256, 256)]
@@ -561,9 +427,9 @@ def test_block_kernels_looped_equal_the_whole_field_expressions(shape, blocking,
 
     # the three-point kernels, also from reach-1 slabs, as wp_from_residual
     # reads log u and volume_family_from_sections reads smooth_log
-    for kernel, whole in ((calculus._lap_fiber, _lap_whole(g, v, FIBER)),
-                          (calculus._lap_base, _lap_whole(g, v, BASE)),
-                          (calculus._dfdb, _dfdb_whole(g, v))):
+    for kernel, whole in ((calculus._lap_fiber, reference.lap(g, v, FIBER)),
+                          (calculus._lap_base, reference.lap(g, v, BASE)),
+                          (calculus._dfdb, reference.dfdb(g, v))):
         assert np.array_equal(looped(kernel), whole), kernel.__name__
         assert np.array_equal(slabbed(kernel, calculus._LAP_REACH), whole), kernel.__name__
 
@@ -572,7 +438,7 @@ def test_block_kernels_looped_equal_the_whole_field_expressions(shape, blocking,
         return calculus._audit_rows(slab, lo, hi, grid.g_f, grid.gp_f, grid.h(FIBER),
                                     start, n)
 
-    audit = _audit_lap_whole(g, v, FIBER)
+    audit = reference.five_point_lap(g, v, FIBER)
     assert np.array_equal(looped(audit_rows), audit)
     assert np.array_equal(slabbed(audit_rows, calculus._AUDIT_REACH), audit)
     # simpson2d's base-weighted row sums, block by block

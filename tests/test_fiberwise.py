@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanofib import calculus, fiberwise, solvers
-from fanofib.calculus import (TWO_PI, fs_ratio, lap, lap_bands, lap_matrix,
-                              simpson_columns)
+from fanofib.calculus import TWO_PI, lap, lap_bands, simpson_columns
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.fiberwise import solve_ske, solve_spr, verify_fiber_family
 from fanofib.grids import FIBER
 from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import BandedMatrix, NewtonResult, probe_jacobian
-from forms import BB, fs_form, full_metric, vertical_fs
+from conftest import peak_fields
+from reference import BB, dense_lap, fs_density, fs_form, full_metric, ske, vertical_fs
 
 
 def test_spr_model_a_is_reference(ref_a, spr_a):
@@ -118,59 +118,15 @@ def test_ske_family_smooth_along_base(ref_b, ske_b):
     assert bounds[1] < 2.0 * bounds[0] + 1e-6
 
 
-def _bordered_newton(L, wk, lam, v0):
-    """Dense bordered Newton for 2 - L v - lam e^v = 0 on one fiber, with
-    the orbit gauge <wk, v - v0> = 0 and a border column along the Moebius
-    kernel direction: the oracle of the Einstein fiber solve, whose Newton
-    step the program does not take.  Returns v and the Newton result."""
-    n = v0.size
-    kvec = 1.0 - 2.0 * np.linspace(0.0, 1.0, n)
-
-    def residual(x):
-        v, mu = x[:n], x[n]
-        return np.concatenate([2.0 - L @ v - lam * np.exp(v) + mu * kvec,
-                               [float(wk @ (v - v0))]])
-
-    def jacobian(x):
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = -L - np.diag(lam * np.exp(x[:n]))
-        J[:n, n] = kvec
-        J[n, :n] = wk
-        return J
-
-    result = solvers.newton_semilinear(residual, jacobian, np.concatenate([v0, [0.0]]))
-    return result.x[:n], result
-
-
-def _ske_every_fiber(ref):
-    """The warm-started Einstein family with a bordered Newton solve on
-    every fiber: fiber j > 0 starts at, and pins its orbit gauge to, fiber
-    j - 1's solution."""
-    grid = ref.grid
-    lam = float(ref.consts.lam)
-    L = lap_matrix(grid, FIBER)
-    wk = (grid.simpson_f / (3.0 * grid.n_fiber)) * (1.0 - 2.0 * grid.nodes_f)
-    v = np.log(vertical_fs(ref))
-    residual, iterations = 0.0, 0
-    for j in range(grid.n_base + 1):
-        v0 = v[:, j - 1] if j else v[:, 0]
-        v[:, j], result = _bordered_newton(L, wk, lam, v0)
-        residual = max(residual, result.trace[-1])
-        iterations += result.iterations
-    u = np.exp(v)
-    u *= (float(ref.spec.c) / simpson_columns(grid, u))[None, :]
-    return u, fiberwise._recover_potential(ref, u), residual, iterations
-
-
 @pytest.mark.parametrize("ref_name", ["ref_b", "ref_c", "ref_a32"])
 def test_ske_reuse_matches_a_solve_on_every_fiber(ref_name, request):
-    # log c is the bordered Newton's fixed point on every fiber: each solve
-    # returns its start in 0 iterations.  At c = 2 the start v = log 2
-    # leaves L @ v a nonzero roundoff residual, still below the Newton
-    # tolerance, which the one column must carry
+    # log c is the fixed point of the reference's bordered Newton on every
+    # fiber: each solve returns its start in 0 iterations.  At c = 2 the
+    # start v = log 2 leaves L @ v a nonzero roundoff residual, still below
+    # the Newton tolerance, which the one column must carry
     ref = request.getfixturevalue(ref_name)
     sol = solve_ske(ref)
-    u, rho, residual, iterations = _ske_every_fiber(ref)
+    u, rho, residual, _, iterations = ske(ref)
     assert iterations == 0
     assert sol.vertical_fs.shape == (ref.grid.n_fiber + 1, 1)
     assert np.array_equal(full_metric(ref.grid, sol), u)
@@ -235,7 +191,7 @@ def test_ske_jacobian_is_the_banded_linearization(n_fiber, monkeypatch):
         expected = -lap_bands(grid, FIBER)
         expected[2] -= lam * np.exp(v)
         assert isinstance(J, BandedMatrix) and np.array_equal(J.bands, expected)
-        dense = -lap_matrix(grid, FIBER) - np.diag(lam * np.exp(v))
+        dense = -dense_lap(grid, FIBER) - np.diag(lam * np.exp(v))
         y = np.random.default_rng(13).standard_normal(v.size)
         # relative to |J| |y|, the scale of each entry's rounding: L's
         # entries reach n^2/4
@@ -253,18 +209,19 @@ def test_ske_jacobian_is_the_banded_linearization(n_fiber, monkeypatch):
 def test_ske_probe_catches_a_corrupted_slab(monkeypatch):
     # at c = 1 the start v = 0 gives L @ v = 0 whatever the slabs hold, so
     # the probe is the run's one check of the slabs against the bands: one
-    # diagonal entry off by 1e-6 of itself fails the solve
-    real = fiberwise.lap_slabs
+    # diagonal entry of the bands that calculus writes the slabs from, off
+    # by 1e-6 of itself, fails the solve.  The Jacobian reads fiberwise's
+    # own binding of lap_bands, which stays intact
+    real = calculus.lap_bands
 
     def corrupted(grid, axis_name):
-        slabs = real(grid, axis_name)
-        r0, c0, s = slabs[len(slabs) // 2]
-        s[5, r0 + 5 - c0] *= 1.0 + 1e-6
-        return slabs
+        bands = real(grid, axis_name)
+        bands[2, grid.n(axis_name) // 2 + 5] *= 1.0 + 1e-6
+        return bands
 
     ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", 1024, 16))
     assert solve_ske(ref).residual_sup == 0.0
-    monkeypatch.setattr(fiberwise, "lap_slabs", corrupted)
+    monkeypatch.setattr(calculus, "lap_bands", corrupted)
     with pytest.raises(ContractViolation, match="Jacobian probe failed"):
         solve_ske(ref)
 
@@ -275,7 +232,7 @@ def test_ske_residual_is_the_dense_formula_bit_for_bit(n_fiber, monkeypatch):
     # dense formula bit for bit, so the exit test stays that of the dense L
     def check(residual, jacobian, v, lam, grid):
         y = v + 1e-4 * np.sin(7.0 * np.arange(v.size))
-        dense = 2.0 - lap_matrix(grid, FIBER) @ y - lam * np.exp(y)
+        dense = 2.0 - dense_lap(grid, FIBER) @ y - lam * np.exp(y)
         got = residual(y)
         assert np.any(got != 0.0)
         assert np.array_equal(got, dense)
@@ -284,30 +241,35 @@ def test_ske_residual_is_the_dense_formula_bit_for_bit(n_fiber, monkeypatch):
     _with_einstein_newton_inputs(n_fiber, monkeypatch, check)
 
 
-def _forbid_dense_lap(monkeypatch):
-    """Make every module's ``lap_matrix`` raise."""
-    def dense_lap(*args):
-        raise AssertionError("a run built the dense L")
-
-    for module in (calculus, fiberwise, solvers):
-        monkeypatch.setattr(module, "lap_matrix", dense_lap, raising=False)
+def _dense_fields(grid):
+    """One dense (n_f+1)^2 array, such as the matrix of L, in nodal fields
+    of ``grid``."""
+    return (grid.n_fiber + 1) / (grid.n_base + 1)
 
 
-def test_ske_solves_without_the_dense_laplacian(monkeypatch):
-    _forbid_dense_lap(monkeypatch)
+def test_ske_solves_without_the_dense_laplacian():
+    # the solve holds 11.8 fields of 1025 x 17 nodes, one dense L 60.3
     ref = build_reference(ModelSpec.make(2, 1, 0.2, "fiber_cubic", 1024, 16))
     assert solve_ske(ref).residual_sup <= 1e-11
+    assert peak_fields(solve_ske, ref) < _dense_fields(ref.grid)
 
 
-def test_ske_defect_raises_at_iteration_0_without_the_dense_laplacian(monkeypatch):
+def test_ske_defect_raises_at_iteration_0_without_the_dense_laplacian():
     # the known defect einstein_c_ne_1: at a = 3, c = 2 on 512x64 the
     # start's roundoff residual is above the Newton tolerance, and the
-    # solve, which takes no step, raises there
-    _forbid_dense_lap(monkeypatch)
+    # solve, which takes no step, raises there.  It holds 3.0 fields of
+    # 513 x 65 nodes on the way, one dense L 7.9
     ref = build_reference(ModelSpec.make(3, 2, 0.0, n_fiber=512, n_base=64))
-    with pytest.raises(NonConvergence, match="no convergence in 0 iterations") as exc:
-        solve_ske(ref)
-    assert len(exc.value.trace) == 1 and exc.value.trace[0] > solvers.NEWTON_TOL
+    raised = []
+
+    def solve(ref):
+        with pytest.raises(NonConvergence, match="no convergence in 0 iterations") as exc:
+            solve_ske(ref)
+        raised.append(exc.value)
+
+    assert peak_fields(solve, ref) < _dense_fields(ref.grid)
+    [err] = raised
+    assert len(err.trace) == 1 and err.trace[0] > solvers.NEWTON_TOL
 
 
 def test_spr_two_gauges_same_metric(ref_b):
@@ -330,8 +292,8 @@ def test_gauge_shift_never_moves_vertical_data(ref_b, spr_b, s0, s1):
     # wedges against pulled-back forms only see the vertical channel: the
     # density of M ^ theta is M_ff theta_bb / (g_f g_b)
     theta = fs_form(grid, 0.0, np.full(grid.n_base + 1, ref_b.eta_fs))
-    assert np.array_equal(fs_ratio(grid, m_shifted * theta[BB]),
-                          fs_ratio(grid, m_ff * theta[BB]))
+    assert np.array_equal(fs_density(grid, m_shifted * theta[BB]),
+                          fs_density(grid, m_ff * theta[BB]))
 
 
 def test_fiber_ricci_identity_on_vertical_metric(ref_b, spr_b):

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanofib import calculus, model
-from fanofib.calculus import ddbar_invariant, integrate_total
+from fanofib.calculus import integrate_total
 from fanofib.errors import ConfigError, ModelOrientationError, PositivityError
 from fanofib.grids import Grid
 from fanofib.model import ModelSpec, build_reference, derive_constants
 from conftest import peak_fields
-from forms import (base_fs, chi, fs_form, omega0, ric_volume, ric_weight_residual,
-                   vertical_fs)
+from reference import (base_fs, chi, ddbar, fs_form, min_eigenvalue, omega0, ric_volume,
+                       ric_weight_residual, vertical_fs, warp_profiles)
 
 F = Fraction
 
@@ -85,20 +85,11 @@ def test_constants_invariants_random(pa, pc, qa, qc):
 
 # oracle: the warp library as numpy.polynomial.Polynomial objects (lowest
 # degree first), with the profiles formed by Polynomial arithmetic
-_ORACLE_G = Polynomial([0.0, 1.0, -1.0])
 _ORACLE_SHAPES = {
     "product_bump": ([0.0, 1.0, -1.0], [0.0, 1.0, -1.0]),
     "skew_bump": ([0.0, 1.0, -1.0], [0.0, 0.0, 1.0, -1.0]),
     "fiber_cubic": ([0.0, 0.0, 1.0, -1.0], [0.0, 1.0, -1.0]),
 }
-
-
-def _oracle_profiles(poly: Polynomial, x: np.ndarray) -> dict:
-    """WarpData field name, with {} for the factor's letter -> the profile
-    of the warp factor ``poly`` at the nodes ``x``."""
-    D = _ORACLE_G * poly.deriv()
-    return {"{}": poly(x), "D{}": D(x), "D2{}_fs": D.deriv()(x),
-            "D{}_half": np.sqrt(_ORACLE_G(x)) * poly.deriv()(x)}
 
 
 @pytest.mark.parametrize("shape", sorted(model.WARP_SHAPES))
@@ -109,7 +100,7 @@ def test_warp_profiles_match_the_polynomial_oracle_bit_for_bit(shape):
         grid = Grid(n, n)
         w = model._warp_data(grid, ModelSpec.make(2, 1, 0.2, shape, n, n))
         for name, poly, x in (("P", P, grid.nodes_f), ("Q", Q, grid.nodes_b)):
-            for template, want in _oracle_profiles(poly, x).items():
+            for template, want in warp_profiles(poly, x).items():
                 field = template.format(name)
                 got = getattr(w, field)
                 if not (np.array_equal(got, want)
@@ -132,10 +123,8 @@ def test_reference_model_a(ref_a):
 
 
 def test_reference_row_accessors_match_the_whole_field_on_every_block(ref_b):
-    w = ref_b.warp
     grid = ref_b.grid
-    vertical = float(ref_b.spec.c) + w.eps * w.D2P_fs[:, None] * w.Q[None, :]
-    base = float(ref_b.spec.a) + w.eps * w.P[:, None] * w.D2Q_fs[None, :]
+    vertical, base = vertical_fs(ref_b), base_fs(ref_b)
     blocks = list(calculus._row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
     assert len(blocks) > 2
     for lo, hi in blocks:
@@ -143,14 +132,6 @@ def test_reference_row_accessors_match_the_whole_field_on_every_block(ref_b):
         assert ref_b.base_rows(lo, hi).tobytes() == base[lo:hi].tobytes()
     with pytest.raises(ValueError):
         ref_b.Omega[0, 0] = 1.0
-
-
-def _whole_field_min_eigenvalue(ref):
-    """omega0's minimum eigenvalue on the whole grid, in one expression."""
-    w = ref.warp
-    a11, a22 = vertical_fs(ref), base_fs(ref)
-    a12 = w.eps * w.DP_half[:, None] * w.DQ_half[None, :]
-    return 0.5 * (a11 + a22) - np.sqrt((0.5 * (a11 - a22))**2 + a12**2)
 
 
 @pytest.mark.parametrize("case", ["negative", "nan"])
@@ -169,7 +150,7 @@ def test_positivity_error_names_the_first_worst_node_of_the_whole_field(ref_b, c
         d2p[50] = -1e3
         warp = dataclasses.replace(w, D2P_fs=d2p)
     bad = dataclasses.replace(ref_b, warp=warp)
-    lam_min = _whole_field_min_eigenvalue(bad)
+    lam_min = min_eigenvalue(bad)
     i, j = np.unravel_index(int(np.argmin(lam_min)), lam_min.shape)
     first_block = next(calculus._row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
     assert i >= first_block[1]
@@ -206,14 +187,10 @@ def _held_bytes(obj, seen=None) -> int:
 
 
 def test_reference_build_takes_no_ddbar(monkeypatch):
+    # every i ddbar of the package runs through L's rows or D_f D_b
     calls = []
-    real = calculus.ddbar_invariant
-
-    def counted(grid, psi):
-        calls.append(psi)
-        return real(grid, psi)
-
-    monkeypatch.setattr(calculus, "ddbar_invariant", counted)
+    for name in ("_lap_rows", "_dfdb"):
+        monkeypatch.setattr(calculus, name, lambda *args: calls.append(args))
     build_reference(ModelSpec.make(2, 1, n_fiber=64, n_base=64))
     assert calls == []
 
@@ -273,8 +250,8 @@ def test_reference_positivity_guard_rejects_nan():
 def test_weight_constant_shift_leaves_forms(ref_a):
     # adding a constant to the metric weight must not move any form data
     shifted = dataclasses.replace(ref_a.phi_L, smooth=ref_a.phi_L.smooth + 1.37)
-    M0 = ddbar_invariant(ref_a.grid, ref_a.phi_L.smooth)
-    M1 = ddbar_invariant(ref_a.grid, shifted.smooth)
+    M0 = ddbar(ref_a.grid, ref_a.phi_L.smooth)
+    M1 = ddbar(ref_a.grid, shifted.smooth)
     assert np.abs(M0 - M1).max() == 0.0
 
 

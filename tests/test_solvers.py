@@ -5,8 +5,8 @@ import pytest
 
 from fanofib import calculus
 from fanofib.basespace import VARIANT_B, compute_gprime, solve_base_ma
-from fanofib.calculus import (TWO_PI, diff1, diff2, lap, lap_bands, lap_matrix, lap_slabs,
-                              simpson, slab_product)
+from fanofib.calculus import (TWO_PI, lap, lap_bands, lap_matrix, lap_slabs, simpson,
+                              slab_product)
 from fanofib.errors import ContractViolation, NonConvergence, SolvabilityError
 from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.grids import BASE, FIBER, Grid
@@ -14,6 +14,7 @@ from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import (BandedMatrix, newton_semilinear, poisson_system,
                              probe_jacobian, solve_poisson_1d)
 from conftest import peak_fields
+from reference import bordered, dense_lap, poisson
 
 
 def test_poisson_zero_rhs():
@@ -76,8 +77,7 @@ def test_poisson_forward_application_reproduces_rhs():
         rhs_fs = np.cos(2.0 * np.pi * x) * 0.5
         rhs_fs -= simpson(g, BASE, rhs_fs)
         u = solve_poisson_1d(g, BASE, rhs_fs[:, None].copy())[:, 0]
-        L = lap_matrix(g, BASE)
-        resids.append(np.abs(L @ u - rhs_fs).max())
+        resids.append(np.abs(dense_lap(g, BASE) @ u - rhs_fs).max())
     assert resids[1] < 5.0 * (1.0 / 64)**2
     assert math.log2(resids[0] / resids[1]) > 1.7
 
@@ -137,7 +137,7 @@ def test_poisson_solve_that_hands_over_its_source_equals_the_plain_one(
     w = g.simpson(axis_name) / (3.0 * g.n(axis_name))
     fs = rng.standard_normal((g.n(axis_name) + 1, 5))
     fs -= np.einsum("i,ij->j", w, fs)[None, :]
-    plain = _poisson_whole(g, axis_name, fs)
+    plain = poisson(g, axis_name, fs)
     assert solve_poisson_1d(g, axis_name, fs) is fs
     assert np.array_equal(fs, plain)
     assert np.array_equal(np.signbit(fs), np.signbit(plain))
@@ -188,7 +188,7 @@ def test_poisson_gate_scaled_by_cancelling_terms_passes_a_small_difference():
     with pytest.raises(SolvabilityError):
         solve_poisson_1d(g, FIBER, rhs)
     u = solve_poisson_1d(g, FIBER, rhs.copy(), scale=size)
-    assert np.array_equal(u, _poisson_whole(g, FIBER, rhs))
+    assert np.array_equal(u, poisson(g, FIBER, rhs))
 
 
 @pytest.mark.parametrize("delta", [1e-9, 1e-2])
@@ -222,23 +222,14 @@ def test_poisson_gate_names_the_failing_column():
 # banded solves against dense oracles
 # ---------------------------------------------------------------------------
 
-def _dense_lap_matrix(grid, axis_name):
-    # reference: diff1 and diff2 applied to the identity, row by row
-    n = grid.n(axis_name)
-    h = grid.h(axis_name)
-    eye = np.eye(n + 1)
-    g, gp = grid.g(axis_name), grid.gp(axis_name)
-    return g[:, None] * diff2(eye, h, 0) + gp[:, None] * diff1(eye, h, 0)
-
-
 @pytest.mark.parametrize("shape", [(16, 16), (64, 256), (1024, 32)])
 def test_lap_matrix_matches_difference_assembly(shape):
     g = Grid(*shape)
     for axis_name in (FIBER, BASE):
         L = lap_matrix(g, axis_name)
         # equal entry for entry; only the sign of the zero at (n, n-3),
-        # 0 * weight in the old sum, may differ
-        assert np.array_equal(L, _dense_lap_matrix(g, axis_name))
+        # 0 * weight in the reference's sum, may differ
+        assert np.array_equal(L, dense_lap(g, axis_name))
         bands = lap_bands(g, axis_name)
         assert np.count_nonzero(L) == np.count_nonzero(bands)
         v = np.cos(3.0 * np.linspace(0.0, 1.0, g.n(axis_name) + 1))
@@ -254,7 +245,7 @@ def test_slab_product_is_bitwise_the_dense_product(n):
     # the constant starts log c of c = 3/2, 2, 5/2, on a smooth profile
     # and on noise
     g = Grid(n, 16)
-    L = lap_matrix(g, FIBER)
+    L = dense_lap(g, FIBER)
     slabs = lap_slabs(g, FIBER)
     assert sum(s.shape[0] for _, _, s in slabs) == n + 1
     rng = np.random.default_rng(n)
@@ -264,28 +255,6 @@ def test_slab_product_is_bitwise_the_dense_product(n):
         dense, got = L @ v, slab_product(slabs, v)
         assert np.array_equal(got, dense)
         assert np.array_equal(np.signbit(got), np.signbit(dense))
-
-
-def _bordered_oracle(grid, axis_name, rfs):
-    """[u, mu] of [[L, 1], [w, 0]] [u, mu] = [rfs, 0] by dense LU.
-
-    One step of iterative refinement with a long-double residual removes
-    the LU's own roundoff, about cond * eps (5e-12 relative at n = 1024,
-    a thousand times the flux solve's error), so the comparison measures
-    the flux solve alone.
-    """
-    n = grid.n(axis_name)
-    A = np.zeros((n + 2, n + 2))
-    A[:n + 1, :n + 1] = lap_matrix(grid, axis_name)
-    A[:n + 1, n + 1] = 1.0
-    A[n + 1, :n + 1] = grid.simpson(axis_name) / (3.0 * n)
-    B = np.zeros((n + 2, rfs.shape[1]))
-    B[:n + 1] = rfs
-    x = np.linalg.solve(A, B)
-    ld = np.longdouble
-    resid = B.astype(ld) - A.astype(ld) @ x.astype(ld)
-    x = (x.astype(ld) + np.linalg.solve(A, resid.astype(float))).astype(float)
-    return x[:n + 1], x[n + 1]
 
 
 @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
@@ -305,7 +274,7 @@ def test_poisson_matches_dense_bordered_solve(n, axis_name):
     # a gate of 1e-3 sup|rhs| per column
     u = solve_poisson_1d(g, axis_name, rfs.copy(),
                          scale=1e5 * np.abs(gx[:, None] * rfs).max(axis=0))
-    expect, mu = _bordered_oracle(g, axis_name, rfs)
+    expect, mu = bordered(g, axis_name, rfs)
     assert abs(mu[-1]) > 1.0 / n**2
     rel = np.abs(u - expect).max(axis=0) / np.abs(expect).max(axis=0)
     # the flux form reads <= 7e-15 up to n = 2048; an elimination over the
@@ -348,7 +317,7 @@ def test_base_ma_newton_step_matches_dense(n_base):
     bands = lap_bands(grid, BASE)
     bands[2] -= coeff
     step = BandedMatrix(bands).solve(-res)
-    dense = np.linalg.solve(lap_matrix(grid, BASE) - np.diag(coeff), -res)
+    dense = np.linalg.solve(dense_lap(grid, BASE) - np.diag(coeff), -res)
     assert np.abs(step - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
@@ -449,7 +418,7 @@ def test_banded_singular_system_is_nonconvergence():
 # ---------------------------------------------------------------------------
 
 def _liouville_like(g, w):
-    L = lap_matrix(g, FIBER)
+    L = dense_lap(g, FIBER)
 
     def residual(v):
         return L @ v - (np.exp(v) - 1.0) * w
@@ -560,24 +529,6 @@ def test_probe_accepts_consistent_pair():
     probe_jacobian(residual, jacobian, 0.2 * np.ones(33))
 
 
-def _poisson_whole(grid, axis_name, rhs_fs):
-    """solve_poisson_1d's flux solve as whole-field expressions: no row
-    blocks, the Simpson gauge as one accumulate (compatibility check left
-    out)."""
-    rfs = np.asarray(rhs_fs, dtype=float)
-    n = grid.n(axis_name)
-    weights = grid.simpson(axis_name) / (3.0 * n)
-    system = poisson_system(grid, axis_name)
-    sums = np.cumsum(rfs[1:n], axis=0)
-    ends = (rfs[0], rfs[1], rfs[n - 1], rfs[n], sums[-1])
-    f0, mu = sum(k[:, None] * e for k, e in zip(system.end_solve.T, ends))
-    flux = (np.vstack([np.zeros_like(f0), sums]) + f0
-            + np.multiply.outer(system.mu_flux, mu))
-    v = np.vstack([np.zeros_like(f0),
-                   np.cumsum(flux / system.conductance[:, None], axis=0)])
-    return v - np.add.accumulate(weights[:, None] * v, axis=0)[-1]
-
-
 @pytest.mark.parametrize("block", [None, 1, 333])
 @pytest.mark.parametrize("shape", [(16, 16), (32, 256), (256, 32), (2048, 64),
                                    (64, 2048), (1024, 1024)],
@@ -592,4 +543,4 @@ def test_blocked_poisson_gauge_is_bit_identical(shape, block, monkeypatch):
         fs = rng.standard_normal((g.n(axis_name) + 1, other + 1))
         fs -= np.einsum("i,ij->j", w, fs)[None, :]      # compatible columns
         assert np.array_equal(solve_poisson_1d(g, axis_name, fs.copy()),
-                              _poisson_whole(g, axis_name, fs)), axis_name
+                              poisson(g, axis_name, fs)), axis_name

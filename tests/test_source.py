@@ -6,8 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import same_bytes
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "fanofib").glob("*.py"))
+# the test modules and the benchmark's; beside the stdlib and numpy they may
+# import these and their sibling modules.  mpmath, sympy and scipy are
+# installed on some hosts but not declared, so no module may import them
+TEST_SOURCES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+TEST_IMPORTS = {"pytest", "hypothesis", "fanofib"}
 # the program: the package, the benchmark and the acceptance suite, whose
 # calls are the frozen contract
 PROGRAM = sorted({*SOURCES, ROOT / "tests" / "test_acceptance.py",
@@ -29,7 +36,8 @@ def test_imports_sit_at_module_top(path):
     assert not local, f"function-local imports at {local}"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES,
+                         ids=lambda p: p.name if p in SOURCES else f"{p.parent.name}/{p.name}")
 def test_imports_only_stdlib_and_numpy(path):
     # the package depends on numpy alone (pyproject.toml); scipy would cost
     # every command its import time: in a fresh interpreter on a 2-vCPU
@@ -43,7 +51,10 @@ def test_imports_only_stdlib_and_numpy(path):
             top.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             top.add(node.module.split(".")[0])
-    foreign = sorted(top - set(sys.stdlib_module_names) - {"numpy"})
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    if path not in SOURCES:
+        allowed |= TEST_IMPORTS | {p.stem for p in path.parent.glob("*.py")}
+    foreign = sorted(top - allowed)
     assert not foreign, f"{path.name} imports {foreign}"
 
 
@@ -395,3 +406,20 @@ def test_dense_square_matrices_are_allocated_only_where_allowed():
                                                     path.stem)]
     assert {scope for scope, _ in found} == SQUARE_ALLOCATORS, (
         f"square dense allocations: {found}")
+
+
+def test_same_bytes_names_each_differing_or_missing_file(tmp_path):
+    # the byte-identity tool's comparison, on two trees of emitted files
+    a, b = tmp_path / "at_rev", tmp_path / "working"
+    for side in (a, b):
+        (side / "cell").mkdir(parents=True)
+        (side / "cell" / "report.json").write_bytes(b'{"pass": true}\n')
+        (side / "checks.csv").write_bytes(b"name,value\n")
+    assert same_bytes.differences(a, b) == []
+    (b / "checks.csv").write_bytes(b"name,valuf\n")
+    assert same_bytes.differences(a, b) == ["differs: checks.csv"]
+    (a / "cell" / "extra.csv").write_bytes(b"")
+    (b / "extra.json").write_bytes(b"")
+    assert same_bytes.differences(a, b) == ["only under at_rev: cell/extra.csv",
+                                            "only under working: extra.json",
+                                            "differs: checks.csv"]

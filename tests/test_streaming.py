@@ -23,7 +23,7 @@ from fanofib.pipeline import PipelineConfig, run_pipeline
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual)
 from conftest import _field_bytes, peak_fields
-from forms import full_metric
+from reference import full_metric
 
 # ---------------------------------------------------------------------------
 # memory: peaks above the live set, in nodal fields, at 256^2

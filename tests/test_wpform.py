@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from fanofib.calculus import TWO_PI, diff1, lap, simpson_columns
+from fanofib.calculus import TWO_PI, simpson_columns
 from fanofib.errors import FanofibError, PullbackStructureError
 from fanofib.fiberwise import solve_spr
-from fanofib.grids import BASE, FIBER
 from fanofib.model import ModelSpec, build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
-from forms import FB, base_fs, full_metric, mixed_fb, omega0, vertical_fs
+from reference import section_density
 
 
 def canonical(ref):
@@ -22,7 +21,7 @@ def canonical(ref):
 # the section volume family
 # ---------------------------------------------------------------------------
 
-def test_family_density_model_a(ref_a, section_density):
+def test_family_density_model_a(ref_a):
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
     dens = section_density(ref_a, fam)
     expect = (1.0 - ref_a.grid.nodes_b[None, :])**4
@@ -125,7 +124,7 @@ def test_wp_weight_constant_shift(ref_b):
 # residual route
 # ---------------------------------------------------------------------------
 
-def test_wp_residual_model_a(ref_a, spr_a, section_density):
+def test_wp_residual_model_a(ref_a, spr_a):
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
     wp = wp_from_residual(ref_a, spr_a)
     assert np.abs(wp.wp_fs - 4.0).max() < 1e-10
@@ -136,13 +135,6 @@ def test_wp_residual_model_a(ref_a, spr_a, section_density):
           / (TWO_PI * simpson_columns(g, spr_a.vertical_fs)))
     assert mu[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.isfinite(mu))
-
-
-def test_wp_residual_theta_independence(ref_b, spr_b):
-    g = ref_b.grid
-    wp1 = wp_from_residual(ref_b, spr_b)
-    wp2 = wp_from_residual(ref_b, spr_b, theta_fs=1.0 + g.g_b)
-    assert np.array_equal(wp1.wp_base, wp2.wp_base)
 
 
 def test_wp_residual_rejects_bad_theta(ref_b, spr_b):
@@ -179,58 +171,6 @@ def test_wp_residual_gauge_bit_identical(ref_b, spr_b):
 # ---------------------------------------------------------------------------
 # route equivalence
 # ---------------------------------------------------------------------------
-
-def _pullback_residual_whole(ref, fiber_sol):
-    """Oracle: r of the residual route assembled in whole fields, with
-    omega0's mixed entry in full (``forms.mixed_fb``) and D_f D_b composed
-    of whole-field ``diff1``; returns the route's defect, the extremes of r
-    and the fiber average of r_bb."""
-    grid = ref.grid
-    lam = float(ref.consts.lam)
-    hf, hb = grid.h(FIBER), grid.h(BASE)
-
-    def dfdb(v):
-        return grid.g_f[:, None] * diff1(grid.g_b[None, :] * diff1(v, hb, 1), hf, 0)
-
-    log_u = np.log(full_metric(grid, fiber_sol))
-    if fiber_sol.kind == "spr":
-        twist_ff_fs = lam * vertical_fs(ref)
-        twist_fb = lam * mixed_fb(ref)
-        twist_bb_fs = lam * base_fs(ref)
-    else:
-        rho = fiber_sol.rho
-        twist_ff_fs = lam * (vertical_fs(ref) + lap(grid, rho, FIBER))
-        twist_fb = lam * (mixed_fb(ref) + dfdb(rho))
-        twist_bb_fs = lam * base_fs(ref) + lam * lap(grid, rho, BASE)
-    abs_ff = np.abs((twist_ff_fs - (2.0 - lap(grid, log_u, FIBER)))
-                    * grid.g_f[:, None])
-    abs_fb = np.abs(twist_fb + dfdb(log_u))
-    r_bb_fs = twist_bb_fs + lap(grid, log_u, BASE)
-    r_bb = r_bb_fs * grid.g_b[None, :]
-    bb_lo, bb_hi = r_bb.min(axis=0), r_bb.max(axis=0)
-    defect = float((abs_ff + abs_fb + (bb_hi - bb_lo)[None, :]).max())
-    return (defect, float(abs_ff.max()), float(abs_fb.max()), bb_lo, bb_hi,
-            simpson_columns(grid, r_bb_fs))
-
-
-@pytest.mark.parametrize("family", ["spr_c", "ske_c"])
-def test_wp_residual_is_the_whole_field_assembly(ref_c, family, request):
-    # r is formed in row blocks, omega0's mixed entry among it, and reduced
-    # per column as it is formed; every number the route returns has the
-    # bits of the whole-field assembly
-    fiber = request.getfixturevalue(family)
-    wp = wp_from_residual(ref_c, fiber)
-    defect, ff_sup, fb_sup, bb_lo, bb_hi, wp_fs = _pullback_residual_whole(ref_c, fiber)
-    assert wp.verticality_defect == defect
-    assert (wp.residual.ff_sup, wp.residual.fb_sup) == (ff_sup, fb_sup)
-    assert np.array_equal(wp.residual.bb_lo, bb_lo)
-    assert np.array_equal(wp.residual.bb_hi, bb_hi)
-    assert np.array_equal(wp.wp_fs, wp_fs)
-    # the oracle's mixed entry is omega0's
-    w = ref_c.warp
-    assert np.array_equal(mixed_fb(ref_c), omega0(ref_c)[FB])
-    assert np.array_equal(mixed_fb(ref_c), w.eps * w.DP[:, None] * w.DQ[None, :])
-
 
 def test_routes_agree_model_a(ref_a, spr_a):
     fam = volume_family_from_sections(ref_a, canonical(ref_a))
