@@ -36,19 +36,16 @@ TWO_PI = 2.0 * math.pi
 # the halo rule (``_halo``), L's combination (``_l_rows``) and the blocking
 # (``_along``).
 
-# Row-blocked kernels take at most this many elements per block, so that a
-# block and its temporaries stay in cache.  A wide field gets few rows per
-# block and a narrow one many, so no shape is cut into thousands of tiny
-# blocks.  A block also holds at most 1/_MIN_BLOCKS of the rows, so that a
-# stage holding k block temporaries holds about k/_MIN_BLOCKS of a field on
-# a small grid too.
+# A row block holds _BLOCK_ELEMS // width rows, and at least one.  That one
+# rule sizes every block, on every grid: one float64 temporary of 2^14
+# elements is 128 KB, so the eight or so that a stage holds at once fit in
+# a 2 MB L2.  A wide field gets few rows per block and a narrow one many.
 _BLOCK_ELEMS = 1 << 14
-_MIN_BLOCKS = 16
 
 
 def _row_blocks(start: int, stop: int, width: int):
     """Consecutive [lo, hi) row ranges covering [start, stop)."""
-    step = max(1, min(_BLOCK_ELEMS // max(width, 1), (stop - start) // _MIN_BLOCKS))
+    step = max(1, _BLOCK_ELEMS // max(width, 1))
     return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
 
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+from fanofib import calculus
 from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.model import ModelSpec, build_reference
 
@@ -31,6 +32,17 @@ def peak_fields(fn, *args) -> float:
         return tracemalloc.get_traced_memory()[1] / field
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def fine_blocks(monkeypatch):
+    """Called with a Grid or ModelSpec, sets this test's row-block budget so
+    that its fields split into sixteen full blocks and a last one, the
+    geometry that block-edge tests and memory bounds assert about."""
+    def fine(grid):
+        rows = (grid.n_fiber + 1) // 16
+        monkeypatch.setattr(calculus, "_BLOCK_ELEMS", rows * (grid.n_base + 1))
+    return fine
 
 
 @pytest.fixture(scope="session")

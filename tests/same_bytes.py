@@ -2,12 +2,15 @@
 
     python tests/same_bytes.py REV
 
-runs the three benchmark workload configurations (class (2, 1), the
-``fiber_cubic`` warp of amplitude 0.2, both fiber families, on the grids
-128^2..1024^2, 64x2048 and 2048x64) with ``fanofib run`` in a git worktree
-of REV and then in the working tree, one process after the other, and
-compares every emitted file byte for byte, and the exit codes.  It exits
-0 when all match and 1 otherwise.  The test suite does not run it.
+runs four configurations, class (2, 1) with warp amplitude 0.2 and both
+fiber families: the three benchmark workloads (the ``fiber_cubic`` warp on
+the grids 128^2..1024^2, 64x2048 and 2048x64) and a ``skew_bump`` ladder
+on 128^2..512^2, whose warp is not symmetric along the base, so that a
+block-edge or column-order slip cannot hide behind the mirror symmetry of
+the others.  Each runs with ``fanofib run`` in a git worktree of REV and
+then in the working tree, one process after the other; every emitted file
+is compared byte for byte, and the exit codes.  It exits 0 when all match
+and 1 otherwise.  The test suite does not run it.
 """
 
 import filecmp
@@ -18,21 +21,24 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = {
-    "refine_ladder": ("128x128", "256x256", "512x512", "1024x1024"),
-    "many_fibers": ("64x2048",),
-    "long_fibers": ("2048x64",),
+# name: (warp shape, grids)
+RUNS = {
+    "refine_ladder": ("fiber_cubic", ("128x128", "256x256", "512x512", "1024x1024")),
+    "many_fibers": ("fiber_cubic", ("64x2048",)),
+    "long_fibers": ("fiber_cubic", ("2048x64",)),
+    "skew_refine": ("skew_bump", ("128x128", "256x256", "512x512")),
 }
-MODEL = ("a = 2\nc = 1\nwarp_amplitude = 0.2\nwarp_shape = fiber_cubic\n"
-         "pipeline = both\n")
+MODEL = "a = 2\nc = 1\nwarp_amplitude = 0.2\nwarp_shape = {}\npipeline = both\n"
 
 
-def emit(tree: Path, config: Path, out: Path) -> dict:
-    """Run every workload with the package of ``tree`` into ``out``; the
-    exit code of each run."""
+def emit(tree: Path, configs: Path, out: Path) -> dict:
+    """Run every configuration with the package of ``tree`` into ``out``,
+    reading the model of each warp shape from ``configs``; the exit code
+    of each run."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     codes = {}
-    for name, grids in WORKLOADS.items():
+    for name, (shape, grids) in RUNS.items():
+        config = configs / f"{shape}.cfg"
         cmd = [sys.executable, "-m", "fanofib.cli", "run", "--config", str(config),
                "--out", str(out / name), *(a for g in grids for a in ("--grid", g))]
         codes[name] = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
@@ -57,13 +63,13 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        config = tmp / "model.cfg"
-        config.write_text(MODEL)
+        for shape in {shape for shape, _ in RUNS.values()}:
+            (tmp / f"{shape}.cfg").write_text(MODEL.format(shape))
         worktree = tmp / "rev"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
                         str(worktree), argv[0]], check=True, stdout=subprocess.DEVNULL)
         try:
-            codes = {side: emit(tree, config, tmp / side)
+            codes = {side: emit(tree, tmp, tmp / side)
                      for side, tree in (("at_rev", worktree), ("working", ROOT))}
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",

@@ -81,27 +81,6 @@ def test_omega_prime_defining_relation(ref_b, ske_b):
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
-# the Einstein cases keep the bare block as their id
-@pytest.mark.parametrize("kind, block", [
-    pytest.param(kind, block, id=str(block) if kind == "ske" else f"{kind}-{block}")
-    for kind in ("ske", "spr") for block in (None, 1, 333)])
-def test_streamed_omega_prime_matches_the_whole_field_oracle(ref_c, kind, block,
-                                                             request, monkeypatch):
-    # G' forms its volume (Omega' for the Einstein family, Omega for the
-    # prescribed-Ricci one) row block by row block and takes G's extremes
-    # in the same pass, which check_g_descends reads; every number equals
-    # the reference cell's
-    fiber = request.getfixturevalue(f"{kind}_c")
-    if block is not None:
-        monkeypatch.setattr(calculus, "_BLOCK_ELEMS", block)
-    gp = compute_gprime(ref_c, fiber)
-    rep = check_g_descends(ref_c, fiber, gp)
-    gprime, adjoint, oscillation, pullback = reference.gprime(ref_c, fiber)
-    assert np.array_equal(gp.gprime, gprime)
-    assert gp.adjoint_defect == adjoint
-    assert (rep.vertical_oscillation, rep.pullback_defect) == (oscillation, pullback)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_omega_prime_rejects_a_bad_family_column(ref_c, ske_c, bad):
     # a NaN or infinite column of the Einstein potential makes the twisted
@@ -140,9 +119,10 @@ def test_g_descends_rejects_mismatched_family(ref_b, spr_b, ske_b):
             check_g_descends(ref_b, other, gp)
 
 
-def test_g_descent_forms_no_volume_row(ref_c, ske_c, monkeypatch):
+def test_g_descent_forms_no_volume_row(ref_c, ske_c, monkeypatch, fine_blocks):
     # one Einstein cell at 64^2: the scale pass and the volume pass form
     # each row block of e^{-lambda rho} Omega once; the descent forms none
+    fine_blocks(ref_c.grid)
     calls, real = [], basespace._twisted_rows
     monkeypatch.setattr(basespace, "_twisted_rows", lambda ref, rho, lo, hi:
                         calls.append((lo, hi)) or real(ref, rho, lo, hi))
@@ -439,14 +419,26 @@ def test_volume_identity_reads_the_base_solution(ref_c, spr_c, ske_c, kind,
     wp = wp_from_residual(ref_c, fiber)
     tol = ref_c.grid.truncation_tol(1.0)
     rep, = volume_identity_residual(ref_c, fiber, wp, [sol])
+    mid = ref_c.grid.n_base // 2
     for delta in (1e-3, 1e-1):
         x = getattr(sol, field).copy()
-        mid = ref_c.grid.n_base // 2
         x[mid] = x[mid] * (1.0 + delta) if field == "dens_fs" else x[mid] + delta
-        bad, = volume_identity_residual(ref_c, fiber, wp,
-                                        [dataclasses.replace(sol, **{field: x})])
+        bent = dataclasses.replace(sol, **{field: x})
+        bad, = volume_identity_residual(ref_c, fiber, wp, [bent])
         assert bad.relative > 50.0 * rep.relative, (delta, bad.relative)
     assert bad.relative > tol
+    # at delta = 0.1 the bent node sets the record, which grows by c g_b
+    # times the change of the defect dens_B - khat G' e^rho_B there, with
+    # c = 1 for B and 1 - eT = 1/3 for B'.  The rest is the unbent record,
+    # 1.0e-4 of the growth; a centre that took the defect without c moved
+    # the B' record three times as far
+    c = 1.0 if variant == VARIANT_B else float(1 - ref_c.consts.eT)
+
+    def defect(s):
+        return s.dens_fs[mid] - s.khat * s.gprime[mid] * math.exp(s.rho[mid])
+
+    moved = c * ref_c.grid.g_b[mid] * abs(defect(bent) - defect(sol))
+    assert bad.residual_sup == pytest.approx(moved, rel=1e-3)
 
 
 @pytest.mark.parametrize("model", [

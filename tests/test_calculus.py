@@ -302,8 +302,9 @@ def test_carried_column_sums_equal_simpson_columns_bit_for_bit(shape):
     assert not np.array_equal(regrouped, whole)
 
 
-def test_carried_column_sums_propagate_a_nan():
+def test_carried_column_sums_propagate_a_nan(fine_blocks):
     g = Grid(64, 64)
+    fine_blocks(g)
     v = np.ones(field_shape(g))
     last = list(calculus._row_blocks(0, g.n_fiber + 1, g.n_base + 1))[-2][0]
     v[last, 7] = np.nan
@@ -390,6 +391,23 @@ def test_blocked_stencils_are_bit_identical(shape, block, monkeypatch):
         assert np.array_equal(audit, reference.five_point_lap(g, field, axis_name)), axis_name
 
 
+@pytest.mark.parametrize("shape", [(128, 128), (256, 256), (512, 512), (1024, 1024),
+                                   (64, 2048), (2048, 64), (4, 1 << 15)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_row_blocks_take_the_budget_in_rows(shape):
+    # one rule on the workload grids and on a width above the budget: the
+    # blocks tile the rows in order, each but the last budget // width
+    # rows long, and at least one row
+    rows, width = shape[0] + 1, shape[1] + 1
+    step = max(1, calculus._BLOCK_ELEMS // width)
+    for start, stop in ((0, rows), (1, rows - 1)):
+        blocks = list(calculus._row_blocks(start, stop, width))
+        assert [lo for lo, _ in blocks] == [start] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == stop
+        assert all(hi - lo == step for lo, hi in blocks[:-1])
+        assert 0 < blocks[-1][1] - blocks[-1][0] <= step
+
+
 KERNEL_GRIDS = [(16, 1024), (1024, 16), (64, 64), (256, 256)]
 
 
@@ -399,7 +417,6 @@ def test_block_kernels_looped_equal_the_whole_field_expressions(shape, blocking,
                                                                 monkeypatch):
     if blocking == "one block":
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", 1 << 30)
-        monkeypatch.setattr(calculus, "_MIN_BLOCKS", 1)
     elif blocking == "333 elements":
         monkeypatch.setattr(calculus, "_BLOCK_ELEMS", 333)
     g = Grid(*shape)
@@ -407,8 +424,8 @@ def test_block_kernels_looped_equal_the_whole_field_expressions(shape, blocking,
     blocks = list(calculus._row_blocks(0, n + 1, g.n_base + 1))
     if blocking == "one block":
         assert blocks == [(0, n + 1)]
-    elif blocking == "default" and shape != (16, 1024):
-        # sixteen full blocks, then a partial one
+    elif blocking == "default" and shape != (64, 64):
+        # full blocks, then a partial one; a 64^2 field is one block
         assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
     v = np.random.default_rng(sum(shape)).standard_normal(field_shape(g))
 

@@ -122,8 +122,9 @@ def test_reference_model_a(ref_a):
     assert ric_weight_residual(ref_a) < 1e-13
 
 
-def test_reference_row_accessors_match_the_whole_field_on_every_block(ref_b):
+def test_reference_row_accessors_match_the_whole_field_on_every_block(ref_b, fine_blocks):
     grid = ref_b.grid
+    fine_blocks(grid)
     vertical, base = vertical_fs(ref_b), base_fs(ref_b)
     blocks = list(calculus._row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
     assert len(blocks) > 2
@@ -135,11 +136,13 @@ def test_reference_row_accessors_match_the_whole_field_on_every_block(ref_b):
 
 
 @pytest.mark.parametrize("case", ["negative", "nan"])
-def test_positivity_error_names_the_first_worst_node_of_the_whole_field(ref_b, case):
+def test_positivity_error_names_the_first_worst_node_of_the_whole_field(ref_b, case,
+                                                                       fine_blocks):
     # the check runs in row blocks, yet the node it names is the whole
     # field's first minimum in row-major order, or its first NaN, here past
     # the first block (and in the NaN case ahead of a more negative row)
     grid = ref_b.grid
+    fine_blocks(grid)
     w = ref_b.warp
     if case == "negative":
         # c - eps/8 < 0 at the centre of the product bump
@@ -163,13 +166,14 @@ def test_positivity_error_names_the_first_worst_node_of_the_whole_field(ref_b, c
     assert err.value.location == (float(grid.nodes_f[i]), float(grid.nodes_b[j]))
 
 
-def test_reference_build_holds_only_the_profiles_it_needs():
+def test_reference_build_holds_only_the_profiles_it_needs(fine_blocks):
     # the reference retains two fields, the volume density and the warp
     # potential (2.05 with the 1D profiles); the build adds the row blocks
     # of the positivity check (2.68 in all)
     n = 256
     spec = ModelSpec.make(2, 1, warp_amplitude=0.2, warp_shape="fiber_cubic",
                           n_fiber=n, n_base=n)
+    fine_blocks(spec)
     assert peak_fields(build_reference, spec) <= 3.0
     assert _held_bytes(build_reference(spec)) / (n + 1)**2 / 8 <= 2.1
 

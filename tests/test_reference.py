@@ -23,40 +23,44 @@ def ref(request):
 
 
 @pytest.mark.parametrize("solve", [solve_spr, solve_ske], ids=["spr", "ske"])
-def test_streamed_stages_are_the_reference_cell_bit_for_bit(ref, solve):
+def test_streamed_stages_are_the_reference_cell_bit_for_bit(ref, solve, fine_blocks):
     # each stage forms its fields in row blocks and reduces them as it
-    # goes, with the bits of the whole field
-    fiber = solve(ref)
-    rows = ref.grid.n_fiber + 1
-    assert np.array_equal(ref.vertical_rows(0, rows), reference.vertical_fs(ref))
-    assert np.array_equal(ref.base_rows(0, rows), reference.base_fs(ref))
-    u, rho, residual, defect = getattr(reference, fiber.kind)(ref)[:4]
-    assert np.array_equal(reference.full_metric(ref.grid, fiber), u)
-    assert np.array_equal(fiber.rho, rho)
-    assert (fiber.residual_sup, fiber.volume_defect) == (residual, defect)
-    audit = verify_fiber_family(ref, fiber)
-    assert (audit.forward_residual_sup, audit.positivity_margin,
-            audit.weight_forward_sup) == reference.audit(ref, fiber)
-    # both routes
-    fam = volume_family_from_sections(ref, SectionFamilySpec.canonical(ref.consts), fiber)
-    ric_defect, log_norm, wp_fs = reference.sections(ref, fiber)
-    assert fam.ric_defect == ric_defect
-    assert np.array_equal(fam.smooth_log_norm, log_norm)
-    assert np.array_equal(wp_from_sections(ref, fam).wp_fs, wp_fs)
-    wp = wp_from_residual(ref, fiber)
-    defect, ff_sup, fb_sup, bb_lo, bb_hi, wp_fs = reference.pullback_residual(ref, fiber)
-    assert (wp.verticality_defect, wp.residual.ff_sup, wp.residual.fb_sup) == (
-        defect, ff_sup, fb_sup)
-    for got, want in ((wp.residual.bb_lo, bb_lo), (wp.residual.bb_hi, bb_hi),
-                      (wp.wp_fs, wp_fs)):
-        assert np.array_equal(got, want)
-    # G', its adjoint sums and the descent of G from its extremes
-    gp = compute_gprime(ref, fiber)
-    rep = check_g_descends(ref, fiber, gp)
-    gprime, adjoint, oscillation, pullback = reference.gprime(ref, fiber)
-    assert np.array_equal(gp.gprime, gprime)
-    assert (gp.adjoint_defect, rep.vertical_oscillation, rep.pullback_defect) == (
-        adjoint, oscillation, pullback)
+    # goes, with the bits of the whole field: under the default budget,
+    # which holds a 64^2 field in one block, and then under the fine one
+    for fine in (False, True):
+        if fine:
+            fine_blocks(ref.grid)
+        fiber = solve(ref)
+        rows = ref.grid.n_fiber + 1
+        assert np.array_equal(ref.vertical_rows(0, rows), reference.vertical_fs(ref))
+        assert np.array_equal(ref.base_rows(0, rows), reference.base_fs(ref))
+        u, rho, residual, defect = getattr(reference, fiber.kind)(ref)[:4]
+        assert np.array_equal(reference.full_metric(ref.grid, fiber), u)
+        assert np.array_equal(fiber.rho, rho)
+        assert (fiber.residual_sup, fiber.volume_defect) == (residual, defect)
+        audit = verify_fiber_family(ref, fiber)
+        assert (audit.forward_residual_sup, audit.positivity_margin,
+                audit.weight_forward_sup) == reference.audit(ref, fiber)
+        # both routes
+        fam = volume_family_from_sections(ref, SectionFamilySpec.canonical(ref.consts), fiber)
+        ric_defect, log_norm, wp_fs = reference.sections(ref, fiber)
+        assert fam.ric_defect == ric_defect
+        assert np.array_equal(fam.smooth_log_norm, log_norm)
+        assert np.array_equal(wp_from_sections(ref, fam).wp_fs, wp_fs)
+        wp = wp_from_residual(ref, fiber)
+        defect, ff_sup, fb_sup, bb_lo, bb_hi, wp_fs = reference.pullback_residual(ref, fiber)
+        assert (wp.verticality_defect, wp.residual.ff_sup, wp.residual.fb_sup) == (
+            defect, ff_sup, fb_sup)
+        for got, want in ((wp.residual.bb_lo, bb_lo), (wp.residual.bb_hi, bb_hi),
+                          (wp.wp_fs, wp_fs)):
+            assert np.array_equal(got, want)
+        # G', its adjoint sums and the descent of G from its extremes
+        gp = compute_gprime(ref, fiber)
+        rep = check_g_descends(ref, fiber, gp)
+        gprime, adjoint, oscillation, pullback = reference.gprime(ref, fiber)
+        assert np.array_equal(gp.gprime, gprime)
+        assert (gp.adjoint_defect, rep.vertical_oscillation, rep.pullback_defect) == (
+            adjoint, oscillation, pullback)
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (64, 256), (1024, 32)],

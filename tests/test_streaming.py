@@ -31,45 +31,50 @@ from reference import full_metric
 
 
 @pytest.mark.parametrize("solve", [solve_spr, solve_ske], ids=["spr", "ske"])
-def test_fiber_solve_holds_its_outputs_and_three_fields(ref_256, solve):
+def test_fiber_solve_holds_its_outputs_and_three_fields(ref_256, solve, fine_blocks):
     # u and rho, the Poisson recovery's source, which the solve overwrites
     # with rho, and row blocks: 2.27 (spr) and 1.29 (ske) fields, set by
     # the recovery; the Einstein metric is one column.
     # A recovery that kept its source beside the solution read 3.14
+    fine_blocks(ref_256.grid)
     assert peak_fields(solve, ref_256) <= 4.5
 
 
 @pytest.mark.parametrize("shape", [(256, 256), (64, 2048)], ids=["256x256", "64x2048"])
-def test_einstein_solve_holds_no_metric_field(ref_256, shape):
+def test_einstein_solve_holds_no_metric_field(ref_256, shape, fine_blocks):
     # rho, whose source varies along the base, is the one field; the metric
     # is one column: 1.29 fields at both shapes, against 2.30 and 2.31 with
     # the column repeated along the base.  On 2048x64 the slabs of L set
     # the peak either way (3.18), so that shape is not bounded here
     ref = ref_256 if shape == (256, 256) else build_reference(
         ModelSpec.make(2, 1, 0.2, "fiber_cubic", *shape))
+    fine_blocks(ref.grid)
     assert peak_fields(solve_ske, ref) <= 1.5
 
 
 @pytest.mark.parametrize("kind", [SPR, SKE])
-def test_fiber_audit_holds_row_blocks(ref_256, families_256, kind):
-    # log u on halo slices only: 0.41 (spr) and 0.47 (ske) fields
+def test_fiber_audit_holds_row_blocks(ref_256, families_256, kind, fine_blocks):
+    # log u on halo slices only: 0.28 (spr) and 0.26 (ske) fields
+    fine_blocks(ref_256.grid)
     assert peak_fields(verify_fiber_family, ref_256, families_256[kind]) <= 1.5
 
 
 @pytest.mark.parametrize("kind", [SPR, SKE])
-def test_wp_residual_holds_log_u_and_r_bb(ref_256, families_256, kind):
-    # row blocks, log u on the rows each block reads: 0.52 (spr) and 0.51
+def test_wp_residual_holds_log_u_and_r_bb(ref_256, families_256, kind, fine_blocks):
+    # row blocks, log u on the rows each block reads: 0.52 (spr) and 0.44
     # (ske) fields, a third of it numpy's fixed-size buffers for the
     # transposed base-axis stencils.  log u held whole made it 1.44, r_bb
     # held whole too 2.43, and every channel formed in full about 10
+    fine_blocks(ref_256.grid)
     assert peak_fields(wp_from_residual, ref_256, families_256[kind]) <= 1.5
 
 
 @pytest.mark.parametrize("kind", [SPR, SKE])
-def test_sections_route_holds_its_log_density(ref_256, families_256, kind):
+def test_sections_route_holds_its_log_density(ref_256, families_256, kind, fine_blocks):
     # row blocks, smooth_log formed on the rows each block reads: 0.39
     # (spr) and 0.33 (ske) fields.  smooth_log held whole made it 1.32 and
     # 1.26, and exp(smooth_log) formed in full for the fiber integrals 2.02
+    fine_blocks(ref_256.grid)
     sfs = SectionFamilySpec.canonical(ref_256.consts)
     assert peak_fields(volume_family_from_sections, ref_256, sfs,
                        families_256[kind]) <= 1.5
@@ -210,18 +215,8 @@ def test_einstein_column_gives_the_stages_the_bits_of_the_full_family(a, c, shap
 # NaN reaches every streamed gate
 # ---------------------------------------------------------------------------
 
-GRID = 64   # 65 rows: sixteen blocks of four rows and a last one of one
-
-
-def _rows():
-    """A row in the first block, the first row of the second block (a
-    halo row of the first), the last row of the first block (a halo row of
-    the second), and the last row."""
-    blocks = list(calculus._row_blocks(0, GRID + 1, GRID + 1))
-    assert len(blocks) > 2
-    return [0, blocks[1][0], GRID, blocks[1][0] - 1]
-
-
+GRID = 64   # 65 rows: with fine_blocks, sixteen blocks of four rows and a last one
+ROWS = [0, 4, GRID, 3]   # rows 4 and 3 are halo rows of blocks one and two
 ROW_IDS = ["first block", "halo row", "last block", "last row of block one"]
 
 
@@ -235,10 +230,13 @@ def _nan_or_gate(call, read) -> bool:
     return math.isnan(read(result))
 
 
-@pytest.mark.parametrize("row", _rows(), ids=ROW_IDS)
+@pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)
 @pytest.mark.parametrize("kind, field", [(SPR, "vertical_fs"), (SKE, "vertical_fs"),
                                          (SKE, "rho"), (SKE, "vertical_fs column")])
-def test_one_nan_reaches_every_streamed_stage(ref_c, spr_c, ske_c, kind, field, row):
+def test_one_nan_reaches_every_streamed_stage(ref_c, spr_c, ske_c, kind, field, row,
+                                              fine_blocks):
+    fine_blocks(ref_c.grid)
+    assert next(calculus._row_blocks(0, GRID + 1, GRID + 1)) == (0, ROWS[1])
     good = spr_c if kind == SPR else ske_c
     if field == "vertical_fs column":
         # the NaN in the one column of solve_ske's metric
@@ -275,10 +273,12 @@ def test_one_nan_reaches_every_streamed_stage(ref_c, spr_c, ske_c, kind, field, 
             compute_gprime(ref_c, bad)
 
 
-@pytest.mark.parametrize("row", _rows(), ids=ROW_IDS)
-def test_one_nan_in_the_poisson_solution_fails_the_spr_solve(ref_c, monkeypatch, row):
+@pytest.mark.parametrize("row", ROWS, ids=ROW_IDS)
+def test_one_nan_in_the_poisson_solution_fails_the_spr_solve(ref_c, monkeypatch, row,
+                                                              fine_blocks):
     # the streamed residual check reads the NaN, and the metric's
     # positivity gate raises on it
+    fine_blocks(ref_c.grid)
     real = fiberwise.solve_poisson_1d
 
     def with_nan(grid, axis_name, rhs_fs, **kwargs):
