@@ -266,10 +266,10 @@ def _write_bands(out: np.ndarray, bands: np.ndarray, r0: int, c0: int) -> np.nda
 
 
 def lap_matrix(grid: Grid, axis_name: str) -> np.ndarray:
-    """Dense (n+1)^2 matrix of L, written from ``lap_bands``: the tests'
-    dense reference.  No run builds it; the Einstein residual applies
-    ``lap_slabs``, which give the rows of ``lap_matrix(...) @ v`` bit for
-    bit."""
+    """Dense (n+1)^2 matrix of L, written from ``lap_bands``.  No run builds
+    it: the Einstein residual applies ``lap_slabs``, its rows bit for bit.
+    The tests' dense L is ``dense_lap`` of ``tests/reference.py``; this one
+    stays while the benchmark's per-layer metrics name it."""
     n = grid.n(axis_name)
     return _write_bands(np.zeros((n + 1, n + 1)), lap_bands(grid, axis_name), 0, 0)
 

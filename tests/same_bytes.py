@@ -2,15 +2,18 @@
 
     python tests/same_bytes.py REV
 
-runs four configurations, class (2, 1) with warp amplitude 0.2 and both
-fiber families: the three benchmark workloads (the ``fiber_cubic`` warp on
-the grids 128^2..1024^2, 64x2048 and 2048x64) and a ``skew_bump`` ladder
-on 128^2..512^2, whose warp is not symmetric along the base, so that a
-block-edge or column-order slip cannot hide behind the mirror symmetry of
-the others.  Each runs with ``fanofib run`` in a git worktree of REV and
-then in the working tree, one process after the other; every emitted file
-is compared byte for byte, and the exit codes.  It exits 0 when all match
-and 1 otherwise.  The test suite does not run it.
+runs five configurations with warp amplitude 0.2 and both fiber families.
+Four are class (2, 1): the three benchmark workloads (the ``fiber_cubic``
+warp on the grids 128^2..1024^2, 64x2048 and 2048x64) and a ``skew_bump``
+ladder on 128^2..512^2, whose warp is not symmetric along the base, so that
+a block-edge or column-order slip cannot hide behind the mirror symmetry of
+the others.  The fifth is class (3, 2), ``fiber_cubic`` on 256^2 and
+64x1024: at c = 1 the Einstein column's log u is 0, at c = 2 it is log 2,
+whose roundoff reaches the base-axis end rows of L_b log u.  Each runs with
+``fanofib run`` in a git worktree of REV and then in the working tree, one
+process after the other; every emitted file is compared byte for byte, and
+the exit codes.  It exits 0 when all match and 1 otherwise.  The test suite
+does not run it.
 """
 
 import filecmp
@@ -21,24 +24,25 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# name: (warp shape, grids)
+# name: (a, c, warp shape, grids)
 RUNS = {
-    "refine_ladder": ("fiber_cubic", ("128x128", "256x256", "512x512", "1024x1024")),
-    "many_fibers": ("fiber_cubic", ("64x2048",)),
-    "long_fibers": ("fiber_cubic", ("2048x64",)),
-    "skew_refine": ("skew_bump", ("128x128", "256x256", "512x512")),
+    "refine_ladder": (2, 1, "fiber_cubic", ("128x128", "256x256", "512x512", "1024x1024")),
+    "many_fibers": (2, 1, "fiber_cubic", ("64x2048",)),
+    "long_fibers": (2, 1, "fiber_cubic", ("2048x64",)),
+    "skew_refine": (2, 1, "skew_bump", ("128x128", "256x256", "512x512")),
+    "class_3_2": (3, 2, "fiber_cubic", ("256x256", "64x1024")),
 }
-MODEL = "a = 2\nc = 1\nwarp_amplitude = 0.2\nwarp_shape = {}\npipeline = both\n"
+MODEL = "a = {}\nc = {}\nwarp_amplitude = 0.2\nwarp_shape = {}\npipeline = both\n"
 
 
 def emit(tree: Path, configs: Path, out: Path) -> dict:
     """Run every configuration with the package of ``tree`` into ``out``,
-    reading the model of each warp shape from ``configs``; the exit code
-    of each run."""
+    reading the model of each from ``configs``; the exit code of each
+    run."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     codes = {}
-    for name, (shape, grids) in RUNS.items():
-        config = configs / f"{shape}.cfg"
+    for name, (*_, grids) in RUNS.items():
+        config = configs / f"{name}.cfg"
         cmd = [sys.executable, "-m", "fanofib.cli", "run", "--config", str(config),
                "--out", str(out / name), *(a for g in grids for a in ("--grid", g))]
         codes[name] = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
@@ -63,8 +67,8 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for shape in {shape for shape, _ in RUNS.values()}:
-            (tmp / f"{shape}.cfg").write_text(MODEL.format(shape))
+        for name, (a, c, shape, _) in RUNS.items():
+            (tmp / f"{name}.cfg").write_text(MODEL.format(a, c, shape))
         worktree = tmp / "rev"
         subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
                         str(worktree), argv[0]], check=True, stdout=subprocess.DEVNULL)

@@ -37,9 +37,14 @@ def test_pushforward_model_a(ref_a):
     assert np.allclose(push, 8.0 * math.pi / 3.0, rtol=1e-14)
 
 
-def test_pushforward_adjoint_identity(ref_b, spr_b):
-    assert pushforward_adjoint_defect(ref_b, ref_b.Omega) < 1e-12
-    assert compute_gprime(ref_b, spr_b).adjoint_defect < 1e-12
+def test_pushforward_adjoint_identity(ref_b, spr_b, ske_b):
+    # product_bump's volumes are symmetric along the base, so psi = x_b^p and
+    # (1 - x_b)^p give both sides the same sums there; skew_bump's are not
+    skew = build_reference(ModelSpec.make(2, 1, 0.2, "skew_bump", 64, 64))
+    for ref, fibers in ((ref_b, (spr_b, ske_b)), (skew, (solve_spr(skew), solve_ske(skew)))):
+        assert pushforward_adjoint_defect(ref, ref.Omega) < 1e-12
+        for fiber in fibers:
+            assert compute_gprime(ref, fiber).adjoint_defect < 1e-12
 
 
 def test_pushforward_of_section_family(ref_a):
@@ -130,23 +135,6 @@ def test_g_descent_forms_no_volume_row(ref_c, ske_c, monkeypatch, fine_blocks):
     blocks = list(calculus._row_blocks(0, 65, 65))
     assert len(blocks) > 1
     assert len(calls) == 2 * len(blocks)
-
-
-def test_g_descends_order_cubic_model():
-    # pre-asymptotic orders sit near 1.76 at 32->64 and climb toward 2;
-    # the acceptance suite measures the strict bar on the finer grid list
-    oscs, pulls = [], []
-    for n in (32, 64, 128):
-        ref = build_reference(ModelSpec.make(2, 1, warp_amplitude=0.2,
-                                             warp_shape="fiber_cubic",
-                                             n_fiber=n, n_base=n))
-        spr = solve_spr(ref)
-        gp = compute_gprime(ref, spr)
-        rep = check_g_descends(ref, spr, gp)
-        oscs.append(rep.vertical_oscillation)
-        pulls.append(rep.pullback_defect)
-    assert min(math.log2(a / b) for a, b in zip(oscs, oscs[1:])) > 1.7
-    assert min(math.log2(a / b) for a, b in zip(pulls, pulls[1:])) > 1.7
 
 
 # ---------------------------------------------------------------------------
@@ -543,25 +531,6 @@ def test_volume_identity_never_passes_a_nan(ref_c, spr_c, ske_c, field):
         assert len(reps) == 2
         for rep in reps:
             assert not rep.relative <= tol, rep.name
-
-
-def test_volume_identity_orders_cubic_model():
-    rels = {1: [], 2: [], 3: [], 4: []}
-    for n in (32, 64, 128):
-        ref = build_reference(ModelSpec.make(2, 1, warp_amplitude=0.2,
-                                             warp_shape="fiber_cubic",
-                                             n_fiber=n, n_base=n))
-        spr, ske = solve_spr(ref), solve_ske(ref)
-        for which, fiber in ((1, spr), (2, spr), (3, ske), (4, ske)):
-            gp = compute_gprime(ref, fiber)
-            variant = VARIANT_B if which in (1, 3) else VARIANT_BPRIME
-            sol = solve_base_ma(ref, gp, variant)
-            rels[which].append(volume_identity_residual(
-                ref, fiber, wp_from_residual(ref, fiber), [sol])[0].relative)
-    for which, series in rels.items():
-        orders = [math.log2(a / b) for a, b in zip(series, series[1:])]
-        assert min(orders) > 1.7, (which, series)
-        assert orders[-1] > 1.8, (which, series)
 
 
 def test_volume_identities_keep_their_order_on_the_last_rung():

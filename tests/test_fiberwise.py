@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from fanofib.grids import FIBER
 from fanofib.model import ModelSpec, build_reference
 from fanofib.solvers import BandedMatrix, NewtonResult, probe_jacobian
 from conftest import peak_fields
-from reference import BB, dense_lap, fs_density, fs_form, full_metric, ske, vertical_fs
+from reference import BB, dense_lap, fs_density, fs_form, vertical_fs
 
 
 def test_spr_model_a_is_reference(ref_a, spr_a):
@@ -45,18 +44,6 @@ def test_spr_volume_enforced_and_remeasured(ref_b, spr_b):
     c = float(ref_b.spec.c)
     vols = TWO_PI * simpson_columns(ref_b.grid, spr_b.vertical_fs)
     assert np.abs(vols - TWO_PI * c).max() / (TWO_PI * c) < 1e-10
-
-
-def test_spr_forward_residual_order():
-    errs = []
-    for n in (32, 64, 128):
-        ref = build_reference(ModelSpec.make(2, 1, warp_amplitude=0.2,
-                                             warp_shape="fiber_cubic",
-                                             n_fiber=n, n_base=n))
-        audit = verify_fiber_family(ref, solve_spr(ref))
-        errs.append(audit.forward_residual_sup)
-    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-    assert min(orders) > 1.8
 
 
 def test_spr_uniqueness_under_regauged_reference(ref_b, spr_b):
@@ -94,18 +81,6 @@ def test_ske_model_b(ref_b, ske_b):
     assert audit.weight_forward_sup is not None
 
 
-def test_ske_weight_forward_order():
-    errs = []
-    for n in (32, 64, 128):
-        ref = build_reference(ModelSpec.make(2, 1, warp_amplitude=0.2,
-                                             warp_shape="fiber_cubic",
-                                             n_fiber=n, n_base=n))
-        audit = verify_fiber_family(ref, solve_ske(ref))
-        errs.append(audit.weight_forward_sup)
-    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-    assert min(orders) > 1.8
-
-
 def test_ske_family_smooth_along_base(ref_b, ske_b):
     # discrete base derivative of the potential stays bounded under refinement
     bounds = []
@@ -116,24 +91,6 @@ def test_ske_family_smooth_along_base(ref_b, ske_b):
         diff = np.abs(np.diff(sol.rho, axis=1)).max() * n
         bounds.append(diff)
     assert bounds[1] < 2.0 * bounds[0] + 1e-6
-
-
-@pytest.mark.parametrize("ref_name", ["ref_b", "ref_c", "ref_a32"])
-def test_ske_reuse_matches_a_solve_on_every_fiber(ref_name, request):
-    # log c is the fixed point of the reference's bordered Newton on every
-    # fiber: each solve returns its start in 0 iterations.  At c = 2 the
-    # start v = log 2 leaves L @ v a nonzero roundoff residual, still below
-    # the Newton tolerance, which the one column must carry
-    ref = request.getfixturevalue(ref_name)
-    sol = solve_ske(ref)
-    u, rho, residual, _, iterations = ske(ref)
-    assert iterations == 0
-    assert sol.vertical_fs.shape == (ref.grid.n_fiber + 1, 1)
-    assert np.array_equal(full_metric(ref.grid, sol), u)
-    assert np.array_equal(sol.rho, rho)
-    assert sol.residual_sup == residual
-    if ref_name == "ref_a32":
-        assert 0.0 < sol.residual_sup <= 1e-11
 
 
 def test_ske_newton_runs_once_per_fixed_point(ref_c, monkeypatch):

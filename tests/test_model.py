@@ -14,8 +14,8 @@ from fanofib.errors import ConfigError, ModelOrientationError, PositivityError
 from fanofib.grids import Grid
 from fanofib.model import ModelSpec, build_reference, derive_constants
 from conftest import peak_fields
-from reference import (base_fs, chi, ddbar, fs_form, min_eigenvalue, omega0, ric_volume,
-                       ric_weight_residual, vertical_fs, warp_profiles)
+from reference import (chi, ddbar, fs_form, min_eigenvalue, omega0, ric_volume,
+                       ric_weight_residual, warp_profiles)
 
 F = Fraction
 
@@ -120,19 +120,6 @@ def test_reference_model_a(ref_a):
     expect = fs_form(ref_a.grid, -2.0, -2.0)
     assert np.abs(chi(ref_a) - expect).max() < 1e-13
     assert ric_weight_residual(ref_a) < 1e-13
-
-
-def test_reference_row_accessors_match_the_whole_field_on_every_block(ref_b, fine_blocks):
-    grid = ref_b.grid
-    fine_blocks(grid)
-    vertical, base = vertical_fs(ref_b), base_fs(ref_b)
-    blocks = list(calculus._row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
-    assert len(blocks) > 2
-    for lo, hi in blocks:
-        assert ref_b.vertical_rows(lo, hi).tobytes() == vertical[lo:hi].tobytes()
-        assert ref_b.base_rows(lo, hi).tobytes() == base[lo:hi].tobytes()
-    with pytest.raises(ValueError):
-        ref_b.Omega[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("case", ["negative", "nan"])

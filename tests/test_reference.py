@@ -1,7 +1,7 @@
 """Every streamed stage of one cell against the dense reference cell of
-``reference.py``, at 64^2 on the three warp shapes and for both fiber
-families; and the whole-field grid operators that no run calls against
-the reference stencils they stand for."""
+``reference.py``, at 64^2 on the three warp shapes and on a c != 1 class,
+for both fiber families; and the whole-field grid operators that no run
+calls against the reference stencils they stand for."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,26 @@ from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 import reference
 
+# (a, c, warp shape): skew_bump is the one shape whose warp is not symmetric
+# along the base; at c = 2 the Einstein column's log u is log 2, not 0, so
+# the base-axis end rows of L_b log u carry its roundoff
+CELLS = {"product_bump": (2, 1, "product_bump"), "fiber_cubic": (2, 1, "fiber_cubic"),
+         "skew_bump": (2, 1, "skew_bump"), "class_3_2": (3, 2, "fiber_cubic")}
 
-@pytest.fixture(scope="module", params=["product_bump", "fiber_cubic", "skew_bump"])
+
+@pytest.fixture(scope="module", params=list(CELLS))
 def ref(request):
-    # skew_bump is the one shape whose warp is not symmetric along the base
-    return build_reference(ModelSpec.make(2, 1, 0.2, request.param, 64, 64))
+    a, c, shape = CELLS[request.param]
+    return build_reference(ModelSpec.make(a, c, 0.2, shape, 64, 64))
+
+
+def same(got, want) -> bool:
+    """Equal values with equal sign bits, so a -0.0 is no 0.0; None only
+    where the reference has None."""
+    if got is None or want is None:
+        return got is want
+    got, want = np.asarray(got), np.asarray(want)
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("solve", [solve_spr, solve_ske], ids=["spr", "ske"])
@@ -27,40 +42,43 @@ def test_streamed_stages_are_the_reference_cell_bit_for_bit(ref, solve, fine_blo
     # each stage forms its fields in row blocks and reduces them as it
     # goes, with the bits of the whole field: under the default budget,
     # which holds a 64^2 field in one block, and then under the fine one
+    with pytest.raises(ValueError):
+        ref.Omega[0, 0] = 1.0
     for fine in (False, True):
         if fine:
             fine_blocks(ref.grid)
         fiber = solve(ref)
-        rows = ref.grid.n_fiber + 1
-        assert np.array_equal(ref.vertical_rows(0, rows), reference.vertical_fs(ref))
-        assert np.array_equal(ref.base_rows(0, rows), reference.base_fs(ref))
-        u, rho, residual, defect = getattr(reference, fiber.kind)(ref)[:4]
-        assert np.array_equal(reference.full_metric(ref.grid, fiber), u)
-        assert np.array_equal(fiber.rho, rho)
-        assert (fiber.residual_sup, fiber.volume_defect) == (residual, defect)
+        for lo, hi in calculus._row_blocks(0, ref.grid.n_fiber + 1, ref.grid.n_base + 1):
+            assert same(ref.vertical_rows(lo, hi), reference.vertical_fs(ref)[lo:hi])
+            assert same(ref.base_rows(lo, hi), reference.base_fs(ref)[lo:hi])
+        # the reference's Newton takes no step from log c either
+        u, rho, residual, defect, *steps = getattr(reference, fiber.kind)(ref)
+        assert steps in ([], [0])
+        assert same(reference.full_metric(ref.grid, fiber), u)
+        assert same(fiber.rho, rho)
+        assert same((fiber.residual_sup, fiber.volume_defect), (residual, defect))
         audit = verify_fiber_family(ref, fiber)
-        assert (audit.forward_residual_sup, audit.positivity_margin,
-                audit.weight_forward_sup) == reference.audit(ref, fiber)
+        assert all(map(same, (audit.forward_residual_sup, audit.positivity_margin,
+                              audit.weight_forward_sup), reference.audit(ref, fiber)))
         # both routes
         fam = volume_family_from_sections(ref, SectionFamilySpec.canonical(ref.consts), fiber)
         ric_defect, log_norm, wp_fs = reference.sections(ref, fiber)
-        assert fam.ric_defect == ric_defect
-        assert np.array_equal(fam.smooth_log_norm, log_norm)
-        assert np.array_equal(wp_from_sections(ref, fam).wp_fs, wp_fs)
+        assert same(fam.ric_defect, ric_defect)
+        assert same(fam.smooth_log_norm, log_norm)
+        assert same(wp_from_sections(ref, fam).wp_fs, wp_fs)
         wp = wp_from_residual(ref, fiber)
-        defect, ff_sup, fb_sup, bb_lo, bb_hi, wp_fs = reference.pullback_residual(ref, fiber)
-        assert (wp.verticality_defect, wp.residual.ff_sup, wp.residual.fb_sup) == (
-            defect, ff_sup, fb_sup)
-        for got, want in ((wp.residual.bb_lo, bb_lo), (wp.residual.bb_hi, bb_hi),
-                          (wp.wp_fs, wp_fs)):
-            assert np.array_equal(got, want)
+        assert all(map(same, (wp.verticality_defect, wp.residual.ff_sup, wp.residual.fb_sup,
+                              wp.residual.bb_lo, wp.residual.bb_hi, wp.wp_fs),
+                       reference.pullback_residual(ref, fiber)))
         # G', its adjoint sums and the descent of G from its extremes
         gp = compute_gprime(ref, fiber)
         rep = check_g_descends(ref, fiber, gp)
-        gprime, adjoint, oscillation, pullback = reference.gprime(ref, fiber)
-        assert np.array_equal(gp.gprime, gprime)
-        assert (gp.adjoint_defect, rep.vertical_oscillation, rep.pullback_defect) == (
-            adjoint, oscillation, pullback)
+        assert all(map(same, (gp.gprime, gp.adjoint_defect, rep.vertical_oscillation,
+                              rep.pullback_defect), reference.gprime(ref, fiber)))
+    if fiber.kind == "ske" and ref.spec.c != 1:
+        # log c leaves L @ v a nonzero roundoff residual, below the Newton
+        # tolerance, which the one column carries
+        assert 0.0 < fiber.residual_sup <= 1e-11
 
 
 @pytest.mark.parametrize("shape", [(16, 16), (64, 256), (1024, 32)],

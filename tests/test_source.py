@@ -338,8 +338,8 @@ def test_every_dataclass_field_default_is_taken_somewhere():
         f"dataclass field defaults no program construction takes: {untaken}")
 
 
-# the functions that may allocate a dense square matrix: L itself, the
-# tests' dense reference that no run builds
+# the functions that may allocate a dense square matrix: the dense L, which
+# no run builds and which stays while the benchmark's per-layer metrics name it
 SQUARE_ALLOCATORS = {"calculus.lap_matrix"}
 
 

@@ -1,7 +1,6 @@
 """The stages that stream a fiber family over row blocks: what each holds
-at its peak, that the Einstein family's one broadcast column gives them
-the bits of the full field, and that a NaN anywhere in their input
-reaches their result or their gate."""
+at its peak, and that a NaN anywhere in their input reaches their result
+or their gate."""
 
 import dataclasses
 import inspect
@@ -13,11 +12,9 @@ import pytest
 
 from fanofib import calculus, fiberwise, pipeline
 from fanofib.basespace import check_g_descends, compute_gprime
-from fanofib.calculus import lap
 from fanofib.errors import FanofibError, PositivityError
 from fanofib.fiberwise import (SKE, SPR, solve_ske, solve_spr,
                                verify_fiber_family)
-from fanofib.grids import BASE
 from fanofib.model import ModelSpec, build_reference
 from fanofib.pipeline import PipelineConfig, run_pipeline
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
@@ -169,46 +166,6 @@ def test_no_stage_holds_more_than_half_a_field_beyond_reference_and_family(
     over = {name: (round(live, 2), round(above, 2))
             for name, (live, above) in peaks.items() if live + above > 4.5}
     assert not over, f"stages (live set, peak above it) above 4.5 fields: {over}"
-
-
-# ---------------------------------------------------------------------------
-# the Einstein family as its one column
-# ---------------------------------------------------------------------------
-
-
-def _leaves(result) -> dict:
-    """The numbers of a stage's result dataclass, nested ones flattened."""
-    out = {}
-    for field in dataclasses.fields(result):
-        value = getattr(result, field.name)
-        if dataclasses.is_dataclass(value):
-            out.update({f"{field.name}.{k}": v for k, v in _leaves(value).items()})
-        elif value is not None and not isinstance(value, str):
-            out[field.name] = np.asarray(value)
-    return out
-
-
-@pytest.mark.parametrize("a, c", [(2, 1), (3, 2)])
-@pytest.mark.parametrize("shape", [(64, 256), (256, 64)], ids=["64x256", "256x64"])
-def test_einstein_column_gives_the_stages_the_bits_of_the_full_family(a, c, shape):
-    ref = build_reference(ModelSpec.make(a, c, 0.2, "fiber_cubic", *shape))
-    column = solve_ske(ref)
-    u = column.vertical_fs
-    assert u.shape == (shape[0] + 1, 1)
-    full = dataclasses.replace(column, vertical_fs=np.repeat(u, shape[1] + 1, axis=1))
-    assert full.vertical_fs.shape == (shape[0] + 1, shape[1] + 1)
-    # log u is 0 at c = 1; at c = 2 the base-axis end rows of L_b log u
-    # carry the roundoff of log 2 while every interior entry is 0
-    lb = lap(ref.grid, np.log(full.vertical_fs), BASE)
-    assert not lb[:, 1:-1].any()
-    assert lb[:, [0, -1]].any() == (c != 1)
-    for stage in (verify_fiber_family, wp_from_residual):
-        got, want = _leaves(stage(ref, column)), _leaves(stage(ref, full))
-        assert got.keys() == want.keys()
-        for name in want:
-            assert np.array_equal(got[name], want[name]), (stage.__name__, name)
-            assert np.array_equal(np.signbit(got[name]), np.signbit(want[name])), \
-                (stage.__name__, name)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import pytest
 
 from fanofib.calculus import TWO_PI, simpson_columns
 from fanofib.errors import FanofibError, PullbackStructureError
-from fanofib.fiberwise import solve_spr
-from fanofib.model import ModelSpec, build_reference
+from fanofib.model import build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
 from reference import section_density
@@ -177,21 +176,6 @@ def test_routes_agree_model_a(ref_a, spr_a):
     wps = wp_from_sections(ref_a, fam)
     wpr = wp_from_residual(ref_a, spr_a)
     assert np.abs(wps.wp_base - wpr.wp_base).max() < 1e-10
-
-
-def test_routes_agree_second_order_cubic_model():
-    diffs = []
-    for n in (32, 64, 128):
-        ref = build_reference(ModelSpec.make(2, 1, warp_amplitude=0.2,
-                                             warp_shape="fiber_cubic",
-                                             n_fiber=n, n_base=n))
-        spr = solve_spr(ref)
-        fam = volume_family_from_sections(ref, canonical(ref))
-        wps = wp_from_sections(ref, fam)
-        wpr = wp_from_residual(ref, spr)
-        diffs.append(np.abs(wps.wp_base - wpr.wp_base).max())
-    orders = [math.log2(a / b) for a, b in zip(diffs, diffs[1:])]
-    assert min(orders) > 1.8
 
 
 def test_wp_positivity_is_reported_not_asserted(ref_b):
