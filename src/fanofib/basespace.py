@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (TWO_PI, _carry_columns, _col_range, _row_blocks,
-                       _simpson_of_rows, _simpson_rows, fiber_integral, lap,
-                       lap_bands, simpson, simpson2d)
+                       _simpson_of_rows, _simpson_rows, lap, lap_bands, simpson,
+                       simpson2d)
 from .errors import PositivityError
 from .fiberwise import SKE, SPR, FiberFamilySolution
 from .grids import BASE, Grid
@@ -77,7 +77,7 @@ def _twisted_rows(ref: ReferenceGeometry, rho: np.ndarray, lo: int,
     """Rows [lo, hi) of e^{-lambda rho} Omega."""
     rows = -float(ref.consts.lam) * rho[lo:hi]
     np.exp(rows, out=rows)
-    np.multiply(ref.Omega[lo:hi], rows, out=rows)
+    np.multiply(ref.volume_rows(lo, hi), rows, out=rows)
     return rows
 
 
@@ -91,13 +91,14 @@ def compute_gprime(ref: ReferenceGeometry,
     The fiber family picks the volume: the Einstein family pushes forward
     Omega' = s e^{-lambda rho} Omega, with s set so that the push-forward
     carries unit mean against eta (the free multiplicative constant of the
-    construction), the prescribed-Ricci family Omega itself.  The volume
-    is never held: the Einstein family's first pass sums the fiber rows
-    of e^{-lambda rho} Omega against the base weights, as
-    ``integrate_total`` does, to fix s; one pass forms the volume block by
-    block for its fiber integrals (fiber axis first), its adjoint row sums
-    (base axis first), its extremes and those of G.  Raises
-    PositivityError unless the volume is finite and positive.
+    construction), the prescribed-Ricci family Omega itself.  Neither
+    volume is held, and Omega's rows come from ``ref.volume_rows``: the
+    Einstein family's first pass sums the fiber rows of e^{-lambda rho}
+    Omega against the base weights, as ``simpson2d`` does, to fix s; one
+    pass forms the volume block by block for its fiber integrals (fiber
+    axis first), its adjoint row sums (base axis first), its extremes and
+    those of G.  Raises PositivityError unless the volume is finite and
+    positive.
     """
     grid = ref.grid
     blocks = list(_row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
@@ -115,14 +116,14 @@ def compute_gprime(ref: ReferenceGeometry,
             block = _twisted_rows(ref, fiber_sol.rho, lo, hi)
             block *= scale
         else:
-            block = ref.Omega[lo:hi]
+            block = ref.volume_rows(lo, hi)
         low, high = _col_range(low, high, block)
         sums = _carry_columns(grid, sums, block, lo)
         _adjoint_rows(grid, adjoint, block, lo)
         G = block / (2.0 * ref.eta_fs * fiber_sol.vertical_fs[lo:hi])
         g_lo, g_hi = _col_range(g_lo, g_hi, G)
     _checked_range(float(low.min()), float(high.max()), "twisted volume form")
-    push = TWO_PI * (sums / (3.0 * grid.n_fiber))    # fiber_integral of the volume
+    push = TWO_PI * (sums / (3.0 * grid.n_fiber))    # f_* of the volume
     gprime = push / (ref.V * ref.eta_fs)
     if np.any(gprime <= 0.0):
         raise PositivityError("push-forward density lost positivity; "
@@ -273,7 +274,7 @@ def wpl_fs_residual(ref: ReferenceGeometry, wp: WPResult) -> ResidualReport:
     grid = ref.grid
     g = grid.g_b
     lam_plus = float(ref.consts.lam + 1)
-    ric_fs = 2.0 - lap(grid, np.log(fiber_integral(grid, ref.Omega)), BASE)
+    ric_fs = 2.0 - lap(grid, np.log(ref.Omega_push), BASE)
     res = g * (-ric_fs + wp.wp_fs - lam_plus * ref.eta_fs)
     scale = float(np.abs(g * lam_plus * ref.eta_fs).max())
     sup = float(np.abs(res).max())

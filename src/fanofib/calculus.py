@@ -32,9 +32,12 @@ TWO_PI = 2.0 * math.pi
 # of a 2D field a kernel runs on the transposed view of a row block.  Each
 # element sees the IEEE operations of the whole-field expression in the
 # same order, so the blocking changes no bit; only the temporaries shrink
-# to one block.  The solvers' three-point L and the five-point audit share
-# the halo rule (``_halo``), L's combination (``_l_rows``) and the blocking
-# (``_along``).
+# to one block.  The interior rows multiply by 1/(2h) and 1/h^2 where the
+# whole-field stencils divide by 2h and h^2: h = 1/n with n = 16 * 2^k
+# (``grids._validate_resolution``), so both reciprocals are exact powers
+# of two and each product has the quotient's bits.  The solvers'
+# three-point L and the five-point audit share the halo rule (``_halo``),
+# L's combination (``_l_rows``) and the blocking (``_along``).
 
 # A row block holds _BLOCK_ELEMS // width rows, and at least one.  That one
 # rule sizes every block, on every grid: one float64 temporary of 2^14
@@ -74,7 +77,7 @@ def _d1_rows(v: np.ndarray, lo: int, hi: int, h: float, start: int = 0,
         mid = out[i - lo:j - lo]
         np.subtract(v[i + 1 - start:j + 1 - start], v[i - 1 - start:j - 1 - start],
                     out=mid)
-        mid /= 2.0 * h
+        mid *= 1.0 / (2.0 * h)
     if lo == 0:
         out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     if hi == n + 1:
@@ -97,7 +100,7 @@ def _d2_rows(v: np.ndarray, lo: int, hi: int, h: float, start: int = 0,
         np.multiply(2.0, v[i:j], out=mid)
         np.subtract(v[i + 1:j + 1], mid, out=mid)
         mid += v[i - 1:j - 1]
-        mid /= h**2
+        mid *= 1.0 / h**2
     if lo == 0:
         out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h**2
     if hi == n + 1:
@@ -326,11 +329,13 @@ def simpson2d(grid: Grid, values) -> float:
 
     Each fiber row is reduced against the base weights by ``einsum``
     (a fixed summation order, no BLAS call, no n^2 temporary); the n_f+1
-    fiber-weighted row sums are then added by compensated summation.
-    ``fiber_integral`` contracts the fiber axis first, and the adjoint
-    check of G' (``basespace._adjoint_defect``) compares the two orders,
-    so this one must not be written through ``simpson_columns``: the same
-    order on both sides would make that comparison vacuous.
+    fiber-weighted row sums are then added by compensated summation; a
+    streamed stage takes the same row sums block by block.  A push-forward
+    (``simpson_columns``, ``_carry_columns``) contracts the fiber axis
+    first, and the adjoint check of G' (``basespace._adjoint_defect``)
+    compares the two orders, so this one must not be written through
+    ``simpson_columns``: the same order on both sides would make that
+    comparison vacuous.
     """
     v = np.asarray(values, dtype=float)
     return _simpson_of_rows(grid, _simpson_rows(grid, v))
@@ -367,16 +372,6 @@ def _carry_columns(grid: Grid, total: np.ndarray | None, block: np.ndarray,
         return np.einsum("i,ij->j", weights, block)
     return np.einsum("i,ij->j", np.concatenate(([1.0], weights)),
                      np.vstack((total, block)))
-
-
-def fiber_integral(grid: Grid, rho) -> np.ndarray:
-    """Push a volume density to the base: 2*pi int rho(x_f, b) dx_f."""
-    return TWO_PI * simpson_columns(grid, rho)
-
-
-def integrate_total(grid: Grid, density) -> float:
-    """Total integral of a volume density over P^1 x P^1."""
-    return TWO_PI**2 * simpson2d(grid, density)
 
 
 # ---------------------------------------------------------------------------

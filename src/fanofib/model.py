@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .calculus import (TWO_PI, _row_blocks, _simpson_of_rows, _simpson_rows,
-                       integrate_total)
+from .calculus import (TWO_PI, _carry_columns, _col_range, _row_blocks,
+                       _simpson_of_rows, _simpson_rows)
 from .errors import ConfigError, FanofibError, ModelOrientationError, PositivityError
 from .grids import Grid
 
@@ -120,19 +120,6 @@ def derive_constants(spec: ModelSpec) -> DerivedConstants:
 
 
 @dataclass(eq=False)
-class ChartWeight:
-    """Local potential split as pole parts plus a globally smooth part.
-
-    Represents  c*log(1+s_f) + a*log(1+s_b) + smooth, with log(1+s) =
-    -log(1-x) and (a, c) the model's class; the log poles live at x = 1
-    and are kept symbolic so coefficient fields can be evaluated through
-    their smooth extensions.
-    """
-
-    smooth: np.ndarray
-
-
-@dataclass(eq=False)
 class WarpData:
     """Nodal values of the separable warp factors and their D-derivatives."""
 
@@ -162,11 +149,6 @@ def _warp_data(grid: Grid, spec: ModelSpec) -> WarpData:
     )
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _checked_range(lo: float, hi: float, what: str) -> None:
     """PositivityError unless a density whose least and greatest nodal
     values are ``lo`` and ``hi`` is finite and positive (a NaN fails)."""
@@ -187,19 +169,22 @@ class ReferenceGeometry:
 
     omega0's FS-relative entries are rank one in the warp profiles: c +
     eps D2P_fs(x_f) Q(x_b) on the fibers, a + eps P(x_f) D2Q_fs(x_b) on the
-    base and the log-frame mixed entry eps DP(x_f) DQ(x_b).  No n^2 field
-    of them is held: ``vertical_rows`` and ``base_rows`` form the rows a
-    stage reads, block by block, and a stage that needs the mixed entry
-    forms its rows from ``warp``.  The volume density ``Omega`` is a
-    read-only array.
+    base and the log-frame mixed entry eps DP(x_f) DQ(x_b).  So is the
+    smooth part psi_w = eps P(x_f) Q(x_b) of h_L's weight c log(1+s_f) +
+    a log(1+s_b) + psi_w, whose log poles (log(1+s) = -log(1-x)) are kept
+    symbolic, and the volume density is C exp(-lambda psi_w).  No n^2
+    field is held: ``vertical_rows``, ``base_rows``, ``weight_rows`` and
+    ``volume_rows`` form the rows a stage reads, block by block, and a
+    stage that needs the mixed entry forms its rows from ``warp``.  Of the
+    volume form the reference keeps C and its push-forward, a base profile.
     """
 
     spec: ModelSpec
     consts: DerivedConstants
     grid: Grid
     warp: WarpData
-    Omega: np.ndarray        # volume density relative to the product FS volume
-    phi_L: ChartWeight
+    C: float                 # the volume density is C exp(-lambda psi_w)
+    Omega_push: np.ndarray   # f_* Omega = 2 pi int Omega dx_f on the base
     eta_fs: float            # FS-relative density of eta (the constant kappa)
     V: float                 # 2 * fiber volume of omega0
 
@@ -213,6 +198,20 @@ class ReferenceGeometry:
         entry."""
         w = self.warp
         return float(self.spec.a) + w.eps * w.P[lo:hi, None] * w.D2Q_fs[None, :]
+
+    def weight_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) of psi_w, the smooth part of h_L's weight."""
+        w = self.warp
+        return w.eps * w.P[lo:hi, None] * w.Q[None, :]
+
+    def volume_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) of the volume density Omega = C exp(-lambda psi_w),
+        relative to the product FS volume."""
+        rows = self.weight_rows(lo, hi)
+        rows *= -float(self.consts.lam)
+        np.exp(rows, out=rows)
+        rows *= self.C
+        return rows
 
 
 def _check_positive(ref: ReferenceGeometry) -> None:
@@ -252,36 +251,39 @@ def build_reference(spec: ModelSpec) -> ReferenceGeometry:
     omega0 is checked for positivity row block by row block.  The twist
     form chi of pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi has minus
     the anticanonical class, so the volume form with Ric = -chi has the
-    closed-form density C exp(-lambda psi_w); only the constant C is fixed
-    by quadrature, against the mass of 2 omega0 ^ pullback(eta), whose row
-    sums are taken block by block.  The density is formed in the array
-    that becomes the read-only ``Omega``, so the build holds two fields,
-    ``Omega`` and psi_w.  A density that is not finite and positive raises
-    PositivityError.
+    closed-form density Omega = C exp(-lambda psi_w); only the constant C
+    is fixed by quadrature, against the mass of 2 omega0 ^ pullback(eta).
+    The build holds no field: a first pass over Omega's row blocks, with
+    C = 1, takes the row sums of both masses, and a second takes Omega's
+    extremes, its normalization defect and its push-forward.  A density
+    that is not finite and positive raises PositivityError.
     """
     consts = derive_constants(spec)
     grid = Grid(spec.n_fiber, spec.n_base)
-    w = _warp_data(grid, spec)
-    lam = float(consts.lam)
     kappa = float(consts.kappa)
-    psi_w = w.eps * w.P[:, None] * w.Q[None, :]
-    rho = np.multiply(-lam, psi_w)
-    np.exp(rho, out=rho)
-    # rho is Omega, normalized and checked in place before ref is returned
-    ref = ReferenceGeometry(spec=spec, consts=consts, grid=grid, warp=w, Omega=rho,
-                            phi_L=ChartWeight(psi_w),
+    ref = ReferenceGeometry(spec=spec, consts=consts, grid=grid,
+                            warp=_warp_data(grid, spec), C=1.0, Omega_push=None,
                             eta_fs=kappa, V=2.0 * TWO_PI * float(spec.c))
     _check_positive(ref)
 
-    # the row sums of integrate_total(2 kappa omega0_ff), block by block
-    rows = np.empty(grid.n_fiber + 1)
-    for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
-        rows[lo:hi] = _simpson_rows(grid, 2.0 * kappa * ref.vertical_rows(lo, hi))
-    target = TWO_PI**2 * _simpson_of_rows(grid, rows)
-    rho *= target / integrate_total(grid, rho)
-    _read_only(checked_volume(rho, "reference volume form"))
+    blocks = list(_row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
+    mass, rows = np.empty(grid.n_fiber + 1), np.empty(grid.n_fiber + 1)
+    for lo, hi in blocks:
+        mass[lo:hi] = _simpson_rows(grid, 2.0 * kappa * ref.vertical_rows(lo, hi))
+        rows[lo:hi] = _simpson_rows(grid, ref.volume_rows(lo, hi))
+    target = TWO_PI**2 * _simpson_of_rows(grid, mass)
+    ref.C = target / (TWO_PI**2 * _simpson_of_rows(grid, rows))
 
-    norm_defect = abs(integrate_total(grid, rho) / target - 1.0)
+    low = high = sums = None
+    for lo, hi in blocks:
+        block = ref.volume_rows(lo, hi)
+        low, high = _col_range(low, high, block)
+        rows[lo:hi] = _simpson_rows(grid, block)
+        sums = _carry_columns(grid, sums, block, lo)
+    _checked_range(float(low.min()), float(high.max()), "reference volume form")
+    ref.Omega_push = TWO_PI * (sums / (3.0 * grid.n_fiber))
+
+    norm_defect = abs(TWO_PI**2 * _simpson_of_rows(grid, rows) / target - 1.0)
     if norm_defect > 1e-12:
         raise FanofibError(f"volume normalization defect {norm_defect:.3e}")
     return ref

@@ -220,6 +220,20 @@ def mixed_fb(ref):
     return w.eps * w.DP[:, None] * w.DQ[None, :]
 
 
+def weight(ref):
+    """psi_w = eps P Q, the smooth part of h_L's weight."""
+    w = ref.warp
+    return w.eps * w.P[:, None] * w.Q[None, :]
+
+
+def volume(ref):
+    """The reference volume density C exp(-lambda psi_w), C fixed here
+    against the mass of 2 omega0 ^ pullback(eta)."""
+    rho = np.exp(-float(ref.consts.lam) * weight(ref))
+    target = TWO_PI**2 * simpson2d(ref.grid, 2.0 * ref.eta_fs * vertical_fs(ref))
+    return rho * (target / (TWO_PI**2 * simpson2d(ref.grid, rho)))
+
+
 def omega0(ref):
     grid = ref.grid
     return np.stack((vertical_fs(ref) * grid.g_f[:, None],
@@ -253,7 +267,7 @@ def ric_weight_residual(ref) -> float:
     """sup |Ric(h_L) - omega0|: the pole parts c log(1+s_f) + a log(1+s_b)
     of h_L's weight exact, its smooth part differentiated."""
     ric = fs_form(ref.grid, float(ref.spec.c), float(ref.spec.a)) + ddbar(
-        ref.grid, ref.phi_L.smooth)
+        ref.grid, weight(ref))
     return np.abs(ric - omega0(ref)).max()
 
 
@@ -364,9 +378,9 @@ def sections(ref, fiber_sol):
     """The canonical section family of a fiber family and its route: (the
     fiber Ricci defect, the log fiber integrals less the pole part, wp_fs)."""
     grid, lam = ref.grid, float(ref.consts.lam)
-    smooth_log, target = 0.0 - lam * ref.phi_L.smooth, vertical_fs(ref)
+    smooth_log, target = 0.0 - lam * weight(ref), vertical_fs(ref)
     if fiber_sol.kind == "ske":
-        smooth_log = 0.0 - (ref.phi_L.smooth + fiber_sol.rho) * lam
+        smooth_log = 0.0 - (weight(ref) + fiber_sol.rho) * lam
         target = fiber_sol.vertical_fs
     ric_defect = float(np.abs(2.0 - lap(grid, smooth_log, FIBER) - lam * target).max())
     log_norm = np.log(TWO_PI * simpson_columns(grid, np.exp(smooth_log)))
@@ -374,9 +388,9 @@ def sections(ref, fiber_sol):
 
 
 def section_density(ref, fam):
-    """The nodal density e^{-lambda phi_L} (1 - x_b)^pole_one of the section
+    """The nodal density e^{-lambda psi_w} (1 - x_b)^pole_one of the section
     family ``fam`` of the weight h_L."""
-    return (np.exp(-float(ref.consts.lam) * ref.phi_L.smooth)
+    return (np.exp(-float(ref.consts.lam) * weight(ref))
             * (1.0 - ref.grid.nodes_b[None, :])**fam.pole_one)
 
 
@@ -406,7 +420,7 @@ def omega_prime(ref, ske_sol):
     """The twisted volume e^{-lambda rho} Omega of the Einstein family,
     scaled so that its push-forward has unit mean against eta."""
     rho = np.exp(-float(ref.consts.lam) * ske_sol.rho)
-    np.multiply(ref.Omega, rho, out=rho)
+    np.multiply(volume(ref), rho, out=rho)
     target_mass = ref.V * (TWO_PI * float(ref.eta_fs))   # V * int_B eta
     rho *= target_mass / (TWO_PI**2 * simpson2d(ref.grid, rho))
     return rho
@@ -430,7 +444,7 @@ def pushforward_adjoint_defect(ref, rho):
 def gprime(ref, fiber_sol):
     """(G', its adjoint defect, the fiber oscillation of G, sup |G - G'|)
     for G = vol / (2 u eta), vol the volume the family pushes forward."""
-    vol = omega_prime(ref, fiber_sol) if fiber_sol.kind == "ske" else ref.Omega
+    vol = omega_prime(ref, fiber_sol) if fiber_sol.kind == "ske" else volume(ref)
     G = vol / (2.0 * ref.eta_fs * fiber_sol.vertical_fs)
     profile = TWO_PI * simpson_columns(ref.grid, vol) / (ref.V * ref.eta_fs)
     return (profile, pushforward_adjoint_defect(ref, vol),

@@ -312,7 +312,8 @@ def test_criterion_09_gauge_suite():
 
     # metric-weight constant shift
     ref_shift = build_reference(ref.spec)
-    ref_shift.phi_L.smooth += 0.41
+    weight_rows = ref_shift.weight_rows
+    ref_shift.weight_rows = lambda lo, hi: weight_rows(lo, hi) + 0.41
     fam = volume_family_from_sections(
         ref_shift, SectionFamilySpec.canonical(ref_shift.consts))
     wp_shift = wp_from_sections(ref_shift, fam)
@@ -331,7 +332,7 @@ def test_criterion_09_gauge_suite():
 
     # volume-form rescale
     scaled = dataclasses.replace(ref)
-    scaled.Omega = 2.0 * ref.Omega
+    scaled.C, scaled.Omega_push = 2.0 * ref.C, 2.0 * ref.Omega_push
     r1 = wpl_fs_residual(ref, cell["spr"]["wp_s"]).residual_sup
     r2 = wpl_fs_residual(scaled, cell["spr"]["wp_s"]).residual_sup
     ok &= abs(r1 - r2) <= 1e-12

@@ -9,7 +9,7 @@ from fanofib.basespace import (VARIANT_B, VARIANT_BPRIME, check_g_descends,
                                compute_gprime, integrated_ma_defect,
                                solve_base_ma, twisted_ke_residual,
                                volume_identity_residual, wpl_fs_residual)
-from fanofib.calculus import TWO_PI, fiber_integral, lap
+from fanofib.calculus import TWO_PI, lap, simpson_columns
 from fanofib.errors import PositivityError, PullbackStructureError
 from fanofib.fiberwise import solve_ske, solve_spr
 from fanofib.grids import BASE
@@ -33,7 +33,7 @@ def wp_of(ref):
 # ---------------------------------------------------------------------------
 
 def test_pushforward_model_a(ref_a):
-    push = fiber_integral(ref_a.grid, ref_a.Omega)
+    push = ref_a.Omega_push
     assert np.allclose(push, 8.0 * math.pi / 3.0, rtol=1e-14)
 
 
@@ -42,7 +42,8 @@ def test_pushforward_adjoint_identity(ref_b, spr_b, ske_b):
     # (1 - x_b)^p give both sides the same sums there; skew_bump's are not
     skew = build_reference(ModelSpec.make(2, 1, 0.2, "skew_bump", 64, 64))
     for ref, fibers in ((ref_b, (spr_b, ske_b)), (skew, (solve_spr(skew), solve_ske(skew)))):
-        assert pushforward_adjoint_defect(ref, ref.Omega) < 1e-12
+        volume = ref.volume_rows(0, ref.grid.n_fiber + 1)
+        assert pushforward_adjoint_defect(ref, volume) < 1e-12
         for fiber in fibers:
             assert compute_gprime(ref, fiber).adjoint_defect < 1e-12
 
@@ -50,7 +51,7 @@ def test_pushforward_adjoint_identity(ref_b, spr_b, ske_b):
 def test_pushforward_of_section_family(ref_a):
     fam = volume_family_from_sections(
         ref_a, SectionFamilySpec.canonical(ref_a.consts))
-    push = fiber_integral(ref_a.grid, section_density(ref_a, fam))
+    push = TWO_PI * simpson_columns(ref_a.grid, section_density(ref_a, fam))
     expect = TWO_PI * (1.0 - ref_a.grid.nodes_b)**4
     assert np.abs(push - expect).max() < 1e-12
 
@@ -317,7 +318,7 @@ def test_wpl_fs_scaling_invariance(ref_b):
     wp = wp_of(ref_b)
     rep1 = wpl_fs_residual(ref_b, wp)
     scaled = dataclasses.replace(ref_b)         # shallow copy of fields
-    scaled.Omega = 2.0 * ref_b.Omega
+    scaled.C, scaled.Omega_push = 2.0 * ref_b.C, 2.0 * ref_b.Omega_push
     rep2 = wpl_fs_residual(scaled, wp)
     assert abs(rep1.residual_sup - rep2.residual_sup) < 1e-12
 
@@ -325,7 +326,7 @@ def test_wpl_fs_scaling_invariance(ref_b):
 def test_omega_rescale_leaves_base_metric(ref_b, spr_b):
     import dataclasses
     scaled = dataclasses.replace(ref_b)
-    scaled.Omega = 2.0 * ref_b.Omega
+    scaled.C, scaled.Omega_push = 2.0 * ref_b.C, 2.0 * ref_b.Omega_push
     gp1 = compute_gprime(ref_b, spr_b)
     gp2 = compute_gprime(scaled, spr_b)
     assert np.abs(gp2.gprime - 2.0 * gp1.gprime).max() < 1e-12
@@ -548,6 +549,6 @@ def test_volume_identities_keep_their_order_on_the_last_rung():
 
 
 def test_gprime_positivity_guard(ref_a, spr_a):
-    broken = dataclasses.replace(ref_a, Omega=-1.0 * ref_a.Omega)
+    broken = dataclasses.replace(ref_a, C=-1.0 * ref_a.C)
     with pytest.raises(PositivityError):
         compute_gprime(broken, spr_a)

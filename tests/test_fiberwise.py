@@ -49,7 +49,8 @@ def test_spr_volume_enforced_and_remeasured(ref_b, spr_b):
 def test_spr_uniqueness_under_regauged_reference(ref_b, spr_b):
     # shifting the metric weight by a constant must not move the family
     ref2 = build_reference(ref_b.spec)
-    ref2.phi_L.smooth += 0.73
+    weight_rows = ref2.weight_rows
+    ref2.weight_rows = lambda lo, hi: weight_rows(lo, hi) + 0.73
     spr2 = solve_spr(ref2)
     assert np.array_equal(spr_b.vertical_fs, spr2.vertical_fs)
 

@@ -42,15 +42,19 @@ def test_streamed_stages_are_the_reference_cell_bit_for_bit(ref, solve, fine_blo
     # each stage forms its fields in row blocks and reduces them as it
     # goes, with the bits of the whole field: under the default budget,
     # which holds a 64^2 field in one block, and then under the fine one
-    with pytest.raises(ValueError):
-        ref.Omega[0, 0] = 1.0
+    volume = reference.volume(ref)
+    push = reference.TWO_PI * reference.simpson_columns(ref.grid, volume)
     for fine in (False, True):
         if fine:
             fine_blocks(ref.grid)
+        built = build_reference(ref.spec)
+        assert same(built.C, ref.C) and same(built.Omega_push, push)
         fiber = solve(ref)
         for lo, hi in calculus._row_blocks(0, ref.grid.n_fiber + 1, ref.grid.n_base + 1):
             assert same(ref.vertical_rows(lo, hi), reference.vertical_fs(ref)[lo:hi])
             assert same(ref.base_rows(lo, hi), reference.base_fs(ref)[lo:hi])
+            assert same(ref.weight_rows(lo, hi), reference.weight(ref)[lo:hi])
+            assert same(ref.volume_rows(lo, hi), volume[lo:hi])
         # the reference's Newton takes no step from log c either
         u, rho, residual, defect, *steps = getattr(reference, fiber.kind)(ref)
         assert steps in ([], [0])

@@ -9,7 +9,7 @@ from fanofib.errors import FanofibError, PullbackStructureError
 from fanofib.model import build_reference
 from fanofib.wpform import (SectionFamilySpec, volume_family_from_sections,
                             wp_from_residual, wp_from_sections)
-from reference import section_density
+from reference import section_density, weight
 
 
 def canonical(ref):
@@ -56,7 +56,7 @@ def test_family_weight_follows_the_fiber_family(ref_b, spr_b, ske_b):
     assert spr.ric_defect == plain.ric_defect
     lam = float(ref_b.consts.lam)
     for fam, rho in ((plain, 0.0), (ske, ske_b.rho)):
-        smooth = np.exp(-lam * (ref_b.phi_L.smooth + rho))     # exp(smooth_log)
+        smooth = np.exp(-lam * (weight(ref_b) + rho))     # exp(smooth_log)
         expect = np.log(TWO_PI * simpson_columns(ref_b.grid, smooth))
         assert np.allclose(fam.smooth_log_norm, expect, rtol=0.0, atol=1e-12)
     assert np.abs(ske.smooth_log_norm - plain.smooth_log_norm).max() > 1e-6
@@ -107,7 +107,8 @@ def test_wp_constant_family_rescale_invariance(ref_b):
 
 def test_wp_weight_constant_shift(ref_b):
     ref2 = build_reference(ref_b.spec)
-    ref2.phi_L.smooth += 0.37
+    weight_rows = ref2.weight_rows
+    ref2.weight_rows = lambda lo, hi: weight_rows(lo, hi) + 0.37
     # a constant shift of the metric weight scales the whole family and
     # moves log_norm by an additive constant only
     lam = float(ref_b.consts.lam)
