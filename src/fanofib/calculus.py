@@ -365,7 +365,8 @@ def _carry_columns(grid: Grid, total: np.ndarray | None, block: np.ndarray,
     ``einsum`` adds a column's terms one row after the other, so the
     running total enters as a leading row of weight 1 and the sums carried
     through a field's row blocks, divided by 3 n_f, are ``simpson_columns``
-    of the whole field bit for bit.
+    of the whole field bit for bit, if it is at least 2 columns wide: on
+    one column (the Einstein family's metric) the last bit may differ.
     """
     weights = grid.simpson_f[lo:lo + block.shape[0]]
     if total is None:

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (_AUDIT_REACH, _audit_rows, _col_max, _halo, _lap_fiber,
-                       _row_blocks, lap_bands, lap_slabs, simpson_columns,
-                       slab_product)
+from .calculus import (_AUDIT_REACH, _audit_rows, _col_max, _col_range, _halo,
+                       _lap_fiber, _row_blocks, lap_bands, lap_slabs,
+                       simpson_columns, slab_product)
 from .errors import FanofibError
 from .grids import FIBER
-from .model import ReferenceGeometry, checked_volume
+from .model import ReferenceGeometry, _checked_range
 from .solvers import BandedMatrix, newton_semilinear, solve_poisson_1d
 
 SPR = "spr"
@@ -50,7 +50,7 @@ class FiberFamilySolution:
     volume_defect: float       # relative defect of the per-fiber volume
 
 
-def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
+def _recover_potential(ref: ReferenceGeometry, u: np.ndarray, what: str) -> np.ndarray:
     """Mean-zero fiber potentials with ddbar_fiber(rho) = (u - m0) FS-wise.
 
     The source is formed in one array of the grid's shape, row block by
@@ -58,17 +58,21 @@ def _recover_potential(ref: ReferenceGeometry, u: np.ndarray) -> np.ndarray:
     the solve writes the potentials into it.  u and m0 are O(1) while
     their difference may be O(h^2) next to a pole, so each column's
     compatibility gate is scaled by sup|g u| + sup|g m0|, the size of the
-    terms whose roundoff the integral carries, taken in the same pass.
+    terms whose roundoff the integral carries.  The same pass takes those
+    and u's extremes: a u that is not finite and positive raises
+    PositivityError, naming it ``what``, before the solve.
     """
     grid = ref.grid
     g = grid.g_f[:, None]
     rhs = np.empty((grid.n_fiber + 1, grid.n_base + 1))
-    size_u = size_m0 = None
+    low = high = size_u = size_m0 = None
     for lo, hi in _row_blocks(0, grid.n_fiber + 1, grid.n_base + 1):
         m0 = ref.vertical_rows(lo, hi)
         np.subtract(u[lo:hi], m0, out=rhs[lo:hi])
+        low, high = _col_range(low, high, u[lo:hi])
         size_u = _col_max(size_u, np.abs(g[lo:hi] * u[lo:hi]))
         size_m0 = _col_max(size_m0, np.abs(m0 * g[lo:hi], out=m0))
+    _checked_range(float(low.min()), float(high.max()), what)
     return solve_poisson_1d(grid, FIBER, rhs, scale=size_u + size_m0)
 
 
@@ -78,11 +82,10 @@ def _family(ref: ReferenceGeometry, kind: str, u: np.ndarray, residual: float,
     class volume c: a discrete solve keeps it only to truncation, and the
     forward audit carries that O(h^2) gap.  u is the grid's field or, for
     a family constant along the base, its one column.  ``what`` names the
-    metric in the positivity check."""
+    metric in the recovery's positivity check."""
     c = float(ref.spec.c)
     u *= (c / simpson_columns(ref.grid, u))[None, :]
-    checked_volume(u, what)
-    rho = _recover_potential(ref, u)
+    rho = _recover_potential(ref, u, what)
     vols = simpson_columns(ref.grid, u)
     return FiberFamilySolution(kind=kind, rho=rho, vertical_fs=u,
                                residual_sup=residual,

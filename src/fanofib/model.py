@@ -157,12 +157,6 @@ def _checked_range(lo: float, hi: float, what: str) -> None:
                               f"(min {lo:.3e}, max {hi:.3e})", worst=lo)
 
 
-def checked_volume(rho: np.ndarray, what: str) -> np.ndarray:
-    """``rho`` if finite and positive at every node, else PositivityError."""
-    _checked_range(float(rho.min()), float(rho.max()), what)
-    return rho
-
-
 @dataclass(eq=False)
 class ReferenceGeometry:
     """Reference metric omega0, normalized volume form and h_L's weight.
@@ -214,18 +208,34 @@ class ReferenceGeometry:
         return rows
 
 
-def _check_positive(ref: ReferenceGeometry) -> None:
-    """Minimum eigenvalue of omega0 from its FS-relative entries, in row
-    blocks; raises unless positive, so also if it is NaN.
+def build_reference(spec: ModelSpec) -> ReferenceGeometry:
+    """Build the reference geometry on one grid: omega0's warp profiles,
+    the normalized volume form and h_L's weight.
 
-    The reported node is the first minimum of the whole field in row-major
-    order, or its first NaN: ``argmin`` picks it within a block, and again
-    among the blocks' minima.
+    The twist form chi of pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi
+    has minus the anticanonical class, so the volume form with Ric = -chi
+    has the closed-form density Omega = C exp(-lambda psi_w); only the
+    constant C is fixed by quadrature, against the mass of 2 omega0 ^
+    pullback(eta).  The build holds no field: a first pass forms omega0's
+    entries once per row block, for its positivity and the mass's row
+    sums, and Omega's row sums with C = 1; a second takes Omega's
+    extremes, its normalization defect and its push-forward.  An omega0
+    that is not positive, checked before C is formed, or a density that is
+    not finite and positive raises PositivityError.
     """
-    grid, w = ref.grid, ref.warp
+    consts = derive_constants(spec)
+    grid = Grid(spec.n_fiber, spec.n_base)
+    kappa = float(consts.kappa)
+    w = _warp_data(grid, spec)
+    ref = ReferenceGeometry(spec=spec, consts=consts, grid=grid, warp=w, C=1.0,
+                            Omega_push=None, eta_fs=kappa,
+                            V=2.0 * TWO_PI * float(spec.c))
+
     width = grid.n_base + 1
+    blocks = list(_row_blocks(0, grid.n_fiber + 1, width))
+    mass, rows = np.empty(grid.n_fiber + 1), np.empty(grid.n_fiber + 1)
     mins, nodes = [], []
-    for lo, hi in _row_blocks(0, grid.n_fiber + 1, width):
+    for lo, hi in blocks:
         a11, a22 = ref.vertical_rows(lo, hi), ref.base_rows(lo, hi)
         a12 = w.eps * w.DP_half[lo:hi, None] * w.DQ_half[None, :]
         half_tr = 0.5 * (a11 + a22)
@@ -234,6 +244,10 @@ def _check_positive(ref: ReferenceGeometry) -> None:
         k = int(np.argmin(lam_min))
         mins.append(lam_min.flat[k])
         nodes.append(lo * width + k)
+        mass[lo:hi] = _simpson_rows(grid, 2.0 * kappa * a11)
+        rows[lo:hi] = _simpson_rows(grid, ref.volume_rows(lo, hi))
+    # the whole field's first minimum in row-major order, or its first NaN:
+    # argmin picks it within a block, and again among the blocks' minima
     b = int(np.argmin(mins))
     worst = float(mins[b])
     if not worst > 0.0:
@@ -242,35 +256,6 @@ def _check_positive(ref: ReferenceGeometry) -> None:
             f"reference form not positive: eigenvalue {worst:.3e} at "
             f"(x_f, x_b) = ({grid.nodes_f[i]:.4f}, {grid.nodes_b[j]:.4f})",
             worst=worst, location=(float(grid.nodes_f[i]), float(grid.nodes_b[j])))
-
-
-def build_reference(spec: ModelSpec) -> ReferenceGeometry:
-    """Build the reference geometry on one grid: omega0's warp profiles,
-    the normalized volume form and h_L's weight.
-
-    omega0 is checked for positivity row block by row block.  The twist
-    form chi of pullback(eta) = e^{-T} omega0 + (1-e^{-T}) chi has minus
-    the anticanonical class, so the volume form with Ric = -chi has the
-    closed-form density Omega = C exp(-lambda psi_w); only the constant C
-    is fixed by quadrature, against the mass of 2 omega0 ^ pullback(eta).
-    The build holds no field: a first pass over Omega's row blocks, with
-    C = 1, takes the row sums of both masses, and a second takes Omega's
-    extremes, its normalization defect and its push-forward.  A density
-    that is not finite and positive raises PositivityError.
-    """
-    consts = derive_constants(spec)
-    grid = Grid(spec.n_fiber, spec.n_base)
-    kappa = float(consts.kappa)
-    ref = ReferenceGeometry(spec=spec, consts=consts, grid=grid,
-                            warp=_warp_data(grid, spec), C=1.0, Omega_push=None,
-                            eta_fs=kappa, V=2.0 * TWO_PI * float(spec.c))
-    _check_positive(ref)
-
-    blocks = list(_row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
-    mass, rows = np.empty(grid.n_fiber + 1), np.empty(grid.n_fiber + 1)
-    for lo, hi in blocks:
-        mass[lo:hi] = _simpson_rows(grid, 2.0 * kappa * ref.vertical_rows(lo, hi))
-        rows[lo:hi] = _simpson_rows(grid, ref.volume_rows(lo, hi))
     target = TWO_PI**2 * _simpson_of_rows(grid, mass)
     ref.C = target / (TWO_PI**2 * _simpson_of_rows(grid, rows))
 

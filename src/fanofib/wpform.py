@@ -136,13 +136,10 @@ def volume_family_from_sections(ref: ReferenceGeometry, sfs: SectionFamilySpec,
     worst = sums = None
     for lo, hi in _row_blocks(0, n + 1, grid.n_base + 1):
         s, e = _halo(lo, hi, n, _LAP_REACH)
+        smooth_log = ref.weight_rows(s, e)
         if ske_u is not None:
-            smooth_log = ref.weight_rows(s, e)
             smooth_log += fiber.rho[s:e]
-            smooth_log *= lam
-        else:
-            smooth_log = ref.weight_rows(s, e)
-            smooth_log *= lam
+        smooth_log *= lam
         np.subtract(log_scale, smooth_log, out=smooth_log)
         ric_fs = 2.0 - _lap_fiber(grid, smooth_log, lo, hi, s)
         target = ref.vertical_rows(lo, hi) if ske_u is None else ske_u[lo:hi]

@@ -29,7 +29,7 @@ def test_recovery_gate_sees_a_real_incompatibility(ref_c, spr_c):
     # column, 2.5e-5 of the gate's scale sup|g u| + sup|g m0| = c/2
     u = spr_c.vertical_fs * (1.0 + 1e-6)
     with pytest.raises(SolvabilityError):
-        fiberwise._recover_potential(ref_c, u)
+        fiberwise._recover_potential(ref_c, u, "prescribed-Ricci fiber metric")
 
 
 def test_spr_model_b_forward_residual(ref_b, spr_b):

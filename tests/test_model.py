@@ -124,10 +124,12 @@ def test_reference_model_a(ref_a):
 
 @pytest.mark.parametrize("case", ["negative", "nan"])
 def test_positivity_error_names_the_first_worst_node_of_the_whole_field(ref_b, case,
-                                                                       fine_blocks):
-    # the check runs in row blocks, yet the node it names is the whole
-    # field's first minimum in row-major order, or its first NaN, here past
-    # the first block (and in the NaN case ahead of a more negative row)
+                                                                       fine_blocks,
+                                                                       monkeypatch):
+    # the build checks omega0 in row blocks, yet the node it names is the
+    # whole field's first minimum in row-major order, or its first NaN, here
+    # past the first block (and in the NaN case ahead of a more negative row
+    # and of a later NaN)
     grid = ref_b.grid
     fine_blocks(grid)
     w = ref_b.warp
@@ -136,7 +138,7 @@ def test_positivity_error_names_the_first_worst_node_of_the_whole_field(ref_b, c
         warp = dataclasses.replace(w, eps=10.0)
     else:
         d2p = w.D2P_fs.copy()
-        d2p[40] = math.nan
+        d2p[40] = d2p[60] = math.nan
         d2p[50] = -1e3
         warp = dataclasses.replace(w, D2P_fs=d2p)
     bad = dataclasses.replace(ref_b, warp=warp)
@@ -144,13 +146,30 @@ def test_positivity_error_names_the_first_worst_node_of_the_whole_field(ref_b, c
     i, j = np.unravel_index(int(np.argmin(lam_min)), lam_min.shape)
     first_block = next(calculus._row_blocks(0, grid.n_fiber + 1, grid.n_base + 1))
     assert i >= first_block[1]
+    monkeypatch.setattr(model, "_warp_data", lambda grid, spec: warp)
     with pytest.raises(PositivityError) as err:
-        model._check_positive(bad)
+        build_reference(ref_b.spec)
     if case == "nan":
         assert math.isnan(err.value.worst) and (i, j) == (40, 0)
     else:
         assert err.value.worst == lam_min[i, j] < 0.0
     assert err.value.location == (float(grid.nodes_f[i]), float(grid.nodes_b[j]))
+
+
+def test_the_reference_build_forms_the_fiber_entry_once_per_row_block(monkeypatch,
+                                                                      fine_blocks):
+    # omega0's positivity and the mass that fixes C read the same entry
+    spec = ModelSpec.make(2, 1, warp_amplitude=0.2, n_fiber=64, n_base=64)
+    fine_blocks(spec)
+    calls, real = [], model.ReferenceGeometry.vertical_rows
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        return real(self, lo, hi)
+
+    monkeypatch.setattr(model.ReferenceGeometry, "vertical_rows", counted)
+    build_reference(spec)
+    assert calls == list(calculus._row_blocks(0, 65, 65))
 
 
 def test_reference_build_holds_only_the_profiles_it_needs(fine_blocks):

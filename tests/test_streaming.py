@@ -246,14 +246,17 @@ def test_one_nan_in_the_poisson_solution_fails_the_spr_solve(ref_c, monkeypatch,
         return v
 
     monkeypatch.setattr(fiberwise, "solve_poisson_1d", with_nan)
-    with pytest.raises(FanofibError, match="not finite"):
+    with pytest.raises(PositivityError, match="^prescribed-Ricci fiber metric: density "
+                       "not finite") as err:
         solve_spr(ref_c)
+    assert math.isnan(err.value.worst)
 
 
 def test_one_nan_in_the_warp_fails_the_reference_volume(monkeypatch, fine_blocks):
     # a NaN at one node of P reaches the volume density's rows there, in a
-    # block after the first.  omega0's base entry reads P too, so its gate
-    # is set aside, and the normalization's row sums skip the NaN, so that
+    # block after the first.  Of omega0's entries only the base one reads P,
+    # so it is formed without the NaN, which would fail omega0's positivity
+    # first, and the normalization's row sums skip the NaN, so that
     # C stays finite and the NaN stays in its block: the streamed extremes
     # must keep it, where Python's min and max would drop it
     row = GRID // 2
@@ -261,6 +264,7 @@ def test_one_nan_in_the_warp_fails_the_reference_volume(monkeypatch, fine_blocks
     fine_blocks(spec)
     assert next(calculus._row_blocks(0, GRID + 1, GRID + 1))[1] <= row
     real_warp, real_rows = model._warp_data, model._simpson_rows
+    real_base = model.ReferenceGeometry.base_rows
 
     def planted(grid, spec):
         w = real_warp(grid, spec)
@@ -268,7 +272,8 @@ def test_one_nan_in_the_warp_fails_the_reference_volume(monkeypatch, fine_blocks
         return w
 
     monkeypatch.setattr(model, "_warp_data", planted)
-    monkeypatch.setattr(model, "_check_positive", lambda ref: None)
+    monkeypatch.setattr(model.ReferenceGeometry, "base_rows", lambda self, lo, hi: (
+        np.nan_to_num(real_base(self, lo, hi), nan=float(self.spec.a))))
     monkeypatch.setattr(model, "_simpson_rows", lambda grid, block: real_rows(
         grid, np.nan_to_num(block, nan=0.0)))
     with pytest.raises(PositivityError, match="reference volume form") as err:
@@ -287,5 +292,7 @@ def test_a_nan_in_the_einstein_newton_solution_fails_the_ske_solve(ref_c, monkey
         return result
 
     monkeypatch.setattr(fiberwise, "newton_semilinear", with_nan)
-    with pytest.raises(FanofibError, match="not finite"):
+    with pytest.raises(PositivityError, match="^Einstein fiber metric: density "
+                       "not finite") as err:
         solve_ske(ref_c)
+    assert math.isnan(err.value.worst)
