@@ -193,7 +193,7 @@ def verify_fiber_family(ref: ReferenceGeometry,
     The forward residual is measured with an independent higher-order
     discretization, so it reflects the distance to the continuum solution
     rather than the solver's own fixed point; for the Einstein family the
-    same stencil checks that the curvature of its weight phi_L + rho
+    same stencil checks that the curvature of h_L's weight plus rho
     reproduces the fiber metric.  The audit runs in row blocks, reducing
     every residual to per-column maxima as it is formed.  A family whose
     metric is one column (``solve_ske``) has it audited, and its
@@ -220,7 +220,7 @@ def verify_fiber_family(ref: ReferenceGeometry,
         forward = _col_max(forward, np.abs(gap, out=gap))
         del ric_fs, gap
         if sol.kind == SKE:
-            # weight of the Einstein Hermitian metric: phi_L + rho,
+            # weight of the Einstein Hermitian metric: h_L's weight plus rho,
             # fiberwise curvature must reproduce the fiber metric
             curv = _audit_rows(rho, lo, hi, g, gp, h)
             curv += ref.vertical_rows(lo, hi)

@@ -303,7 +303,7 @@ def _probe_direction(n: int) -> np.ndarray:
 
 def probe_jacobian(residual_fn, jacobian_fn, x0: np.ndarray) -> None:
     """Directional finite-difference consistency check at the start point,
-    to a relative tolerance of 1e-4."""
+    to a relative tolerance of 1e-4; a NaN fails it."""
     x0 = np.asarray(x0, dtype=float)
     d = _probe_direction(x0.size)
     eps = 1e-6 * (1.0 + float(np.abs(x0).max(initial=0.0)))
@@ -311,7 +311,7 @@ def probe_jacobian(residual_fn, jacobian_fn, x0: np.ndarray) -> None:
     jd = jacobian_fn(x0) @ d
     err = float(np.abs(fd - jd).max())
     scale = float(np.abs(jd).max() + np.abs(fd).max()) + 1e-12
-    if err > 1e-4 * scale:
+    if not err <= 1e-4 * scale:
         raise ContractViolation(
             f"Jacobian probe failed: |FD - J d| = {err:.3e} vs scale {scale:.3e}")
 

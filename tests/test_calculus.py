@@ -205,21 +205,16 @@ def test_audit_lap_fourth_order():
 # quadrature
 # ---------------------------------------------------------------------------
 
-def test_fiber_integral_constant():
+def test_simpson_columns_constant():
     g = grid64()
     out = TWO_PI * simpson_columns(g, np.full(field_shape(g), 2.5))
     assert np.allclose(out, 2.5 * TWO_PI, atol=0.0)
 
 
-def test_fiber_integral_parabola_exact():
+def test_simpson_columns_parabola_exact():
     g = grid64()
     rho = (6.0 * g.g_f)[:, None] * np.ones((1, g.n_base + 1))
     assert np.allclose(TWO_PI * simpson_columns(g, rho), TWO_PI, atol=1e-13)
-
-
-def test_fiber_integral_model_a_volume(ref_a):
-    out = ref_a.Omega_push
-    assert np.allclose(out, 8.0 * math.pi / 3.0, rtol=1e-14)
 
 
 def test_base_simpson_fs_normalization():
@@ -235,7 +230,7 @@ def test_base_simpson_eta_model_a(ref_a):
                                                            rel=1e-14)
 
 
-def test_integrate_total_unit_density():
+def test_simpson2d_unit_density():
     g = grid64()
     assert TWO_PI**2 * simpson2d(g, np.ones(field_shape(g))) == pytest.approx(
         4 * math.pi**2, rel=1e-15)

@@ -510,6 +510,23 @@ def test_probe_accepts_consistent_pair():
     probe_jacobian(residual, jacobian, 0.2 * np.ones(33))
 
 
+@pytest.mark.parametrize("planted", [0, 1], ids=["residual", "jacobian"])
+def test_probe_rejects_a_nan(planted):
+    # a NaN makes |FD - J d| NaN, which no comparison with the scale passes
+    g = Grid(32, 32)
+    fns = list(_liouville_like(g, 1.0 + g.nodes_f))
+    real = fns[planted]
+
+    def with_nan(v):
+        out = real(v)
+        out[3] = np.nan
+        return out
+
+    fns[planted] = with_nan
+    with pytest.raises(ContractViolation):
+        probe_jacobian(*fns, 0.2 * np.ones(33))
+
+
 @pytest.mark.parametrize("block", [None, 1, 333])
 @pytest.mark.parametrize("shape", [(16, 16), (32, 256), (256, 32), (2048, 64),
                                    (64, 2048), (1024, 1024)],

@@ -23,18 +23,8 @@ from conftest import _field_bytes, peak_fields
 from reference import full_metric
 
 # ---------------------------------------------------------------------------
-# memory: peaks above the live set, in nodal fields, at 256^2
+# memory: peaks above the live set, in nodal fields
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("solve", [solve_spr, solve_ske], ids=["spr", "ske"])
-def test_fiber_solve_holds_its_outputs_and_three_fields(ref_256, solve, fine_blocks):
-    # u and rho, the Poisson recovery's source, which the solve overwrites
-    # with rho, and row blocks: 2.27 (spr) and 1.29 (ske) fields, set by
-    # the recovery; the Einstein metric is one column.
-    # A recovery that kept its source beside the solution read 3.14
-    fine_blocks(ref_256.grid)
-    assert peak_fields(solve, ref_256) <= 4.5
 
 
 @pytest.mark.parametrize("shape", [(256, 256), (64, 2048)], ids=["256x256", "64x2048"])
@@ -47,34 +37,6 @@ def test_einstein_solve_holds_no_metric_field(ref_256, shape, fine_blocks):
         ModelSpec.make(2, 1, 0.2, "fiber_cubic", *shape))
     fine_blocks(ref.grid)
     assert peak_fields(solve_ske, ref) <= 1.5
-
-
-@pytest.mark.parametrize("kind", [SPR, SKE])
-def test_fiber_audit_holds_row_blocks(ref_256, families_256, kind, fine_blocks):
-    # log u on halo slices only: 0.28 (spr) and 0.26 (ske) fields
-    fine_blocks(ref_256.grid)
-    assert peak_fields(verify_fiber_family, ref_256, families_256[kind]) <= 1.5
-
-
-@pytest.mark.parametrize("kind", [SPR, SKE])
-def test_wp_residual_holds_log_u_and_r_bb(ref_256, families_256, kind, fine_blocks):
-    # row blocks, log u on the rows each block reads: 0.52 (spr) and 0.44
-    # (ske) fields, a third of it numpy's fixed-size buffers for the
-    # transposed base-axis stencils.  log u held whole made it 1.44, r_bb
-    # held whole too 2.43, and every channel formed in full about 10
-    fine_blocks(ref_256.grid)
-    assert peak_fields(wp_from_residual, ref_256, families_256[kind]) <= 1.5
-
-
-@pytest.mark.parametrize("kind", [SPR, SKE])
-def test_sections_route_holds_its_log_density(ref_256, families_256, kind, fine_blocks):
-    # row blocks, smooth_log formed on the rows each block reads: 0.39
-    # (spr) and 0.33 (ske) fields.  smooth_log held whole made it 1.32 and
-    # 1.26, and exp(smooth_log) formed in full for the fiber integrals 2.02
-    fine_blocks(ref_256.grid)
-    sfs = SectionFamilySpec.canonical(ref_256.consts)
-    assert peak_fields(volume_family_from_sections, ref_256, sfs,
-                       families_256[kind]) <= 1.5
 
 
 @pytest.mark.parametrize("kind", [SPR, SKE])
@@ -91,27 +53,18 @@ RUN_512 = PipelineConfig(warp_amplitude=0.2, warp_shape="fiber_cubic",
                          grids=((512, 512),), pipeline="both")
 
 
-def test_run_peak_is_at_most_two_and_a_half_fields():
-    # the family's two fields are live through a cell, the reference
-    # holding profiles only; the largest stage adds about 0.4 of row blocks
-    # (2.40 in all).  With the reference's volume density and weight held
-    # whole it was 4.40, and with them 5.36 with the Poisson recovery's
-    # source, log u, smooth_log and Omega' held whole too, 8.5 with omega0's
-    # densities and r_bb held whole as well, 17.1 with every residual
-    # channel formed in full
-    assert peak_fields(run_pipeline, RUN_512) <= 2.5
-
-
-def _stage_peaks(monkeypatch, config) -> dict:
-    """Run ``config`` with every function that ``pipeline`` imports from
-    the package wrapped and rebound, as the benchmark's span tracer
-    rebinds them.  Returns, per stage, the memory live when it was entered
-    (above the memory live before the run) and its tracemalloc peak above
-    that, in nodal fields, for the call with the highest sum."""
-    peaks, frames = {}, []
+def _stage_peaks(monkeypatch, config) -> tuple:
+    """Run ``config`` once under tracemalloc, with every function that
+    ``pipeline`` imports from the package wrapped and rebound, as the
+    benchmark's span tracer rebinds them.  Returns, in nodal fields, the
+    run's peak above the memory live before it and, per stage, the memory
+    live when it was entered (above that start) and its peak above that,
+    for the call with the highest sum, and its largest peak above its live
+    set over all of its calls."""
+    peaks, most, frames = {}, {}, []
 
     def fold():
-        # the peak since the last reset counts for every open stage
+        # the peak since the last reset counts for every open stage and the run
         top = tracemalloc.get_traced_memory()[1]
         for frame in frames:
             frame[1] = max(frame[1], top)
@@ -127,6 +80,7 @@ def _stage_peaks(monkeypatch, config) -> dict:
             finally:
                 fold()
                 live, top = frames.pop()
+                most[name] = max(most.get(name, 0), top - live)
                 if top > sum(peaks.get(name, (0, 0))) + start:
                     peaks[name] = (live - start, top - live)
         return stage
@@ -141,33 +95,36 @@ def _stage_peaks(monkeypatch, config) -> dict:
     field = _field_bytes([config])
     tracemalloc.start()
     start = tracemalloc.get_traced_memory()[0]
+    frames.append([start, start])   # the run's own frame
     try:
         run_pipeline(config)
+        fold()
     finally:
         tracemalloc.stop()
-    return {name: (live / field, above / field)
-            for name, (live, above) in peaks.items()}
+    return (frames.pop()[1] - start) / field, {
+        name: (live / field, above / field, most[name] / field)
+        for name, (live, above) in peaks.items()}
 
 
-def test_no_stage_holds_more_than_half_a_field_beyond_the_family(monkeypatch):
-    # measured at 512^2, live set + peak above it, in fields: the family is
-    # the 2.03-2.07 live through its later stages, the reference holding
-    # profiles only; wp_from_residual 2.04 + 0.36, volume_family_from_sections
-    # 2.03 + 0.34, compute_gprime 2.05 + 0.26 (it takes G's extremes for
-    # check_g_descends, 2.06 + 0.01), verify_fiber_family 2.04 + 0.25, the
-    # rest of a cell less than 0.1 above its live set; solve_spr and
-    # solve_ske 0.03 + 2.19 and 0.06 + 1.20 with their output fields,
-    # build_reference 0.00 + 0.57 of row blocks.  With the reference's
-    # volume density and weight held whole, every stage after the build
-    # stood two fields higher (4.40 at most, the build 2.57); before the
-    # Poisson recovery's source, log u, smooth_log and Omega' were streamed,
-    # ten stages reached 5.10-5.36
-    peaks = _stage_peaks(monkeypatch, RUN_512)
-    assert {"build_reference", "solve_spr", "solve_ske", "wp_from_residual",
+def test_one_traced_run_bounds_the_run_and_every_stage(monkeypatch):
+    # measured at 512^2, in fields: the run peaks at 2.41, the family's two
+    # fields live through a cell.  Live set + peak above it: wp_from_residual
+    # 2.05 + 0.36, volume_family_from_sections 2.04 + 0.34, compute_gprime
+    # 2.06 + 0.26 (0.32 on its largest call), verify_fiber_family 2.04 +
+    # 0.25, build_reference 0.00 + 0.57, the rest under 0.1 above the live
+    # set.  The fiber solves, 0.03 + 2.20 (spr) and 0.06 + 1.20 (ske), hold
+    # the family they return, so only the sum bounds them
+    run, peaks = _stage_peaks(monkeypatch, RUN_512)
+    assert run <= 2.5
+    assert {"build_reference", "solve_spr", "solve_ske", "verify_fiber_family",
+            "wp_from_residual", "volume_family_from_sections", "compute_gprime",
             "check_base_identity"} <= set(peaks)
     over = {name: (round(live, 2), round(above, 2))
-            for name, (live, above) in peaks.items() if live + above > 2.5}
+            for name, (live, above, _) in peaks.items() if live + above > 2.5}
     assert not over, f"stages (live set, peak above it) above 2.5 fields: {over}"
+    held = {name: round(above, 2) for name, (_, _, above) in peaks.items()
+            if above > 1.5 and name not in ("solve_spr", "solve_ske")}
+    assert not held, f"stages with a peak above their live set over 1.5 fields: {held}"
 
 
 # ---------------------------------------------------------------------------

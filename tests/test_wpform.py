@@ -177,8 +177,3 @@ def test_routes_agree_model_a(ref_a, spr_a):
     wps = wp_from_sections(ref_a, fam)
     wpr = wp_from_residual(ref_a, spr_a)
     assert np.abs(wps.wp_base - wpr.wp_base).max() < 1e-10
-
-
-def test_wp_positivity_is_reported_not_asserted(ref_b):
-    wp = wp_from_sections(ref_b, volume_family_from_sections(ref_b, canonical(ref_b)))
-    assert isinstance(float(wp.wp_fs.min()), float)
